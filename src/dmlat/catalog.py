@@ -119,7 +119,8 @@ def cone_angles(sig: LatticeSignature) -> tuple[PiRational, ...]:
     for ang in angles:
         if not (0 < ang < 2):
             raise AngleOutOfRange(f"cone angle {ang}*pi out of (0, 2*pi)")
-    assert sum(2 - ang for ang in angles) == 4
+    if sum(2 - ang for ang in angles) != 4:
+        raise AngleOutOfRange("cone angle deficits do not sum to 4*pi")
     return angles
 
 

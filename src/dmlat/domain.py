@@ -487,6 +487,10 @@ def kneg_form(c: Configuration) -> HermitianForm3:
     return form
 
 
+class CollapsedVertexMisplaced(RuntimeError):
+    """The collapsed vertex is not where its k' regime puts it."""
+
+
 def kneg_collapsed_vertex(dom: DomainD) -> np.ndarray:
     """z-frame coordinates of the vertex where v0, v7 and v11 coalesce.
 
@@ -501,9 +505,12 @@ def kneg_collapsed_vertex(dom: DomainD) -> np.ndarray:
     norm = hermitian_eval(hermitian_form(dom.c3), z)
     is_null = abs(norm) <= 1e-9 * float(np.max(np.abs(z)) ** 2)
     if dom.params.k_prime.is_infinite:
-        assert is_null, "collapsed vertex should be null for infinite k'"
-    else:
-        assert norm > 0, "collapsed vertex should be inside the ball for k' < 0"
+        if not is_null:
+            raise CollapsedVertexMisplaced(
+                "collapsed vertex should be null for infinite k'")
+    elif not norm > 0:
+        raise CollapsedVertexMisplaced(
+            "collapsed vertex should be inside the ball for k' < 0")
     return z
 
 

@@ -43,6 +43,10 @@ class HashCollisionAmbiguity(RuntimeError):
     """Two group elements are too close to separate at the tolerance."""
 
 
+class MalformedOrder(ValueError):
+    """A symbolic order expression outside the order grammar."""
+
+
 class RidgeCollapsed(ValueError):
     """The requested ridge is collapsed for this signature."""
 
@@ -135,6 +139,8 @@ def _atom_value(atom: str, sig: LatticeSignature, params: DerivedParams):
         "l'": params.l_prime,
         "d": params.d,
     }
+    if atom not in table:
+        raise MalformedOrder(f"unknown order symbol {atom!r}")
     return table[atom].value
 
 
@@ -171,7 +177,9 @@ def order_value(expr: str, sig: LatticeSignature, params: DerivedParams):
             return None
         value *= v
     if squared:
-        assert len(atoms) == 1
+        if len(atoms) != 1:
+            raise MalformedOrder(
+                f"{expr!r}: only a single symbol can be squared")
         v = _atom_value(atoms[0], sig, params)
         value *= v
     return value
@@ -275,19 +283,33 @@ def triangle_group_order(a, b) -> Fraction:
     return 4 * a * b / (2 * a + 2 * b - a * b)
 
 
-def _canonical(m: np.ndarray) -> np.ndarray:
-    """Scale to unit Frobenius norm (phase left to the projective compare)."""
-    m = np.asarray(m, dtype=complex)
-    return m / np.linalg.norm(m)
+# Weights c of the BFS bucket key |<c, m>|: fixed, of unit Frobenius norm,
+# with distinct moduli and incommensurate phases, so that elements related
+# by a diagonal or permutation symmetry of a stabiliser group get different
+# keys. ||c||_1 = 2.67 (see stabilizer_bfs for the probe bound).
+_KEY_WEIGHTS = (np.arange(1, 10) * np.exp(2j * np.pi * 0.6180339887
+                                          * np.arange(1, 10))).reshape(3, 3)
+_KEY_WEIGHTS /= np.linalg.norm(_KEY_WEIGHTS)
+_KEY_SCALE = 1e5  # buckets of width 1e-5 in |<c, m>|
 
 
 def _projective_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Max-entry distance between unit-norm matrices after phase alignment."""
     inner = np.vdot(b, a)
     if abs(inner) < 1e-12:
-        return float(np.max(np.abs(a)) + np.max(np.abs(b)))
+        return float(np.abs(a).max() + np.abs(b).max())
     lam = inner / abs(inner)
-    return float(np.max(np.abs(a - lam * b)))
+    return float(np.abs(a - lam * b).max())
+
+
+def _known(canon: np.ndarray, other: np.ndarray, tol: float) -> bool:
+    """Whether ``canon`` equals ``other`` at ``tol``; raises if ambiguous."""
+    dist = _projective_distance(canon, other)
+    if tol < dist < 10 * tol:
+        raise HashCollisionAmbiguity(
+            "two elements differ by less than 10x the tolerance"
+        )
+    return dist <= tol
 
 
 def stabilizer_bfs(
@@ -295,46 +317,58 @@ def stabilizer_bfs(
 ) -> int:
     """Order of the group generated by the matrices, as projective maps.
 
-    Breadth-first closure under multiplication by the generators and their
-    inverses. Elements are deduplicated projectively: a phase-invariant
-    rounded scalar (the sum of entry moduli) buckets candidates, and bucket
-    members are compared after optimal phase alignment at ``tol``. A pair
-    that is neither equal at ``tol`` nor separated by 10x ``tol`` raises
-    HashCollisionAmbiguity rather than guessing.
+    Breadth-first closure under right multiplication by the generators and
+    their inverses, expanded one level at a time: one batched product
+    multiplies the whole frontier by every generator, and the level's
+    products are scaled to unit Frobenius norm and keyed together.
+
+    Elements are deduplicated projectively. A unit-norm m goes into the
+    bucket round(|<c, m>| * 1e5), where c is the fixed weight matrix
+    ``_KEY_WEIGHTS``. The key ignores phase, because |<c, lam m>| =
+    |<c, m>| whenever |lam| = 1. Unlike the sum of entry moduli, it also
+    separates elements that differ only in the phases of their entries,
+    such as the elements of a diagonal cyclic group.
+
+    Probe bound: if m and n are unit-norm and lam n lies within d of m
+    entrywise, |<c, m>| and |<c, n>| differ by at most ||c||_1 d < 3 d.
+    Probing buckets key-1, key and key+1 therefore finds every element
+    within 10 ``tol`` of m while 30 ``tol`` < 1e-5.
+
+    Bucket members are compared after optimal phase alignment at ``tol``.
+    A pair that is neither equal at ``tol`` nor separated by 10x ``tol``
+    raises HashCollisionAmbiguity rather than guessing. A group of more
+    than ``max_size`` elements raises ExceededBound.
     """
     if max_size > 10000:
         raise ValueError("max_size is capped at 10000")
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    gens = gens + [np.linalg.inv(g) for g in gens]
+    gens = np.array(list(generators), dtype=complex).reshape(-1, 3, 3)
+    gens = np.concatenate([gens, np.linalg.inv(gens)])
     seen: dict[int, list[np.ndarray]] = {}
-    queue: list[np.ndarray] = []
 
-    def register(m: np.ndarray) -> None:
-        canon = _canonical(m)
-        key = int(round(float(np.sum(np.abs(canon))) * 1e5))
-        for k in (key - 1, key, key + 1):
-            for other in seen.get(k, ()):
-                dist = _projective_distance(canon, other)
-                if dist <= tol:
-                    return
-                if dist < 10 * tol:
-                    raise HashCollisionAmbiguity(
-                        "two elements differ by less than 10x the tolerance"
-                    )
-        seen.setdefault(key, []).append(canon)
-        queue.append(canon)
+    def register(level: np.ndarray) -> np.ndarray:
+        """The elements of the level not seen before, now registered."""
+        level = level / np.linalg.norm(level, axis=(1, 2), keepdims=True)
+        keys = np.rint(np.abs(np.einsum("ij,nij->n", _KEY_WEIGHTS.conj(),
+                                        level)) * _KEY_SCALE)
+        fresh = []
+        for canon, key in zip(level, keys.astype(int).tolist()):
+            if not any(
+                _known(canon, other, tol)
+                for k in (key - 1, key, key + 1)
+                for other in seen.get(k, ())
+            ):
+                seen.setdefault(key, []).append(canon)
+                fresh.append(canon)
+        return np.array(fresh).reshape(-1, 3, 3)
 
     count = 0
-    register(np.eye(3, dtype=complex))
-    head = 0
-    while head < len(queue):
-        current = queue[head]
-        head += 1
-        count += 1
+    frontier = register(np.eye(3, dtype=complex)[None])
+    while len(frontier):
+        count += len(frontier)
         if count > max_size:
             raise ExceededBound(f"group exceeds max_size = {max_size}")
-        for g in gens:
-            register(current @ g)
+        products = np.matmul(frontier[:, None], gens)
+        frontier = register(products.reshape(-1, 3, 3))
     return count
 
 

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dmlat.arithmetic import ExceededBound
 from dmlat.catalog import LatticeSignature, derive_params
 from dmlat.verification import (
+    HashCollisionAmbiguity,
     RidgeCollapsed,
     UnsupportedDegeneracy,
     apply_degenerations,
@@ -67,6 +69,12 @@ class TestOrbitTable:
         assert order_value("2k'^2", sig, params) == 72
         assert order_value("1", sig, params) == 1
 
+    @pytest.mark.parametrize("expr", ["2kp^2", "x", "2q"])
+    def test_malformed_order_is_a_value_error(self, expr):
+        sig = LatticeSignature(4, 4, 6)
+        with pytest.raises(ValueError):
+            order_value(expr, sig, derive_params(sig))
+
     def test_infinite_order_is_none(self):
         sig = LatticeSignature(6, 6, 3)
         params = derive_params(sig)
@@ -103,6 +111,7 @@ class TestEuler:
 class TestBFS:
     def test_identity(self):
         assert stabilizer_bfs([np.eye(3)]) == 1
+        assert stabilizer_bfs([]) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 7, 12])
     def test_cyclic(self, n):
@@ -120,6 +129,33 @@ class TestBFS:
     def test_k_prime_merged_row(self):
         w = cached_words((10, 10, 5))
         assert stabilizer_bfs([w["R'0"], w["K"]]) == 50  # 2k'^2
+
+    def test_ambiguous_pair_raises(self):
+        m = np.diag([1.0, np.exp(2j * np.pi / 3), 1.0])
+        m2 = m.copy()
+        m2[0, 0] += 5e-9
+        with pytest.raises(HashCollisionAmbiguity):
+            stabilizer_bfs([m, m2], max_size=100)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.floats(0, 2 * np.pi), min_size=5, max_size=5))
+    @pytest.mark.parametrize("group,order", [
+        (((4, 4, 6), ("Q^2", "R'1")), 48),  # pd
+        (((3, 3, 4), ("R'1", "R'0")), 288),  # 2d^2
+        (((10, 10, 5), ("R'0", "K")), 50),  # 2k'^2
+        (None, 400),  # diagonal cyclic: every element has the same moduli
+    ])
+    def test_order_ignores_phase_and_diagonal_conjugation(
+            self, group, order, angles):
+        if group is None:
+            gens = [np.diag([1.0, np.exp(2j * np.pi / order), 1.0])]
+        else:
+            triple, names = group
+            gens = [cached_words(triple)[name] for name in names]
+        phases = np.exp(1j * np.array(angles))
+        conj = np.outer(phases[:3], phases[:3].conj())
+        gens = [s * conj * g for s, g in zip(phases[3:], gens)]
+        assert stabilizer_bfs(gens) == order
 
     def test_exceeds_bound(self):
         w = cached_words((4, 4, 6))
