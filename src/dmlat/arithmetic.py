@@ -76,11 +76,6 @@ class ExtOrder:
         return "inf" if self.value is None else self.value
 
 
-def pi_rational(q: RationalLike) -> PiRational:
-    """Coerce ints, strings like '5/6', or Fractions into a PiRational."""
-    return Fraction(q)
-
-
 def sin_pi(q: RationalLike) -> float:
     """sin(q*pi) with exact 0.0 at integer q and exact symmetry.
 
@@ -193,13 +188,18 @@ class HermitianForm3:
         return complex(w.conj() @ self.matrix @ v)
 
 
-def hermitian_eval(h: HermitianForm3, v) -> float:
-    """The real number v* H v; errors if the imaginary part is not tiny."""
+def hermitian_eval(h: HermitianForm3, v):
+    """The real number v* H v; errors if the imaginary part is not tiny.
+
+    For a (3, m) array, the m values of its columns, each checked.
+    """
     v = np.asarray(v, dtype=complex)
-    val = complex(v.conj() @ h.matrix @ v)
-    if abs(val.imag) > 1e-9 * abs(val) + 1e-12:
-        raise NonRealResult(f"v*Hv has imaginary part {val.imag}")
-    return val.real
+    val = (complex(v.conj() @ h.matrix @ v) if v.ndim == 1
+           else np.einsum("ij,ik,kj->j", v.conj(), h.matrix, v))
+    imag = np.abs(np.imag(val))
+    if np.any(imag > 1e-9 * np.abs(val) + 1e-12):
+        raise NonRealResult(f"v*Hv has imaginary part {np.max(imag)}")
+    return np.real(val)
 
 
 def signature(h: HermitianForm3, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:

@@ -137,12 +137,6 @@ def _A_entry(c: Configuration) -> complex:
     return sin_pi(t) * sin_pi(fp) - sin_pi(t + f) * sin_pi(b) * exp_i_pi(a)
 
 
-def _A_entry_alt(c: Configuration) -> complex:
-    a, b, t, f = c.angles()
-    tp = t + a - b
-    return sin_pi(f) * sin_pi(tp) - sin_pi(t + f) * sin_pi(a) * exp_i_pi(b)
-
-
 def move_R2(c: Configuration) -> ConfiguredMap:
     """Exchange of the first and second cone points."""
     a, b, t, f = c.angles()
@@ -239,18 +233,6 @@ def move_P_inverse(c: Configuration) -> ConfiguredMap:
         dtype=complex,
     )
     return ConfiguredMap(m, c, p_inverse_target(c), "P^-1")
-
-
-def p_inverse_A_entry_alt(c: Configuration) -> complex:
-    """Second closed-form expression for the inverse-composite corner entry."""
-    a, b, t, f = c.angles()
-    fp = 1 + t + f - a - b
-    return -sin_pi(fp) * sin_pi(t) + sin_pi(t + f) * sin_pi(b - t) * exp_i_pi(-a)
-
-
-def A_entry_expressions(c: Configuration) -> tuple[complex, complex]:
-    """Both trusted closed forms of the shared corner entry, for cross-checks."""
-    return (_A_entry(c), _A_entry_alt(c))
 
 
 def identity_map(c: Configuration) -> ConfiguredMap:

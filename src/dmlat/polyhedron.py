@@ -22,7 +22,6 @@ from dmlat.arithmetic import (
     exp_i_pi,
 )
 from dmlat.moves import (
-    ConfiguredMap,
     Configuration,
     hermitian_form,
     inverse,
@@ -37,6 +36,7 @@ from dmlat.moves import (
     r1_target,
     r2_target,
 )
+from dmlat.sampling import ball_draws, bullet_agreement
 
 LINE_LABELS = ("L_*0", "L_*1", "L_*2", "L_*3", "L_01", "L_02", "L_03", "L_12", "L_13", "L_23")
 
@@ -98,7 +98,7 @@ class ComplexLine:
             raise ValueError("line equation must involve a coordinate")
 
     def residual(self, point: np.ndarray) -> float:
-        """|a x1 + b x2 - c x3| for a projective point (x1, x2, x3)."""
+        """|a x1 + b x2 - c x3| for a point (x1, x2, x3), or per column of a (3, n) array."""
         p = np.asarray(point, dtype=complex)
         return abs(self.a * p[0] + self.b * p[1] - self.c * p[2])
 
@@ -357,19 +357,6 @@ def collapse_status(c: Configuration) -> dict[str, bool]:
     }
 
 
-# Side label -> (frame, coordinate index, bisector whose vertices bound it).
-_SIDE_OF_BISECTOR = {
-    "S(P)": "B(P)",
-    "S(J)": "B(J)",
-    "S(R1)": "B(R1)",
-    "S(R1^-1)": "B(R1^-1)",
-    "S(P^-1)": "B(P^-1)",
-    "S(J^-1)": "B(J^-1)",
-    "S(R2)": "B(R2)",
-    "S(R2^-1)": "B(R2^-1)",
-}
-
-
 def pp_possible(c: Configuration) -> list[str]:
     """Violated sine-sign conditions of the side-combinatorics precondition."""
     a, b, t, f = c.angles()
@@ -413,11 +400,11 @@ def side_bound_check(c: Configuration, tol: float = 1e-10) -> bool:
         )
     vt, vs = vertices_t(c), vertices_s(c)
     bounds = side_bounds(c)
-    for side, bis in _SIDE_OF_BISECTOR.items():
-        frame, coord, members = BISECTOR_TABLE[bis]
+    # Side S(X) is bounded by the vertices of bisector B(X).
+    for bis, (frame, coord, members) in BISECTOR_TABLE.items():
         verts = vt if frame == "t" else vs
         for name in members:
-            if abs(verts[name][coord - 1]) > bounds[side] + tol:
+            if abs(verts[name][coord - 1]) > bounds["S" + bis[1:]] + tol:
                 return False
     return True
 
@@ -540,57 +527,29 @@ def bisector_equivalence_sample(
 ) -> EquivalenceReport:
     """Check the eight im/distance half-space equivalences on random points.
 
-    Points are drawn in a complex box 1.5x the vertex cloud, filtered to
-    positive Hermitian norm (interior of the ball); sign agreement is
-    evaluated outside a neutral zone around both zero sets.
+    Draw i, the i-th ``rng.uniform(-radius, radius, 4)``, is the t-frame
+    point (r0 + i r1, r2 + i r3, 1) of a box 1.5x the vertex cloud; it is
+    used when it lies in the ball and its s-frame image is finite. Each
+    bullet reads the draws in order until it has ``n_samples`` outside the
+    ``neutral`` band around both zero sets; draws in the band are skipped
+    and their largest value reported. At most ``100 * n_samples`` draws are
+    made, in chunks of 8,192 (``dmlat.sampling.ball_draws``).
     """
     if pp_possible(c):
         raise PreconditionFailed("equivalence sampling needs the generic regime")
-    rng = np.random.default_rng(seed)
     vt = vertices_t(c)
     radius = 1.5 * max(np.max(np.abs(v[:2])) for v in vt.values())
     h_t = hermitian_form(c)
-    cs = p_inverse_target(c)
-    h_s = hermitian_form(cs)
+    h_s = hermitian_form(p_inverse_target(c))
     specs = _bullet_specs(c)
-    normals = []
+    bullets = []
     for spec in specs:
+        chart = "ts".index(spec["frame"])
+        h = (h_t, h_s)[chart]
         n_plain = _normal_spec(spec["plain"])
         mat, frame2, cfg2, lab2 = spec["mapped"]
-        n_mapped = mat @ _normal_spec((frame2, cfg2, lab2))
-        n_mapped = _unit_negative(
-            n_mapped, h_t if spec["frame"] == "t" else h_s, lab2
-        )
-        normals.append((n_plain, n_mapped))
-    agree = [0] * 8
-    used = [0] * 8
-    max_near = 0.0
-    drawn = 0
-    while min(used) < n_samples and drawn < 100 * n_samples:
-        drawn += 1
-        z = rng.uniform(-radius, radius, 4)
-        pt_t = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3], 1.0], dtype=complex)
-        if hermitian_eval(h_t, pt_t) <= 0:
-            continue
-        s_img = move_P_inverse(c).matrix @ pt_t
-        if abs(s_img[2]) < 1e-9:
-            continue
-        pt_s = s_img / s_img[2]
-        for i, spec in enumerate(specs):
-            if used[i] >= n_samples:
-                continue
-            pt = pt_t if spec["frame"] == "t" else pt_s
-            h = h_t if spec["frame"] == "t" else h_s
-            im_val = (spec["phase"] * pt[spec["coord"] - 1]).imag
-            if not spec["im_leq"]:
-                im_val = -im_val
-            n_plain, n_mapped = normals[i]
-            dist_val = abs(h.inner(pt, n_plain)) ** 2 - abs(h.inner(pt, n_mapped)) ** 2
-            if abs(im_val) <= neutral or abs(dist_val) <= neutral:
-                max_near = max(max_near, abs(im_val), abs(dist_val))
-                continue
-            used[i] += 1
-            if (im_val < 0) == (dist_val < 0):
-                agree[i] += 1
-    fractions = tuple(a / u if u else 0.0 for a, u in zip(agree, used))
-    return EquivalenceReport(fractions, tuple(used), max_near)
+        n_mapped = _unit_negative(mat @ _normal_spec((frame2, cfg2, lab2)), h, lab2)
+        bullets.append((chart, spec["phase"], spec["coord"], spec["im_leq"], chart,
+                        n_plain.conj() @ h.matrix, n_mapped.conj() @ h.matrix))
+    draws = ball_draws(h_t, radius, seed, 100 * n_samples, (move_P_inverse(c).matrix,))
+    return EquivalenceReport(*bullet_agreement(draws, bullets, n_samples, neutral))
