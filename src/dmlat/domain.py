@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from dmlat.arithmetic import (
     hermitian_eval,
     projective_equal,
     signature as form_signature,
-    sin_pi,
     exp_i_pi,
 )
 from dmlat.catalog import DerivedParams, LatticeSignature, derive_params
@@ -27,20 +26,25 @@ from dmlat.moves import (
     ConfiguredMap,
     Configuration,
     compose,
+    configurations_of,
     hermitian_form,
     inverse,
     move_A1,
     move_J,
+    move_P,
     move_P_inverse,
     move_R1,
     move_R2,
-    p_target,
 )
 from dmlat.polyhedron import (
+    VERTEX_LINES,
     PointAtInfinity,
     PreconditionFailed,
+    _arg_in,
     _normal_at,
     _unit_negative,
+    collapse_status,
+    lines_t,
     vertices_t,
 )
 from dmlat.sampling import ball_draws, bullet_agreement
@@ -48,7 +52,11 @@ from dmlat.sampling import ball_draws, bullet_agreement
 
 @dataclass(frozen=True)
 class DomainD:
-    """The glued domain: signature, the three charts and the k'-flag."""
+    """The glued domain: signature, the three charts and the k'-flag.
+
+    The maps from the z-chart to the others, the sampling radius and the
+    frame-diagram verdict are computed on first use and kept.
+    """
 
     signature: LatticeSignature
     params: DerivedParams
@@ -56,38 +64,59 @@ class DomainD:
     c2: Configuration
     c3: Configuration
     kneg_flag: bool
-    diagram_ok: bool
+
+    @cached_property
+    def x_of_z(self) -> np.ndarray:
+        return move_R1(self.c3).matrix
+
+    @cached_property
+    def y_of_z(self) -> np.ndarray:
+        return np.linalg.inv(move_R2(self.c2).matrix)
+
+    @cached_property
+    def w_of_z(self) -> np.ndarray:
+        return np.linalg.inv(side_pairings(self).Q.matrix)
+
+    @cached_property
+    def u_of_z(self) -> np.ndarray:
+        return move_P_inverse(self.c3).matrix
+
+    @cached_property
+    def v_of_z(self) -> np.ndarray:
+        return move_P_inverse(self.c1).matrix @ self.x_of_z
+
+    @cached_property
+    def radius(self) -> float:
+        """Half-width of the sampling box: 1.5x the finite 24-vertex cloud."""
+        return 1.5 * max(np.max(np.abs(v[:2])) for v in vertices_D(self).coords.values()
+                         if np.isfinite(v).all())
+
+    @cached_property
+    def diagram_ok(self) -> bool:
+        """Whether the coordinate diagram of the three charts commutes."""
+        # u = P^-1(C3) z must equal R1-at-C3 applied to w = Q^-1 z.
+        ok = projective_equal(self.u_of_z, self.x_of_z @ self.w_of_z)
+        # The relations through the C2 chart degenerate when k' is infinite:
+        # v = P^-1 applied to x must equal y, and P^-1(C2) y must equal w.
+        if not self.params.k_prime.is_infinite:
+            ok = ok and projective_equal(self.v_of_z, self.y_of_z)
+            ok = ok and projective_equal(
+                move_P_inverse(self.c2).matrix @ self.y_of_z, self.w_of_z)
+        return ok
 
 
+@cache
 def build_domain(sig: LatticeSignature) -> DomainD:
-    """Construct the three charts and verify the coordinate diagram."""
-    from dmlat.moves import configurations_of
+    """The domain of a signature, built once per process.
 
-    from dmlat.moves import DegenerateDenominator, move_P
-
+    The C2 chart is inverted here, so that a singular one (p' = 2) fails
+    before anything else is built on the domain.
+    """
     params = derive_params(sig)
-    c1, c2, c3 = configurations_of(sig)
     kneg = params.k_prime.is_negative or params.k_prime.is_infinite
-    y_of_z = np.linalg.inv(move_R2(c2).matrix)
-    # The C1-chart route to Q degenerates exactly when k' is infinite; the
-    # C2-chart factorization is then used instead.
-    try:
-        q = move_R1(c1).matrix @ move_R2(c1).matrix @ move_R1(c3).matrix
-    except DegenerateDenominator:
-        q = move_R2(c2).matrix @ move_P(c3).matrix
-    ok = True
-    # u = P^-1(C3) z must equal R1-at-C3 applied to w = Q^-1 z.
-    u_of_z = move_P_inverse(c3).matrix
-    ok = ok and projective_equal(u_of_z, move_R1(c3).matrix @ np.linalg.inv(q))
-    # The relations through the C2 chart degenerate when k' is infinite.
-    if not params.k_prime.is_infinite:
-        # v = P^-1 applied to x = R1-at-C3 z must equal y = R2(C2)^-1 z.
-        v_of_z = move_P_inverse(c1).matrix @ move_R1(c3).matrix
-        ok = ok and projective_equal(v_of_z, y_of_z)
-        # w via the C2 chart: P^-1(C2) y must equal Q^-1 z.
-        w_of_z = move_P_inverse(c2).matrix @ y_of_z
-        ok = ok and projective_equal(w_of_z, np.linalg.inv(q))
-    return DomainD(sig, params, c1, c2, c3, kneg, bool(ok))
+    dom = DomainD(sig, params, *configurations_of(sig), kneg)
+    dom.y_of_z
+    return dom
 
 
 @dataclass(frozen=True)
@@ -107,24 +136,14 @@ class SidePairingSet:
                 "R'1": self.R1, "R'2": self.R2, "A'0": self.A0}
 
 
-_PAIRING_CACHE: dict[tuple[int, int, int], SidePairingSet] = {}
-
-
+@cache
 def side_pairings(dom: DomainD) -> SidePairingSet:
     """Build the six pairings by tracked composition; cross-check factorizations.
 
-    Alternative factorizations routed through the C1 chart degenerate when
-    k' is infinite; those cross-checks are skipped in that case and the
-    primary construction falls back to a C2-chart route. Results are cached
-    per signature.
+    Q, K, R'0 and R'1 come through the C1 chart. For infinite k' the C2 chart
+    is singular: R'2 and A'0 then come from the exchange relations
+    R'2 = K R'1 K^-1 and A'0 = K^-2, and the cross-checks through C2 are skipped.
     """
-    from dmlat.moves import DegenerateDenominator, move_P
-
-    cache_key = (dom.signature.p, dom.signature.k, dom.signature.p_prime)
-    cached = _PAIRING_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-
     c1, c2, c3 = dom.c1, dom.c2, dom.c3
     c2_usable = not dom.params.k_prime.is_infinite
     r1p = compose(move_R1(c1), move_R1(c3))
@@ -143,8 +162,8 @@ def side_pairings(dom: DomainD) -> SidePairingSet:
         r2p = ConfiguredMap(k.matrix @ r1p.matrix @ ki, c3, c3, "R2'")
         a0p = ConfiguredMap(ki @ ki, c3, c3, "A'0")
     ok = True
-    # K = J R1 = R2 J; Q = P R1 = R2 P; R'0 = R2 R1 R2^-1. The C1-chart
-    # P and J also degenerate exactly when k' is infinite.
+    # K = J R1 = R2 J; Q = P R1 = R2 P; R'0 = R2 R1 R2^-1. When k' is infinite
+    # all are skipped, the C1-chart P and J ones too (they hold at (3,3,3)).
     if c2_usable:
         ok = ok and projective_equal(k.matrix, compose(move_J(c1), move_R1(c3)).matrix)
         ok = ok and projective_equal(q.matrix, compose(move_P(c1), move_R1(c3)).matrix)
@@ -164,9 +183,7 @@ def side_pairings(dom: DomainD) -> SidePairingSet:
     ok = ok and projective_equal(
         np.linalg.inv(r0p.matrix) @ a0p.matrix @ r0p.matrix, a0p.matrix
     )
-    result = SidePairingSet(k, q, r0p, r1p, r2p, a0p, bool(ok))
-    _PAIRING_CACHE[cache_key] = result
-    return result
+    return SidePairingSet(k, q, r0p, r1p, r2p, a0p, bool(ok))
 
 
 # The 24-vertex table: label -> (alias in D3, D1, D2, cells). Cells are the
@@ -175,6 +192,8 @@ def side_pairings(dom: DomainD) -> SidePairingSet:
 # of pi, where TP and FP stand for 2*alpha-pi and pi+theta+phi-2*alpha.
 _TP = "theta'"
 _FP = "phi'"
+# Tolerances of the table check: a cell's argument and a vanishing coordinate.
+_TOL_ARG, _TOL_ZERO = 1e-9, 1e-10
 
 _VERT_D_TABLE: dict[str, tuple[str | None, str | None, str | None, tuple]] = {
     "v0": (None, "t2", "t1", (None, None, None, None, "zero", "zero")),
@@ -243,8 +262,6 @@ def _angle_value(cell, c3: Configuration) -> float:
 
 def _collapsed_vertices(dom: DomainD) -> frozenset[str]:
     """Vertices lying on a collapsed triple line in any of the three charts."""
-    from dmlat.polyhedron import VERTEX_LINES, collapse_status
-
     status = {
         "z": collapse_status(dom.c3),
         "x": collapse_status(dom.c1),
@@ -261,17 +278,16 @@ def _collapsed_vertices(dom: DomainD) -> frozenset[str]:
     return frozenset(out)
 
 
-def vertices_D(dom: DomainD, tol_arg: float = 1e-9, tol_zero: float = 1e-10) -> DomainVertexTable:
+@cache
+def vertices_D(dom: DomainD) -> DomainVertexTable:
     """Assemble the 24 z-frame vertices and cross-check the reference table."""
     c1, c2, c3 = dom.c1, dom.c2, dom.c3
     vt3 = vertices_t(c3)
     vt1 = vertices_t(c1)
     vt2 = vertices_t(c2)
-    z_of_x = np.linalg.inv(move_R1(c3).matrix)
+    z_of_x = np.linalg.inv(dom.x_of_z)
     z_of_y = move_R2(c2).matrix
-    sp = side_pairings(dom)
-    w_of_z = np.linalg.inv(sp.Q.matrix)
-    y_of_z = np.linalg.inv(z_of_y) if not dom.params.k_prime.is_infinite else None
+    y_usable = not dom.params.k_prime.is_infinite
     collapsed = _collapsed_vertices(dom)
     coords: dict[str, np.ndarray] = {}
     aliases: dict[str, tuple] = {}
@@ -281,7 +297,6 @@ def vertices_D(dom: DomainD, tol_arg: float = 1e-9, tol_zero: float = 1e-10) -> 
         notes.append(f"cells skipped for collapsed vertices: {sorted(collapsed)}")
     if dom.kneg_flag:
         notes.append("k'-negative regime: y2 arguments compared modulo pi")
-    y_usable = not dom.params.k_prime.is_infinite
     if not y_usable:
         notes.append("k' infinite: the second chart is singular, y columns skipped")
     for label, (z_alias, x_alias, y_alias, cells) in _VERT_D_TABLE.items():
@@ -298,10 +313,10 @@ def vertices_D(dom: DomainD, tol_arg: float = 1e-9, tol_zero: float = 1e-10) -> 
         aliases[label] = (z_alias, x_alias, y_alias)
         if label in collapsed or not finite:
             continue
-        w = w_of_z @ z
+        w = dom.w_of_z @ z
         w = w / w[2]
-        if y_of_z is not None:
-            y = y_of_z @ z
+        if y_usable:
+            y = dom.y_of_z @ z
             y = y / y[2]
         else:
             y = np.zeros(3, dtype=complex)
@@ -310,10 +325,10 @@ def vertices_D(dom: DomainD, tol_arg: float = 1e-9, tol_zero: float = 1e-10) -> 
             if cell is None or (col >= 4 and not y_usable):
                 continue
             if cell == "zero":
-                if abs(val) > tol_zero:
+                if abs(val) > _TOL_ZERO:
                     failures.append(f"{label}: expected zero, |value|={abs(val):.2e}")
                 continue
-            if abs(val) <= tol_zero:
+            if abs(val) <= _TOL_ZERO:
                 failures.append(f"{label}: expected arg, got zero coordinate")
                 continue
             want = _angle_value(cell, c3)
@@ -321,7 +336,7 @@ def vertices_D(dom: DomainD, tol_arg: float = 1e-9, tol_zero: float = 1e-10) -> 
             period = math.pi if (dom.kneg_flag and col == 5) else 2 * math.pi
             diff = abs((got - want + math.pi) % (2 * math.pi) - math.pi)
             diff = min(diff, abs(diff - period)) if period == math.pi else diff
-            if diff > tol_arg:
+            if diff > _TOL_ARG:
                 failures.append(f"{label}: arg mismatch {got:.6f} vs {want:.6f}")
     return DomainVertexTable(
         coords, aliases, collapsed, not failures, tuple(failures), tuple(notes)
@@ -330,8 +345,6 @@ def vertices_D(dom: DomainD, tol_arg: float = 1e-9, tol_zero: float = 1e-10) -> 
 
 def in_D_union(point, dom: DomainD, tol: float = 1e-6) -> bool:
     """Membership in the glued domain: six z/w/y argument conditions."""
-    from dmlat.polyhedron import _arg_in
-
     if dom.params.k_prime.is_infinite:
         raise PreconditionFailed("second chart is singular for infinite k'")
     z = np.asarray(point, dtype=complex)
@@ -341,9 +354,8 @@ def in_D_union(point, dom: DomainD, tol: float = 1e-6) -> bool:
     a, b, t, f = (float(x) for x in dom.c3.angles())
     tp = 2 * a - 1.0
     fp = 1.0 + t + f - 2 * a
-    sp = side_pairings(dom)
-    w = np.linalg.inv(sp.Q.matrix) @ z
-    y = np.linalg.inv(move_R2(dom.c2).matrix) @ z
+    w = dom.w_of_z @ z
+    y = dom.y_of_z @ z
     if abs(w[2]) <= 1e-12 * np.max(np.abs(w)) or abs(y[2]) <= 1e-12 * np.max(np.abs(y)):
         raise PointAtInfinity("image chart coordinate at infinity")
     w = w / w[2]
@@ -397,7 +409,7 @@ def _bisd_specs(dom: DomainD, sp: SidePairingSet) -> list[dict]:
         dict(chart="y", phase=exp_i_pi(fp), coord=1, im_leq=False,
              plain="L_*0", mat=K @ K, mapped=("L_*0", c3)),
         dict(chart="y", phase=1.0, coord=2, im_leq=False,
-             plain="L_*1", mat=np.linalg.inv(Q) @ R1p, mapped=("L_*3", c3)),
+             plain="L_*1", mat=dom.w_of_z @ R1p, mapped=("L_*3", c3)),
         dict(chart="y", phase=exp_i_pi(-tp), coord=2, im_leq=True,
              plain="L_*3", mat=np.linalg.inv(R1p) @ Q, mapped=("L_*1", c3)),
         dict(chart="y", phase=exp_i_pi(-fp), coord=1, im_leq=True,
@@ -428,10 +440,7 @@ def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,
         raise PreconditionFailed("bisD sampling requires the generic regime")
     c3 = dom.c3
     h = hermitian_form(c3)
-    sp = side_pairings(dom)
-    vd = vertices_D(dom)
-    radius = 1.5 * max(np.max(np.abs(v[:2])) for v in vd.coords.values())
-    specs = _bisd_specs(dom, sp)
+    specs = _bisd_specs(dom, side_pairings(dom))
     bullets = []
     for spec in specs:
         n_plain = _normal_at(c3, spec["plain"])
@@ -440,9 +449,7 @@ def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,
         bullets.append(("zwy".index(spec["chart"]), spec["phase"], spec["coord"],
                         spec["im_leq"], 0, n_plain.conj() @ h.matrix,
                         n_mapped.conj() @ h.matrix))
-    w_of_z = np.linalg.inv(sp.Q.matrix)
-    y_of_z = np.linalg.inv(move_R2(dom.c2).matrix)
-    draws = ball_draws(h, radius, seed, 200 * n_samples, (w_of_z, y_of_z))
+    draws = ball_draws(h, dom.radius, seed, 200 * n_samples, (dom.w_of_z, dom.y_of_z))
     fractions, used, _ = bullet_agreement(draws, bullets, n_samples, neutral)
     return BisDReport(fractions, used)
 
@@ -488,7 +495,7 @@ def boundary_null_vertices(dom: DomainD) -> dict[str, list[np.ndarray]]:
     """z-frame vertices forced onto the boundary by each infinite parameter."""
     c1, c2, c3 = dom.c1, dom.c2, dom.c3
     out: dict[str, list[np.ndarray]] = {}
-    z_of_x = np.linalg.inv(move_R1(c3).matrix)
+    z_of_x = np.linalg.inv(dom.x_of_z)
     p = dom.params
     if p.l.is_infinite:
         out["l"] = [vertices_t(c3)["t6"], z_of_x @ vertices_t(c1)["t12"]]
@@ -514,23 +521,15 @@ def glueing_check(dom: DomainD, n_samples: int = 100, seed: int = 7,
     even when the draw cap stops short of ``n_samples``: at seed 7, (2,4,3)
     and (2,3,3) test only 25 and 14 of 100 points and pass.
     """
-    c1, c2, c3 = dom.c1, dom.c2, dom.c3
-    t = float(c3.theta)
-    h = hermitian_form(c3)
-    sp = side_pairings(dom)
-    x_of_z = move_R1(c3).matrix
-    y_of_z = np.linalg.inv(move_R2(c2).matrix)
-    u_of_z = move_P_inverse(c3).matrix
-    w_of_z = np.linalg.inv(sp.Q.matrix)
-    v_of_z = move_P_inverse(c1).matrix @ x_of_z
-    vd = vertices_D(dom)
-    radius = 1.5 * max(np.max(np.abs(v[:2])) for v in vd.coords.values())
+    t = float(dom.c3.theta)
+    h = hermitian_form(dom.c3)
+    maps = (dom.x_of_z, dom.u_of_z, dom.w_of_z, dom.y_of_z, dom.v_of_z)
     phase = complex(math.cos(t * math.pi), -math.sin(t * math.pi))
     count = 0
-    for (z,) in ball_draws(h, radius, seed, 200 * n_samples):
+    for (z,) in ball_draws(h, dom.radius, seed, 200 * n_samples):
         z = z[:, :n_samples - count]
         count += z.shape[1]
-        x, u, w, y, v = (m @ z for m in (x_of_z, u_of_z, w_of_z, y_of_z, v_of_z))
+        x, u, w, y, v = (m @ z for m in maps)
         lhs = np.array([z[1].imag, (phase * (u[1] / u[2])).imag, (v[0] / v[2]).imag])
         rhs = np.array([(phase * x[1]).imag, (w[1] / w[2]).imag, (y[0] / y[2]).imag])
         near = (np.abs(lhs) <= neutral) | (np.abs(rhs) <= neutral)
@@ -553,14 +552,10 @@ def samelines_check(dom: DomainD, n_samples: int = 50, seed: int = 7,
     ``rng.uniform(-1, 1, (3, n_samples, 2))[j, i]``, the stream of one
     ``rng.uniform(-1, 1)`` call per real number.
     """
-    from dmlat.polyhedron import lines_t
-
-    c1, c2, c3 = dom.c1, dom.c2, dom.c3
-    x_of_z = move_R1(c3).matrix
-    y_of_z = np.linalg.inv(move_R2(c2).matrix)
-    lz = lines_t(c3)
-    ly = lines_t(c2)
-    lx = lines_t(c1)
+    lz = lines_t(dom.c3)
+    ly = lines_t(dom.c2)
+    lx = lines_t(dom.c1)
+    y_of_z, x_of_z = dom.y_of_z, dom.x_of_z
     rng = np.random.default_rng(seed)
     identities = [("L_*0", "L_*0", "L_*0"), ("L_*3", "L_*3", "L_*2"),
                   ("L_*1", "L_*2", "L_*1")]

@@ -23,6 +23,7 @@ from dmlat.arithmetic import (
 )
 from dmlat.moves import (
     Configuration,
+    _check_denominators,
     hermitian_form,
     inverse,
     move_A1,
@@ -34,7 +35,6 @@ from dmlat.moves import (
     p_inverse_target,
     p_target,
     r1_target,
-    r2_target,
 )
 from dmlat.sampling import ball_draws, bullet_agreement
 
@@ -106,8 +106,6 @@ class ComplexLine:
 def lines_t(c: Configuration) -> dict[str, ComplexLine]:
     """The ten reference line equations in the t-frame of configuration c."""
     a, b, t, f = c.angles()
-    from dmlat.moves import _check_denominators
-
     _check_denominators(c, a - f, b - t, t + f)
     sa, sb = sin_pi(a), sin_pi(b)
     saf, sbt, stf = sin_pi(a - f), sin_pi(b - t), sin_pi(t + f)
@@ -134,8 +132,6 @@ def lines_s(c: Configuration) -> dict[str, ComplexLine]:
     """
     cs = p_inverse_target(c)
     a, b, t, f = cs.angles()
-    from dmlat.moves import _check_denominators
-
     _check_denominators(cs, a - f, b - t, t + f)
     sa, sb = sin_pi(a), sin_pi(b)
     saf, sbt, stf = sin_pi(a - f), sin_pi(b - t), sin_pi(t + f)

@@ -9,7 +9,8 @@ are (8 pi^2 / 3) times the Euler characteristic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 
 import numpy as np
@@ -21,17 +22,9 @@ from dmlat.arithmetic import (
     hermitian_eval,
     projective_equal,
     projective_order,
-    renormalize,
 )
-from dmlat.catalog import DerivedParams, LatticeSignature, derive_params
-from dmlat.domain import (
-    DomainD,
-    SidePairingSet,
-    build_domain,
-    in_D_union,
-    side_pairings,
-    vertices_D,
-)
+from dmlat.catalog import DerivedParams, LatticeSignature, classify_degeneracies, derive_params
+from dmlat.domain import DomainD, build_domain, side_pairings, vertices_D
 from dmlat.moves import hermitian_form, move_A1
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _unit_negative
 from dmlat.sampling import CHUNK, affine_points
@@ -232,8 +225,6 @@ def apply_degenerations(
                  "l'": params.l_prime, "k'": params.k_prime}[name]
         if not (param.is_negative or param.is_infinite):
             continue
-        if name == "l" and param.is_negative:
-            continue  # unreachable; guarded above
         regime = "infinite" if param.is_infinite else "negative"
         applied.append(f"{name} {regime}")
         for dim, expr in _DELETIONS[name]:
@@ -399,14 +390,17 @@ class RelationReport:
         return all(e.status != "fail" for e in self.entries)
 
 
-def _pairing_words(dom: DomainD, sp: SidePairingSet) -> dict[str, np.ndarray]:
-    d = {name: m.matrix for name, m in sp.as_dict().items()}
+@cache
+def _pairing_words(dom: DomainD) -> dict[str, np.ndarray]:
+    """The pairings and the words the checks read, computed once per domain."""
+    d = {name: m.matrix for name, m in side_pairings(dom).as_dict().items()}
     d["A1"] = move_A1(dom.c3).matrix
     d["Q^2"] = d["Q"] @ d["Q"]
     d["R'0K"] = d["R'0"] @ d["K"]
     d["QK^-1"] = d["Q"] @ np.linalg.inv(d["K"])
     d["A'0R'2R'1"] = d["A'0"] @ d["R'2"] @ d["R'1"]
-    d["Q^-1K"] = np.linalg.inv(d["Q"]) @ d["K"]
+    d["Q^-1"] = dom.w_of_z
+    d["Q^-1K"] = d["Q^-1"] @ d["K"]
     d["R'1A'0R'2"] = d["R'1"] @ d["A'0"] @ d["R'2"]
     d["KR'0"] = d["K"] @ d["R'0"]
     d["R'2^-1K"] = np.linalg.inv(d["R'2"]) @ d["K"]
@@ -427,8 +421,7 @@ def check_relations(
     """Test every presentation relation that has a positive finite exponent."""
     dom = build_domain(sig)
     params = dom.params
-    sp = side_pairings(dom)
-    w = _pairing_words(dom, sp)
+    w = _pairing_words(dom)
     entries: list[RelationEntry] = []
 
     powers = [
@@ -511,8 +504,7 @@ def cycle_orders(
     """Measure each cycle transformation's projective order (= ell * m)."""
     dom = build_domain(sig)
     params = dom.params
-    sp = side_pairings(dom)
-    w = _pairing_words(dom, sp)
+    w = _pairing_words(dom)
     entries: list[CycleEntry] = []
     rows = [
         ("Q^-1K", w["Q^-1K"], 1, "k", ExtOrder.finite(sig.k)),
@@ -520,7 +512,7 @@ def cycle_orders(
         ("R'2", w["R'2"], 1, "p", ExtOrder.finite(sig.p)),
         ("Q", w["Q"], 2, "d", params.d),
         ("A'0", w["A'0"], 1, "k'", params.k_prime),
-        ("R'1A'0R'2", w["R'1"] @ w["A'0"] @ w["R'2"], 1, "l'", params.l_prime),
+        ("R'1A'0R'2", w["R'1A'0R'2"], 1, "l'", params.l_prime),
         ("R'1", w["R'1"], 1, "p", ExtOrder.finite(sig.p)),
         ("R'0K", w["R'0K"], 1, "l", params.l),
     ]
@@ -534,19 +526,18 @@ def cycle_orders(
             name, ell, sym, "pass" if ok else "fail", f"order {measured}"))
 
     # (R'2^-1 K)^2 equals the inverse cycle transformation of R'1 A'0 R'2.
-    half = np.linalg.inv(w["R'2"]) @ w["K"]
-    ok = projective_equal(
-        half @ half, np.linalg.inv(w["R'1"] @ w["A'0"] @ w["R'2"]), tol)
+    half = w["R'2^-1K"]
+    ok = projective_equal(half @ half, np.linalg.inv(w["R'1A'0R'2"]), tol)
     entries.append(CycleEntry("(R'2^-1K)^2 = (R'1A'0R'2)^-1", 1, "l'",
                               "pass" if ok else "fail"))
 
     identities = [
-        ("R'0Q^-1R'1", w["R'0"] @ np.linalg.inv(w["Q"]) @ w["R'1"]),
-        ("R'2Q^-1R'0", w["R'2"] @ np.linalg.inv(w["Q"]) @ w["R'0"]),
+        ("R'0Q^-1R'1", w["R'0"] @ w["Q^-1"] @ w["R'1"]),
+        ("R'2Q^-1R'0", w["R'2"] @ w["Q^-1"] @ w["R'0"]),
         ("R'1K^-1R'2^-1K",
          w["R'1"] @ np.linalg.inv(w["K"]) @ np.linalg.inv(w["R'2"]) @ w["K"]),
         ("R'1^-1Q^-1R'2Q",
-         np.linalg.inv(w["R'1"]) @ np.linalg.inv(w["Q"]) @ w["R'2"] @ w["Q"]),
+         np.linalg.inv(w["R'1"]) @ w["Q^-1"] @ w["R'2"] @ w["Q"]),
         ("A'0R'0^-1A'0^-1R'0",
          w["A'0"] @ np.linalg.inv(w["R'0"]) @ np.linalg.inv(w["A'0"]) @ w["R'0"]),
         ("KA'0K", w["K"] @ w["A'0"] @ w["K"]),
@@ -611,15 +602,7 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     has finite w and y images; the z arguments and the ball are tested
     before w and y are computed.
     """
-    from dmlat.moves import move_R2
-
     h = hermitian_form(dom.c3)
-    sp = side_pairings(dom)
-    w_of_z = np.linalg.inv(sp.Q.matrix)
-    y_of_z = np.linalg.inv(move_R2(dom.c2).matrix)
-    vd = vertices_D(dom)
-    radius = 1.5 * max(np.max(np.abs(v[:2])) for v in vd.coords.values()
-                       if np.isfinite(v).all())
     a, _, t, f = (float(x) for x in dom.c3.angles())
     tp = 2 * a - 1.0
     fp = 1.0 + t + f - 2 * a
@@ -633,14 +616,14 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     for _ in range(400):
         if points.shape[1] >= n:
             break
-        r = rng.uniform(-radius, radius, (4, CHUNK))
+        r = rng.uniform(-dom.radius, dom.radius, (4, CHUNK))
         keep = (args_in(np.arctan2(r[1], r[0]), -f * pi, 0.0)
                 & args_in(np.arctan2(r[3], r[2]), -t * pi, t * pi))
         # take() gathers the kept columns several times faster than r[:, keep].
         z = affine_points(r.take(np.flatnonzero(keep), axis=1))
         z = z[:, hermitian_eval(h, z) > 0]
-        w = w_of_z @ z
-        y = y_of_z @ z
+        w = dom.w_of_z @ z
+        y = dom.y_of_z @ z
         finite = (np.abs(w[2]) > 1e-12) & (np.abs(y[2]) > 1e-12)
         z, w, y = z[:, finite], w[:, finite], y[:, finite]
         w, y = w / w[2], y / y[2]
@@ -664,18 +647,13 @@ def tessellation_sign_table(
     Supports the Lagrangian ridge F(K,R'1) (four sign rows) and the Giraud
     ridge F(K,K^-1) (three pairwise-separating distance conditions).
     """
-    from dmlat.catalog import classify_degeneracies
-
-    params = derive_params(sig)
-    report = classify_degeneracies(params, sig)
-    if ridge_id in report.collapsed_ridges:
-        raise RidgeCollapsed(f"{ridge_id} is collapsed for {sig}")
     dom = build_domain(sig)
+    if ridge_id in classify_degeneracies(dom.params, sig).collapsed_ridges:
+        raise RidgeCollapsed(f"{ridge_id} is collapsed for {sig}")
     if dom.kneg_flag:
         raise PreconditionFailed("sampling requires the generic regime")
     sp = side_pairings(dom)
     c3 = dom.c3
-    t, f = float(c3.theta), float(c3.phi)
     points = _sample_domain_points(dom, n_samples, seed)
     if ridge_id == "F(K,R'1)":
         mats = {

@@ -1,36 +1,12 @@
-"""Shared cached builders so the suite constructs each domain once."""
+"""The catalog triples as a test parameter."""
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import pytest
 
-from dmlat.catalog import LatticeSignature, catalog
-from dmlat.domain import build_domain, side_pairings, vertices_D
-from dmlat.verification import _pairing_words
+from dmlat.catalog import catalog
 
 ALL_TRIPLES = [(s.p, s.k, s.p_prime) for s in catalog()]
-
-
-@lru_cache(maxsize=None)
-def cached_domain(trip: tuple[int, int, int]):
-    return build_domain(LatticeSignature(*trip))
-
-
-@lru_cache(maxsize=None)
-def cached_pairings(trip: tuple[int, int, int]):
-    return side_pairings(cached_domain(trip))
-
-
-@lru_cache(maxsize=None)
-def cached_words(trip: tuple[int, int, int]):
-    return _pairing_words(cached_domain(trip), cached_pairings(trip))
-
-
-@lru_cache(maxsize=None)
-def cached_vertices(trip: tuple[int, int, int]):
-    return vertices_D(cached_domain(trip))
 
 
 @pytest.fixture(params=ALL_TRIPLES, ids=[str(t) for t in ALL_TRIPLES])

@@ -13,6 +13,7 @@ from dmlat.domain import (
     bisD_check,
     boundary_null_vertices,
     build_domain,
+    vertices_D,
 )
 from dmlat.moves import (
     DegenerateDenominator,
@@ -33,6 +34,7 @@ from dmlat.polyhedron import (
     check_s_consistency,
 )
 from dmlat.verification import (
+    _pairing_words,
     apply_degenerations,
     base_orbit_table,
     check_relations,
@@ -46,7 +48,7 @@ from dmlat.verification import (
 )
 from dmlat.arithmetic import hermitian_eval
 
-from conftest import ALL_TRIPLES, cached_vertices, cached_words
+from conftest import ALL_TRIPLES
 from test_catalog import CONE_TABLE, PARAM_TABLE
 from test_verification import CHI_TABLE
 
@@ -137,7 +139,7 @@ def test_criterion_07_vertex_geometry():
             if trip == (3, 3, 3) and c.type_tag.startswith("C2"):
                 continue  # exactly singular chart
             ok = ok and s_ok
-        ok = ok and cached_vertices(trip).table_ok
+        ok = ok and vertices_D(build_domain(LatticeSignature(*trip))).table_ok
     report(7, ok, "vertex incidences, frame consistency and the 24-vertex table")
 
 
@@ -149,7 +151,7 @@ def test_criterion_08_bfs_oracle():
     for trip in ALL_TRIPLES:
         sig = LatticeSignature(*trip)
         params = derive_params(sig)
-        words = cached_words(trip)
+        words = _pairing_words(build_domain(sig))
         rows, _, _ = apply_degenerations(base_orbit_table(), params)
         for row in rows:
             value = order_value(row.order_expr, sig, params)

@@ -53,6 +53,12 @@ class TestEuler:
 
 
 class TestCheck:
+    @pytest.mark.parametrize("command", ["check", "vertices", "tessellate"])
+    def test_singular_second_chart_is_an_error(self, capsys, command):
+        # p' = 2 makes the C2 chart matrix singular: a clean usage error.
+        code, out, err = run(capsys, "--force", command, "4", "4", "2")
+        assert (code, out, err) == (2, "", "error: Singular matrix\n")
+
     def test_single(self, capsys):
         code, out, _ = run(capsys, "check", "4", "4", "5")
         assert code == 0

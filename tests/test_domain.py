@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import dmlat.domain as domain_mod
 from dmlat.arithmetic import exp_i_pi, hermitian_eval, projective_equal, sin_pi
 from dmlat.catalog import LatticeSignature
+from dmlat.cli import main
 from dmlat.domain import (
     VERTEX_D_LABELS,
     bisD_check,
@@ -20,10 +22,9 @@ from dmlat.domain import (
     side_pairings,
     vertices_D,
 )
-from dmlat.moves import check_isometry, configurations_of, hermitian_form
+from dmlat.moves import check_isometry, configurations_of, hermitian_form, move_R2
 from dmlat.polyhedron import PreconditionFailed
-
-from conftest import cached_domain, cached_pairings, cached_vertices
+from dmlat.verification import _pairing_words
 
 KNEG_TRIPLES = {(6, 6, 3), (10, 10, 5), (12, 12, 6), (18, 18, 9),
                 (4, 4, 3), (3, 3, 3)}
@@ -32,32 +33,66 @@ GENERIC_TRIPLES = [(4, 4, 5), (4, 4, 6)]
 
 class TestBuildDomain:
     def test_diagram_commutes(self, triple):
-        dom = cached_domain(triple)
+        dom = build_domain(LatticeSignature(*triple))
         assert dom.diagram_ok
 
     def test_kneg_flag(self, triple):
-        dom = cached_domain(triple)
+        dom = build_domain(LatticeSignature(*triple))
         assert dom.kneg_flag == (triple in KNEG_TRIPLES)
+
+
+class TestBuiltOnce:
+    def test_same_objects(self, triple):
+        dom = build_domain(LatticeSignature(*triple))
+        assert build_domain(LatticeSignature(*triple)) is dom
+        assert side_pairings(dom) is side_pairings(dom)
+        assert vertices_D(dom) is vertices_D(dom)
+        assert _pairing_words(dom) is _pairing_words(dom)
+        assert dom.w_of_z is dom.w_of_z
+
+    def test_chart_maps(self):
+        dom = build_domain(LatticeSignature(4, 4, 6))
+        eye = np.eye(3)
+        assert projective_equal(dom.w_of_z @ side_pairings(dom).Q.matrix, eye)
+        assert projective_equal(move_R2(dom.c2).matrix @ dom.y_of_z, eye)
+        assert projective_equal(dom.v_of_z, dom.y_of_z)
+        assert projective_equal(dom.u_of_z, dom.x_of_z @ dom.w_of_z)
+
+    def test_check_all_builds_each_domain_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(sig):
+            calls.append(sig)
+            return configurations_of(sig)
+
+        monkeypatch.setattr(domain_mod, "configurations_of", counted)
+        build_domain.cache_clear()
+        try:
+            assert main(["--json", "check", "--all"]) == 0
+        finally:
+            build_domain.cache_clear()
+        assert len(calls) == len(set(calls)) == 13
+        assert capsys.readouterr().out.count("\n") == 13
 
 
 class TestSidePairings:
     def test_factorizations(self, triple):
-        assert cached_pairings(triple).factorizations_ok
+        assert side_pairings(build_domain(LatticeSignature(*triple))).factorizations_ok
 
     def test_all_are_isometries(self, triple):
-        sp = cached_pairings(triple)
+        sp = side_pairings(build_domain(LatticeSignature(*triple)))
         for name, m in sp.as_dict().items():
             assert check_isometry(m), (triple, name)
 
     def test_r1_prime_matrix(self, triple):
-        dom = cached_domain(triple)
-        sp = cached_pairings(triple)
+        dom = build_domain(LatticeSignature(*triple))
+        sp = side_pairings(dom)
         t = dom.params.theta
         expected = np.diag([1.0, exp_i_pi(2 * t), 1.0])
         assert projective_equal(sp.R1.matrix, expected)
 
     def test_braid_style_identities(self, triple):
-        sp = cached_pairings(triple)
+        sp = side_pairings(build_domain(LatticeSignature(*triple)))
         k, r1, r2, a0, r0 = (sp.K.matrix, sp.R1.matrix, sp.R2.matrix,
                              sp.A0.matrix, sp.R0.matrix)
         assert projective_equal(r2 @ k, k @ r1)
@@ -70,44 +105,44 @@ class TestVerticesD:
         assert len(VERTEX_D_LABELS) == 24
 
     def test_argument_table(self, triple):
-        vd = cached_vertices(triple)
+        vd = vertices_D(build_domain(LatticeSignature(*triple)))
         assert vd.table_ok, (triple, vd.failures)
 
     def test_v1_is_origin(self):
-        vd = cached_vertices((4, 4, 6))
+        vd = vertices_D(build_domain(LatticeSignature(4, 4, 6)))
         v1 = vd.coords["v1"]
         assert np.allclose(v1 / v1[2], [0.0, 0.0, 1.0])
 
     def test_no_collapse_generic(self):
         for trip in GENERIC_TRIPLES:
-            assert cached_vertices(trip).collapsed == frozenset()
+            vd = vertices_D(build_domain(LatticeSignature(*trip)))
+            assert vd.collapsed == frozenset()
 
     def test_collapse_degenerate(self):
-        assert len(cached_vertices((3, 3, 4)).collapsed) > 0
+        assert len(vertices_D(build_domain(LatticeSignature(3, 3, 4))).collapsed) > 0
 
 
 class TestMembership:
     @pytest.mark.parametrize("trip", GENERIC_TRIPLES)
     def test_vertices_inside(self, trip):
-        dom = cached_domain(trip)
-        vd = cached_vertices(trip)
+        dom = build_domain(LatticeSignature(*trip))
+        vd = vertices_D(dom)
         for label, v in vd.coords.items():
             if label in vd.collapsed:
                 continue
             assert in_D_union(v, dom), (trip, label)
 
     def test_origin_inside(self):
-        dom = cached_domain((4, 4, 6))
+        dom = build_domain(LatticeSignature(4, 4, 6))
         assert in_D_union(np.array([0, 0, 1], dtype=complex), dom)
 
     def test_image_vertex_outside(self):
-        dom = cached_domain((4, 4, 6))
-        sp = cached_pairings((4, 4, 6))
-        v5 = cached_vertices((4, 4, 6)).coords["v5"]
-        assert not in_D_union(sp.R1.matrix @ v5, dom)
+        dom = build_domain(LatticeSignature(4, 4, 6))
+        v5 = vertices_D(dom).coords["v5"]
+        assert not in_D_union(side_pairings(dom).R1.matrix @ v5, dom)
 
     def test_rejected_when_c2_singular(self):
-        dom = cached_domain((3, 3, 3))
+        dom = build_domain(LatticeSignature(3, 3, 3))
         with pytest.raises(PreconditionFailed):
             in_D_union(np.array([0, 0, 1], dtype=complex), dom)
 
@@ -115,17 +150,17 @@ class TestMembership:
 class TestSampledChecks:
     @pytest.mark.parametrize("trip", GENERIC_TRIPLES)
     def test_glueing(self, trip):
-        dom = cached_domain(trip)
+        dom = build_domain(LatticeSignature(*trip))
         assert glueing_check(dom, n_samples=100, seed=7)
 
     @pytest.mark.parametrize("trip", GENERIC_TRIPLES)
     def test_samelines(self, trip):
-        dom = cached_domain(trip)
+        dom = build_domain(LatticeSignature(*trip))
         assert samelines_check(dom, n_samples=50, seed=7)
 
     @pytest.mark.parametrize("trip", GENERIC_TRIPLES + [(3, 3, 4)])
     def test_bisD(self, trip):
-        dom = cached_domain(trip)
+        dom = build_domain(LatticeSignature(*trip))
         report = bisD_check(dom, n_samples=300, seed=7)
         assert report.all_agree
         assert min(report.samples_used) == 300
@@ -133,10 +168,9 @@ class TestSampledChecks:
     def test_scrambled_pairing_breaks_agreement(self):
         # Replace one transported normal with a nearby wrong one and check
         # that the sampled agreement visibly collapses below 100%.
-        import dmlat.domain as domain_mod
         from dmlat.polyhedron import _normal_at, _unit_negative
-        dom = cached_domain((4, 4, 6))
-        sp = cached_pairings((4, 4, 6))
+        dom = build_domain(LatticeSignature(4, 4, 6))
+        sp = side_pairings(dom)
         spec = domain_mod._bisd_specs(dom, sp)[2]
         h = hermitian_form(dom.c3)
         lab, cfg = spec["mapped"]
@@ -145,7 +179,7 @@ class TestSampledChecks:
             dtype=complex)
         n_plain = _normal_at(dom.c3, spec["plain"])
         n_mapped = _unit_negative(bad_mat @ _normal_at(cfg, lab), h, lab)
-        vd = cached_vertices((4, 4, 6))
+        vd = vertices_D(dom)
         radius = 1.5 * max(np.max(np.abs(v[:2])) for v in vd.coords.values())
         rng = np.random.default_rng(7)
         good = total = 0
@@ -181,26 +215,26 @@ class TestKnegForms:
             kneg_form(c2)
 
     def test_collapsed_vertex_null_at_infinite_k_prime(self):
-        dom = cached_domain((3, 3, 3))
+        dom = build_domain(LatticeSignature(3, 3, 3))
         v = kneg_collapsed_vertex(dom)
         h = hermitian_form(dom.c3)
         assert abs(hermitian_eval(h, v)) < 1e-9 * np.max(np.abs(v)) ** 2
 
     def test_collapsed_vertex_positive_at_negative_k_prime(self):
-        dom = cached_domain((6, 6, 3))
+        dom = build_domain(LatticeSignature(6, 6, 3))
         v = kneg_collapsed_vertex(dom)
         h = hermitian_form(dom.c3)
         assert hermitian_eval(h, v) > 1e-9
 
     def test_collapsed_vertex_rejected_generic(self):
-        dom = cached_domain((4, 4, 6))
+        dom = build_domain(LatticeSignature(4, 4, 6))
         with pytest.raises(PreconditionFailed):
             kneg_collapsed_vertex(dom)
 
 
 class TestBoundaryVertices:
     def test_all_null(self, triple):
-        dom = cached_domain(triple)
+        dom = build_domain(LatticeSignature(*triple))
         h3 = hermitian_form(dom.c3)
         for param, vecs in boundary_null_vertices(dom).items():
             for v in vecs:
@@ -208,7 +242,7 @@ class TestBoundaryVertices:
                 assert abs(hermitian_eval(h3, v)) < 1e-9 * scale, (triple, param)
 
     def test_expected_parameters(self):
-        dom = cached_domain((2, 6, 6))
+        dom = build_domain(LatticeSignature(2, 6, 6))
         assert set(boundary_null_vertices(dom)) == {"l"}
-        dom = cached_domain((3, 3, 3))
+        dom = build_domain(LatticeSignature(3, 3, 3))
         assert "k'" in set(boundary_null_vertices(dom))

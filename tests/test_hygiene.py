@@ -1,0 +1,66 @@
+"""Source hygiene of the package: no imports inside functions, none unused.
+
+Each module of ``src/dmlat`` is parsed with ``ast``. An ``import`` inside a
+function body hides a dependency from the top of the module; a module-level
+imported name that nothing reads is dead code. ``__future__`` imports and the
+re-exports of ``__init__.py`` are exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import dmlat
+
+MODULES = sorted(Path(dmlat.__file__).parent.glob("*.py"))
+IMPORTS = (ast.Import, ast.ImportFrom)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def function_local_imports(tree: ast.Module) -> list[str]:
+    """``name:line`` of every import statement inside a function body."""
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, FUNCTIONS):
+            found += [f"{func.name}:{node.lineno}"
+                      for node in ast.walk(func) if isinstance(node, IMPORTS)]
+    return found
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by module-level imports that the module never reads."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, IMPORTS):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line}" for name, line in bound.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_function_local_imports(path):
+    assert function_local_imports(_parse(path)) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=[p.name for p in MODULES if p.name != "__init__.py"])
+def test_no_unused_imports(path):
+    assert unused_imports(_parse(path)) == []
+
+
+def test_detectors_see_both_faults():
+    tree = ast.parse("import os\nfrom x import y as z\n"
+                     "def f():\n    import sys\n    return z\n")
+    assert function_local_imports(tree) == ["f:4"]
+    assert unused_imports(tree) == ["os:1"]

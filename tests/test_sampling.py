@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from dmlat.catalog import LatticeSignature
-from dmlat.domain import bisD_check, glueing_check, samelines_check
+from dmlat.domain import bisD_check, build_domain, glueing_check, samelines_check
 from dmlat.moves import configurations_of
 from dmlat.polyhedron import bisector_equivalence_sample
 from dmlat.sampling import first_decisive
 from dmlat.verification import tessellation_sign_table
-
-from conftest import cached_domain
 
 GENERIC = [(4, 4, 5), (4, 4, 6), (3, 3, 4), (2, 6, 6), (2, 4, 3), (2, 3, 3),
            (3, 4, 4)]
@@ -70,8 +68,8 @@ class TestGoldenReports:
     @pytest.mark.parametrize("key", list(TWELVE), ids=str)
     def test_twelve_bullets(self, key):
         trip, n, neutral = key
-        report = bisD_check(cached_domain(trip), n_samples=n, seed=7,
-                            neutral=neutral)
+        report = bisD_check(build_domain(LatticeSignature(*trip)), n_samples=n,
+                            seed=7, neutral=neutral)
         assert report.samples_used == TWELVE[key]
         assert report.per_bullet_agreement == (1.0,) * 12
 
@@ -84,7 +82,7 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("trip", GENERIC)
     def test_glueing_and_samelines(self, trip):
-        dom = cached_domain(trip)
+        dom = build_domain(LatticeSignature(*trip))
         assert glueing_check(dom, seed=7)
         assert samelines_check(dom, seed=7)
 

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 from dmlat.arithmetic import ExceededBound
 from dmlat.catalog import LatticeSignature, derive_params
+from dmlat.domain import build_domain
 from dmlat.verification import (
     HashCollisionAmbiguity,
     RidgeCollapsed,
     UnsupportedDegeneracy,
+    _pairing_words,
     apply_degenerations,
     base_orbit_table,
     check_relations,
@@ -26,8 +28,6 @@ from dmlat.verification import (
     tessellation_sign_table,
     triangle_group_order,
 )
-
-from conftest import cached_words
 
 CHI_TABLE = {
     (6, 6, 3): Fraction(1, 12),
@@ -119,15 +119,15 @@ class TestBFS:
         assert stabilizer_bfs([m]) == n
 
     def test_product_group(self):
-        w = cached_words((4, 4, 6))
+        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
         assert stabilizer_bfs([w["Q^2"], w["R'1"]]) == 48  # pd
 
     def test_merged_row_order(self):
-        w = cached_words((3, 3, 4))
+        w = _pairing_words(build_domain(LatticeSignature(3, 3, 4)))
         assert stabilizer_bfs([w["R'1"], w["R'0"]]) == 288  # 2d^2
 
     def test_k_prime_merged_row(self):
-        w = cached_words((10, 10, 5))
+        w = _pairing_words(build_domain(LatticeSignature(10, 10, 5)))
         assert stabilizer_bfs([w["R'0"], w["K"]]) == 50  # 2k'^2
 
     def test_ambiguous_pair_raises(self):
@@ -151,14 +151,15 @@ class TestBFS:
             gens = [np.diag([1.0, np.exp(2j * np.pi / order), 1.0])]
         else:
             triple, names = group
-            gens = [cached_words(triple)[name] for name in names]
+            words = _pairing_words(build_domain(LatticeSignature(*triple)))
+            gens = [words[name] for name in names]
         phases = np.exp(1j * np.array(angles))
         conj = np.outer(phases[:3], phases[:3].conj())
         gens = [s * conj * g for s, g in zip(phases[3:], gens)]
         assert stabilizer_bfs(gens) == order
 
     def test_exceeds_bound(self):
-        w = cached_words((4, 4, 6))
+        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
         with pytest.raises(ExceededBound):
             stabilizer_bfs([w["Q^2"], w["R'1"]], max_size=10)
 
@@ -167,7 +168,7 @@ class TestBFS:
             stabilizer_bfs([np.eye(3)], max_size=20000)
 
     def test_generator_words(self):
-        w = cached_words((4, 4, 6))
+        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
         gens = stabilizer_generators("<Q^2,R'1>", w)
         assert len(gens) == 2
 
