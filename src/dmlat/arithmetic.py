@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
 import numpy as np
@@ -76,12 +77,14 @@ class ExtOrder:
         return "inf" if self.value is None else self.value
 
 
+@cache
 def sin_pi(q: RationalLike) -> float:
     """sin(q*pi) with exact 0.0 at integer q and exact symmetry.
 
     The argument is folded into the first quadrant before evaluation, so
     sin_pi(1 - q) == sin_pi(q) and sin_pi(-q) == -sin_pi(q) hold exactly at
-    the floating point representation level.
+    the floating point representation level. Each value is computed once per
+    process: equal keys are equal rationals, since numeric equality is exact.
     """
     q = Fraction(q)
     r = q % 2
@@ -111,8 +114,9 @@ def sin_pi_sign(q: RationalLike) -> int:
     return 1 if r < 1 else -1
 
 
+@cache
 def exp_i_pi(q: RationalLike) -> complex:
-    """exp(i*q*pi) evaluated via the exact-zero sin/cos."""
+    """exp(i*q*pi) evaluated via the exact-zero sin/cos, once per process."""
     q = Fraction(q)
     return complex(cos_pi(q), sin_pi(q))
 
@@ -171,7 +175,10 @@ def projective_order(m, max_n: int = DEFAULT_MAX_ORDER, tol: float = DEFAULT_TOL
 
 @dataclass(frozen=True)
 class HermitianForm3:
-    """A 3x3 Hermitian matrix, validated to 1e-12 at construction."""
+    """A 3x3 Hermitian matrix, validated to 1e-12 at construction.
+
+    The matrix is read-only, so that one form can be shared by every caller.
+    """
 
     matrix: np.ndarray
 
@@ -179,6 +186,7 @@ class HermitianForm3:
         h = _as_matrix(self.matrix)
         if np.max(np.abs(h - h.conj().T)) > 1e-12:
             raise ValueError("matrix is not Hermitian to 1e-12")
+        h.setflags(write=False)
         object.__setattr__(self, "matrix", h)
 
     def inner(self, v, w) -> complex:

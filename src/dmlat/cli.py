@@ -13,6 +13,7 @@ from dmlat.catalog import (
     LatticeSignature,
     catalog,
     classify_degeneracies,
+    cone_angles,
     derive_params,
 )
 from dmlat.domain import build_domain, side_pairings, vertices_D
@@ -64,6 +65,8 @@ def _signature(args, allow_force: bool = True) -> LatticeSignature:
         if not allow_force:
             raise _UsageError(f"{sig} is not a catalog signature; this "
                               f"command requires a catalog signature")
+        # A cone angle of 0 or 2*pi degenerates the charts: refuse it first.
+        cone_angles(sig)
     return sig
 
 

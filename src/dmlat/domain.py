@@ -142,7 +142,8 @@ def side_pairings(dom: DomainD) -> SidePairingSet:
 
     Q, K, R'0 and R'1 come through the C1 chart. For infinite k' the C2 chart
     is singular: R'2 and A'0 then come from the exchange relations
-    R'2 = K R'1 K^-1 and A'0 = K^-2, and the cross-checks through C2 are skipped.
+    R'2 = K R'1 K^-1 and A'0 = K^-2, and the cross-checks through C2 are
+    skipped; the C1-chart ones K = J R1 and Q = P R1 run for every signature.
     """
     c1, c2, c3 = dom.c1, dom.c2, dom.c3
     c2_usable = not dom.params.k_prime.is_infinite
@@ -161,12 +162,11 @@ def side_pairings(dom: DomainD) -> SidePairingSet:
         # relation R'2 = K R'1 K^-1 and A'0 = K^-2 instead.
         r2p = ConfiguredMap(k.matrix @ r1p.matrix @ ki, c3, c3, "R2'")
         a0p = ConfiguredMap(ki @ ki, c3, c3, "A'0")
-    ok = True
-    # K = J R1 = R2 J; Q = P R1 = R2 P; R'0 = R2 R1 R2^-1. When k' is infinite
-    # all are skipped, the C1-chart P and J ones too (they hold at (3,3,3)).
+    # K = J R1 and Q = P R1 through the C1 chart.
+    ok = projective_equal(k.matrix, compose(move_J(c1), move_R1(c3)).matrix)
+    ok = ok and projective_equal(q.matrix, compose(move_P(c1), move_R1(c3)).matrix)
+    # K = R2 J; Q = R2 P; R'0 = R2 R1 R2^-1, through the C2 chart.
     if c2_usable:
-        ok = ok and projective_equal(k.matrix, compose(move_J(c1), move_R1(c3)).matrix)
-        ok = ok and projective_equal(q.matrix, compose(move_P(c1), move_R1(c3)).matrix)
         ok = ok and projective_equal(k.matrix, compose(move_R2(c2), move_J(c3)).matrix)
         ok = ok and projective_equal(q.matrix, compose(move_R2(c2), move_P(c3)).matrix)
         ok = ok and projective_equal(r0p.matrix, compose(

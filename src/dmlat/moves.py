@@ -3,13 +3,15 @@
 Each move is a 3x3 complex matrix together with the source and target angle
 4-tuples (alpha, beta, theta, phi), stored as exact multiples of pi. Matrix
 composition is only allowed when the configurations match exactly, which is
-what makes chained identities trustworthy.
+what makes chained identities trustworthy. Each move and area form is built
+once per configuration and process; its matrix is read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -63,17 +65,24 @@ def config(alpha, beta, theta, phi, type_tag: str = "generic") -> Configuration:
 
 @dataclass(frozen=True)
 class ConfiguredMap:
-    """A matrix mapping source-frame coordinates to target-frame coordinates."""
+    """A matrix mapping source-frame coordinates to target-frame coordinates.
+
+    The matrix is made read-only, so that the cached moves can be shared.
+    """
 
     matrix: np.ndarray
     source: Configuration
     target: Configuration
     label: str
 
+    def __post_init__(self) -> None:
+        self.matrix.setflags(write=False)
+
     def __call__(self, v) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=complex)
 
 
+@cache
 def hermitian_form(c: Configuration) -> HermitianForm3:
     """The diagonal area form of a configuration."""
     a, b, t, f = c.angles()
@@ -113,6 +122,7 @@ def p_inverse_target(c: Configuration) -> Configuration:
     return Configuration(1 + t - b, a, a + b - 1, 1 + t + f - a - b, "generic")
 
 
+@cache
 def move_R1(c: Configuration) -> ConfiguredMap:
     """Exchange of the second and third cone points."""
     a, b, t, f = c.angles()
@@ -123,6 +133,7 @@ def move_R1(c: Configuration) -> ConfiguredMap:
     return ConfiguredMap(m, c, r1_target(c), "R1")
 
 
+@cache
 def move_A1(c: Configuration) -> ConfiguredMap:
     """Full twist at the first cone point; keeps the configuration."""
     f = c.phi
@@ -137,6 +148,7 @@ def _A_entry(c: Configuration) -> complex:
     return sin_pi(t) * sin_pi(fp) - sin_pi(t + f) * sin_pi(b) * exp_i_pi(a)
 
 
+@cache
 def move_R2(c: Configuration) -> ConfiguredMap:
     """Exchange of the first and second cone points."""
     a, b, t, f = c.angles()
@@ -167,6 +179,7 @@ def move_R2(c: Configuration) -> ConfiguredMap:
     return ConfiguredMap(m, c, r2_target(c), "R2")
 
 
+@cache
 def move_P(c: Configuration) -> ConfiguredMap:
     """The composite of the two exchanges, given in closed form."""
     a, b, t, f = c.angles()
@@ -197,6 +210,7 @@ def move_P(c: Configuration) -> ConfiguredMap:
     return ConfiguredMap(m, c, p_target(c), "P")
 
 
+@cache
 def move_J(c: Configuration) -> ConfiguredMap:
     """P followed by the twist A1; a projective cube root of the identity."""
     p = move_P(c)
@@ -204,6 +218,7 @@ def move_J(c: Configuration) -> ConfiguredMap:
     return ConfiguredMap(p.matrix @ a1.matrix, c, p.target, "J")
 
 
+@cache
 def move_P_inverse(c: Configuration) -> ConfiguredMap:
     """The closed-form inverse-composite matrix, applied at configuration c."""
     a, b, t, f = c.angles()

@@ -652,6 +652,8 @@ def tessellation_sign_table(
         raise RidgeCollapsed(f"{ridge_id} is collapsed for {sig}")
     if dom.kneg_flag:
         raise PreconditionFailed("sampling requires the generic regime")
+    if ridge_id not in ("F(K,R'1)", "F(K,K^-1)"):
+        raise ValueError(f"unsupported ridge {ridge_id}")
     sp = side_pairings(dom)
     c3 = dom.c3
     points = _sample_domain_points(dom, n_samples, seed)
@@ -674,30 +676,29 @@ def tessellation_sign_table(
             total = decisive.sum()
             rows.append((name, float(good.sum() / total) if total else 0.0))
         return TessellationReport(sig, ridge_id, tuple(rows), points.shape[1])
-    if ridge_id == "F(K,K^-1)":
-        h = hermitian_form(c3)
-        n0 = _normal_at(c3, "L_*0")
-        k = sp.K.matrix
-        ki = np.linalg.inv(k)
-        n_plus = _unit_negative(k @ n0, h, "K(n0)")
-        n_minus = _unit_negative(ki @ n0, h, "K^-1(n0)")
-        copies = (("id", np.eye(3, dtype=complex), n0),
-                  ("K", k, n_plus), ("K^-1", ki, n_minus))
-        others = {"id": (n_plus, n_minus), "K": (n0, n_minus),
-                  "K^-1": (n0, n_plus)}
-        rows = []
-        for name, m, own in copies:
-            image = m @ points
-            d_own = np.abs(own.conj() @ h.matrix @ image)
-            diff = np.array([np.abs(other.conj() @ h.matrix @ image) - d_own
-                             for other in others[name]])
-            decisive = ~(np.abs(diff) <= neutral)
-            counted = decisive.any(axis=0)
-            good = counted & ~(decisive & ~(diff > 0)).any(axis=0)
-            total = counted.sum()
-            rows.append((name, float(good.sum() / total) if total else 0.0))
-        return TessellationReport(sig, ridge_id, tuple(rows), points.shape[1])
-    raise ValueError(f"unsupported ridge {ridge_id}")
+    # The Giraud ridge F(K,K^-1).
+    h = hermitian_form(c3)
+    n0 = _normal_at(c3, "L_*0")
+    k = sp.K.matrix
+    ki = np.linalg.inv(k)
+    n_plus = _unit_negative(k @ n0, h, "K(n0)")
+    n_minus = _unit_negative(ki @ n0, h, "K^-1(n0)")
+    copies = (("id", np.eye(3, dtype=complex), n0),
+              ("K", k, n_plus), ("K^-1", ki, n_minus))
+    others = {"id": (n_plus, n_minus), "K": (n0, n_minus),
+              "K^-1": (n0, n_plus)}
+    rows = []
+    for name, m, own in copies:
+        image = m @ points
+        d_own = np.abs(own.conj() @ h.matrix @ image)
+        diff = np.array([np.abs(other.conj() @ h.matrix @ image) - d_own
+                         for other in others[name]])
+        decisive = ~(np.abs(diff) <= neutral)
+        counted = decisive.any(axis=0)
+        good = counted & ~(decisive & ~(diff > 0)).any(axis=0)
+        total = counted.sum()
+        rows.append((name, float(good.sum() / total) if total else 0.0))
+    return TessellationReport(sig, ridge_id, tuple(rows), points.shape[1])
 
 
 # Reference comparison values: signature -> (this construction's reference

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -55,9 +56,25 @@ class TestEuler:
 class TestCheck:
     @pytest.mark.parametrize("command", ["check", "vertices", "tessellate"])
     def test_singular_second_chart_is_an_error(self, capsys, command):
-        # p' = 2 makes the C2 chart matrix singular: a clean usage error.
-        code, out, err = run(capsys, "--force", command, "4", "4", "2")
+        # At (4,4,4) the C2 chart matrix is singular: a clean usage error.
+        code, out, err = run(capsys, "--force", command, "4", "4", "4")
         assert (code, out, err) == (2, "", "error: Singular matrix\n")
+
+    @pytest.mark.parametrize("command", ["check", "vertices", "tessellate"])
+    @pytest.mark.parametrize("triple,angle", [
+        ("2 2 3", "0"), ("2 2 4", "0"), ("4 4 2", "2")])
+    def test_degenerate_cone_angle_is_an_error(self, capsys, command, triple,
+                                               angle):
+        # A cone angle of 0 or 2*pi is refused before any matrix is built.
+        code, out, err = run(capsys, "--force", command, *triple.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: cone angle {angle}*pi out of (0, 2*pi)\n"
+
+    def test_check_all_matches_golden_report(self, capsys):
+        # The report holds no floats, so it is the same on every machine.
+        golden = (Path(__file__).parent / "data" / "check_all.json").read_text()
+        code, out, _ = run(capsys, "--json", "check", "--all")
+        assert (code, out) == (0, golden)
 
     def test_single(self, capsys):
         code, out, _ = run(capsys, "check", "4", "4", "5")

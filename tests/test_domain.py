@@ -22,7 +22,13 @@ from dmlat.domain import (
     side_pairings,
     vertices_D,
 )
-from dmlat.moves import check_isometry, configurations_of, hermitian_form, move_R2
+from dmlat.moves import (
+    ConfiguredMap,
+    check_isometry,
+    configurations_of,
+    hermitian_form,
+    move_R2,
+)
 from dmlat.polyhedron import PreconditionFailed
 from dmlat.verification import _pairing_words
 
@@ -90,6 +96,18 @@ class TestSidePairings:
         t = dom.params.theta
         expected = np.diag([1.0, exp_i_pi(2 * t), 1.0])
         assert projective_equal(sp.R1.matrix, expected)
+
+    def test_inverted_k_fails_at_infinite_k_prime(self, monkeypatch):
+        # At (3,3,3) k' is infinite. K^-1 in place of K satisfies every
+        # exchange relation, so only the C1-chart check K = J R1 sees it.
+        dom = build_domain(LatticeSignature(3, 3, 3))
+        sp = side_pairings(dom)
+        wrong = np.linalg.inv(sp.K.matrix @ sp.Q.matrix)  # Q A1 becomes K^-1
+        monkeypatch.setattr(domain_mod, "move_A1",
+                            lambda c: ConfiguredMap(wrong, c, c, "A1"))
+        broken = side_pairings.__wrapped__(dom)
+        assert projective_equal(broken.K.matrix, np.linalg.inv(sp.K.matrix))
+        assert not broken.factorizations_ok
 
     def test_braid_style_identities(self, triple):
         sp = side_pairings(build_domain(LatticeSignature(*triple)))

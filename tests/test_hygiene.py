@@ -1,9 +1,11 @@
-"""Source hygiene of the package: no imports inside functions, none unused.
+"""Source hygiene of the package: no imports inside functions, none unused,
+no runtime ``assert``.
 
 Each module of ``src/dmlat`` is parsed with ``ast``. An ``import`` inside a
 function body hides a dependency from the top of the module; a module-level
 imported name that nothing reads is dead code. ``__future__`` imports and the
-re-exports of ``__init__.py`` are exempt.
+re-exports of ``__init__.py`` are exempt. An ``assert`` vanishes under
+``python -O``, so a check in the package must raise instead.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name}:{line}" for name, line in bound.items() if name not in read]
 
 
+def runtime_asserts(tree: ast.Module) -> list[int]:
+    """Line numbers of every ``assert`` statement."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_function_local_imports(path):
     assert function_local_imports(_parse(path)) == []
@@ -64,3 +71,13 @@ def test_detectors_see_both_faults():
                      "def f():\n    import sys\n    return z\n")
     assert function_local_imports(tree) == ["f:4"]
     assert unused_imports(tree) == ["os:1"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_runtime_asserts(path):
+    assert runtime_asserts(_parse(path)) == []
+
+
+def test_assert_detector():
+    tree = ast.parse("assert x\nclass C:\n    def f(self):\n        assert self\n")
+    assert runtime_asserts(tree) == [1, 4]

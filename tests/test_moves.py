@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import dmlat.moves as moves_mod
 from dmlat.arithmetic import exp_i_pi, projective_equal, sin_pi
-from dmlat.catalog import LatticeSignature
+from dmlat.catalog import LatticeSignature, catalog
 from dmlat.moves import (
     ConfigMismatch,
     DegenerateDenominator,
@@ -30,6 +32,10 @@ from dmlat.moves import (
     p_target,
     r1_target,
 )
+
+
+MEMOISED = (move_R1, move_R2, move_A1, move_P, move_J, move_P_inverse,
+            hermitian_form)
 
 
 def _configs(triple):
@@ -142,3 +148,31 @@ class TestConfigurations:
         for c in _configs(triple):
             h = hermitian_form(c).matrix
             assert np.allclose(h, h.conj().T)
+
+
+class TestCaches:
+    def test_shared_and_read_only(self):
+        c = _configs((4, 4, 6))[0]
+        for build in MEMOISED:
+            assert build(c) is build(c), build.__name__
+            with pytest.raises(ValueError):
+                build(c).matrix[0, 0] = 0.0
+
+    def test_cached_angles_equal_direct_evaluation(self, monkeypatch):
+        # Record every angle the moves of the 13 signatures' charts evaluate,
+        # building each move afresh, then compare cached and direct values.
+        cached = {"sin_pi": sin_pi, "exp_i_pi": exp_i_pi}
+        angles = {name: set() for name in cached}
+        for name, seen in angles.items():
+            monkeypatch.setattr(moves_mod, name, lambda q, f=cached[name].__wrapped__,
+                                s=seen: s.add(q) or f(q))
+        for sig in catalog():
+            for c in configurations_of(sig):
+                for build in MEMOISED:
+                    with contextlib.suppress(DegenerateDenominator):
+                        build.__wrapped__(c)
+        monkeypatch.undo()
+        assert len(angles["sin_pi"]) >= 30 and len(angles["exp_i_pi"]) >= 56
+        for name, seen in angles.items():
+            for q in seen:
+                assert cached[name](q) == cached[name].__wrapped__(q), (name, q)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dmlat.verification as verification_mod
 from dmlat.arithmetic import ExceededBound
 from dmlat.catalog import LatticeSignature, derive_params
 from dmlat.domain import build_domain
@@ -225,6 +226,14 @@ class TestTessellation:
     def test_unknown_ridge(self):
         with pytest.raises(ValueError):
             tessellation_sign_table(LatticeSignature(4, 4, 6), "F(X,Y)")
+
+    def test_unknown_ridge_rejected_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled for an unknown ridge")
+
+        monkeypatch.setattr(verification_mod, "_sample_domain_points", no_sampling)
+        with pytest.raises(ValueError, match="unsupported ridge F"):
+            tessellation_sign_table(LatticeSignature(2, 4, 3), "F(X,Y)")
 
 
 class TestCommensurability:
