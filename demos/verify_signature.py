@@ -7,11 +7,7 @@ import sys
 
 from dmlat.catalog import LatticeSignature
 from dmlat.domain import build_domain, side_pairings, vertices_D
-from dmlat.verification import (
-    check_relations,
-    cycle_orders,
-    euler_characteristic,
-)
+from dmlat.verification import euler_characteristic, group_checks
 
 
 def main() -> None:
@@ -20,8 +16,7 @@ def main() -> None:
     dom = build_domain(sig)
     sp = side_pairings(dom)
     vd = vertices_D(dom)
-    rel = check_relations(sig)
-    cyc = cycle_orders(sig)
+    rel, cyc = group_checks(sig)
     euler = euler_characteristic(sig)
 
     print(f"signature          {sig}")

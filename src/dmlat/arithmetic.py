@@ -219,6 +219,16 @@ def signature(h: HermitianForm3, tol: float = DEFAULT_TOL) -> tuple[int, int, in
     return (n_pos, n_neg, n_zero)
 
 
+def no_finite_point(v) -> bool:
+    """Whether a projective 3-vector has no affine point.
+
+    True when the third coordinate vanishes against the largest entry: a
+    point at infinity, or the zero vector of a singular chart.
+    """
+    v = np.asarray(v)
+    return bool(abs(v[2]) <= 1e-12 * np.max(np.abs(v)))
+
+
 def normalize_vector(v, tol: float = 1e-12) -> np.ndarray:
     """Scale a vector so its largest-modulus entry is real positive."""
     v = np.asarray(v, dtype=complex)

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
+from dmlat.arithmetic import no_finite_point
 from dmlat.catalog import (
     LatticeSignature,
     catalog,
@@ -19,9 +19,8 @@ from dmlat.catalog import (
 from dmlat.domain import build_domain, side_pairings, vertices_D
 from dmlat.verification import (
     RidgeCollapsed,
-    check_relations,
-    cycle_orders,
     euler_characteristic,
+    group_checks,
     tessellation_sign_table,
 )
 
@@ -129,19 +128,15 @@ def _check_one(sig: LatticeSignature, args) -> int:
     dom = build_domain(sig)
     sp = side_pairings(dom)
     vd = vertices_D(dom)
-    rel = check_relations(sig, tol=args.tolerance, max_order=args.max_order)
-    cyc = cycle_orders(sig, tol=args.tolerance, max_order=args.max_order)
+    rel, cyc = group_checks(sig, tol=args.tolerance, max_order=args.max_order)
     checks = [
         ("frame-diagram", dom.diagram_ok, ""),
         ("side-pairing-factorizations", sp.factorizations_ok, ""),
         ("vertex-table", vd.table_ok, "; ".join(vd.failures)),
     ]
-    for e in rel.entries:
-        checks.append((f"relation {e.name}", e.status != "fail",
-                       f"{e.status}: {e.detail}".strip(": ")))
-    for e in cyc.entries:
-        checks.append((f"cycle {e.name}", e.status != "fail",
-                       f"{e.status}: {e.detail}".strip(": ")))
+    for kind, report in (("relation", rel), ("cycle", cyc)):
+        checks += [(f"{kind} {e.name}", e.status != "fail",
+                    f"{e.status}: {e.detail}".strip(": ")) for e in report.entries]
     ok = all(passed for _, passed, _ in checks)
     lines = [f"[{'PASS' if passed else 'FAIL'}] {name}"
              + (f"  ({detail})" if detail and not passed else "")
@@ -164,7 +159,7 @@ def _cmd_vertices(args) -> int:
     rows = []
     lines = []
     for label, coord in vd.coords.items():
-        finite = bool(np.all(np.isfinite(coord)))
+        finite = not no_finite_point(coord)
         entry = {
             "label": label,
             "collapsed": label in vd.collapsed,
@@ -175,7 +170,7 @@ def _cmd_vertices(args) -> int:
         if finite:
             coord_txt = ", ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in coord)
         else:
-            coord_txt = "at infinity"
+            coord_txt = "no finite point"
         flag = "  [collapsed]" if label in vd.collapsed else ""
         lines.append(f"{label}: {coord_txt}{flag}")
     if not vd.table_ok:
@@ -278,6 +273,11 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone. What is still buffered goes to the null device,
+        # so that the flush at exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import numpy as np
 from dmlat.arithmetic import (
     HermitianForm3,
     hermitian_eval,
+    no_finite_point,
     projective_equal,
     signature as form_signature,
     exp_i_pi,
@@ -89,7 +90,7 @@ class DomainD:
     def radius(self) -> float:
         """Half-width of the sampling box: 1.5x the finite 24-vertex cloud."""
         return 1.5 * max(np.max(np.abs(v[:2])) for v in vertices_D(self).coords.values()
-                         if np.isfinite(v).all())
+                         if not no_finite_point(v))
 
     @cached_property
     def diagram_ok(self) -> bool:
@@ -238,7 +239,6 @@ class DomainVertexTable:
     """
 
     coords: dict[str, np.ndarray]
-    aliases: dict[str, tuple[str | None, str | None, str | None]]
     collapsed: frozenset[str]
     table_ok: bool
     failures: tuple[str, ...]
@@ -290,7 +290,6 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
     y_usable = not dom.params.k_prime.is_infinite
     collapsed = _collapsed_vertices(dom)
     coords: dict[str, np.ndarray] = {}
-    aliases: dict[str, tuple] = {}
     failures: list[str] = []
     notes: list[str] = []
     if collapsed:
@@ -306,11 +305,10 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
             z = z_of_x @ vt1[x_alias]
         else:
             z = z_of_y @ vt2[y_alias]
-        finite = abs(z[2]) > 1e-12 * np.max(np.abs(z))
+        finite = not no_finite_point(z)
         if finite:
             z = z / z[2]
         coords[label] = z
-        aliases[label] = (z_alias, x_alias, y_alias)
         if label in collapsed or not finite:
             continue
         w = dom.w_of_z @ z
@@ -339,7 +337,7 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
             if diff > _TOL_ARG:
                 failures.append(f"{label}: arg mismatch {got:.6f} vs {want:.6f}")
     return DomainVertexTable(
-        coords, aliases, collapsed, not failures, tuple(failures), tuple(notes)
+        coords, collapsed, not failures, tuple(failures), tuple(notes)
     )
 
 
@@ -348,7 +346,7 @@ def in_D_union(point, dom: DomainD, tol: float = 1e-6) -> bool:
     if dom.params.k_prime.is_infinite:
         raise PreconditionFailed("second chart is singular for infinite k'")
     z = np.asarray(point, dtype=complex)
-    if abs(z[2]) <= 1e-12 * np.max(np.abs(z)):
+    if no_finite_point(z):
         raise PointAtInfinity("point has vanishing third z-coordinate")
     z = z / z[2]
     a, b, t, f = (float(x) for x in dom.c3.angles())
@@ -356,7 +354,7 @@ def in_D_union(point, dom: DomainD, tol: float = 1e-6) -> bool:
     fp = 1.0 + t + f - 2 * a
     w = dom.w_of_z @ z
     y = dom.y_of_z @ z
-    if abs(w[2]) <= 1e-12 * np.max(np.abs(w)) or abs(y[2]) <= 1e-12 * np.max(np.abs(y)):
+    if no_finite_point(w) or no_finite_point(y):
         raise PointAtInfinity("image chart coordinate at infinity")
     w = w / w[2]
     y = y / y[2]

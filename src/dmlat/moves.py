@@ -57,12 +57,6 @@ class Configuration:
         return f"({self.alpha}, {self.beta}, {self.theta}, {self.phi})*pi [{self.type_tag}]"
 
 
-def config(alpha, beta, theta, phi, type_tag: str = "generic") -> Configuration:
-    return Configuration(
-        Fraction(alpha), Fraction(beta), Fraction(theta), Fraction(phi), type_tag
-    )
-
-
 @dataclass(frozen=True)
 class ConfiguredMap:
     """A matrix mapping source-frame coordinates to target-frame coordinates.
@@ -77,9 +71,6 @@ class ConfiguredMap:
 
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
-
-    def __call__(self, v) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=complex)
 
 
 @cache

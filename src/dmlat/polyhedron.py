@@ -16,6 +16,7 @@ import numpy as np
 from dmlat.arithmetic import (
     HermitianForm3,
     hermitian_eval,
+    no_finite_point,
     normalize_vector,
     sin_pi,
     sin_pi_sign,
@@ -303,7 +304,7 @@ def to_s_frame(point, c: Configuration) -> np.ndarray:
     """Map a projective t-frame point to the s-frame, normalized to x3 = 1."""
     pinv = move_P_inverse(c)
     s = pinv.matrix @ np.asarray(point, dtype=complex)
-    if abs(s[2]) <= 1e-12 * np.max(np.abs(s)):
+    if no_finite_point(s):
         raise PointAtInfinity("image has vanishing third coordinate")
     return s / s[2]
 
@@ -324,7 +325,7 @@ def in_D(point, c: Configuration, tol: float = 1e-6) -> bool:
     modulus satisfies its condition vacuously.
     """
     p = np.asarray(point, dtype=complex)
-    if abs(p[2]) <= 1e-12 * np.max(np.abs(p)):
+    if no_finite_point(p):
         raise PointAtInfinity("point has vanishing third t-coordinate")
     p = p / p[2]
     a, b, t, f = (float(x) for x in c.angles())

@@ -1,5 +1,10 @@
 """Group-level checks: presentation, cycle orders, stabilisers, volumes.
 
+The presentation comes from the Poincaré polyhedron theorem, so its relations
+are the cycle conditions of the glued domain. One table of cycle
+transformations and one of cycle identities drive both the relation and the
+cycle reports, and ``group_checks`` evaluates each equation once.
+
 The orbifold Euler characteristic is an exact alternating sum of reciprocal
 stabiliser orders over a 44-row orbit table, with degeneration rules merging
 or deleting rows depending on the signs of the derived parameters. Volumes
@@ -9,8 +14,9 @@ are (8 pi^2 / 3) times the Euler characteristic.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from fractions import Fraction
 
 import numpy as np
@@ -374,16 +380,16 @@ def stabilizer_generators(stabilizer: str, words: dict[str, np.ndarray]):
 
 
 @dataclass(frozen=True)
-class RelationEntry:
+class CheckEntry:
     name: str
     status: str  # "pass", "fail", "skipped"
     detail: str = ""
 
 
 @dataclass(frozen=True)
-class RelationReport:
+class CheckReport:
     signature: LatticeSignature
-    entries: tuple[RelationEntry, ...]
+    entries: tuple[CheckEntry, ...]
 
     @property
     def all_pass(self) -> bool:
@@ -399,64 +405,110 @@ def _pairing_words(dom: DomainD) -> dict[str, np.ndarray]:
     d["R'0K"] = d["R'0"] @ d["K"]
     d["QK^-1"] = d["Q"] @ np.linalg.inv(d["K"])
     d["A'0R'2R'1"] = d["A'0"] @ d["R'2"] @ d["R'1"]
-    d["Q^-1"] = dom.w_of_z
-    d["Q^-1K"] = d["Q^-1"] @ d["K"]
     d["R'1A'0R'2"] = d["R'1"] @ d["A'0"] @ d["R'2"]
     d["KR'0"] = d["K"] @ d["R'0"]
     d["R'2^-1K"] = np.linalg.inv(d["R'2"]) @ d["K"]
     return d
 
 
-def _order_matches(m: np.ndarray, n: int, tol: float, max_order: int) -> tuple[bool, str]:
-    try:
-        measured = projective_order(m, max_order, tol)
-    except ExceededBound:
-        return False, f">= {max_order}"
-    return measured.value == n, str(measured)
+# The cycle transformations of D in the order of the cycle rows: the place of
+# the relation among the relation rows, the relation, the transformation, ell
+# and the order symbol m. The transformation has order ell * m, which is the
+# relation's exponent; (A'0R'2R'1)^l' is measured on its conjugate R'1A'0R'2.
+_CYCLE_ORDERS = (
+    (4, "(Q^-1K)^k", "Q^-1K", 1, "k"),
+    (2, "R'0^p'", "R'0", 1, "p'"),
+    (1, "R'2^p", "R'2", 1, "p"),
+    (7, "Q^2d", "Q", 2, "d"),
+    (3, "A'0^k'", "A'0", 1, "k'"),
+    (6, "(A'0R'2R'1)^l'", "R'1A'0R'2", 1, "l'"),
+    (0, "R'1^p", "R'1", 1, "p"),
+    (5, "(R'0K)^l", "R'0K", 1, "l"),
+)
+
+# The cycle identities of D in the order of the cycle rows: the place of the
+# relation, the relation lhs = rhs as evaluated, and the cycle word = id.
+_CYCLE_IDENTITIES = (
+    (8, "Q = R'1R'0", "R'0Q^-1R'1"),
+    (9, "Q = R'0R'2", "R'2Q^-1R'0"),
+    (13, "R'2K = KR'1", "R'1K^-1R'2^-1K"),
+    (10, "Q = R'2^-1QR'1", "R'1^-1Q^-1R'2Q"),
+    (11, "R'0^-1A'0R'0 = A'0", "A'0R'0^-1A'0^-1R'0"),
+    (12, "A'0 = K^-2", "KA'0K"),
+)
+
+_LETTER = re.compile(r"(R'[012]|A'0|K|Q)(?:\^(-\d))?")
 
 
-def check_relations(
+def _word(text: str, w: dict[str, np.ndarray]) -> np.ndarray:
+    """The matrix of a word in the pairings, such as "R'2^-1QR'1"."""
+    return reduce(np.matmul, [np.linalg.matrix_power(w[letter], int(power or 1))
+                              for letter, power in _LETTER.findall(text)])
+
+
+def group_checks(
     sig: LatticeSignature, tol: float = 1e-9, max_order: int = 200
-) -> RelationReport:
-    """Test every presentation relation that has a positive finite exponent."""
+) -> tuple[CheckReport, CheckReport]:
+    """The relation report and the cycle report, each equation evaluated once.
+
+    Each cycle order and cycle identity is also a relation, and its one
+    result goes into both reports; an order whose symbol is not positive
+    finite is skipped. The relations add the braids; the cycles add
+    (R'2^-1K)^2 = (R'1A'0R'2)^-1 and the pointwise fix of F(Q,Q^-1) by Q^2.
+    """
     dom = build_domain(sig)
-    params = dom.params
     w = _pairing_words(dom)
-    entries: list[RelationEntry] = []
-
-    powers = [
-        ("R'1^p", w["R'1"], ExtOrder.finite(sig.p)),
-        ("R'2^p", w["R'2"], ExtOrder.finite(sig.p)),
-        ("R'0^p'", w["R'0"], ExtOrder.finite(sig.p_prime)),
-        ("A'0^k'", w["A'0"], params.k_prime),
-        ("(Q^-1K)^k", w["Q^-1K"], ExtOrder.finite(sig.k)),
-        ("(R'0K)^l", w["R'0K"], params.l),
-        ("(A'0R'2R'1)^l'", w["A'0R'2R'1"], params.l_prime),
-        ("Q^2d", w["Q"], ExtOrder.finite(2 * params.d.value)
-         if params.d.value is not None else ExtOrder.infinite()),
-    ]
-    for name, m, exponent in powers:
-        if not exponent.is_positive:
-            entries.append(RelationEntry(name, "skipped",
-                                         f"exponent {exponent} not positive finite"))
+    relations: dict[int, CheckEntry] = {}
+    cycles: list[CheckEntry] = []
+    for place, relation, word, ell, sym in _CYCLE_ORDERS:
+        m = _atom_value(sym, sig, dom.params)
+        if m is None or m < 0:
+            exponent, value = ("inf", "inf") if m is None else (ell * m, m)
+            relations[place] = CheckEntry(
+                relation, "skipped", f"exponent {exponent} not positive finite")
+            cycles.append(CheckEntry(
+                word, "skipped", f"{sym} = {value} not positive finite"))
             continue
-        ok, measured = _order_matches(m, exponent.value, tol, max_order)
-        entries.append(RelationEntry(
-            name, "pass" if ok else "fail", f"order {measured}"))
+        try:
+            order = projective_order(_word(word, w), max_order, tol)
+            status = "pass" if order.value == ell * m else "fail"
+            detail = f"order {order}"
+        except ExceededBound:
+            status, detail = "fail", f"order >= {max_order}"
+        relations[place] = CheckEntry(relation, status, detail)
+        cycles.append(CheckEntry(word, status, detail))
 
-    identities = [
-        ("Q = R'1R'0", w["Q"], w["R'1"] @ w["R'0"]),
-        ("Q = R'0R'2", w["Q"], w["R'0"] @ w["R'2"]),
-        ("Q = R'2^-1QR'1", w["Q"],
-         np.linalg.inv(w["R'2"]) @ w["Q"] @ w["R'1"]),
-        ("R'0^-1A'0R'0 = A'0",
-         np.linalg.inv(w["R'0"]) @ w["A'0"] @ w["R'0"], w["A'0"]),
-        ("A'0 = K^-2", w["A'0"], np.linalg.inv(w["K"] @ w["K"])),
-        ("R'2K = KR'1", w["R'2"] @ w["K"], w["K"] @ w["R'1"]),
-    ]
-    for name, lhs, rhs in identities:
-        ok = projective_equal(lhs, rhs, tol)
-        entries.append(RelationEntry(name, "pass" if ok else "fail"))
+    # (R'2^-1 K)^2 equals the inverse cycle transformation of R'1 A'0 R'2.
+    half = w["R'2^-1K"]
+    ok = projective_equal(half @ half, np.linalg.inv(w["R'1A'0R'2"]), tol)
+    cycles.append(CheckEntry("(R'2^-1K)^2 = (R'1A'0R'2)^-1",
+                             "pass" if ok else "fail"))
+
+    for place, relation, word in _CYCLE_IDENTITIES:
+        lhs, rhs = relation.split(" = ")
+        ok = projective_equal(_word(lhs, w), _word(rhs, w), tol)
+        relations[place] = CheckEntry(relation, "pass" if ok else "fail")
+        cycles.append(CheckEntry(word + " = id", "pass" if ok else "fail"))
+
+    # Q^2 fixes the triple-line ridge of Q pointwise (surviving vertices).
+    if dom.params.d.is_positive:
+        vd = vertices_D(dom)
+        q2 = w["Q^2"]
+        fixed = True
+        for lab in ("v3", "v4", "v5"):
+            if lab in vd.collapsed:
+                continue
+            v = vd.coords[lab]
+            image = q2 @ v
+            lam = image[int(np.argmax(np.abs(v)))] / v[int(np.argmax(np.abs(v)))]
+            fixed = fixed and bool(
+                np.max(np.abs(image - lam * v)) <= tol * np.max(np.abs(v)) * abs(lam)
+            )
+        cycles.append(CheckEntry("Q^2 fixes F(Q,Q^-1) pointwise",
+                                 "pass" if fixed else "fail"))
+    else:
+        cycles.append(CheckEntry("Q^2 fixes F(Q,Q^-1) pointwise",
+                                 "skipped", "ridge collapsed"))
 
     def braid(i: int, t: np.ndarray, s: np.ndarray) -> bool:
         lhs = np.eye(3, dtype=complex)
@@ -473,101 +525,24 @@ def check_relations(
          np.linalg.inv(k_word @ k_word), w["R'0"]),
         ("br2(A1,R'1)", 2, w["A1"], w["R'1"]),
     ]
+    entries = [relations[place] for place in sorted(relations)]
     for name, i, t, s in braids:
-        entries.append(RelationEntry(
-            name, "pass" if braid(i, t, s) else "fail"))
-    return RelationReport(sig, tuple(entries))
+        entries.append(CheckEntry(name, "pass" if braid(i, t, s) else "fail"))
+    return CheckReport(sig, tuple(entries)), CheckReport(sig, tuple(cycles))
 
 
-@dataclass(frozen=True)
-class CycleEntry:
-    name: str
-    ell: int
-    m_symbol: str
-    status: str
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class CycleReport:
-    signature: LatticeSignature
-    entries: tuple[CycleEntry, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(e.status != "fail" for e in self.entries)
+def check_relations(
+    sig: LatticeSignature, tol: float = 1e-9, max_order: int = 200
+) -> CheckReport:
+    """The presentation relations: the first report of ``group_checks``."""
+    return group_checks(sig, tol, max_order)[0]
 
 
 def cycle_orders(
     sig: LatticeSignature, tol: float = 1e-9, max_order: int = 200
-) -> CycleReport:
-    """Measure each cycle transformation's projective order (= ell * m)."""
-    dom = build_domain(sig)
-    params = dom.params
-    w = _pairing_words(dom)
-    entries: list[CycleEntry] = []
-    rows = [
-        ("Q^-1K", w["Q^-1K"], 1, "k", ExtOrder.finite(sig.k)),
-        ("R'0", w["R'0"], 1, "p'", ExtOrder.finite(sig.p_prime)),
-        ("R'2", w["R'2"], 1, "p", ExtOrder.finite(sig.p)),
-        ("Q", w["Q"], 2, "d", params.d),
-        ("A'0", w["A'0"], 1, "k'", params.k_prime),
-        ("R'1A'0R'2", w["R'1A'0R'2"], 1, "l'", params.l_prime),
-        ("R'1", w["R'1"], 1, "p", ExtOrder.finite(sig.p)),
-        ("R'0K", w["R'0K"], 1, "l", params.l),
-    ]
-    for name, m, ell, sym, value in rows:
-        if not value.is_positive:
-            entries.append(CycleEntry(name, ell, sym, "skipped",
-                                      f"{sym} = {value} not positive finite"))
-            continue
-        ok, measured = _order_matches(m, ell * value.value, tol, max_order)
-        entries.append(CycleEntry(
-            name, ell, sym, "pass" if ok else "fail", f"order {measured}"))
-
-    # (R'2^-1 K)^2 equals the inverse cycle transformation of R'1 A'0 R'2.
-    half = w["R'2^-1K"]
-    ok = projective_equal(half @ half, np.linalg.inv(w["R'1A'0R'2"]), tol)
-    entries.append(CycleEntry("(R'2^-1K)^2 = (R'1A'0R'2)^-1", 1, "l'",
-                              "pass" if ok else "fail"))
-
-    identities = [
-        ("R'0Q^-1R'1", w["R'0"] @ w["Q^-1"] @ w["R'1"]),
-        ("R'2Q^-1R'0", w["R'2"] @ w["Q^-1"] @ w["R'0"]),
-        ("R'1K^-1R'2^-1K",
-         w["R'1"] @ np.linalg.inv(w["K"]) @ np.linalg.inv(w["R'2"]) @ w["K"]),
-        ("R'1^-1Q^-1R'2Q",
-         np.linalg.inv(w["R'1"]) @ w["Q^-1"] @ w["R'2"] @ w["Q"]),
-        ("A'0R'0^-1A'0^-1R'0",
-         w["A'0"] @ np.linalg.inv(w["R'0"]) @ np.linalg.inv(w["A'0"]) @ w["R'0"]),
-        ("KA'0K", w["K"] @ w["A'0"] @ w["K"]),
-    ]
-    eye = np.eye(3, dtype=complex)
-    for name, m in identities:
-        ok = projective_equal(m, eye, tol)
-        entries.append(CycleEntry(name + " = id", 1, "1",
-                                  "pass" if ok else "fail"))
-
-    # Q^2 fixes the triple-line ridge of Q pointwise (surviving vertices).
-    if params.d.is_positive:
-        vd = vertices_D(dom)
-        q2 = w["Q^2"]
-        fixed = True
-        for lab in ("v3", "v4", "v5"):
-            if lab in vd.collapsed:
-                continue
-            v = vd.coords[lab]
-            image = q2 @ v
-            lam = image[int(np.argmax(np.abs(v)))] / v[int(np.argmax(np.abs(v)))]
-            fixed = fixed and bool(
-                np.max(np.abs(image - lam * v)) <= tol * np.max(np.abs(v)) * abs(lam)
-            )
-        entries.append(CycleEntry("Q^2 fixes F(Q,Q^-1) pointwise", 2, "d",
-                                  "pass" if fixed else "fail"))
-    else:
-        entries.append(CycleEntry("Q^2 fixes F(Q,Q^-1) pointwise", 2, "d",
-                                  "skipped", "ridge collapsed"))
-    return CycleReport(sig, tuple(entries))
+) -> CheckReport:
+    """The cycle conditions of D: the second report of ``group_checks``."""
+    return group_checks(sig, tol, max_order)[1]
 
 
 # Reference sign rows for the Lagrangian ridge: images of D and the expected

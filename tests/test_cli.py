@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import dmlat
+import dmlat.verification as verification_mod
 from dmlat.cli import main
 
 
@@ -76,6 +81,16 @@ class TestCheck:
         code, out, _ = run(capsys, "--json", "check", "--all")
         assert (code, out) == (0, golden)
 
+    def test_check_all_evaluates_each_order_once(self, capsys, monkeypatch):
+        # 81 relation exponents of the catalog are positive and finite; each
+        # is one cycle's order too, and is measured once for both rows.
+        calls = []
+        measure = verification_mod.projective_order
+        monkeypatch.setattr(verification_mod, "projective_order",
+                            lambda *args: calls.append(args) or measure(*args))
+        code, _, _ = run(capsys, "check", "--all")
+        assert (code, len(calls)) == (0, 81)
+
     def test_single(self, capsys):
         code, out, _ = run(capsys, "check", "4", "4", "5")
         assert code == 0
@@ -109,6 +124,20 @@ class TestVertices:
         assert len(doc["vertices"]) == 24
         assert any(v["collapsed"] for v in doc["vertices"])
 
+    @pytest.mark.parametrize("argv,labels", [
+        (("vertices", "3", "3", "3"), ["v21", "v22", "v23", "v24"]),
+        (("--force", "vertices", "2", "4", "8"), ["v24"]),
+    ])
+    def test_no_finite_point(self, capsys, argv, labels):
+        # At (3,3,3) the C2 chart is singular and v21-v24 are zero vectors;
+        # at (2,4,8) v24 is a point at infinity.
+        _, out, _ = run(capsys, *argv)
+        assert [line.split(":")[0] for line in out.splitlines()
+                if ": no finite point" in line] == labels
+        _, out, _ = run(capsys, "--json", *argv)
+        assert [v["label"] for v in json.loads(out)["vertices"]
+                if v["coordinates"] is None] == labels
+
 
 class TestTessellate:
     def test_default_ridge(self, capsys):
@@ -136,3 +165,23 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_reader_closing_the_pipe_gets_no_traceback(mode):
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set on this platform")
+    # The report is several times the one-page pipe, so the program is still
+    # writing when the reader closes its end after one line.
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = {**os.environ, "PYTHONPATH": str(Path(dmlat.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dmlat.cli", *mode, "check", "--all"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with open(read_end, "rb") as reader:
+        assert reader.readline()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")

@@ -18,7 +18,6 @@ from dmlat.moves import (
     check_braid,
     check_isometry,
     compose,
-    config,
     configurations_of,
     hermitian_form,
     identity_map,

@@ -23,6 +23,7 @@ from dmlat.verification import (
     commensurability_check,
     cycle_orders,
     euler_characteristic,
+    group_checks,
     order_value,
     stabilizer_bfs,
     stabilizer_generators,
@@ -203,6 +204,21 @@ class TestCycles:
         report = cycle_orders(LatticeSignature(4, 4, 6))
         entry = [e for e in report.entries if "pointwise" in e.name][0]
         assert entry.status == "pass"
+
+    def test_relation_and_cycle_share_each_equation(self, monkeypatch):
+        # Q = R'0R'1 breaks the relation Q = R'1R'0, and the cycle row that
+        # rearranges it reads the same evaluation; likewise R'2 = R'1^2, of
+        # order 2, breaks both rows of the order p = 4.
+        sig = LatticeSignature(4, 4, 6)
+        words = _pairing_words(build_domain(sig))
+        broken = {**words, "Q": words["R'0"] @ words["R'1"],
+                  "R'2": words["R'1"] @ words["R'1"]}
+        monkeypatch.setattr(verification_mod, "_pairing_words", lambda dom: broken)
+        relations, cycles = group_checks(sig)
+        rel = {e.name: e.status for e in relations.entries}
+        cyc = {e.name: e.status for e in cycles.entries}
+        assert (rel["Q = R'1R'0"], cyc["R'0Q^-1R'1 = id"]) == ("fail", "fail")
+        assert (rel["R'2^p"], cyc["R'2"]) == ("fail", "fail")
 
 
 class TestTessellation:
