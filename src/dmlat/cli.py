@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -212,6 +213,24 @@ def _cmd_tessellate(args) -> int:
     return 0 if report.all_match else 1
 
 
+def _value(convert, ok, need: str):
+    """An argparse type: ``convert`` the text, refused unless ``ok``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{need}, got {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE = _value(float, lambda v: math.isfinite(v) and v > 0,
+                   "must be a finite positive number")
+_COUNT = _value(int, lambda v: v >= 1, "must be an integer of at least 1")
+
+
 def _add_signature_args(sub) -> None:
     sub.add_argument("p", type=int)
     sub.add_argument("k", type=int)
@@ -223,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dmlat",
         description="Verification toolkit for thirteen complex hyperbolic "
                     "lattice constructions.")
-    parser.add_argument("--tolerance", type=float, default=1e-9)
+    parser.add_argument("--tolerance", type=_POSITIVE, default=1e-9)
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--max-order", type=int, default=200)
+    parser.add_argument("--max-order", type=_COUNT, default=200)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--force", action="store_true",
                         help="allow non-catalog signatures")
@@ -249,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tess = subs.add_parser("tessellate", help="ridge sign-table check")
     _add_signature_args(p_tess)
     p_tess.add_argument("--ridge", default="F(K,R'1)")
-    p_tess.add_argument("--samples", type=int, default=200)
+    p_tess.add_argument("--samples", type=_COUNT, default=200)
     return parser
 
 

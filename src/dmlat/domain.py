@@ -292,6 +292,7 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
     coords: dict[str, np.ndarray] = {}
     failures: list[str] = []
     notes: list[str] = []
+    unplaced: list[str] = []  # not collapsed, but with no finite point
     if collapsed:
         notes.append(f"cells skipped for collapsed vertices: {sorted(collapsed)}")
     if dom.kneg_flag:
@@ -309,7 +310,10 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
         if finite:
             z = z / z[2]
         coords[label] = z
-        if label in collapsed or not finite:
+        if label in collapsed:
+            continue
+        if not finite:
+            unplaced.append(label)
             continue
         w = dom.w_of_z @ z
         w = w / w[2]
@@ -336,6 +340,8 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
             diff = min(diff, abs(diff - period)) if period == math.pi else diff
             if diff > _TOL_ARG:
                 failures.append(f"{label}: arg mismatch {got:.6f} vs {want:.6f}")
+    if unplaced:
+        notes.append(f"cells skipped for vertices with no finite point: {unplaced}")
     return DomainVertexTable(
         coords, collapsed, not failures, tuple(failures), tuple(notes)
     )

@@ -18,6 +18,8 @@ import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from fractions import Fraction
+from itertools import chain
+from operator import mul, sub
 
 import numpy as np
 
@@ -292,25 +294,6 @@ _KEY_WEIGHTS /= np.linalg.norm(_KEY_WEIGHTS)
 _KEY_SCALE = 1e5  # buckets of width 1e-5 in |<c, m>|
 
 
-def _projective_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-entry distance between unit-norm matrices after phase alignment."""
-    inner = np.vdot(b, a)
-    if abs(inner) < 1e-12:
-        return float(np.abs(a).max() + np.abs(b).max())
-    lam = inner / abs(inner)
-    return float(np.abs(a - lam * b).max())
-
-
-def _known(canon: np.ndarray, other: np.ndarray, tol: float) -> bool:
-    """Whether ``canon`` equals ``other`` at ``tol``; raises if ambiguous."""
-    dist = _projective_distance(canon, other)
-    if tol < dist < 10 * tol:
-        raise HashCollisionAmbiguity(
-            "two elements differ by less than 10x the tolerance"
-        )
-    return dist <= tol
-
-
 def stabilizer_bfs(
     generators, max_size: int = 10000, tol: float = 1e-9
 ) -> int:
@@ -320,6 +303,10 @@ def stabilizer_bfs(
     their inverses, expanded one level at a time: one batched product
     multiplies the whole frontier by every generator, and the level's
     products are scaled to unit Frobenius norm and keyed together.
+
+    Each frontier element remembers the generator that produced it, and the
+    next level skips the product with that generator's inverse: it is the
+    parent, which is already registered, so no level's new elements change.
 
     Elements are deduplicated projectively. A unit-norm m goes into the
     bucket round(|<c, m>| * 1e5), where c is the fixed weight matrix
@@ -333,8 +320,12 @@ def stabilizer_bfs(
     Probing buckets key-1, key and key+1 therefore finds every element
     within 10 ``tol`` of m while 30 ``tol`` < 1e-5.
 
-    Bucket members are compared after optimal phase alignment at ``tol``.
-    A pair that is neither equal at ``tol`` nor separated by 10x ``tol``
+    A candidate is compared with the members of those three buckets in
+    that order, each bucket in registration order. The distance is the
+    largest entry of |m - lam n| after optimal phase alignment, computed on
+    the level's rows as Python complex lists, which is cheaper than a numpy
+    call per pair on 3x3 matrices. The scan stops at the first member
+    within ``tol``. A member neither within ``tol`` nor beyond 10x ``tol``
     raises HashCollisionAmbiguity rather than guessing. A group of more
     than ``max_size`` elements raises ExceededBound.
     """
@@ -342,32 +333,56 @@ def stabilizer_bfs(
         raise ValueError("max_size is capped at 10000")
     gens = np.array(list(generators), dtype=complex).reshape(-1, 3, 3)
     gens = np.concatenate([gens, np.linalg.inv(gens)])
-    seen: dict[int, list[np.ndarray]] = {}
+    n_gens = len(gens)
+    inverse = [(g + n_gens // 2) % n_gens for g in range(n_gens)]
+    weights = _KEY_WEIGHTS.conj().ravel()
+    seen: dict[int, list[list[complex]]] = {}
 
-    def register(level: np.ndarray) -> np.ndarray:
-        """The elements of the level not seen before, now registered."""
-        level = level / np.linalg.norm(level, axis=(1, 2), keepdims=True)
-        keys = np.rint(np.abs(np.einsum("ij,nij->n", _KEY_WEIGHTS.conj(),
-                                        level)) * _KEY_SCALE)
+    def register(level: np.ndarray, is_parent: list[bool]):
+        """The level as unit-norm rows, and the indices of the rows not seen
+        before, which are now registered. Parents are not looked up."""
+        flat = level.reshape(-1, 9)
+        flat = flat / np.sqrt(np.einsum("ij,ij->i", flat.conj(), flat).real)[:, None]
+        keys = np.rint(np.abs(flat @ weights) * _KEY_SCALE).astype(int).tolist()
         fresh = []
-        for canon, key in zip(level, keys.astype(int).tolist()):
-            if not any(
-                _known(canon, other, tol)
-                for k in (key - 1, key, key + 1)
-                for other in seen.get(k, ())
-            ):
-                seen.setdefault(key, []).append(canon)
-                fresh.append(canon)
-        return np.array(fresh).reshape(-1, 3, 3)
+        rows = zip(flat.tolist(), keys, is_parent)
+        for i, (row, key, parent) in enumerate(rows):
+            if parent:
+                continue
+            members = chain(seen.get(key - 1, ()), seen.get(key, ()),
+                            seen.get(key + 1, ()))
+            if not any(known(row, other) for other in members):
+                seen.setdefault(key, []).append(row)
+                fresh.append(i)
+        return flat, fresh
+
+    def known(row: list[complex], other: list[complex]) -> bool:
+        """Whether the rows are equal at ``tol``; raises if ambiguous."""
+        inner = sum(map(mul, row, map(complex.conjugate, other)))
+        if abs(inner) < 1e-12:
+            dist = max(map(abs, row)) + max(map(abs, other))
+        else:
+            lam = inner / abs(inner)
+            dist = max(map(abs, map(sub, row, map(lam.__mul__, other))))
+        if tol < dist < 10 * tol:
+            raise HashCollisionAmbiguity(
+                "two elements differ by less than 10x the tolerance"
+            )
+        return dist <= tol
 
     count = 0
-    frontier = register(np.eye(3, dtype=complex)[None])
+    flat, fresh = register(np.eye(3, dtype=complex), [False])
+    # gens[back[j]] takes frontier[j] to its parent; the identity has none
+    frontier, back = flat[fresh], [-1]
     while len(frontier):
         count += len(frontier)
         if count > max_size:
             raise ExceededBound(f"group exceeds max_size = {max_size}")
-        products = np.matmul(frontier[:, None], gens)
-        frontier = register(products.reshape(-1, 3, 3))
+        is_parent = [g == b for b in back for g in range(n_gens)]
+        products = np.matmul(frontier.reshape(-1, 1, 3, 3), gens)
+        flat, fresh = register(products, is_parent)
+        frontier = flat[fresh]
+        back = [inverse[i % n_gens] for i in fresh]
     return count
 
 

@@ -124,6 +124,18 @@ class TestVertices:
         assert len(doc["vertices"]) == 24
         assert any(v["collapsed"] for v in doc["vertices"])
 
+    def test_unplaced_vertex_is_noted(self, capsys):
+        # At (3,3,3) v21-v23 are collapsed; v24 is not, and has no finite
+        # point, so its cells are skipped and a note names it.
+        code, out, _ = run(capsys, "--json", "vertices", "3", "3", "3")
+        doc = json.loads(out)
+        assert (code, doc["table_ok"]) == (0, True)
+        v24 = doc["vertices"][23]
+        assert (v24["label"], v24["collapsed"], v24["coordinates"]) == (
+            "v24", False, None)
+        assert doc["notes"][-1] == (
+            "cells skipped for vertices with no finite point: ['v24']")
+
     @pytest.mark.parametrize("argv,labels", [
         (("vertices", "3", "3", "3"), ["v21", "v22", "v23", "v24"]),
         (("--force", "vertices", "2", "4", "8"), ["v24"]),
@@ -159,6 +171,32 @@ class TestTessellate:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
         json.loads(out1)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("--tolerance", "0", "check", "--all"), "--tolerance"),
+    (("--tolerance", "-1", "check", "--all"), "--tolerance"),
+    (("--tolerance", "nan", "check", "--all"), "--tolerance"),
+    (("--tolerance", "inf", "check", "--all"), "--tolerance"),
+    (("--tolerance", "tiny", "check", "--all"), "--tolerance"),
+    (("--max-order", "0", "check", "--all"), "--max-order"),
+    (("--max-order", "2.5", "check", "--all"), "--max-order"),
+    (("tessellate", "4", "4", "6", "--samples", "0"), "--samples"),
+    (("tessellate", "4", "4", "6", "--samples", "-5"), "--samples"),
+])
+def test_bad_value_is_a_usage_error_naming_the_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"error: argument {flag}: " in err
+
+
+def test_smallest_good_values_are_accepted(capsys):
+    code, out, _ = run(capsys, "--max-order", "1", "check", "4", "4", "6")
+    assert code == 1 and "order >= 1" in out
+    code, out, _ = run(capsys, "tessellate", "4", "4", "6", "--samples", "1")
+    assert (code, out.splitlines()[-1]) == (0, "1 samples; all rows match")
 
 
 def test_unknown_command_exits_2(capsys):

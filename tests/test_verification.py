@@ -31,6 +31,8 @@ from dmlat.verification import (
     triangle_group_order,
 )
 
+from conftest import ALL_TRIPLES
+
 CHI_TABLE = {
     (6, 6, 3): Fraction(1, 12),
     (10, 10, 5): Fraction(3, 20),
@@ -138,6 +140,48 @@ class TestBFS:
         m2[0, 0] += 5e-9
         with pytest.raises(HashCollisionAmbiguity):
             stabilizer_bfs([m, m2], max_size=100)
+
+    @pytest.mark.parametrize("shift,order", [(5e-9, None), (0.0, 7)])
+    def test_ambiguous_pair_across_levels_raises(self, shift, order):
+        # b is a^2 moved by 5e-9: b is registered on level 1 and a.a, within
+        # 10x the tolerance of it, is met on level 2. Unmoved, b = a^2.
+        a = np.diag([1.0, np.exp(2j * np.pi / 7), 1.0])
+        b = a @ a
+        b[0, 0] += shift
+        if order is None:
+            with pytest.raises(HashCollisionAmbiguity):
+                stabilizer_bfs([a, b], max_size=100)
+        else:
+            assert stabilizer_bfs([a, b], max_size=100) == order
+
+    def test_max_size_boundary(self):
+        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
+        gens = [w["Q^2"], w["R'1"]]
+        assert stabilizer_bfs(gens, max_size=48) == 48
+        with pytest.raises(ExceededBound):
+            stabilizer_bfs(gens, max_size=47)
+
+    def test_oracle_pass_replay(self):
+        # Every orbit row of order <= 400 on the 13 triples, the generators
+        # of each triple conjugated by a seeded random diagonal unitary.
+        rng = np.random.default_rng(61)
+        orders = []
+        for triple in ALL_TRIPLES:
+            phases = np.exp(2j * np.pi * rng.random(3))
+            conj = np.outer(phases, phases.conj())
+            sig = LatticeSignature(*triple)
+            params = derive_params(sig)
+            words = _pairing_words(build_domain(sig))
+            rows, _, _ = apply_degenerations(base_orbit_table(), params)
+            for row in rows:
+                value = order_value(row.order_expr, sig, params)
+                if value is None or value > 400:
+                    continue
+                gens = [conj * g for g in
+                        stabilizer_generators(row.stabilizer, words)]
+                orders.append((stabilizer_bfs(gens, max_size=2000), value))
+        assert (len(orders), sum(n for n, _ in orders)) == (480, 7067)
+        assert all(n == value for n, value in orders)
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.floats(0, 2 * np.pi), min_size=5, max_size=5))
