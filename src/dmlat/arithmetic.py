@@ -121,6 +121,12 @@ def exp_i_pi(q: RationalLike) -> complex:
     return complex(cos_pi(q), sin_pi(q))
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Make ``a`` read-only, so that a cached array can be shared; return it."""
+    a.setflags(write=False)
+    return a
+
+
 def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.shape != (3, 3):

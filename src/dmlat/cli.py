@@ -199,8 +199,10 @@ def _cmd_tessellate(args) -> int:
             "collapsed": True,
         }, args.json, f"{exc}")
         return 1
+    short = report.samples_used < args.samples  # the sampler's draw cap was hit
     lines = [f"{name}: agreement {frac:.4f}" for name, frac in report.rows]
-    lines.append(f"{report.samples_used} samples; "
+    count = f" of {args.samples} samples (draw cap reached)" if short else " samples"
+    lines.append(f"{report.samples_used}{count}; "
                  + ("all rows match" if report.all_match else "MISMATCH"))
     _emit({
         "command": "tessellate",
@@ -208,9 +210,10 @@ def _cmd_tessellate(args) -> int:
         "ridge": report.ridge,
         "rows": [{"copy": n, "agreement": f} for n, f in report.rows],
         "samples_used": report.samples_used,
+        "samples_requested": args.samples,
         "all_match": report.all_match,
     }, args.json, "\n".join(lines))
-    return 0 if report.all_match else 1
+    return 0 if report.all_match and not short else 1
 
 
 def _value(convert, ok, need: str):

@@ -19,6 +19,7 @@ from dmlat.arithmetic import (
     hermitian_eval,
     no_finite_point,
     projective_equal,
+    read_only,
     signature as form_signature,
     exp_i_pi,
 )
@@ -48,7 +49,7 @@ from dmlat.polyhedron import (
     lines_t,
     vertices_t,
 )
-from dmlat.sampling import ball_draws, bullet_agreement
+from dmlat.sampling import Bullet, ball_draws, bullet_agreement
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class DomainD:
     """The glued domain: signature, the three charts and the k'-flag.
 
     The maps from the z-chart to the others, the sampling radius and the
-    frame-diagram verdict are computed on first use and kept.
+    frame-diagram verdict are computed on first use and kept, the maps read-only.
     """
 
     signature: LatticeSignature
@@ -72,11 +73,11 @@ class DomainD:
 
     @cached_property
     def y_of_z(self) -> np.ndarray:
-        return np.linalg.inv(move_R2(self.c2).matrix)
+        return read_only(np.linalg.inv(move_R2(self.c2).matrix))
 
     @cached_property
     def w_of_z(self) -> np.ndarray:
-        return np.linalg.inv(side_pairings(self).Q.matrix)
+        return read_only(np.linalg.inv(side_pairings(self).Q.matrix))
 
     @cached_property
     def u_of_z(self) -> np.ndarray:
@@ -84,7 +85,7 @@ class DomainD:
 
     @cached_property
     def v_of_z(self) -> np.ndarray:
-        return move_P_inverse(self.c1).matrix @ self.x_of_z
+        return read_only(move_P_inverse(self.c1).matrix @ self.x_of_z)
 
     @cached_property
     def radius(self) -> float:
@@ -309,7 +310,7 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
         finite = not no_finite_point(z)
         if finite:
             z = z / z[2]
-        coords[label] = z
+        coords[label] = read_only(z)
         if label in collapsed:
             continue
         if not finite:
@@ -387,46 +388,44 @@ class BisDReport:
         return all(a == 1.0 for a in self.per_bullet_agreement)
 
 
-def _bisd_specs(dom: DomainD, sp: SidePairingSet) -> list[dict]:
-    """The 12 bullets: (chart, phase, coordinate, direction, mapped matrix).
+@cache
+def _bisd_bullets(dom: DomainD) -> tuple[Bullet, ...]:
+    """The 12 bullets of ``bisD_check``, built once per domain.
 
     All plain normals are the z-frame normals at C3; the transported normal
     is a side-pairing word applied to a C3 normal, except the first bullet
     which transports the C2-chart normal with the inverse composite move.
     """
     c2, c3 = dom.c2, dom.c3
+    h = hermitian_form(c3)
+    sp = side_pairings(dom)
     a, b, t, f = c3.angles()
     tp = 2 * a - 1
     fp = 1 + t + f - 2 * a
     K, Q = sp.K.matrix, sp.Q.matrix
     R1p, R2p = sp.R1.matrix, sp.R2.matrix
     Ki = np.linalg.inv(K)
-    return [
-        dict(chart="z", phase=1.0, coord=1, im_leq=True,
-             plain="L_*1", mat=move_P_inverse(c2).matrix, mapped=("L_*3", c2)),
-        dict(chart="z", phase=exp_i_pi(f), coord=1, im_leq=False,
-             plain="L_*0", mat=Ki, mapped=("L_*0", c3)),
-        dict(chart="z", phase=exp_i_pi(-t), coord=2, im_leq=True,
-             plain="L_*3", mat=R1p, mapped=("L_*3", c3)),
-        dict(chart="z", phase=exp_i_pi(t), coord=2, im_leq=False,
-             plain="L_*3", mat=np.linalg.inv(R1p), mapped=("L_*3", c3)),
-        dict(chart="y", phase=exp_i_pi(fp), coord=1, im_leq=False,
-             plain="L_*0", mat=K @ K, mapped=("L_*0", c3)),
-        dict(chart="y", phase=1.0, coord=2, im_leq=False,
-             plain="L_*1", mat=dom.w_of_z @ R1p, mapped=("L_*3", c3)),
-        dict(chart="y", phase=exp_i_pi(-tp), coord=2, im_leq=True,
-             plain="L_*3", mat=np.linalg.inv(R1p) @ Q, mapped=("L_*1", c3)),
-        dict(chart="y", phase=exp_i_pi(-fp), coord=1, im_leq=True,
-             plain="L_*0", mat=Ki @ Ki, mapped=("L_*0", c3)),
-        dict(chart="w", phase=1.0, coord=1, im_leq=False,
-             plain="L_*3", mat=Q, mapped=("L_*1", c3)),
-        dict(chart="w", phase=exp_i_pi(-f), coord=1, im_leq=True,
-             plain="L_*0", mat=K, mapped=("L_*0", c3)),
-        dict(chart="w", phase=exp_i_pi(-t), coord=2, im_leq=True,
-             plain="L_*1", mat=R2p, mapped=("L_*1", c3)),
-        dict(chart="w", phase=exp_i_pi(t), coord=2, im_leq=False,
-             plain="L_*1", mat=np.linalg.inv(R2p), mapped=("L_*1", c3)),
-    ]
+    specs = (  # chart, phase, coord, im_leq, plain line, matrix, mapped line at
+        ("z", 1.0, 1, True, "L_*1", move_P_inverse(c2).matrix, "L_*3", c2),
+        ("z", exp_i_pi(f), 1, False, "L_*0", Ki, "L_*0", c3),
+        ("z", exp_i_pi(-t), 2, True, "L_*3", R1p, "L_*3", c3),
+        ("z", exp_i_pi(t), 2, False, "L_*3", np.linalg.inv(R1p), "L_*3", c3),
+        ("y", exp_i_pi(fp), 1, False, "L_*0", K @ K, "L_*0", c3),
+        ("y", 1.0, 2, False, "L_*1", dom.w_of_z @ R1p, "L_*3", c3),
+        ("y", exp_i_pi(-tp), 2, True, "L_*3", np.linalg.inv(R1p) @ Q, "L_*1", c3),
+        ("y", exp_i_pi(-fp), 1, True, "L_*0", Ki @ Ki, "L_*0", c3),
+        ("w", 1.0, 1, False, "L_*3", Q, "L_*1", c3),
+        ("w", exp_i_pi(-f), 1, True, "L_*0", K, "L_*0", c3),
+        ("w", exp_i_pi(-t), 2, True, "L_*1", R2p, "L_*1", c3),
+        ("w", exp_i_pi(t), 2, False, "L_*1", np.linalg.inv(R2p), "L_*1", c3),
+    )
+    bullets = []
+    for chart, phase, coord, im_leq, plain, mat, mapped, at in specs:
+        n_plain = _normal_at(c3, plain)
+        n_mapped = _unit_negative(mat @ _normal_at(at, mapped), h, mapped)
+        bullets.append(Bullet("zwy".index(chart), phase, coord, im_leq, 0,
+                              n_plain.conj() @ h.matrix, n_mapped.conj() @ h.matrix))
+    return tuple(bullets)
 
 
 def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,
@@ -438,22 +437,15 @@ def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,
     used when it lies in the ball and its w and y images are finite. Each
     bullet reads the draws in order until it has ``n_samples`` outside the
     ``neutral`` band. At most ``200 * n_samples`` draws are made, in chunks
-    of 8,192 (``dmlat.sampling.ball_draws``).
+    of 8,192 (``dmlat.sampling.ball_draws``). The bullets are built once per
+    domain (``_bisd_bullets``); a failed precondition or a null normal
+    raises on every call.
     """
     if dom.kneg_flag:
         raise PreconditionFailed("bisD sampling requires the generic regime")
-    c3 = dom.c3
-    h = hermitian_form(c3)
-    specs = _bisd_specs(dom, side_pairings(dom))
-    bullets = []
-    for spec in specs:
-        n_plain = _normal_at(c3, spec["plain"])
-        lab, cfg = spec["mapped"]
-        n_mapped = _unit_negative(spec["mat"] @ _normal_at(cfg, lab), h, lab)
-        bullets.append(("zwy".index(spec["chart"]), spec["phase"], spec["coord"],
-                        spec["im_leq"], 0, n_plain.conj() @ h.matrix,
-                        n_mapped.conj() @ h.matrix))
-    draws = ball_draws(h, dom.radius, seed, 200 * n_samples, (dom.w_of_z, dom.y_of_z))
+    bullets = _bisd_bullets(dom)
+    draws = ball_draws(hermitian_form(dom.c3), dom.radius, seed, 200 * n_samples,
+                       (dom.w_of_z, dom.y_of_z))
     fractions, used, _ = bullet_agreement(draws, bullets, n_samples, neutral)
     return BisDReport(fractions, used)
 

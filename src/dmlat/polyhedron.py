@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from dmlat.moves import (
     p_target,
     r1_target,
 )
-from dmlat.sampling import ball_draws, bullet_agreement
+from dmlat.sampling import Bullet, ball_draws, bullet_agreement
 
 LINE_LABELS = ("L_*0", "L_*1", "L_*2", "L_*3", "L_01", "L_02", "L_03", "L_12", "L_13", "L_23")
 
@@ -430,48 +431,6 @@ def bisector_membership_check(c: Configuration, tol: float = 1e-10) -> bool:
     return True
 
 
-def _bullet_specs(c: Configuration) -> list[dict]:
-    """The eight half-space equivalences defining the polyhedron's sides.
-
-    Each entry carries: frame, the im-expression (phase, coordinate and the
-    inequality direction on the im side), the plain normal, and the mapped
-    normal (move matrix applied to a line normal). The pairings were fixed
-    by requiring 100% sampled sign agreement on the generic catalog rows;
-    t-frame bullets transport t-frame normals of the adjacent chart, while
-    s-frame bullets transport s-frame normals with moves at the s-chart.
-    """
-    cs = p_inverse_target(c)
-    a, b, t, f = c.angles()
-    tp = a + b - 1
-    fp = 1 + t + f - a - b
-    return [
-        dict(frame="t", phase=1.0, coord=1, im_leq=True,
-             plain=("t", c, "L_*1"),
-             mapped=(move_P_inverse(p_target(c)).matrix, "t", p_target(c), "L_*3")),
-        dict(frame="s", phase=1.0, coord=1, im_leq=False,
-             plain=("s", c, "L_*3"),
-             mapped=(move_P(cs).matrix, "s", c, "L_*1")),
-        dict(frame="t", phase=exp_i_pi(f), coord=1, im_leq=False,
-             plain=("t", c, "L_*0"),
-             mapped=(inverse(move_J(c)).matrix, "t", p_target(c), "L_*0")),
-        dict(frame="s", phase=exp_i_pi(-fp), coord=1, im_leq=True,
-             plain=("s", c, "L_*0"),
-             mapped=(move_A1(cs).matrix, "s", c, "L_*0")),
-        dict(frame="t", phase=1.0, coord=2, im_leq=False,
-             plain=("t", c, "L_*2"),
-             mapped=(inverse(move_R1(c)).matrix, "t", r1_target(c), "L_*3")),
-        dict(frame="t", phase=exp_i_pi(-t), coord=2, im_leq=True,
-             plain=("t", c, "L_*3"),
-             mapped=(move_R1(r1_target(c)).matrix, "t", r1_target(c), "L_*2")),
-        dict(frame="s", phase=1.0, coord=2, im_leq=False,
-             plain=("s", c, "L_*1"),
-             mapped=(move_R2(cs).matrix, "s", c, "L_*3")),
-        dict(frame="s", phase=exp_i_pi(-tp), coord=2, im_leq=True,
-             plain=("s", c, "L_*2"),
-             mapped=(move_R1(cs).matrix, "s", c, "L_*1")),
-    ]
-
-
 def _unit_negative(n: np.ndarray, h: HermitianForm3, label: str) -> np.ndarray:
     """Scale a polar vector to Hermitian norm of modulus 1.
 
@@ -486,24 +445,50 @@ def _unit_negative(n: np.ndarray, h: HermitianForm3, label: str) -> np.ndarray:
     return n / math.sqrt(abs(norm))
 
 
-def _normal_at(config: Configuration, label: str) -> np.ndarray:
-    """t-frame line normal scaled to Hermitian norm of modulus 1.
-
-    The ball consists of positive vectors here, so the polar vector of a
-    complex line meeting the ball is a negative vector; collapsed lines
-    give positive polars, normalized the same way.
-    """
-    h = hermitian_form(config)
-    return _unit_negative(line_normal(lines_t(config)[label], h), h, label)
-
-
-def _normal_spec(spec: tuple) -> np.ndarray:
-    """Resolve a (frame, configuration, label) normal description."""
-    frame, cfg, label = spec
+def _normal_at(config: Configuration, label: str, frame: str = "t") -> np.ndarray:
+    """The normal of line ``label`` of the t-frame of ``config`` (or of the
+    s-frame attached to it), scaled to Hermitian norm of modulus 1."""
     if frame == "t":
-        return _normal_at(cfg, label)
-    h = hermitian_form(p_inverse_target(cfg))
-    return _unit_negative(line_normal(lines_s(cfg)[label], h), h, label)
+        h, line = hermitian_form(config), lines_t(config)[label]
+    else:
+        h, line = hermitian_form(p_inverse_target(config)), lines_s(config)[label]
+    return _unit_negative(line_normal(line, h), h, label)
+
+
+@cache
+def _bullet_table(c: Configuration) -> tuple[tuple[Bullet, ...], float]:
+    """The eight bullets of ``bisector_equivalence_sample`` and its box radius.
+
+    Built once per configuration. A mapped normal is a move matrix applied
+    to a line normal. The pairings were fixed by requiring 100% sampled
+    sign agreement on the generic catalog rows; t-frame bullets transport
+    t-frame normals of the adjacent chart, while s-frame bullets transport
+    s-frame normals with moves at the s-chart.
+    """
+    radius = 1.5 * max(np.max(np.abs(v[:2])) for v in vertices_t(c).values())
+    cs, pt, rt = p_inverse_target(c), p_target(c), r1_target(c)
+    forms = {"t": hermitian_form(c), "s": hermitian_form(cs)}
+    a, b, t, f = c.angles()
+    tp = a + b - 1
+    fp = 1 + t + f - a - b
+    specs = (  # frame, phase, coord, im_leq, plain line, move, mapped line at
+        ("t", 1.0, 1, True, "L_*1", move_P_inverse(pt), "L_*3", pt),
+        ("s", 1.0, 1, False, "L_*3", move_P(cs), "L_*1", c),
+        ("t", exp_i_pi(f), 1, False, "L_*0", inverse(move_J(c)), "L_*0", pt),
+        ("s", exp_i_pi(-fp), 1, True, "L_*0", move_A1(cs), "L_*0", c),
+        ("t", 1.0, 2, False, "L_*2", inverse(move_R1(c)), "L_*3", rt),
+        ("t", exp_i_pi(-t), 2, True, "L_*3", move_R1(rt), "L_*2", rt),
+        ("s", 1.0, 2, False, "L_*1", move_R2(cs), "L_*3", c),
+        ("s", exp_i_pi(-tp), 2, True, "L_*2", move_R1(cs), "L_*1", c),
+    )
+    bullets = []
+    for frame, phase, coord, im_leq, plain, move, mapped, at in specs:
+        h, chart = forms[frame], "ts".index(frame)
+        n_plain = _normal_at(c, plain, frame)
+        n_mapped = _unit_negative(move.matrix @ _normal_at(at, mapped, frame), h, mapped)
+        bullets.append(Bullet(chart, phase, coord, im_leq, chart,
+                              n_plain.conj() @ h.matrix, n_mapped.conj() @ h.matrix))
+    return tuple(bullets), radius
 
 
 @dataclass(frozen=True)
@@ -530,23 +515,13 @@ def bisector_equivalence_sample(
     bullet reads the draws in order until it has ``n_samples`` outside the
     ``neutral`` band around both zero sets; draws in the band are skipped
     and their largest value reported. At most ``100 * n_samples`` draws are
-    made, in chunks of 8,192 (``dmlat.sampling.ball_draws``).
+    made, in chunks of 8,192 (``dmlat.sampling.ball_draws``). The bullets
+    and the radius are built once per configuration (``_bullet_table``);
+    a failed precondition or a null normal raises on every call.
     """
     if pp_possible(c):
         raise PreconditionFailed("equivalence sampling needs the generic regime")
-    vt = vertices_t(c)
-    radius = 1.5 * max(np.max(np.abs(v[:2])) for v in vt.values())
-    h_t = hermitian_form(c)
-    h_s = hermitian_form(p_inverse_target(c))
-    specs = _bullet_specs(c)
-    bullets = []
-    for spec in specs:
-        chart = "ts".index(spec["frame"])
-        h = (h_t, h_s)[chart]
-        n_plain = _normal_spec(spec["plain"])
-        mat, frame2, cfg2, lab2 = spec["mapped"]
-        n_mapped = _unit_negative(mat @ _normal_spec((frame2, cfg2, lab2)), h, lab2)
-        bullets.append((chart, spec["phase"], spec["coord"], spec["im_leq"], chart,
-                        n_plain.conj() @ h.matrix, n_mapped.conj() @ h.matrix))
-    draws = ball_draws(h_t, radius, seed, 100 * n_samples, (move_P_inverse(c).matrix,))
+    bullets, radius = _bullet_table(c)
+    draws = ball_draws(hermitian_form(c), radius, seed, 100 * n_samples,
+                       (move_P_inverse(c).matrix,))
     return EquivalenceReport(*bullet_agreement(draws, bullets, n_samples, neutral))

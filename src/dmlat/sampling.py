@@ -9,11 +9,37 @@ per-draw random stream, draw for draw: a report depends only on the seed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from dmlat.arithmetic import HermitianForm3, hermitian_eval
+from dmlat.arithmetic import HermitianForm3, hermitian_eval, read_only
 
 CHUNK = 8192
+
+
+@dataclass(frozen=True, eq=False)
+class Bullet:
+    """One half-space equivalence of a sampled check.
+
+    It reads im(phase * x[coord - 1]) at the point x of chart ``chart``,
+    negated unless ``im_leq``, against |plain @ p|^2 - |mapped @ p|^2 at the
+    point p of chart ``dist_chart``, where plain and mapped are normals n as
+    rows n* H. The rows are made read-only, so that a cached table of
+    bullets can be shared; bullets compare by identity, not by their rows.
+    """
+
+    chart: int
+    phase: complex
+    coord: int
+    im_leq: bool
+    dist_chart: int
+    plain: np.ndarray
+    mapped: np.ndarray
+
+    def __post_init__(self) -> None:
+        read_only(self.plain)
+        read_only(self.mapped)
 
 
 def affine_points(r: np.ndarray) -> np.ndarray:
@@ -65,26 +91,24 @@ def first_decisive(im: np.ndarray, dist: np.ndarray, neutral: float,
             float(near.max(initial=0.0)))
 
 
-def bullet_agreement(draws, bullets, n_samples: int, neutral: float):
+def bullet_agreement(draws, bullets: tuple[Bullet, ...], n_samples: int,
+                     neutral: float):
     """Each bullet's sign agreement over its first n_samples decisive draws.
 
-    ``draws`` yields chunks of charts, as ``ball_draws`` does. A bullet
-    (chart, phase, coord, im_leq, dist_chart, plain, mapped) reads
-    im(phase * x[coord - 1]) at the point x of ``chart``, negated unless
-    ``im_leq``, against |plain @ p|^2 - |mapped @ p|^2 at the point p of
-    ``dist_chart``, where plain and mapped are normals n as rows n* H.
-    Reading stops once every bullet is done. Returns the agreement fractions
-    (0.0 for a bullet with no decisive draw), the samples used and the
-    near-zero maximum.
+    ``draws`` yields chunks of charts, as ``ball_draws`` does; chart k of a
+    chunk is the k-th array it yields. Reading stops once every bullet is
+    done. Returns the agreement fractions (0.0 for a bullet with no
+    decisive draw), the samples used and the near-zero maximum.
     """
     used = np.zeros(len(bullets), dtype=int)
     agree = np.zeros(len(bullets), dtype=int)
     near = 0.0
     for charts in draws:
-        im = np.array([(phase * charts[k][coord - 1]).imag * (1 if leq else -1)
-                       for k, phase, coord, leq, _, _, _ in bullets])
-        dist = np.array([np.abs(plain @ charts[k]) ** 2 - np.abs(mapped @ charts[k]) ** 2
-                         for _, _, _, _, k, plain, mapped in bullets])
+        im = np.array([(b.phase * charts[b.chart][b.coord - 1]).imag
+                       * (1 if b.im_leq else -1) for b in bullets])
+        dist = np.array([np.abs(b.plain @ charts[b.dist_chart]) ** 2
+                         - np.abs(b.mapped @ charts[b.dist_chart]) ** 2
+                         for b in bullets])
         u, a, n = first_decisive(im, dist, neutral, n_samples - used)
         used += u
         agree += a

@@ -30,6 +30,7 @@ from dmlat.arithmetic import (
     hermitian_eval,
     projective_equal,
     projective_order,
+    read_only,
 )
 from dmlat.catalog import DerivedParams, LatticeSignature, classify_degeneracies, derive_params
 from dmlat.domain import DomainD, build_domain, side_pairings, vertices_D
@@ -413,7 +414,7 @@ class CheckReport:
 
 @cache
 def _pairing_words(dom: DomainD) -> dict[str, np.ndarray]:
-    """The pairings and the words the checks read, computed once per domain."""
+    """The pairings and the words the checks read: built once per domain, read-only."""
     d = {name: m.matrix for name, m in side_pairings(dom).as_dict().items()}
     d["A1"] = move_A1(dom.c3).matrix
     d["Q^2"] = d["Q"] @ d["Q"]
@@ -423,7 +424,7 @@ def _pairing_words(dom: DomainD) -> dict[str, np.ndarray]:
     d["R'1A'0R'2"] = d["R'1"] @ d["A'0"] @ d["R'2"]
     d["KR'0"] = d["K"] @ d["R'0"]
     d["R'2^-1K"] = np.linalg.inv(d["R'2"]) @ d["K"]
-    return d
+    return {name: read_only(m) for name, m in d.items()}
 
 
 # The cycle transformations of D in the order of the cycle rows: the place of
@@ -625,6 +626,34 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     return points[:, :n]
 
 
+@cache
+def _lagrangian_copies(dom: DomainD) -> dict[str, np.ndarray]:
+    """The copies of D around F(K,R'1), as the inverse pairings that map D
+    onto them: built once per domain, read-only."""
+    sp = side_pairings(dom)
+    return {name: read_only(np.linalg.inv(m)) for name, m in (
+        ("id", np.eye(3, dtype=complex)), ("R'1^-1", sp.R1.matrix),
+        ("K^-1", sp.K.matrix), ("R'1^-1K^-1", sp.K.matrix @ sp.R1.matrix))}
+
+
+@cache
+def _giraud_copies(dom: DomainD) -> tuple[tuple, ...]:
+    """The copies of D around F(K,K^-1), built once per domain, read-only.
+
+    A copy is its name, the pairing that maps D onto it, and the rows n* H
+    of its own L_*0 normal and of the other two copies' normals.
+    """
+    h = hermitian_form(dom.c3)
+    n0 = _normal_at(dom.c3, "L_*0")
+    k = side_pairings(dom).K.matrix
+    ki = np.linalg.inv(k)
+    rows = [read_only(n.conj() @ h.matrix) for n in (
+        n0, _unit_negative(k @ n0, h, "K(n0)"), _unit_negative(ki @ n0, h, "K^-1(n0)"))]
+    copies = (("id", np.eye(3, dtype=complex)), ("K", k), ("K^-1", ki))
+    return tuple((name, read_only(m), rows[i], tuple(rows[:i] + rows[i + 1:]))
+                 for i, (name, m) in enumerate(copies))
+
+
 def tessellation_sign_table(
     sig: LatticeSignature,
     ridge_id: str = "F(K,R'1)",
@@ -635,7 +664,10 @@ def tessellation_sign_table(
     """Sampled check of the tessellation sign pattern around a ridge.
 
     Supports the Lagrangian ridge F(K,R'1) (four sign rows) and the Giraud
-    ridge F(K,K^-1) (three pairwise-separating distance conditions).
+    ridge F(K,K^-1) (three pairwise-separating distance conditions). The
+    copies of D around each ridge are built once per domain
+    (``_lagrangian_copies``, ``_giraud_copies``); the points are drawn anew
+    on every call.
     """
     dom = build_domain(sig)
     if ridge_id in classify_degeneracies(dom.params, sig).collapsed_ridges:
@@ -644,16 +676,10 @@ def tessellation_sign_table(
         raise PreconditionFailed("sampling requires the generic regime")
     if ridge_id not in ("F(K,R'1)", "F(K,K^-1)"):
         raise ValueError(f"unsupported ridge {ridge_id}")
-    sp = side_pairings(dom)
     c3 = dom.c3
     points = _sample_domain_points(dom, n_samples, seed)
     if ridge_id == "F(K,R'1)":
-        mats = {
-            "id": np.eye(3, dtype=complex),
-            "R'1^-1": np.linalg.inv(sp.R1.matrix),
-            "K^-1": np.linalg.inv(sp.K.matrix),
-            "R'1^-1K^-1": np.linalg.inv(sp.K.matrix @ sp.R1.matrix),
-        }
+        mats = _lagrangian_copies(dom)
         phases = (1.0, exp_i_pi(c3.phi), exp_i_pi(c3.theta),
                   exp_i_pi(-c3.theta))
         rows = []
@@ -667,22 +693,11 @@ def tessellation_sign_table(
             rows.append((name, float(good.sum() / total) if total else 0.0))
         return TessellationReport(sig, ridge_id, tuple(rows), points.shape[1])
     # The Giraud ridge F(K,K^-1).
-    h = hermitian_form(c3)
-    n0 = _normal_at(c3, "L_*0")
-    k = sp.K.matrix
-    ki = np.linalg.inv(k)
-    n_plus = _unit_negative(k @ n0, h, "K(n0)")
-    n_minus = _unit_negative(ki @ n0, h, "K^-1(n0)")
-    copies = (("id", np.eye(3, dtype=complex), n0),
-              ("K", k, n_plus), ("K^-1", ki, n_minus))
-    others = {"id": (n_plus, n_minus), "K": (n0, n_minus),
-              "K^-1": (n0, n_plus)}
     rows = []
-    for name, m, own in copies:
+    for name, m, own, others in _giraud_copies(dom):
         image = m @ points
-        d_own = np.abs(own.conj() @ h.matrix @ image)
-        diff = np.array([np.abs(other.conj() @ h.matrix @ image) - d_own
-                         for other in others[name]])
+        d_own = np.abs(own @ image)
+        diff = np.array([np.abs(other @ image) - d_own for other in others])
         decisive = ~(np.abs(diff) <= neutral)
         counted = decisive.any(axis=0)
         good = counted & ~(decisive & ~(diff > 0)).any(axis=0)

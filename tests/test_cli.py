@@ -164,6 +164,19 @@ class TestTessellate:
         assert code == 1
         assert "collapsed" in out
 
+    def test_draw_cap_shortfall_fails(self, capsys):
+        # The sampler stops at its draw cap short of the requested count:
+        # the rows that were sampled match, but the report must fail.
+        code, out, _ = run(capsys, "tessellate", "2", "4", "3",
+                           "--ridge", "F(K,K^-1)", "--samples", "500")
+        assert (code, out.splitlines()[-1]) == (
+            1, "35 of 500 samples (draw cap reached); all rows match")
+        code, out, _ = run(capsys, "--json", "tessellate", "2", "3", "3",
+                           "--ridge", "F(K,K^-1)", "--samples", "500")
+        report = json.loads(out)
+        assert code == 1
+        assert (report["samples_used"], report["samples_requested"]) == (13, 500)
+
     def test_json_deterministic(self, capsys):
         args = ("--json", "--seed", "11", "tessellate", "4", "4", "6",
                 "--samples", "100")

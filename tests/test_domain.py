@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,8 @@ from dmlat.moves import (
     hermitian_form,
     move_R2,
 )
-from dmlat.polyhedron import PreconditionFailed
+from dmlat.polyhedron import PreconditionFailed, _normal_at, _unit_negative
+from dmlat.sampling import ball_draws, bullet_agreement
 from dmlat.verification import _pairing_words
 
 KNEG_TRIPLES = {(6, 6, 3), (10, 10, 5), (12, 12, 6), (18, 18, 9),
@@ -55,6 +58,18 @@ class TestBuiltOnce:
         assert vertices_D(dom) is vertices_D(dom)
         assert _pairing_words(dom) is _pairing_words(dom)
         assert dom.w_of_z is dom.w_of_z
+
+    def test_shared_arrays_read_only(self):
+        dom = build_domain(LatticeSignature(4, 4, 6))
+        shared = {"x_of_z": dom.x_of_z, "y_of_z": dom.y_of_z,
+                  "w_of_z": dom.w_of_z, "u_of_z": dom.u_of_z,
+                  "v_of_z": dom.v_of_z, **_pairing_words(dom),
+                  **vertices_D(dom).coords}
+        assert len(shared) == 5 + 14 + 24
+        for name, m in shared.items():
+            assert not m.flags.writeable, name
+            with pytest.raises(ValueError):
+                m[0] = 0.0
 
     def test_chart_maps(self):
         dom = build_domain(LatticeSignature(4, 4, 6))
@@ -184,40 +199,25 @@ class TestSampledChecks:
         assert min(report.samples_used) == 300
 
     def test_scrambled_pairing_breaks_agreement(self):
-        # Replace one transported normal with a nearby wrong one and check
-        # that the sampled agreement visibly collapses below 100%.
-        from dmlat.polyhedron import _normal_at, _unit_negative
+        # Replace one transported normal of the bullet table with a nearby
+        # wrong one and check that the sampled agreement visibly collapses
+        # below 100%, while the table's own bullet agrees on every draw.
         dom = build_domain(LatticeSignature(4, 4, 6))
-        sp = side_pairings(dom)
-        spec = domain_mod._bisd_specs(dom, sp)[2]
         h = hermitian_form(dom.c3)
-        lab, cfg = spec["mapped"]
-        bad_mat = spec["mat"] @ np.array(
+        bullet = domain_mod._bisd_bullets(dom)[2]
+        bad_mat = side_pairings(dom).R1.matrix @ np.array(
             [[1.0, 0.15, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
             dtype=complex)
-        n_plain = _normal_at(dom.c3, spec["plain"])
-        n_mapped = _unit_negative(bad_mat @ _normal_at(cfg, lab), h, lab)
-        vd = vertices_D(dom)
-        radius = 1.5 * max(np.max(np.abs(v[:2])) for v in vd.coords.values())
-        rng = np.random.default_rng(7)
-        good = total = 0
-        while total < 200:
-            r = rng.uniform(-radius, radius, 4)
-            z = np.array([r[0] + 1j * r[1], r[2] + 1j * r[3], 1.0],
-                         dtype=complex)
-            if hermitian_eval(h, z) <= 0:
-                continue
-            im_val = (spec["phase"] * z[spec["coord"] - 1]).imag
-            if not spec["im_leq"]:
-                im_val = -im_val
-            dist = (abs(h.inner(z, n_plain)) ** 2
-                    - abs(h.inner(z, n_mapped)) ** 2)
-            if abs(im_val) < 1e-8 or abs(dist) < 1e-8:
-                continue
-            total += 1
-            if (im_val < 0) == (dist < 0):
-                good += 1
-        assert good / total < 1.0
+        n_mapped = _unit_negative(bad_mat @ _normal_at(dom.c3, "L_*3"), h,
+                                  "L_*3")
+        bad = dataclasses.replace(bullet, mapped=n_mapped.conj() @ h.matrix)
+        draws = ball_draws(h, dom.radius, 7, 200 * 200,
+                           (dom.w_of_z, dom.y_of_z))
+        (good, scrambled), used, _ = bullet_agreement(draws, (bullet, bad),
+                                                      200, 1e-8)
+        assert used == (200, 200)
+        assert good == 1.0
+        assert scrambled < 1.0
 
 
 class TestKnegForms:

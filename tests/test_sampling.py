@@ -10,12 +10,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import dmlat.polyhedron as polyhedron_mod
 from dmlat.catalog import LatticeSignature
-from dmlat.domain import bisD_check, build_domain, glueing_check, samelines_check
+from dmlat.domain import (
+    _bisd_bullets,
+    bisD_check,
+    build_domain,
+    glueing_check,
+    samelines_check,
+)
 from dmlat.moves import configurations_of
-from dmlat.polyhedron import bisector_equivalence_sample
+from dmlat.polyhedron import (
+    SingularSystem,
+    _bullet_table,
+    bisector_equivalence_sample,
+    line_normal,
+)
 from dmlat.sampling import first_decisive
-from dmlat.verification import tessellation_sign_table
+from dmlat.verification import (
+    _giraud_copies,
+    _lagrangian_copies,
+    tessellation_sign_table,
+)
 
 GENERIC = [(4, 4, 5), (4, 4, 6), (3, 3, 4), (2, 6, 6), (2, 4, 3), (2, 3, 3),
            (3, 4, 4)]
@@ -85,6 +101,50 @@ class TestGoldenReports:
         dom = build_domain(LatticeSignature(*trip))
         assert glueing_check(dom, seed=7)
         assert samelines_check(dom, seed=7)
+
+
+class TestTablesBuiltOnce:
+    def test_second_call_solves_no_line_normal(self, monkeypatch):
+        sig = LatticeSignature(4, 4, 5)
+        c3 = configurations_of(sig)[2]
+        dom = build_domain(sig)
+        bisector_equivalence_sample(c3, n_samples=50)
+        bisD_check(dom, n_samples=50)
+        calls = []
+        monkeypatch.setattr(polyhedron_mod, "line_normal",
+                            lambda *args: calls.append(args) or line_normal(*args))
+        bisector_equivalence_sample(c3, n_samples=50)
+        bisD_check(dom, n_samples=50)
+        assert calls == []
+        # The patch is seen: building the eight bullets afresh solves 16.
+        _bullet_table.__wrapped__(c3)
+        assert len(calls) == 16
+
+    def test_tables_shared_and_read_only(self):
+        sig = LatticeSignature(4, 4, 6)
+        c3 = configurations_of(sig)[2]
+        dom = build_domain(sig)
+        for build, arg in ((_bullet_table, c3), (_bisd_bullets, dom),
+                           (_lagrangian_copies, dom), (_giraud_copies, dom)):
+            assert build(arg) is build(arg), build.__name__
+        bullets = _bullet_table(c3)[0] + _bisd_bullets(dom)
+        assert len(bullets) == 8 + 12
+        arrays = [row for b in bullets for row in (b.plain, b.mapped)]
+        arrays += _lagrangian_copies(dom).values()
+        for _, m, own, others in _giraud_copies(dom):
+            arrays += [m, own, *others]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_null_normal_raises_on_every_call(self):
+        # A failed build is not cached: each call raises again.
+        sig = LatticeSignature(2, 6, 6)
+        for _ in range(2):
+            with pytest.raises(SingularSystem, match="L_\\*1 is a null vector"):
+                bisector_equivalence_sample(configurations_of(sig)[2])
+            with pytest.raises(SingularSystem, match="L_\\*1 is a null vector"):
+                bisD_check(build_domain(sig))
 
 
 class TestReductionCanFail:
