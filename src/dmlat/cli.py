@@ -199,9 +199,10 @@ def _cmd_tessellate(args) -> int:
             "collapsed": True,
         }, args.json, f"{exc}")
         return 1
-    short = report.samples_used < args.samples  # the sampler's draw cap was hit
+    requested = report.samples_requested
+    short = report.samples_used < requested  # the sampler's draw cap was hit
     lines = [f"{name}: agreement {frac:.4f}" for name, frac in report.rows]
-    count = f" of {args.samples} samples (draw cap reached)" if short else " samples"
+    count = f" of {requested} samples (draw cap reached)" if short else " samples"
     lines.append(f"{report.samples_used}{count}; "
                  + ("all rows match" if report.all_match else "MISMATCH"))
     _emit({
@@ -210,7 +211,7 @@ def _cmd_tessellate(args) -> int:
         "ridge": report.ridge,
         "rows": [{"copy": n, "agreement": f} for n, f in report.rows],
         "samples_used": report.samples_used,
-        "samples_requested": args.samples,
+        "samples_requested": requested,
         "all_match": report.all_match,
     }, args.json, "\n".join(lines))
     return 0 if report.all_match and not short else 1

@@ -378,10 +378,15 @@ def in_D_union(point, dom: DomainD, tol: float = 1e-6) -> bool:
 
 @dataclass(frozen=True)
 class BisDReport:
-    """Sampled agreement for the twelve z-frame half-space equivalences."""
+    """Sampled agreement for the twelve z-frame half-space equivalences.
+
+    ``samples_used`` below ``samples_requested`` means the draw cap was
+    reached; ``all_agree`` reads the agreement alone, not the shortfall.
+    """
 
     per_bullet_agreement: tuple[float, ...]
     samples_used: tuple[int, ...]
+    samples_requested: int
 
     @property
     def all_agree(self) -> bool:
@@ -447,7 +452,7 @@ def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,
     draws = ball_draws(hermitian_form(dom.c3), dom.radius, seed, 200 * n_samples,
                        (dom.w_of_z, dom.y_of_z))
     fractions, used, _ = bullet_agreement(draws, bullets, n_samples, neutral)
-    return BisDReport(fractions, used)
+    return BisDReport(fractions, used, n_samples)
 
 
 def kneg_form(c: Configuration) -> HermitianForm3:

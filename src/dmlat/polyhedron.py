@@ -493,11 +493,16 @@ def _bullet_table(c: Configuration) -> tuple[tuple[Bullet, ...], float]:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Sampled agreement between half-space readings of the eight bullets."""
+    """Sampled agreement between half-space readings of the eight bullets.
+
+    ``samples_used`` below ``samples_requested`` means the draw cap was
+    reached; ``all_agree`` reads the agreement alone, not the shortfall.
+    """
 
     per_bullet_agreement: tuple[float, ...]
     samples_used: tuple[int, ...]
     max_near_zero_discrepancy: float
+    samples_requested: int
 
     @property
     def all_agree(self) -> bool:
@@ -524,4 +529,5 @@ def bisector_equivalence_sample(
     bullets, radius = _bullet_table(c)
     draws = ball_draws(hermitian_form(c), radius, seed, 100 * n_samples,
                        (move_P_inverse(c).matrix,))
-    return EquivalenceReport(*bullet_agreement(draws, bullets, n_samples, neutral))
+    return EquivalenceReport(*bullet_agreement(draws, bullets, n_samples, neutral),
+                             n_samples)

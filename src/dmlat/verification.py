@@ -36,7 +36,7 @@ from dmlat.catalog import DerivedParams, LatticeSignature, classify_degeneracies
 from dmlat.domain import DomainD, build_domain, side_pairings, vertices_D
 from dmlat.moves import hermitian_form, move_A1
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _unit_negative
-from dmlat.sampling import CHUNK, affine_points
+from dmlat.sampling import CHUNK, affine_points, near_ball
 
 
 class UnsupportedDegeneracy(ValueError):
@@ -573,10 +573,17 @@ _LAGRANGIAN_SIGNS = (
 
 @dataclass(frozen=True)
 class TessellationReport:
+    """The per-copy agreement rows of ``tessellation_sign_table``.
+
+    ``samples_used`` below ``samples_requested`` means the draw cap was
+    reached; ``all_match`` reads the agreement alone, not the shortfall.
+    """
+
     signature: LatticeSignature
     ridge: str
     rows: tuple[tuple[str, float], ...]
     samples_used: int
+    samples_requested: int
 
     @property
     def all_match(self) -> bool:
@@ -590,8 +597,15 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     400 of them; column j is the z-frame point (r0 + i r1, r2 + i r3, 1) of a
     box 1.5x the 24-vertex cloud. A point is kept, in draw order, when it
     meets the six argument conditions of the domain, lies in the ball and
-    has finite w and y images; the z arguments and the ball are tested
-    before w and y are computed.
+    has finite w and y images. Each batch is screened on its raw draws by
+    ``sampling.near_ball``, which drops only points outside the ball, and
+    only its survivors are kept. The survivors of 8 batches at a time are
+    then tested together: the z arguments and the exact ball test
+    (``hermitian_eval``, with its ``NonRealResult`` check) before w and y
+    are computed. Drawing is stopped after the first group that brings the
+    count to n, so up to 7 batches may be drawn past the one that did; the
+    kept points are the first n in draw order all the same, and the
+    generator is local to the call.
     """
     h = hermitian_form(dom.c3)
     a, _, t, f = (float(x) for x in dom.c3.angles())
@@ -602,16 +616,20 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     def args_in(arg, lo, hi):
         return (arg > lo) & (arg < hi)
 
+    def screened(r):
+        # take() gathers the kept columns several times faster than r[:, keep].
+        return r.take(np.flatnonzero(near_ball(h, r)), axis=1)
+
     rng = np.random.default_rng(seed)
     points = np.zeros((3, 0), dtype=complex)
-    for _ in range(400):
+    for _ in range(400 // 8):
         if points.shape[1] >= n:
             break
-        r = rng.uniform(-dom.radius, dom.radius, (4, CHUNK))
+        r = np.hstack([screened(rng.uniform(-dom.radius, dom.radius, (4, CHUNK)))
+                       for _ in range(8)])
         keep = (args_in(np.arctan2(r[1], r[0]), -f * pi, 0.0)
                 & args_in(np.arctan2(r[3], r[2]), -t * pi, t * pi))
-        # take() gathers the kept columns several times faster than r[:, keep].
-        z = affine_points(r.take(np.flatnonzero(keep), axis=1))
+        z = affine_points(r[:, keep])
         z = z[:, hermitian_eval(h, z) > 0]
         w = dom.w_of_z @ z
         y = dom.y_of_z @ z
@@ -691,7 +709,8 @@ def tessellation_sign_table(
             good = decisive & ((im > 0) == (np.array(signs) > 0)[:, None])
             total = decisive.sum()
             rows.append((name, float(good.sum() / total) if total else 0.0))
-        return TessellationReport(sig, ridge_id, tuple(rows), points.shape[1])
+        return TessellationReport(sig, ridge_id, tuple(rows), points.shape[1],
+                                  n_samples)
     # The Giraud ridge F(K,K^-1).
     rows = []
     for name, m, own, others in _giraud_copies(dom):
@@ -703,7 +722,8 @@ def tessellation_sign_table(
         good = counted & ~(decisive & ~(diff > 0)).any(axis=0)
         total = counted.sum()
         rows.append((name, float(good.sum() / total) if total else 0.0))
-    return TessellationReport(sig, ridge_id, tuple(rows), points.shape[1])
+    return TessellationReport(sig, ridge_id, tuple(rows), points.shape[1],
+                              n_samples)
 
 
 # Reference comparison values: signature -> (this construction's reference
