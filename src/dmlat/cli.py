@@ -112,7 +112,9 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if getattr(args, "all", False):
+    if args.all and (args.p, args.k, args.p_prime) != (None, None, None):
+        raise _UsageError("check takes p k p' or --all, not both")
+    if args.all:
         sigs = catalog()
     elif args.p is None or args.k is None or args.p_prime is None:
         raise _UsageError("check needs p k p' or --all")

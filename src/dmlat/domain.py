@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -49,15 +50,25 @@ from dmlat.polyhedron import (
     lines_t,
     vertices_t,
 )
-from dmlat.sampling import Bullet, ball_draws, bullet_agreement
+from dmlat.sampling import Bullet, BulletReport, ball_draws, box_radius, bullet_agreement
+
+# theta' and phi', the angles of the C2 chart: 2*alpha-pi and pi+theta+phi-2*alpha.
+_TP = "theta'"
+_FP = "phi'"
+# The argument sectors of D, one per column (arg z1, arg z2, arg w1, arg w2,
+# arg y1, arg y2), as (lo, hi) named angles in units of pi. Every named angle
+# of the vertex table below is an end of one of them.
+_SECTORS = (("-phi", 0), ("-theta", "theta"), (0, "phi"), ("-theta", "theta"),
+            ("-phi'", _FP), (0, _TP))
 
 
 @dataclass(frozen=True)
 class DomainD:
     """The glued domain: signature, the three charts and the k'-flag.
 
-    The maps from the z-chart to the others, the sampling radius and the
-    frame-diagram verdict are computed on first use and kept, the maps read-only.
+    The maps from the z-chart to the others, the argument sectors, the
+    sampling radius and the frame-diagram verdict are computed on first use
+    and kept, the maps read-only.
     """
 
     signature: LatticeSignature
@@ -88,10 +99,18 @@ class DomainD:
         return read_only(move_P_inverse(self.c1).matrix @ self.x_of_z)
 
     @cached_property
+    def sectors(self) -> tuple[tuple[float, float], ...]:
+        """The six arcs (lo, hi) of ``_SECTORS``, in radians."""
+        t, f, tp, fp = (float(x) * math.pi for x in (
+            self.c3.theta, self.c3.phi, self.c2.theta, self.c2.phi))
+        named = {0: 0.0, "theta": t, "-theta": -t, "phi": f, "-phi": -f,
+                 _TP: tp, _FP: fp, "-phi'": -fp}
+        return tuple((named[lo], named[hi]) for lo, hi in _SECTORS)
+
+    @cached_property
     def radius(self) -> float:
-        """Half-width of the sampling box: 1.5x the finite 24-vertex cloud."""
-        return 1.5 * max(np.max(np.abs(v[:2])) for v in vertices_D(self).coords.values()
-                         if not no_finite_point(v))
+        """Half-width of the sampling box around the 24-vertex cloud."""
+        return box_radius(vertices_D(self).coords.values())
 
     @cached_property
     def diagram_ok(self) -> bool:
@@ -189,11 +208,8 @@ def side_pairings(dom: DomainD) -> SidePairingSet:
 
 
 # The 24-vertex table: label -> (alias in D3, D1, D2, cells). Cells are the
-# six columns (arg z1, arg z2, arg w1, arg w2, arg y1, arg y2); each cell is
-# None (empty), "zero" (the coordinate vanishes) or an exact angle in units
-# of pi, where TP and FP stand for 2*alpha-pi and pi+theta+phi-2*alpha.
-_TP = "theta'"
-_FP = "phi'"
+# six columns of ``_SECTORS``; each cell is None (empty), "zero" (the
+# coordinate vanishes) or a named angle of ``_SECTORS``.
 # Tolerances of the table check: a cell's argument and a vanishing coordinate.
 _TOL_ARG, _TOL_ZERO = 1e-9, 1e-10
 
@@ -246,21 +262,6 @@ class DomainVertexTable:
     notes: tuple[str, ...] = ()
 
 
-def _angle_value(cell, c3: Configuration) -> float:
-    a, b, t, f = (float(x) for x in c3.angles())
-    named = {
-        0: 0.0,
-        "theta": t,
-        "-theta": -t,
-        "phi": f,
-        "-phi": -f,
-        _TP: 2 * a - 1.0,
-        "-phi'": -(1.0 + t + f - 2 * a),
-        _FP: 1.0 + t + f - 2 * a,
-    }
-    return named[cell] * math.pi
-
-
 def _collapsed_vertices(dom: DomainD) -> frozenset[str]:
     """Vertices lying on a collapsed triple line in any of the three charts."""
     status = {
@@ -290,6 +291,7 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
     z_of_y = move_R2(c2).matrix
     y_usable = not dom.params.k_prime.is_infinite
     collapsed = _collapsed_vertices(dom)
+    angle = dict(zip(chain(*_SECTORS), chain(*dom.sectors)))
     coords: dict[str, np.ndarray] = {}
     failures: list[str] = []
     notes: list[str] = []
@@ -334,7 +336,7 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
             if abs(val) <= _TOL_ZERO:
                 failures.append(f"{label}: expected arg, got zero coordinate")
                 continue
-            want = _angle_value(cell, c3)
+            want = angle[cell]
             got = math.atan2(val.imag, val.real)
             period = math.pi if (dom.kneg_flag and col == 5) else 2 * math.pi
             diff = abs((got - want + math.pi) % (2 * math.pi) - math.pi)
@@ -356,41 +358,14 @@ def in_D_union(point, dom: DomainD, tol: float = 1e-6) -> bool:
     if no_finite_point(z):
         raise PointAtInfinity("point has vanishing third z-coordinate")
     z = z / z[2]
-    a, b, t, f = (float(x) for x in dom.c3.angles())
-    tp = 2 * a - 1.0
-    fp = 1.0 + t + f - 2 * a
     w = dom.w_of_z @ z
     y = dom.y_of_z @ z
     if no_finite_point(w) or no_finite_point(y):
         raise PointAtInfinity("image chart coordinate at infinity")
     w = w / w[2]
     y = y / y[2]
-    pi = math.pi
-    return (
-        _arg_in(z[0], -f * pi, 0.0, tol)
-        and _arg_in(z[1], -t * pi, t * pi, tol)
-        and _arg_in(w[0], 0.0, f * pi, tol)
-        and _arg_in(w[1], -t * pi, t * pi, tol)
-        and _arg_in(y[0], -fp * pi, fp * pi, tol)
-        and _arg_in(y[1], 0.0, tp * pi, tol)
-    )
-
-
-@dataclass(frozen=True)
-class BisDReport:
-    """Sampled agreement for the twelve z-frame half-space equivalences.
-
-    ``samples_used`` below ``samples_requested`` means the draw cap was
-    reached; ``all_agree`` reads the agreement alone, not the shortfall.
-    """
-
-    per_bullet_agreement: tuple[float, ...]
-    samples_used: tuple[int, ...]
-    samples_requested: int
-
-    @property
-    def all_agree(self) -> bool:
-        return all(a == 1.0 for a in self.per_bullet_agreement)
+    return all(_arg_in(value, lo, hi, tol) for value, (lo, hi)
+               in zip((z[0], z[1], w[0], w[1], y[0], y[1]), dom.sectors))
 
 
 @cache
@@ -404,9 +379,7 @@ def _bisd_bullets(dom: DomainD) -> tuple[Bullet, ...]:
     c2, c3 = dom.c2, dom.c3
     h = hermitian_form(c3)
     sp = side_pairings(dom)
-    a, b, t, f = c3.angles()
-    tp = 2 * a - 1
-    fp = 1 + t + f - 2 * a
+    t, f, tp, fp = c3.theta, c3.phi, c2.theta, c2.phi
     K, Q = sp.K.matrix, sp.Q.matrix
     R1p, R2p = sp.R1.matrix, sp.R2.matrix
     Ki = np.linalg.inv(K)
@@ -434,7 +407,7 @@ def _bisd_bullets(dom: DomainD) -> tuple[Bullet, ...]:
 
 
 def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,
-               neutral: float = 1e-8) -> BisDReport:
+               neutral: float = 1e-8) -> BulletReport:
     """Sampled sign-equivalence of the 12 half-space inequalities.
 
     Draw i, the i-th ``rng.uniform(-radius, radius, 4)``, is the z-frame
@@ -451,8 +424,8 @@ def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,
     bullets = _bisd_bullets(dom)
     draws = ball_draws(hermitian_form(dom.c3), dom.radius, seed, 200 * n_samples,
                        (dom.w_of_z, dom.y_of_z))
-    fractions, used, _ = bullet_agreement(draws, bullets, n_samples, neutral)
-    return BisDReport(fractions, used, n_samples)
+    return BulletReport(*bullet_agreement(draws, bullets, n_samples, neutral),
+                        n_samples)
 
 
 def kneg_form(c: Configuration) -> HermitianForm3:

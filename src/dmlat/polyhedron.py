@@ -38,7 +38,7 @@ from dmlat.moves import (
     p_target,
     r1_target,
 )
-from dmlat.sampling import Bullet, ball_draws, bullet_agreement
+from dmlat.sampling import Bullet, BulletReport, ball_draws, box_radius, bullet_agreement
 
 LINE_LABELS = ("L_*0", "L_*1", "L_*2", "L_*3", "L_01", "L_02", "L_03", "L_12", "L_13", "L_23")
 
@@ -321,23 +321,22 @@ def in_D(point, c: Configuration, tol: float = 1e-6) -> bool:
     """Membership in the generic polyhedron: four argument conditions.
 
     arg(t1) in (-phi, 0), arg(t2) in (0, theta), arg(s1) in (0, phi''),
-    arg(s2) in (0, theta'') with theta'' = alpha+beta-pi and
-    phi'' = pi+theta+phi-alpha-beta; a coordinate smaller than 1e-9 in
+    arg(s2) in (0, theta''), where theta'' and phi'' are the angles of the
+    s-frame chart (``p_inverse_target``); a coordinate smaller than 1e-9 in
     modulus satisfies its condition vacuously.
     """
     p = np.asarray(point, dtype=complex)
     if no_finite_point(p):
         raise PointAtInfinity("point has vanishing third t-coordinate")
     p = p / p[2]
-    a, b, t, f = (float(x) for x in c.angles())
-    tp = a + b - 1.0
-    fp = 1.0 + t + f - a - b
+    cs = p_inverse_target(c)
+    t, f, tpp, fpp = (float(x) * math.pi for x in (c.theta, c.phi, cs.theta, cs.phi))
     s = to_s_frame(p, c)
     return (
-        _arg_in(p[0], -f * math.pi, 0.0, tol)
-        and _arg_in(p[1], 0.0, t * math.pi, tol)
-        and _arg_in(s[0], 0.0, fp * math.pi, tol)
-        and _arg_in(s[1], 0.0, tp * math.pi, tol)
+        _arg_in(p[0], -f, 0.0, tol)
+        and _arg_in(p[1], 0.0, t, tol)
+        and _arg_in(s[0], 0.0, fpp, tol)
+        and _arg_in(s[1], 0.0, tpp, tol)
     )
 
 
@@ -410,18 +409,16 @@ def side_bound_check(c: Configuration, tol: float = 1e-10) -> bool:
 def bisector_membership_check(c: Configuration, tol: float = 1e-10) -> bool:
     """The listed vertices satisfy each bisector's im-equation."""
     vt, vs = vertices_t(c), vertices_s(c)
-    a, b, t, f = c.angles()
-    tp = a + b - 1
-    fp = 1 + t + f - a - b
+    cs = p_inverse_target(c)
     phases = {
         "B(P)": 1.0,
         "B(P^-1)": 1.0,
-        "B(J)": exp_i_pi(f),
-        "B(J^-1)": exp_i_pi(-fp),
+        "B(J)": exp_i_pi(c.phi),
+        "B(J^-1)": exp_i_pi(-cs.phi),
         "B(R1)": 1.0,
-        "B(R1^-1)": exp_i_pi(-t),
+        "B(R1^-1)": exp_i_pi(-c.theta),
         "B(R2)": 1.0,
-        "B(R2^-1)": exp_i_pi(-tp),
+        "B(R2^-1)": exp_i_pi(-cs.theta),
     }
     for bis, (frame, coord, members) in BISECTOR_TABLE.items():
         verts = vt if frame == "t" else vs
@@ -465,21 +462,18 @@ def _bullet_table(c: Configuration) -> tuple[tuple[Bullet, ...], float]:
     t-frame normals of the adjacent chart, while s-frame bullets transport
     s-frame normals with moves at the s-chart.
     """
-    radius = 1.5 * max(np.max(np.abs(v[:2])) for v in vertices_t(c).values())
+    radius = box_radius(vertices_t(c).values())
     cs, pt, rt = p_inverse_target(c), p_target(c), r1_target(c)
     forms = {"t": hermitian_form(c), "s": hermitian_form(cs)}
-    a, b, t, f = c.angles()
-    tp = a + b - 1
-    fp = 1 + t + f - a - b
     specs = (  # frame, phase, coord, im_leq, plain line, move, mapped line at
         ("t", 1.0, 1, True, "L_*1", move_P_inverse(pt), "L_*3", pt),
         ("s", 1.0, 1, False, "L_*3", move_P(cs), "L_*1", c),
-        ("t", exp_i_pi(f), 1, False, "L_*0", inverse(move_J(c)), "L_*0", pt),
-        ("s", exp_i_pi(-fp), 1, True, "L_*0", move_A1(cs), "L_*0", c),
+        ("t", exp_i_pi(c.phi), 1, False, "L_*0", inverse(move_J(c)), "L_*0", pt),
+        ("s", exp_i_pi(-cs.phi), 1, True, "L_*0", move_A1(cs), "L_*0", c),
         ("t", 1.0, 2, False, "L_*2", inverse(move_R1(c)), "L_*3", rt),
-        ("t", exp_i_pi(-t), 2, True, "L_*3", move_R1(rt), "L_*2", rt),
+        ("t", exp_i_pi(-c.theta), 2, True, "L_*3", move_R1(rt), "L_*2", rt),
         ("s", 1.0, 2, False, "L_*1", move_R2(cs), "L_*3", c),
-        ("s", exp_i_pi(-tp), 2, True, "L_*2", move_R1(cs), "L_*1", c),
+        ("s", exp_i_pi(-cs.theta), 2, True, "L_*2", move_R1(cs), "L_*1", c),
     )
     bullets = []
     for frame, phase, coord, im_leq, plain, move, mapped, at in specs:
@@ -491,27 +485,9 @@ def _bullet_table(c: Configuration) -> tuple[tuple[Bullet, ...], float]:
     return tuple(bullets), radius
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Sampled agreement between half-space readings of the eight bullets.
-
-    ``samples_used`` below ``samples_requested`` means the draw cap was
-    reached; ``all_agree`` reads the agreement alone, not the shortfall.
-    """
-
-    per_bullet_agreement: tuple[float, ...]
-    samples_used: tuple[int, ...]
-    max_near_zero_discrepancy: float
-    samples_requested: int
-
-    @property
-    def all_agree(self) -> bool:
-        return all(a == 1.0 for a in self.per_bullet_agreement)
-
-
 def bisector_equivalence_sample(
     c: Configuration, n_samples: int = 1000, seed: int = 7, neutral: float = 1e-8
-) -> EquivalenceReport:
+) -> BulletReport:
     """Check the eight im/distance half-space equivalences on random points.
 
     Draw i, the i-th ``rng.uniform(-radius, radius, 4)``, is the t-frame
@@ -529,5 +505,5 @@ def bisector_equivalence_sample(
     bullets, radius = _bullet_table(c)
     draws = ball_draws(hermitian_form(c), radius, seed, 100 * n_samples,
                        (move_P_inverse(c).matrix,))
-    return EquivalenceReport(*bullet_agreement(draws, bullets, n_samples, neutral),
-                             n_samples)
+    return BulletReport(*bullet_agreement(draws, bullets, n_samples, neutral),
+                        n_samples)

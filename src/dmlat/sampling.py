@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dmlat.arithmetic import HermitianForm3, hermitian_eval, read_only
+from dmlat.arithmetic import HermitianForm3, hermitian_eval, no_finite_point, read_only
 
 CHUNK = 8192
 
@@ -51,6 +51,31 @@ class Bullet:
     def __post_init__(self) -> None:
         read_only(self.plain)
         read_only(self.mapped)
+
+
+@dataclass(frozen=True)
+class BulletReport:
+    """Sampled agreement of the bullets of one check, in table order.
+
+    ``max_near_zero_discrepancy`` is the largest max(|im|, |dist|) over the
+    neutral draws read (``first_decisive``). ``samples_used`` below
+    ``samples_requested`` means the draw cap was reached; ``all_agree``
+    reads the agreement alone, not the shortfall.
+    """
+
+    per_bullet_agreement: tuple[float, ...]
+    samples_used: tuple[int, ...]
+    max_near_zero_discrepancy: float
+    samples_requested: int
+
+    @property
+    def all_agree(self) -> bool:
+        return all(a == 1.0 for a in self.per_bullet_agreement)
+
+
+def box_radius(vertices) -> float:
+    """Half-width of a sampling box: 1.5x the cloud of the finite vertices."""
+    return 1.5 * max(np.max(np.abs(v[:2])) for v in vertices if not no_finite_point(v))
 
 
 def affine_points(r: np.ndarray) -> np.ndarray:

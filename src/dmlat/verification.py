@@ -13,7 +13,6 @@ are (8 pi^2 / 3) times the Euler characteristic.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -412,18 +411,26 @@ class CheckReport:
         return all(e.status != "fail" for e in self.entries)
 
 
+_LETTER = re.compile(r"(R'[012]|A'0|A1|K|Q)(?:\^(-?\d+))?")
+
+
+def _word(text: str, w: dict[str, np.ndarray]) -> np.ndarray:
+    """The matrix of a word in the pairings and A1, such as "R'2^-1QR'1"."""
+    return reduce(np.matmul, [np.linalg.matrix_power(w[letter], int(power or 1))
+                              for letter, power in _LETTER.findall(text)])
+
+
+# The words of the orbit table's stabilisers and of the cycle checks.
+_COMPOUND_WORDS = ("Q^2", "R'0K", "QK^-1", "A'0R'2R'1", "R'1A'0R'2", "KR'0",
+                   "R'2^-1K")
+
+
 @cache
 def _pairing_words(dom: DomainD) -> dict[str, np.ndarray]:
-    """The pairings and the words the checks read: built once per domain, read-only."""
+    """The pairings, A1 and ``_COMPOUND_WORDS``: built once per domain, read-only."""
     d = {name: m.matrix for name, m in side_pairings(dom).as_dict().items()}
     d["A1"] = move_A1(dom.c3).matrix
-    d["Q^2"] = d["Q"] @ d["Q"]
-    d["R'0K"] = d["R'0"] @ d["K"]
-    d["QK^-1"] = d["Q"] @ np.linalg.inv(d["K"])
-    d["A'0R'2R'1"] = d["A'0"] @ d["R'2"] @ d["R'1"]
-    d["R'1A'0R'2"] = d["R'1"] @ d["A'0"] @ d["R'2"]
-    d["KR'0"] = d["K"] @ d["R'0"]
-    d["R'2^-1K"] = np.linalg.inv(d["R'2"]) @ d["K"]
+    d.update((word, _word(word, d)) for word in _COMPOUND_WORDS)
     return {name: read_only(m) for name, m in d.items()}
 
 
@@ -453,13 +460,20 @@ _CYCLE_IDENTITIES = (
     (12, "A'0 = K^-2", "KA'0K"),
 )
 
-_LETTER = re.compile(r"(R'[012]|A'0|K|Q)(?:\^(-\d))?")
+# The braid relations, which close the presentation: the name of the relation
+# and lhs = rhs as evaluated. br2((R'1R'0A1)^-2,R'0) is evaluated as R'0
+# commuting with (R'1R'0A1)^2, which is equivalent.
+_BRAIDS = (
+    ("br4(R'1,R'0)", "R'1R'0R'1R'0 = R'0R'1R'0R'1"),
+    ("br2((R'1R'0A1)^-2,R'0)", "R'1R'0A1R'1R'0A1R'0 = R'0R'1R'0A1R'1R'0A1"),
+    ("br2(A1,R'1)", "A1R'1 = R'1A1"),
+)
 
 
-def _word(text: str, w: dict[str, np.ndarray]) -> np.ndarray:
-    """The matrix of a word in the pairings, such as "R'2^-1QR'1"."""
-    return reduce(np.matmul, [np.linalg.matrix_power(w[letter], int(power or 1))
-                              for letter, power in _LETTER.findall(text)])
+def _holds(equation: str, w: dict[str, np.ndarray], tol: float) -> bool:
+    """Whether the two words of "lhs = rhs" are projectively equal."""
+    lhs, rhs = equation.split(" = ")
+    return projective_equal(_word(lhs, w), _word(rhs, w), tol)
 
 
 def group_checks(
@@ -469,8 +483,9 @@ def group_checks(
 
     Each cycle order and cycle identity is also a relation, and its one
     result goes into both reports; an order whose symbol is not positive
-    finite is skipped. The relations add the braids; the cycles add
-    (R'2^-1K)^2 = (R'1A'0R'2)^-1 and the pointwise fix of F(Q,Q^-1) by Q^2.
+    finite is skipped. The relations add the braids (``_BRAIDS``); the
+    cycles add (R'2^-1K)^2 = (R'1A'0R'2)^-1 and the pointwise fix of
+    F(Q,Q^-1) by Q^2.
     """
     dom = build_domain(sig)
     w = _pairing_words(dom)
@@ -501,8 +516,7 @@ def group_checks(
                              "pass" if ok else "fail"))
 
     for place, relation, word in _CYCLE_IDENTITIES:
-        lhs, rhs = relation.split(" = ")
-        ok = projective_equal(_word(lhs, w), _word(rhs, w), tol)
+        ok = _holds(relation, w, tol)
         relations[place] = CheckEntry(relation, "pass" if ok else "fail")
         cycles.append(CheckEntry(word + " = id", "pass" if ok else "fail"))
 
@@ -526,24 +540,9 @@ def group_checks(
         cycles.append(CheckEntry("Q^2 fixes F(Q,Q^-1) pointwise",
                                  "skipped", "ridge collapsed"))
 
-    def braid(i: int, t: np.ndarray, s: np.ndarray) -> bool:
-        lhs = np.eye(3, dtype=complex)
-        rhs = np.eye(3, dtype=complex)
-        for j in range(i):
-            lhs = lhs @ (t if j % 2 == 0 else s)
-            rhs = rhs @ (s if j % 2 == 0 else t)
-        return projective_equal(lhs, rhs, tol)
-
-    k_word = w["R'1"] @ w["R'0"] @ w["A1"]
-    braids = [
-        ("br4(R'1,R'0)", 4, w["R'1"], w["R'0"]),
-        ("br2((R'1R'0A1)^-2,R'0)", 2,
-         np.linalg.inv(k_word @ k_word), w["R'0"]),
-        ("br2(A1,R'1)", 2, w["A1"], w["R'1"]),
-    ]
     entries = [relations[place] for place in sorted(relations)]
-    for name, i, t, s in braids:
-        entries.append(CheckEntry(name, "pass" if braid(i, t, s) else "fail"))
+    for name, equation in _BRAIDS:
+        entries.append(CheckEntry(name, "pass" if _holds(equation, w, tol) else "fail"))
     return CheckReport(sig, tuple(entries)), CheckReport(sig, tuple(cycles))
 
 
@@ -595,8 +594,8 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
 
     Batch b is the b-th ``rng.uniform(-radius, radius, (4, 8192))``, at most
     400 of them; column j is the z-frame point (r0 + i r1, r2 + i r3, 1) of a
-    box 1.5x the 24-vertex cloud. A point is kept, in draw order, when it
-    meets the six argument conditions of the domain, lies in the ball and
+    box 1.5x the 24-vertex cloud. A point is kept, in draw order, when its
+    six arguments lie strictly inside ``dom.sectors``, it lies in the ball and
     has finite w and y images. Each batch is screened on its raw draws by
     ``sampling.near_ball``, which drops only points outside the ball, and
     only its survivors are kept. The survivors of 8 batches at a time are
@@ -608,13 +607,10 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     generator is local to the call.
     """
     h = hermitian_form(dom.c3)
-    a, _, t, f = (float(x) for x in dom.c3.angles())
-    tp = 2 * a - 1.0
-    fp = 1.0 + t + f - 2 * a
-    pi = math.pi
 
-    def args_in(arg, lo, hi):
-        return (arg > lo) & (arg < hi)
+    def in_sectors(args, sectors):
+        return np.logical_and.reduce([(arg > lo) & (arg < hi)
+                                      for arg, (lo, hi) in zip(args, sectors)])
 
     def screened(r):
         # take() gathers the kept columns several times faster than r[:, keep].
@@ -627,8 +623,8 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
             break
         r = np.hstack([screened(rng.uniform(-dom.radius, dom.radius, (4, CHUNK)))
                        for _ in range(8)])
-        keep = (args_in(np.arctan2(r[1], r[0]), -f * pi, 0.0)
-                & args_in(np.arctan2(r[3], r[2]), -t * pi, t * pi))
+        keep = in_sectors((np.arctan2(r[1], r[0]), np.arctan2(r[3], r[2])),
+                          dom.sectors[:2])
         z = affine_points(r[:, keep])
         z = z[:, hermitian_eval(h, z) > 0]
         w = dom.w_of_z @ z
@@ -636,10 +632,8 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
         finite = (np.abs(w[2]) > 1e-12) & (np.abs(y[2]) > 1e-12)
         z, w, y = z[:, finite], w[:, finite], y[:, finite]
         w, y = w / w[2], y / y[2]
-        keep = (args_in(np.angle(w[0]), 0.0, f * pi)
-                & args_in(np.angle(w[1]), -t * pi, t * pi)
-                & args_in(np.angle(y[0]), -fp * pi, fp * pi)
-                & args_in(np.angle(y[1]), 0.0, tp * pi))
+        keep = in_sectors((np.angle(w[0]), np.angle(w[1]), np.angle(y[0]),
+                           np.angle(y[1])), dom.sectors[2:])
         points = np.hstack([points, z[:, keep]])
     return points[:, :n]
 

@@ -110,6 +110,15 @@ class TestCheck:
         code, out, err = run(capsys, "check")
         assert code == 2
 
+    @pytest.mark.parametrize("args", [("4", "4", "6", "--all"),
+                                      ("--all", "4", "4", "6"),
+                                      ("4", "--all")])
+    def test_triple_and_all_is_an_error(self, capsys, args):
+        # Before, the triple was ignored and all 13 triples were checked.
+        code, out, err = run(capsys, "check", *args)
+        assert (code, out) == (2, "")
+        assert err == "error: check takes p k p' or --all, not both\n"
+
 
 class TestVertices:
     def test_text(self, capsys):

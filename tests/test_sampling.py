@@ -22,6 +22,7 @@ from dmlat.domain import (
     bisD_check,
     build_domain,
     glueing_check,
+    in_D_union,
     samelines_check,
 )
 from dmlat.moves import configurations_of, hermitian_form, move_P_inverse
@@ -64,11 +65,12 @@ EIGHT = {
 
 # The same for the 12 bullets of bisD_check (draw cap 200n).
 TWELVE = {
-    ((4, 4, 6), 1000, 1e-8): (1000,) * 12,
-    ((3, 3, 4), 1000, 1e-8): (1000,) * 12,
-    ((2, 4, 3), 1000, 1e-8): (331,) * 12,
-    ((4, 4, 6), 300, 0.05): (300,) * 12,
-    ((2, 4, 3), 300, 0.05): (74, 74, 73, 73, 76, 57, 72, 69, 76, 73, 68, 68),
+    ((4, 4, 6), 1000, 1e-8): ((1000,) * 12, 0.0),
+    ((3, 3, 4), 1000, 1e-8): ((1000,) * 12, 0.0),
+    ((2, 4, 3), 1000, 1e-8): ((331,) * 12, 0.0),
+    ((4, 4, 6), 300, 0.05): ((300,) * 12, 2.4965476963452824),
+    ((2, 4, 3), 300, 0.05): ((74, 74, 73, 73, 76, 57, 72, 69, 76, 73, 68, 68),
+                             2.7783205219707785),
 }
 
 # (triple, ridge) -> (samples used, rows) at seed 7, 500 samples.
@@ -100,8 +102,11 @@ class TestGoldenReports:
         trip, n, neutral = key
         report = bisD_check(build_domain(LatticeSignature(*trip)), n_samples=n,
                             seed=7, neutral=neutral)
-        assert report.samples_used == TWELVE[key]
+        used, near = TWELVE[key]
+        assert report.samples_used == used
         assert report.per_bullet_agreement == (1.0,) * 12
+        assert report.max_near_zero_discrepancy == pytest.approx(near,
+                                                                 rel=1e-9)
 
     @pytest.mark.parametrize("key", list(TESSELLATION), ids=str)
     def test_sign_table(self, key):
@@ -115,6 +120,15 @@ class TestGoldenReports:
         dom = build_domain(LatticeSignature(*trip))
         assert glueing_check(dom, seed=7)
         assert samelines_check(dom, seed=7)
+
+
+@pytest.mark.parametrize("trip", GENERIC)
+def test_domain_points_are_members(trip):
+    # The domain sampler and in_D_union both read DomainD.sectors.
+    dom = build_domain(LatticeSignature(*trip))
+    points = _sample_domain_points(dom, 500, 7)
+    assert points.shape[1] > 0
+    assert all(in_D_union(z, dom) for z in points.T)
 
 
 class TestTablesBuiltOnce:

@@ -17,6 +17,7 @@ from dmlat.verification import (
     RidgeCollapsed,
     UnsupportedDegeneracy,
     _pairing_words,
+    _word,
     apply_degenerations,
     base_orbit_table,
     check_relations,
@@ -230,6 +231,12 @@ class TestRelations:
         skipped = {e.name for e in report.entries if e.status == "skipped"}
         assert "A'0^k'" in skipped and "Q^2d" in skipped
 
+    def test_word_reads_a1_and_powers(self):
+        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
+        assert np.array_equal(_word("A1R'1^2K^-1", w),
+                              w["A1"] @ (w["R'1"] @ w["R'1"]) @ np.linalg.inv(w["K"]))
+        assert np.array_equal(_word("Q^2", w), w["Q^2"])
+
     def test_measured_orders(self):
         report = check_relations(LatticeSignature(4, 4, 6))
         by_name = {e.name: e for e in report.entries}
@@ -263,6 +270,24 @@ class TestCycles:
         cyc = {e.name: e.status for e in cycles.entries}
         assert (rel["Q = R'1R'0"], cyc["R'0Q^-1R'1 = id"]) == ("fail", "fail")
         assert (rel["R'2^p"], cyc["R'2"]) == ("fail", "fail")
+
+
+    @pytest.mark.parametrize("letter,word,failing", [
+        ("A1", "A1R'0", {"br2((R'1R'0A1)^-2,R'0)", "br2(A1,R'1)"}),
+        ("R'0", "R'2", {"br4(R'1,R'0)", "br2((R'1R'0A1)^-2,R'0)"}),
+    ])
+    def test_each_braid_row_can_fail(self, monkeypatch, letter, word, failing):
+        # A braid row reads its letters from the words: a wrong letter fails
+        # the braid rows that contain it and no other.
+        sig = LatticeSignature(4, 4, 6)
+        words = _pairing_words(build_domain(sig))
+        broken = {**words, letter: _word(word, words)}
+        monkeypatch.setattr(verification_mod, "_pairing_words", lambda dom: broken)
+        braids = {e.name: e.status for e in check_relations(sig).entries
+                  if e.name.startswith("br")}
+        assert len(braids) == 3
+        assert {name for name, status in braids.items()
+                if status == "fail"} == failing
 
 
 class TestTessellation:
