@@ -234,11 +234,3 @@ def no_finite_point(v) -> bool:
     v = np.asarray(v)
     return bool(abs(v[2]) <= 1e-12 * np.max(np.abs(v)))
 
-
-def normalize_vector(v, tol: float = 1e-12) -> np.ndarray:
-    """Scale a vector so its largest-modulus entry is real positive."""
-    v = np.asarray(v, dtype=complex)
-    idx = int(np.argmax(np.abs(v)))
-    if abs(v[idx]) < tol:
-        raise ZeroMatrix("cannot normalize the zero vector")
-    return v * (abs(v[idx]) / v[idx]) / abs(v[idx])

@@ -45,7 +45,7 @@ from dmlat.polyhedron import (
     PreconditionFailed,
     _arg_in,
     _normal_at,
-    _unit_negative,
+    _polar_row,
     collapse_status,
     lines_t,
     vertices_t,
@@ -397,13 +397,10 @@ def _bisd_bullets(dom: DomainD) -> tuple[Bullet, ...]:
         ("w", exp_i_pi(-t), 2, True, "L_*1", R2p, "L_*1", c3),
         ("w", exp_i_pi(t), 2, False, "L_*1", np.linalg.inv(R2p), "L_*1", c3),
     )
-    bullets = []
-    for chart, phase, coord, im_leq, plain, mat, mapped, at in specs:
-        n_plain = _normal_at(c3, plain)
-        n_mapped = _unit_negative(mat @ _normal_at(at, mapped), h, mapped)
-        bullets.append(Bullet("zwy".index(chart), phase, coord, im_leq, 0,
-                              n_plain.conj() @ h.matrix, n_mapped.conj() @ h.matrix))
-    return tuple(bullets)
+    return tuple(Bullet("zwy".index(chart), phase, coord, im_leq, 0,
+                        _polar_row(_normal_at(c3, plain), h, plain),
+                        _polar_row(mat @ _normal_at(at, mapped), h, mapped))
+                 for chart, phase, coord, im_leq, plain, mat, mapped, at in specs)
 
 
 def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,

@@ -16,9 +16,8 @@ import numpy as np
 
 from dmlat.arithmetic import (
     HermitianForm3,
-    hermitian_eval,
     no_finite_point,
-    normalize_vector,
+    read_only,
     sin_pi,
     sin_pi_sign,
     exp_i_pi,
@@ -74,7 +73,8 @@ BISECTOR_TABLE: dict[str, tuple[str, int, tuple[str, ...]]] = {
 
 
 class SingularSystem(ValueError):
-    """The two chosen points of a line were linearly dependent."""
+    """A line has no usable polar: the area form is singular, or the polar
+    is a null vector."""
 
 
 class PointAtInfinity(ValueError):
@@ -153,28 +153,14 @@ def lines_s(c: Configuration) -> dict[str, ComplexLine]:
 
 
 def line_normal(line: ComplexLine, h: HermitianForm3) -> np.ndarray:
-    """A vector n with <x, n> = 0 for every projective point x on the line.
+    """The polar n of the line: <x, n> = n* H x = 0 for every point x on it.
 
-    Solved from two independent points of the line; normalized so the
-    largest-modulus entry is real positive.
+    The line is l^T x = 0 with l = (a, b, -c), so n = H^-1 conj(l).
     """
-    pts = []
-    if line.a != 0:
-        pts.append(np.array([line.c / line.a, 0.0, 1.0], dtype=complex))
-        pts.append(np.array([(line.c - line.b) / line.a, 1.0, 1.0], dtype=complex))
-    else:
-        pts.append(np.array([0.0, line.c / line.b, 1.0], dtype=complex))
-        pts.append(np.array([1.0, line.c / line.b, 1.0], dtype=complex))
-    m = np.vstack([p.conj() @ h.matrix for p in pts])
-    # Solve m @ n = 0 for the 1-dimensional kernel.
-    _, s, vh = np.linalg.svd(m)
-    if s[1] <= 1e-12 * max(s[0], 1.0):
-        raise SingularSystem(f"dependent sample points on {line.label}")
-    n = vh[-1].conj()
-    for p in pts:
-        if abs(p.conj() @ h.matrix @ n) > 1e-9:
-            raise SingularSystem(f"normal solve failed for {line.label}")
-    return normalize_vector(n)
+    try:
+        return np.linalg.solve(h.matrix, np.conj([line.a, line.b, -line.c]))
+    except np.linalg.LinAlgError:
+        raise SingularSystem(f"singular area form for {line.label}") from None
 
 
 def _t_vertex_coords(c: Configuration) -> dict[str, tuple[complex, complex]]:
@@ -428,28 +414,27 @@ def bisector_membership_check(c: Configuration, tol: float = 1e-10) -> bool:
     return True
 
 
-def _unit_negative(n: np.ndarray, h: HermitianForm3, label: str) -> np.ndarray:
-    """Scale a polar vector to Hermitian norm of modulus 1.
+def _polar_row(n: np.ndarray, h: HermitianForm3, label: str) -> np.ndarray:
+    """The read-only row n* H / sqrt|n* H n| of a polar vector n.
 
     The polar of a line meeting the ball is a negative vector; a collapsed
     line has a positive polar, which the half-space comparisons still
-    accept under the same absolute-value normalization. A null polar has
-    no scale and is rejected.
+    accept under the same absolute-value scale. A null polar has no scale
+    and is rejected: |n* H n| at most 1e-12 |n|^T |H| |n|.
     """
-    norm = hermitian_eval(h, n)
-    if abs(norm) < 1e-12:
+    row = n.conj() @ h.matrix
+    norm = (row @ n).real
+    if abs(norm) <= 1e-12 * (np.abs(n) @ np.abs(h.matrix) @ np.abs(n)):
         raise SingularSystem(f"normal of {label} is a null vector")
-    return n / math.sqrt(abs(norm))
+    return read_only(row / math.sqrt(abs(norm)))
 
 
 def _normal_at(config: Configuration, label: str, frame: str = "t") -> np.ndarray:
-    """The normal of line ``label`` of the t-frame of ``config`` (or of the
-    s-frame attached to it), scaled to Hermitian norm of modulus 1."""
+    """The polar of line ``label`` of the t-frame of ``config`` (or of the
+    s-frame attached to it)."""
     if frame == "t":
-        h, line = hermitian_form(config), lines_t(config)[label]
-    else:
-        h, line = hermitian_form(p_inverse_target(config)), lines_s(config)[label]
-    return _unit_negative(line_normal(line, h), h, label)
+        return line_normal(lines_t(config)[label], hermitian_form(config))
+    return line_normal(lines_s(config)[label], hermitian_form(p_inverse_target(config)))
 
 
 @cache
@@ -478,10 +463,10 @@ def _bullet_table(c: Configuration) -> tuple[tuple[Bullet, ...], float]:
     bullets = []
     for frame, phase, coord, im_leq, plain, move, mapped, at in specs:
         h, chart = forms[frame], "ts".index(frame)
-        n_plain = _normal_at(c, plain, frame)
-        n_mapped = _unit_negative(move.matrix @ _normal_at(at, mapped, frame), h, mapped)
-        bullets.append(Bullet(chart, phase, coord, im_leq, chart,
-                              n_plain.conj() @ h.matrix, n_mapped.conj() @ h.matrix))
+        bullets.append(Bullet(
+            chart, phase, coord, im_leq, chart,
+            _polar_row(_normal_at(c, plain, frame), h, plain),
+            _polar_row(move.matrix @ _normal_at(at, mapped, frame), h, mapped)))
     return tuple(bullets), radius
 
 

@@ -7,11 +7,8 @@ kernel evaluates chunks of at most CHUNK draws at once and still replays the
 per-draw random stream, draw for draw: a report depends only on the seed.
 
 Every sampler keeps only the draws inside the ball of the configuration's
-area form, which is real diagonal. ``near_ball`` screens the raw real draws
-against that form first, with a few real array operations and a margin far
-above rounding; only its survivors become complex points and meet the exact
-test ``hermitian_eval(h, z) > 0``. The screen drops no draw that the exact
-test keeps, so the kept draws, their order and the reports are unchanged.
+area form, which is real diagonal; ``in_ball`` reads that form on the raw
+real draws, so only the kept draws become complex points.
 """
 
 from __future__ import annotations
@@ -20,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dmlat.arithmetic import HermitianForm3, hermitian_eval, no_finite_point, read_only
+from dmlat.arithmetic import HermitianForm3, no_finite_point
 
 CHUNK = 8192
 
 
 class NotRealDiagonal(ValueError):
-    """A Hermitian form handed to ``near_ball`` is not real diagonal."""
+    """A Hermitian form handed to ``in_ball`` is not real diagonal."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,9 +32,9 @@ class Bullet:
 
     It reads im(phase * x[coord - 1]) at the point x of chart ``chart``,
     negated unless ``im_leq``, against |plain @ p|^2 - |mapped @ p|^2 at the
-    point p of chart ``dist_chart``, where plain and mapped are normals n as
-    rows n* H. The rows are made read-only, so that a cached table of
-    bullets can be shared; bullets compare by identity, not by their rows.
+    point p of chart ``dist_chart``, where plain and mapped are polars n as
+    read-only rows n* H / sqrt|n* H n| (``polyhedron._polar_row``), so that a
+    cached table of bullets can be shared; bullets compare by identity.
     """
 
     chart: int
@@ -47,10 +44,6 @@ class Bullet:
     dist_chart: int
     plain: np.ndarray
     mapped: np.ndarray
-
-    def __post_init__(self) -> None:
-        read_only(self.plain)
-        read_only(self.mapped)
 
 
 @dataclass(frozen=True)
@@ -84,34 +77,26 @@ def affine_points(r: np.ndarray) -> np.ndarray:
                       np.ones(r.shape[1], dtype=complex)])
 
 
-def near_ball(h: HermitianForm3, r: np.ndarray) -> np.ndarray:
-    """Which draws may lie in the ball of h, for the columns of a (4, m) array.
+def in_ball(h: HermitianForm3, r: np.ndarray) -> np.ndarray:
+    """Which draws lie in the ball of h, for the columns of a (4, m) array.
 
     For h = diag(d0, d1, d2), real, the point (r0 + i r1, r2 + i r3, 1) has
-    norm v = d0 s0 + d1 s1 + d2, where s0 = r0^2 + r1^2 and s1 = r2^2 + r3^2.
-    A column passes when v > -1e-9 (|d0| s0 + |d1| s1 + |d2|), tested as
-    e0 s0 + e1 s1 + e2 > 0 with e = d + 1e-9 |d|. The margin is far above the
-    rounding of either sum, so every draw with ``hermitian_eval(h, z) > 0``
-    passes. A dropped draw is never handed to ``hermitian_eval``, and no
-    ``NonRealResult`` check is lost with it: for a real diagonal h the
-    imaginary part of z* h z is pure rounding, of the order of 1e-16 times
-    the terms of v, far below the check's 1e-12 floor on the samplers'
-    boxes. Any other form raises ``NotRealDiagonal``.
+    norm d0 (r0^2 + r1^2) + d1 (r2^2 + r3^2) + d2, and lies in the ball when
+    that is positive. Any other form raises ``NotRealDiagonal``.
     """
     d = h.matrix.diagonal().real
     if np.any(h.matrix != np.diag(d)):
-        raise NotRealDiagonal("the ball screen needs a real diagonal form")
-    e = d + 1e-9 * np.abs(d)
+        raise NotRealDiagonal("the ball test needs a real diagonal form")
     # Row by row and in place: a fresh (4, m) temporary per batch costs more
     # in new memory pages than the sums themselves.
     s0 = np.square(r[0])
     s0 += np.square(r[1])
-    s0 *= e[0]
+    s0 *= d[0]
     s1 = np.square(r[2])
     s1 += np.square(r[3])
-    s1 *= e[1]
+    s1 *= d[1]
     s0 += s1
-    return s0 > -e[2]
+    return s0 > -d[2]
 
 
 def ball_draws(h: HermitianForm3, radius: float, seed: int, cap: int,
@@ -119,20 +104,15 @@ def ball_draws(h: HermitianForm3, radius: float, seed: int, cap: int,
     """Yield the draws inside the ball, chunk by chunk, in draw order.
 
     At most ``cap`` draws are made from ``default_rng(seed)``, in chunks of at
-    most CHUNK. A draw is kept when its Hermitian norm is positive and its
-    image under each matrix of ``maps`` has a third coordinate of modulus at
-    least 1e-9. The norm is screened on the raw draws by ``near_ball``, then
-    checked by ``hermitian_eval`` on every draw that passed the screen; the
-    screen drops only draws outside the ball, so the kept draws are those
-    that ``hermitian_eval`` keeps of the whole chunk. Each chunk yields the
-    charts of the kept draws: the points as a (3, k) array, then their
-    images under ``maps``, scaled to third coordinate 1.
+    most CHUNK. A draw is kept when ``in_ball`` holds and its image under each
+    matrix of ``maps`` has a third coordinate of modulus at least 1e-9. Each
+    chunk yields the charts of the kept draws: the points as a (3, k) array,
+    then their images under ``maps``, scaled to third coordinate 1.
     """
     rng = np.random.default_rng(seed)
     for start in range(0, cap, CHUNK):
         r = rng.uniform(-radius, radius, (min(CHUNK, cap - start), 4)).T
-        z = affine_points(r.take(np.flatnonzero(near_ball(h, r)), axis=1))
-        z = z[:, hermitian_eval(h, z) > 0]
+        z = affine_points(r.take(np.flatnonzero(in_ball(h, r)), axis=1))
         images = [m @ z for m in maps]
         keep = np.ones(z.shape[1], dtype=bool)
         for image in images:

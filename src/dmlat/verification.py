@@ -26,7 +26,6 @@ from dmlat.arithmetic import (
     ExceededBound,
     ExtOrder,
     exp_i_pi,
-    hermitian_eval,
     projective_equal,
     projective_order,
     read_only,
@@ -34,8 +33,8 @@ from dmlat.arithmetic import (
 from dmlat.catalog import DerivedParams, LatticeSignature, classify_degeneracies, derive_params
 from dmlat.domain import DomainD, build_domain, side_pairings, vertices_D
 from dmlat.moves import hermitian_form, move_A1
-from dmlat.polyhedron import PreconditionFailed, _normal_at, _unit_negative
-from dmlat.sampling import CHUNK, affine_points, near_ball
+from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row
+from dmlat.sampling import CHUNK, affine_points, in_ball
 
 
 class UnsupportedDegeneracy(ValueError):
@@ -48,6 +47,10 @@ class HashCollisionAmbiguity(RuntimeError):
 
 class MalformedOrder(ValueError):
     """A symbolic order expression outside the order grammar."""
+
+
+class MalformedWord(ValueError):
+    """A word in the pairings and A1 outside the word grammar."""
 
 
 class RidgeCollapsed(ValueError):
@@ -412,10 +415,17 @@ class CheckReport:
 
 
 _LETTER = re.compile(r"(R'[012]|A'0|A1|K|Q)(?:\^(-?\d+))?")
+_WORD = re.compile(f"(?:{_LETTER.pattern})+")
 
 
 def _word(text: str, w: dict[str, np.ndarray]) -> np.ndarray:
-    """The matrix of a word in the pairings and A1, such as "R'2^-1QR'1"."""
+    """The matrix of a word in the pairings and A1, such as "R'2^-1QR'1".
+
+    A word is letters, each with an optional integer power; any other text,
+    such as parentheses, raises ``MalformedWord``.
+    """
+    if not _WORD.fullmatch(text):
+        raise MalformedWord(f"not a word in the pairings and A1: {text!r}")
     return reduce(np.matmul, [np.linalg.matrix_power(w[letter], int(power or 1))
                               for letter, power in _LETTER.findall(text)])
 
@@ -595,16 +605,14 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     Batch b is the b-th ``rng.uniform(-radius, radius, (4, 8192))``, at most
     400 of them; column j is the z-frame point (r0 + i r1, r2 + i r3, 1) of a
     box 1.5x the 24-vertex cloud. A point is kept, in draw order, when its
-    six arguments lie strictly inside ``dom.sectors``, it lies in the ball and
-    has finite w and y images. Each batch is screened on its raw draws by
-    ``sampling.near_ball``, which drops only points outside the ball, and
-    only its survivors are kept. The survivors of 8 batches at a time are
-    then tested together: the z arguments and the exact ball test
-    (``hermitian_eval``, with its ``NonRealResult`` check) before w and y
-    are computed. Drawing is stopped after the first group that brings the
-    count to n, so up to 7 batches may be drawn past the one that did; the
-    kept points are the first n in draw order all the same, and the
-    generator is local to the call.
+    six arguments lie strictly inside ``dom.sectors``, it lies in the ball
+    (``sampling.in_ball``, on each batch's raw draws) and has finite w and y
+    images. The draws in the ball of 8 batches at a time are then tested
+    together: the z arguments before w and y are computed. Drawing is
+    stopped after the first group that brings the count to n, so up to 7
+    batches may be drawn past the one that did; the kept points are the
+    first n in draw order all the same, and the generator is local to the
+    call.
     """
     h = hermitian_form(dom.c3)
 
@@ -612,21 +620,20 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
         return np.logical_and.reduce([(arg > lo) & (arg < hi)
                                       for arg, (lo, hi) in zip(args, sectors)])
 
-    def screened(r):
+    def in_ball_only(r):
         # take() gathers the kept columns several times faster than r[:, keep].
-        return r.take(np.flatnonzero(near_ball(h, r)), axis=1)
+        return r.take(np.flatnonzero(in_ball(h, r)), axis=1)
 
     rng = np.random.default_rng(seed)
     points = np.zeros((3, 0), dtype=complex)
     for _ in range(400 // 8):
         if points.shape[1] >= n:
             break
-        r = np.hstack([screened(rng.uniform(-dom.radius, dom.radius, (4, CHUNK)))
+        r = np.hstack([in_ball_only(rng.uniform(-dom.radius, dom.radius, (4, CHUNK)))
                        for _ in range(8)])
         keep = in_sectors((np.arctan2(r[1], r[0]), np.arctan2(r[3], r[2])),
                           dom.sectors[:2])
         z = affine_points(r[:, keep])
-        z = z[:, hermitian_eval(h, z) > 0]
         w = dom.w_of_z @ z
         y = dom.y_of_z @ z
         finite = (np.abs(w[2]) > 1e-12) & (np.abs(y[2]) > 1e-12)
@@ -659,8 +666,8 @@ def _giraud_copies(dom: DomainD) -> tuple[tuple, ...]:
     n0 = _normal_at(dom.c3, "L_*0")
     k = side_pairings(dom).K.matrix
     ki = np.linalg.inv(k)
-    rows = [read_only(n.conj() @ h.matrix) for n in (
-        n0, _unit_negative(k @ n0, h, "K(n0)"), _unit_negative(ki @ n0, h, "K^-1(n0)"))]
+    rows = [_polar_row(n0, h, "L_*0"), _polar_row(k @ n0, h, "K(n0)"),
+            _polar_row(ki @ n0, h, "K^-1(n0)")]
     copies = (("id", np.eye(3, dtype=complex)), ("K", k), ("K^-1", ki))
     return tuple((name, read_only(m), rows[i], tuple(rows[:i] + rows[i + 1:]))
                  for i, (name, m) in enumerate(copies))

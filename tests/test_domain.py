@@ -31,7 +31,7 @@ from dmlat.moves import (
     hermitian_form,
     move_R2,
 )
-from dmlat.polyhedron import PreconditionFailed, _normal_at, _unit_negative
+from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row
 from dmlat.sampling import ball_draws, bullet_agreement
 from dmlat.verification import _pairing_words
 
@@ -208,9 +208,8 @@ class TestSampledChecks:
         bad_mat = side_pairings(dom).R1.matrix @ np.array(
             [[1.0, 0.15, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
             dtype=complex)
-        n_mapped = _unit_negative(bad_mat @ _normal_at(dom.c3, "L_*3"), h,
-                                  "L_*3")
-        bad = dataclasses.replace(bullet, mapped=n_mapped.conj() @ h.matrix)
+        bad = dataclasses.replace(bullet, mapped=_polar_row(
+            bad_mat @ _normal_at(dom.c3, "L_*3"), h, "L_*3"))
         draws = ball_draws(h, dom.radius, 7, 200 * 200,
                            (dom.w_of_z, dom.y_of_z))
         (good, scrambled), used, _ = bullet_agreement(draws, (bullet, bad),

@@ -7,11 +7,17 @@ import pytest
 
 from dmlat.arithmetic import hermitian_eval
 from dmlat.catalog import LatticeSignature
-from dmlat.moves import DegenerateDenominator, configurations_of, hermitian_form
+from dmlat.moves import (
+    DegenerateDenominator,
+    configurations_of,
+    hermitian_form,
+    p_inverse_target,
+)
 from dmlat.polyhedron import (
     LINE_LABELS,
     VERTEX_LINES,
     PreconditionFailed,
+    SingularSystem,
     bisector_equivalence_sample,
     bisector_membership_check,
     check_incidence,
@@ -19,6 +25,7 @@ from dmlat.polyhedron import (
     collapse_status,
     in_D,
     line_normal,
+    lines_s,
     lines_t,
     pp_possible,
     side_bound_check,
@@ -46,15 +53,32 @@ class TestLines:
                 for lab in VERTEX_LINES[name]:
                     assert lines[lab].residual(v) < 1e-10
 
-    def test_normal_is_orthogonal(self):
-        _, _, c3 = _configs((4, 4, 6))
-        h = hermitian_form(c3)
-        lines = lines_t(c3)
-        verts = vertices_t(c3)
-        for name, v in verts.items():
-            for lab in VERTEX_LINES[name]:
-                n = line_normal(lines[lab], h)
-                assert abs(h.inner(v, n)) < 1e-9 * np.max(np.abs(v))
+    def test_normal_is_orthogonal(self, triple):
+        # Every vertex is orthogonal to the polars of its two lines, in both
+        # frames of every chart whose area form is nonsingular.
+        checked = 0
+        for c in _configs(triple):
+            for frame, at, lines_of, verts_of in (
+                    ("t", c, lines_t, vertices_t),
+                    ("s", p_inverse_target(c), lines_s, vertices_s)):
+                try:
+                    h, lines, verts = hermitian_form(at), lines_of(c), verts_of(c)
+                except DegenerateDenominator:
+                    continue
+                if not np.all(h.matrix.diagonal()):
+                    with pytest.raises(SingularSystem):
+                        line_normal(lines["L_*0"], h)
+                    continue
+                for name, v in verts.items():
+                    if not np.all(np.isfinite(v)):
+                        continue
+                    for lab in VERTEX_LINES[name]:
+                        n = line_normal(lines[lab], h)
+                        scale = np.abs(n) @ np.abs(h.matrix) @ np.abs(v)
+                        assert abs(h.inner(v, n)) <= 1e-12 * scale, (
+                            c.type_tag, frame, name, lab)
+                        checked += 1
+        assert checked > 0
 
 
 class TestIncidence:

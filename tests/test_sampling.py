@@ -2,8 +2,9 @@
 
 The pinned values were recorded with the per-draw samplers that the batched
 kernel replaced; the kernel replays the same random stream, so every report
-must stay equal. The ball screen and the grouped domain sampler are replayed
-against in-test copies of the loops they replaced, draw for draw.
+must stay equal. The ball test on raw draws and the grouped domain sampler
+are replayed against in-test copies of the loops they replaced, draw for
+draw.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dmlat.sampling import (
     affine_points,
     ball_draws,
     first_decisive,
-    near_ball,
+    in_ball,
 )
 from dmlat.verification import (
     _giraud_copies,
@@ -166,13 +167,25 @@ class TestTablesBuiltOnce:
                 a[0] = 0.0
 
     def test_null_normal_raises_on_every_call(self):
-        # A failed build is not cached: each call raises again.
-        sig = LatticeSignature(2, 6, 6)
-        for _ in range(2):
-            with pytest.raises(SingularSystem, match="L_\\*1 is a null vector"):
-                bisector_equivalence_sample(configurations_of(sig)[2])
-            with pytest.raises(SingularSystem, match="L_\\*1 is a null vector"):
-                bisD_check(build_domain(sig))
+        # A failed build is not cached: each call raises again. On (3,4,4)
+        # only the 8-bullet table meets a null polar.
+        for trip, label, twelve in (((2, 6, 6), "L_\\*1", True),
+                                    ((2, 3, 3), "L_\\*1", True),
+                                    ((3, 4, 4), "L_\\*2", False)):
+            sig = LatticeSignature(*trip)
+            match = f"{label} is a null vector"
+            for _ in range(2):
+                with pytest.raises(SingularSystem, match=match):
+                    bisector_equivalence_sample(configurations_of(sig)[2])
+                if twelve:
+                    with pytest.raises(SingularSystem, match=match):
+                        bisD_check(build_domain(sig))
+
+    def test_singular_form_raises_singular_system(self):
+        # The (3,3,3) C2 chart has a singular area form, so its lines have
+        # no polar; bisD_check refuses (3,3,3) before it gets there.
+        with pytest.raises(SingularSystem, match="singular area form for L_\\*3"):
+            _bisd_bullets.__wrapped__(build_domain(LatticeSignature(3, 3, 3)))
 
 
 class TestReductionCanFail:
@@ -183,6 +196,20 @@ class TestReductionCanFail:
         rows = dict(report.rows)
         assert rows["R'1^-1"] < 1.0 and rows["R'1^-1K^-1"] < 1.0
         assert not report.all_match
+
+    @pytest.mark.parametrize("trip", [(4, 4, 5), (4, 4, 6), (3, 3, 4)])
+    def test_unconjugated_polar_breaks_agreement(self, trip, monkeypatch):
+        # The polar of l^T x = 0 is H^-1 conj(l). H^-1 l is not orthogonal
+        # to the line, and the first bullet then never agrees.
+        monkeypatch.setattr(polyhedron_mod, "line_normal", lambda line, h:
+                            np.linalg.solve(h.matrix, [line.a, line.b, -line.c]))
+        _bullet_table.cache_clear()
+        try:
+            report = bisector_equivalence_sample(
+                configurations_of(LatticeSignature(*trip))[2], n_samples=200)
+        finally:
+            _bullet_table.cache_clear()
+        assert report.per_bullet_agreement[0] == 0.0
 
     def test_flipped_sign_gives_zero_agreement(self):
         rng = np.random.default_rng(1)
@@ -346,26 +373,25 @@ DIRECTIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
     lambda u: max(abs(x) for x in u) > 1e-3)
 
 
-class TestNearBall:
-    @given(st.sampled_from(GENERIC), DIRECTIONS, st.floats(-1e-12, 1e-12))
-    def test_keeps_every_ball_point_near_the_boundary(self, trip, u, delta):
+class TestInBall:
+    @given(st.sampled_from(GENERIC), DIRECTIONS, st.floats(1e-12, 1.0),
+           st.booleans())
+    def test_agrees_with_hermitian_eval_off_the_sphere(self, trip, u, delta,
+                                                       outside):
         h = hermitian_form(configurations_of(LatticeSignature(*trip))[2])
         d = h.matrix.diagonal().real
-        r = np.array(u)[:, None] * _boundary_scale(d, u) * (1.0 + delta)
-        value = hermitian_eval(h, affine_points(r))[0]
-        if delta < -1e-13:
-            assert value > 0  # strictly inside: the property is not vacuous
-        if value > 0:
-            assert near_ball(h, r)[0]
+        scale = _boundary_scale(d, u) * (1.0 + delta if outside else 1.0 - delta)
+        r = np.array(u)[:, None] * scale
+        inside = hermitian_eval(h, affine_points(r))[0] > 0
+        assert inside != outside  # the property is not vacuous
+        assert in_ball(h, r)[0] == inside
 
     @given(st.sampled_from(GENERIC), DIRECTIONS, st.floats(1e-6, 1.0))
     def test_drops_points_well_outside(self, trip, u, delta):
-        # The screen is tight: outside by 1e-6 of the radius, far past the
-        # 1e-9 margin, a draw never reaches hermitian_eval.
         h = hermitian_form(configurations_of(LatticeSignature(*trip))[2])
         d = h.matrix.diagonal().real
         r = np.array(u)[:, None] * _boundary_scale(d, u) * (1.0 + delta)
-        assert not near_ball(h, r)[0]
+        assert not in_ball(h, r)[0]
 
     @given(st.sampled_from(GENERIC), st.integers(0, 2), st.integers(1, 2),
            st.floats(1e-6, 1.0), st.booleans())
@@ -377,4 +403,4 @@ class TestNearBall:
         m[i, j] = value * (1j if imaginary else 1.0)
         m[j, i] = np.conj(m[i, j])
         with pytest.raises(NotRealDiagonal):
-            near_ball(HermitianForm3(m), np.zeros((4, 3)))
+            in_ball(HermitianForm3(m), np.zeros((4, 3)))

@@ -14,8 +14,13 @@ from dmlat.catalog import LatticeSignature, derive_params
 from dmlat.domain import build_domain
 from dmlat.verification import (
     HashCollisionAmbiguity,
+    MalformedWord,
     RidgeCollapsed,
     UnsupportedDegeneracy,
+    _BRAIDS,
+    _COMPOUND_WORDS,
+    _CYCLE_IDENTITIES,
+    _CYCLE_ORDERS,
     _pairing_words,
     _word,
     apply_degenerations,
@@ -236,6 +241,27 @@ class TestRelations:
         assert np.array_equal(_word("A1R'1^2K^-1", w),
                               w["A1"] @ (w["R'1"] @ w["R'1"]) @ np.linalg.inv(w["K"]))
         assert np.array_equal(_word("Q^2", w), w["Q^2"])
+
+    @pytest.mark.parametrize("text", ["(R'1R'0A1)^2", "A2R'1", "", "R'1 R'0",
+                                      "K^", "R'3"])
+    def test_malformed_word_raises(self, text):
+        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
+        with pytest.raises(MalformedWord):
+            _word(text, w)
+
+    def test_every_table_word_parses(self):
+        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
+        words = set(_COMPOUND_WORDS)
+        words.update(word for *_, word, _, _ in _CYCLE_ORDERS)
+        for _, relation, word in _CYCLE_IDENTITIES:
+            words.update([word, *relation.split(" = ")])
+        for _, equation in _BRAIDS:
+            words.update(equation.split(" = "))
+        for row in base_orbit_table():
+            if row.stabilizer != "1":
+                words.update(row.stabilizer.strip("<>").split(","))
+        for word in words:
+            assert _word(word, w).shape == (3, 3), word
 
     def test_measured_orders(self):
         report = check_relations(LatticeSignature(4, 4, 6))
