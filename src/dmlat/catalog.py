@@ -57,6 +57,11 @@ class DerivedParams:
     l_prime: ExtOrder
     d: ExtOrder
 
+    @property
+    def named_orders(self) -> dict[str, ExtOrder]:
+        """k', l, l' and d, keyed by their order symbols."""
+        return {"k'": self.k_prime, "l": self.l, "l'": self.l_prime, "d": self.d}
+
 
 @dataclass(frozen=True)
 class DegeneracyReport:
@@ -161,12 +166,7 @@ def classify_degeneracies(
     The reference lattice-to-degeneracy table is consulted only to report
     discrepancies, never to decide.
     """
-    statuses = {
-        "k'": _status(params.k_prime),
-        "l": _status(params.l),
-        "l'": _status(params.l_prime),
-        "d": _status(params.d),
-    }
+    statuses = {name: _status(order) for name, order in params.named_orders.items()}
     degenerate = {name for name, st in statuses.items() if st != "positive-finite"}
     ridges: list[str] = []
     for name in ("d", "l", "l'", "k'"):

@@ -9,8 +9,9 @@ against their closed-form factorizations.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import chain
 
 import numpy as np
@@ -88,7 +89,7 @@ class DomainD:
 
     @cached_property
     def w_of_z(self) -> np.ndarray:
-        return read_only(np.linalg.inv(side_pairings(self).Q.matrix))
+        return read_only(_word("Q^-1", _pairing_words(self)))
 
     @cached_property
     def u_of_z(self) -> np.ndarray:
@@ -205,6 +206,44 @@ def side_pairings(dom: DomainD) -> SidePairingSet:
         np.linalg.inv(r0p.matrix) @ a0p.matrix @ r0p.matrix, a0p.matrix
     )
     return SidePairingSet(k, q, r0p, r1p, r2p, a0p, bool(ok))
+
+
+class MalformedWord(ValueError):
+    """A word in the pairings and A1 outside the word grammar."""
+
+
+_LETTER = re.compile(r"(R'[012]|A'0|A1|K|Q)(?:\^(-?\d+))?")
+_WORD = re.compile(f"(?:{_LETTER.pattern})+")
+
+
+def _word(text: str, w: dict[str, np.ndarray]) -> np.ndarray:
+    """The matrix of a word in the pairings and A1, such as "R'2^-1QR'1".
+
+    A word is letters, each with an optional integer power; any other text,
+    such as parentheses, raises ``MalformedWord``.
+    """
+    if not _WORD.fullmatch(text):
+        raise MalformedWord(f"not a word in the pairings and A1: {text!r}")
+    return reduce(np.matmul, [np.linalg.matrix_power(w[letter], int(power or 1))
+                              for letter, power in _LETTER.findall(text)])
+
+
+# The words of the orbit table's stabilisers and of the cycle checks.
+_COMPOUND_WORDS = ("Q^2", "R'0K", "QK^-1", "A'0R'2R'1", "R'1A'0R'2", "KR'0",
+                   "R'2^-1K")
+
+
+@cache
+def _pairing_words(dom: DomainD) -> dict[str, np.ndarray]:
+    """The pairings, A1 and ``_COMPOUND_WORDS``: built once per domain, read-only.
+
+    This is the one table of letters: outside ``side_pairings`` itself,
+    every product of pairings in the package is a ``_word`` on it.
+    """
+    d = {name: m.matrix for name, m in side_pairings(dom).as_dict().items()}
+    d["A1"] = move_A1(dom.c3).matrix
+    d.update((word, _word(word, d)) for word in _COMPOUND_WORDS)
+    return {name: read_only(m) for name, m in d.items()}
 
 
 # The 24-vertex table: label -> (alias in D3, D1, D2, cells). Cells are the
@@ -373,29 +412,27 @@ def _bisd_bullets(dom: DomainD) -> tuple[Bullet, ...]:
     """The 12 bullets of ``bisD_check``, built once per domain.
 
     All plain normals are the z-frame normals at C3; the transported normal
-    is a side-pairing word applied to a C3 normal, except the first bullet
-    which transports the C2-chart normal with the inverse composite move.
+    is a pairing word of ``_pairing_words`` applied to a C3 normal, except
+    the first bullet which transports the C2-chart normal with the inverse
+    composite move.
     """
     c2, c3 = dom.c2, dom.c3
     h = hermitian_form(c3)
-    sp = side_pairings(dom)
+    w = _pairing_words(dom)
     t, f, tp, fp = c3.theta, c3.phi, c2.theta, c2.phi
-    K, Q = sp.K.matrix, sp.Q.matrix
-    R1p, R2p = sp.R1.matrix, sp.R2.matrix
-    Ki = np.linalg.inv(K)
     specs = (  # chart, phase, coord, im_leq, plain line, matrix, mapped line at
         ("z", 1.0, 1, True, "L_*1", move_P_inverse(c2).matrix, "L_*3", c2),
-        ("z", exp_i_pi(f), 1, False, "L_*0", Ki, "L_*0", c3),
-        ("z", exp_i_pi(-t), 2, True, "L_*3", R1p, "L_*3", c3),
-        ("z", exp_i_pi(t), 2, False, "L_*3", np.linalg.inv(R1p), "L_*3", c3),
-        ("y", exp_i_pi(fp), 1, False, "L_*0", K @ K, "L_*0", c3),
-        ("y", 1.0, 2, False, "L_*1", dom.w_of_z @ R1p, "L_*3", c3),
-        ("y", exp_i_pi(-tp), 2, True, "L_*3", np.linalg.inv(R1p) @ Q, "L_*1", c3),
-        ("y", exp_i_pi(-fp), 1, True, "L_*0", Ki @ Ki, "L_*0", c3),
-        ("w", 1.0, 1, False, "L_*3", Q, "L_*1", c3),
-        ("w", exp_i_pi(-f), 1, True, "L_*0", K, "L_*0", c3),
-        ("w", exp_i_pi(-t), 2, True, "L_*1", R2p, "L_*1", c3),
-        ("w", exp_i_pi(t), 2, False, "L_*1", np.linalg.inv(R2p), "L_*1", c3),
+        ("z", exp_i_pi(f), 1, False, "L_*0", _word("K^-1", w), "L_*0", c3),
+        ("z", exp_i_pi(-t), 2, True, "L_*3", _word("R'1", w), "L_*3", c3),
+        ("z", exp_i_pi(t), 2, False, "L_*3", _word("R'1^-1", w), "L_*3", c3),
+        ("y", exp_i_pi(fp), 1, False, "L_*0", _word("K^2", w), "L_*0", c3),
+        ("y", 1.0, 2, False, "L_*1", _word("Q^-1R'1", w), "L_*3", c3),
+        ("y", exp_i_pi(-tp), 2, True, "L_*3", _word("R'1^-1Q", w), "L_*1", c3),
+        ("y", exp_i_pi(-fp), 1, True, "L_*0", _word("K^-2", w), "L_*0", c3),
+        ("w", 1.0, 1, False, "L_*3", _word("Q", w), "L_*1", c3),
+        ("w", exp_i_pi(-f), 1, True, "L_*0", _word("K", w), "L_*0", c3),
+        ("w", exp_i_pi(-t), 2, True, "L_*1", _word("R'2", w), "L_*1", c3),
+        ("w", exp_i_pi(t), 2, False, "L_*1", _word("R'2^-1", w), "L_*1", c3),
     )
     return tuple(Bullet("zwy".index(chart), phase, coord, im_leq, 0,
                         _polar_row(_normal_at(c3, plain), h, plain),

@@ -241,10 +241,6 @@ def move_P_inverse(c: Configuration) -> ConfiguredMap:
     return ConfiguredMap(m, c, p_inverse_target(c), "P^-1")
 
 
-def identity_map(c: Configuration) -> ConfiguredMap:
-    return ConfiguredMap(np.eye(3, dtype=complex), c, c, "id")
-
-
 def compose(f: ConfiguredMap, g: ConfiguredMap) -> ConfiguredMap:
     """The composite f after g; requires f.source == g.target exactly."""
     if not f.source.same_angles(g.target):

@@ -24,15 +24,14 @@ import numpy as np
 
 from dmlat.arithmetic import (
     ExceededBound,
-    ExtOrder,
     exp_i_pi,
     projective_equal,
     projective_order,
     read_only,
 )
 from dmlat.catalog import DerivedParams, LatticeSignature, classify_degeneracies, derive_params
-from dmlat.domain import DomainD, build_domain, side_pairings, vertices_D
-from dmlat.moves import hermitian_form, move_A1
+from dmlat.domain import DomainD, _pairing_words, _word, build_domain, vertices_D
+from dmlat.moves import hermitian_form
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row
 from dmlat.sampling import CHUNK, affine_points, in_ball
 
@@ -47,10 +46,6 @@ class HashCollisionAmbiguity(RuntimeError):
 
 class MalformedOrder(ValueError):
     """A symbolic order expression outside the order grammar."""
-
-
-class MalformedWord(ValueError):
-    """A word in the pairings and A1 outside the word grammar."""
 
 
 class RidgeCollapsed(ValueError):
@@ -134,61 +129,40 @@ def base_orbit_table() -> list[OrbitRow]:
     return rows
 
 
-def _atom_value(atom: str, sig: LatticeSignature, params: DerivedParams):
-    """Value of a single order symbol: an int or None for infinity."""
-    table = {
-        "p": ExtOrder.finite(sig.p),
-        "k": ExtOrder.finite(sig.k),
-        "p'": ExtOrder.finite(sig.p_prime),
-        "k'": params.k_prime,
-        "l": params.l,
-        "l'": params.l_prime,
-        "d": params.d,
-    }
-    if atom not in table:
-        raise MalformedOrder(f"unknown order symbol {atom!r}")
-    return table[atom].value
+def _orders(sig: LatticeSignature, params: DerivedParams) -> dict[str, int | None]:
+    """The value of every order symbol: an int, or None for infinity."""
+    return {"p": sig.p, "k": sig.k, "p'": sig.p_prime,
+            **{name: order.value for name, order in params.named_orders.items()}}
+
+
+# An order other than "1": an optional factor 2, a product of symbols such as
+# "kp" or "p'l'", and an optional square, as in "2k'^2".
+_ORDER = re.compile(r"(2?)((?:[pkld]'?)+)(\^2)?")
+_SYMBOL = re.compile(r"[pkld]'?")
 
 
 def order_value(expr: str, sig: LatticeSignature, params: DerivedParams):
     """Evaluate a symbolic order to an exact rational, or None for infinity.
 
-    Grammar: "1", a product of atoms like "kp" or "p'l'", "2X" and "2X^2"
-    for the doubled and doubled-squared orders.
+    The expression is "1" or matches ``_ORDER``, and only a single symbol
+    can be squared; any other text raises ``MalformedOrder``.
     """
     if expr == "1":
         return Fraction(1)
-    factor = Fraction(1)
-    body = expr
-    squared = False
-    if body.startswith("2"):
-        factor = Fraction(2)
-        body = body[1:]
-    if body.endswith("^2"):
-        squared = True
-        body = body[:-2]
-    atoms: list[str] = []
-    i = 0
-    while i < len(body):
-        atom = body[i]
-        if i + 1 < len(body) and body[i + 1] == "'":
-            atom += "'"
-            i += 1
-        atoms.append(atom)
-        i += 1
-    value = factor
-    for atom in atoms:
-        v = _atom_value(atom, sig, params)
-        if v is None:
-            return None
-        value *= v
+    match = _ORDER.fullmatch(expr)
+    if not match:
+        raise MalformedOrder(f"not an order expression: {expr!r}")
+    two, body, squared = match.groups()
+    symbols = _SYMBOL.findall(body)
     if squared:
-        if len(atoms) != 1:
-            raise MalformedOrder(
-                f"{expr!r}: only a single symbol can be squared")
-        v = _atom_value(atoms[0], sig, params)
-        value *= v
-    return value
+        if len(symbols) != 1:
+            raise MalformedOrder(f"{expr!r}: only a single symbol can be squared")
+        symbols *= 2
+    orders = _orders(sig, params)
+    if unknown := [s for s in symbols if s not in orders]:
+        raise MalformedOrder(f"unknown order symbol {unknown[0]!r}")
+    values = [orders[s] for s in symbols]
+    return None if None in values else reduce(mul, values, Fraction(2 if two else 1))
 
 
 # Rules keyed by (parameter, regime): rows to delete as (dim, order_expr)
@@ -230,10 +204,9 @@ def apply_degenerations(
                 return True
         return False
 
-    order = ("l", "d", "l'", "k'")
-    for name in order:
-        param = {"d": params.d, "l": params.l,
-                 "l'": params.l_prime, "k'": params.k_prime}[name]
+    named = params.named_orders
+    for name in ("l", "d", "l'", "k'"):
+        param = named[name]
         if not (param.is_negative or param.is_infinite):
             continue
         regime = "infinite" if param.is_infinite else "negative"
@@ -414,36 +387,6 @@ class CheckReport:
         return all(e.status != "fail" for e in self.entries)
 
 
-_LETTER = re.compile(r"(R'[012]|A'0|A1|K|Q)(?:\^(-?\d+))?")
-_WORD = re.compile(f"(?:{_LETTER.pattern})+")
-
-
-def _word(text: str, w: dict[str, np.ndarray]) -> np.ndarray:
-    """The matrix of a word in the pairings and A1, such as "R'2^-1QR'1".
-
-    A word is letters, each with an optional integer power; any other text,
-    such as parentheses, raises ``MalformedWord``.
-    """
-    if not _WORD.fullmatch(text):
-        raise MalformedWord(f"not a word in the pairings and A1: {text!r}")
-    return reduce(np.matmul, [np.linalg.matrix_power(w[letter], int(power or 1))
-                              for letter, power in _LETTER.findall(text)])
-
-
-# The words of the orbit table's stabilisers and of the cycle checks.
-_COMPOUND_WORDS = ("Q^2", "R'0K", "QK^-1", "A'0R'2R'1", "R'1A'0R'2", "KR'0",
-                   "R'2^-1K")
-
-
-@cache
-def _pairing_words(dom: DomainD) -> dict[str, np.ndarray]:
-    """The pairings, A1 and ``_COMPOUND_WORDS``: built once per domain, read-only."""
-    d = {name: m.matrix for name, m in side_pairings(dom).as_dict().items()}
-    d["A1"] = move_A1(dom.c3).matrix
-    d.update((word, _word(word, d)) for word in _COMPOUND_WORDS)
-    return {name: read_only(m) for name, m in d.items()}
-
-
 # The cycle transformations of D in the order of the cycle rows: the place of
 # the relation among the relation rows, the relation, the transformation, ell
 # and the order symbol m. The transformation has order ell * m, which is the
@@ -499,10 +442,11 @@ def group_checks(
     """
     dom = build_domain(sig)
     w = _pairing_words(dom)
+    orders = _orders(sig, dom.params)
     relations: dict[int, CheckEntry] = {}
     cycles: list[CheckEntry] = []
     for place, relation, word, ell, sym in _CYCLE_ORDERS:
-        m = _atom_value(sym, sig, dom.params)
+        m = orders[sym]
         if m is None or m < 0:
             exponent, value = ("inf", "inf") if m is None else (ell * m, m)
             relations[place] = CheckEntry(
@@ -520,10 +464,8 @@ def group_checks(
         cycles.append(CheckEntry(word, status, detail))
 
     # (R'2^-1 K)^2 equals the inverse cycle transformation of R'1 A'0 R'2.
-    half = w["R'2^-1K"]
-    ok = projective_equal(half @ half, np.linalg.inv(w["R'1A'0R'2"]), tol)
-    cycles.append(CheckEntry("(R'2^-1K)^2 = (R'1A'0R'2)^-1",
-                             "pass" if ok else "fail"))
+    ok = _holds("R'2^-1KR'2^-1K = R'2^-1A'0^-1R'1^-1", w, tol)
+    cycles.append(CheckEntry("(R'2^-1K)^2 = (R'1A'0R'2)^-1", "pass" if ok else "fail"))
 
     for place, relation, word in _CYCLE_IDENTITIES:
         ok = _holds(relation, w, tol)
@@ -570,8 +512,9 @@ def cycle_orders(
     return group_checks(sig, tol, max_order)[1]
 
 
-# Reference sign rows for the Lagrangian ridge: images of D and the expected
-# signs of (im z1, im e^{i phi} z1, im e^{i theta} z2, im e^{-i theta} z2).
+# Reference sign rows for the Lagrangian ridge: the word that maps D's points
+# ("id" for D itself) and the expected signs of (im z1, im e^{i phi} z1,
+# im e^{i theta} z2, im e^{-i theta} z2).
 _LAGRANGIAN_SIGNS = (
     ("id", (-1, 1, 1, -1)),
     ("R'1^-1", (-1, 1, -1, -1)),
@@ -646,16 +589,6 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
 
 
 @cache
-def _lagrangian_copies(dom: DomainD) -> dict[str, np.ndarray]:
-    """The copies of D around F(K,R'1), as the inverse pairings that map D
-    onto them: built once per domain, read-only."""
-    sp = side_pairings(dom)
-    return {name: read_only(np.linalg.inv(m)) for name, m in (
-        ("id", np.eye(3, dtype=complex)), ("R'1^-1", sp.R1.matrix),
-        ("K^-1", sp.K.matrix), ("R'1^-1K^-1", sp.K.matrix @ sp.R1.matrix))}
-
-
-@cache
 def _giraud_copies(dom: DomainD) -> tuple[tuple, ...]:
     """The copies of D around F(K,K^-1), built once per domain, read-only.
 
@@ -664,8 +597,8 @@ def _giraud_copies(dom: DomainD) -> tuple[tuple, ...]:
     """
     h = hermitian_form(dom.c3)
     n0 = _normal_at(dom.c3, "L_*0")
-    k = side_pairings(dom).K.matrix
-    ki = np.linalg.inv(k)
+    w = _pairing_words(dom)
+    k, ki = _word("K", w), _word("K^-1", w)
     rows = [_polar_row(n0, h, "L_*0"), _polar_row(k @ n0, h, "K(n0)"),
             _polar_row(ki @ n0, h, "K^-1(n0)")]
     copies = (("id", np.eye(3, dtype=complex)), ("K", k), ("K^-1", ki))
@@ -683,10 +616,10 @@ def tessellation_sign_table(
     """Sampled check of the tessellation sign pattern around a ridge.
 
     Supports the Lagrangian ridge F(K,R'1) (four sign rows) and the Giraud
-    ridge F(K,K^-1) (three pairwise-separating distance conditions). The
-    copies of D around each ridge are built once per domain
-    (``_lagrangian_copies``, ``_giraud_copies``); the points are drawn anew
-    on every call.
+    ridge F(K,K^-1) (three pairwise-separating distance conditions). A
+    Lagrangian row's name is the word, in ``_pairing_words``, of the copy of
+    D it tests; the Giraud copies are built once per domain
+    (``_giraud_copies``). The points are drawn anew on every call.
     """
     dom = build_domain(sig)
     if ridge_id in classify_degeneracies(dom.params, sig).collapsed_ridges:
@@ -698,12 +631,12 @@ def tessellation_sign_table(
     c3 = dom.c3
     points = _sample_domain_points(dom, n_samples, seed)
     if ridge_id == "F(K,R'1)":
-        mats = _lagrangian_copies(dom)
+        w = _pairing_words(dom)
         phases = (1.0, exp_i_pi(c3.phi), exp_i_pi(c3.theta),
                   exp_i_pi(-c3.theta))
         rows = []
         for name, signs in _LAGRANGIAN_SIGNS:
-            image = mats[name] @ points
+            image = points if name == "id" else _word(name, w) @ points
             image = image / image[2]
             im = (np.array(phases)[:, None] * image[[0, 0, 1, 1]]).imag
             decisive = ~(np.abs(im) <= neutral)

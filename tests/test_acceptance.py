@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from dmlat.catalog import LatticeSignature, catalog, cone_angles, derive_params
+from dmlat.catalog import LatticeSignature, cone_angles, derive_params
 from dmlat.domain import (
+    _pairing_words,
     bisD_check,
     boundary_null_vertices,
     build_domain,
@@ -34,7 +35,6 @@ from dmlat.polyhedron import (
     check_s_consistency,
 )
 from dmlat.verification import (
-    _pairing_words,
     apply_degenerations,
     base_orbit_table,
     check_relations,

@@ -14,6 +14,13 @@ import dmlat
 import dmlat.verification as verification_mod
 from dmlat.cli import main
 
+from conftest import ALL_TRIPLES
+
+# The reports hold no floats, so they are the same on every machine.
+DATA = Path(__file__).parent / "data"
+EULER_GOLDEN = dict(zip(ALL_TRIPLES, (DATA / "euler.jsonl").read_text()
+                        .splitlines(keepends=True)))
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -35,6 +42,10 @@ class TestList:
         assert doc["schema"] == "dmlat-report/1"
         assert len(doc["signatures"]) == 13
 
+    def test_json_matches_golden_report(self, capsys):
+        code, out, _ = run(capsys, "--json", "list")
+        assert (code, out) == (0, (DATA / "list.json").read_text())
+
 
 class TestEuler:
     def test_text_example(self, capsys):
@@ -47,6 +58,10 @@ class TestEuler:
         doc = json.loads(out)
         assert doc["chi"] == {"num": 99, "den": 400}
         assert doc["volume_coefficient"] == {"num": 33, "den": 50}
+
+    def test_json_matches_golden_report(self, capsys, triple):
+        code, out, _ = run(capsys, "--json", "euler", *map(str, triple))
+        assert (code, out) == (0, EULER_GOLDEN[triple])
 
     def test_non_catalog_rejected(self, capsys):
         code, out, err = run(capsys, "euler", "9", "9", "9")
@@ -76,8 +91,7 @@ class TestCheck:
         assert err == f"error: cone angle {angle}*pi out of (0, 2*pi)\n"
 
     def test_check_all_matches_golden_report(self, capsys):
-        # The report holds no floats, so it is the same on every machine.
-        golden = (Path(__file__).parent / "data" / "check_all.json").read_text()
+        golden = (DATA / "check_all.json").read_text()
         code, out, _ = run(capsys, "--json", "check", "--all")
         assert (code, out) == (0, golden)
 

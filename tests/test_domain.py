@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import dmlat.domain as domain_mod
-from dmlat.arithmetic import exp_i_pi, hermitian_eval, projective_equal, sin_pi
+from dmlat.arithmetic import exp_i_pi, hermitian_eval, projective_equal
 from dmlat.catalog import LatticeSignature
 from dmlat.cli import main
 from dmlat.domain import (
     VERTEX_D_LABELS,
+    _pairing_words,
+    _word,
     bisD_check,
     boundary_null_vertices,
     build_domain,
@@ -33,7 +35,6 @@ from dmlat.moves import (
 )
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row
 from dmlat.sampling import ball_draws, bullet_agreement
-from dmlat.verification import _pairing_words
 
 KNEG_TRIPLES = {(6, 6, 3), (10, 10, 5), (12, 12, 6), (18, 18, 9),
                 (4, 4, 3), (3, 3, 3)}
@@ -217,6 +218,19 @@ class TestSampledChecks:
         assert used == (200, 200)
         assert good == 1.0
         assert scrambled < 1.0
+
+    def test_bullets_read_the_word_table(self, monkeypatch):
+        # The transports are words on _pairing_words, the one table of
+        # letters: R'1 swapped for its inverse there must reach the bullets.
+        dom = build_domain(LatticeSignature(4, 4, 6))
+        words = _pairing_words(dom)
+        monkeypatch.setitem(words, "R'1", _word("R'1^-1", words))
+        domain_mod._bisd_bullets.cache_clear()
+        try:
+            report = bisD_check(dom, n_samples=300, seed=7)
+        finally:
+            domain_mod._bisd_bullets.cache_clear()
+        assert min(report.per_bullet_agreement) < 1.0
 
 
 class TestKnegForms:

@@ -3,11 +3,11 @@ no runtime ``assert``, no function or class that nothing names.
 
 Each module of ``src/dmlat`` is parsed with ``ast``. An ``import`` inside a
 function body hides a dependency from the top of the module; a module-level
-imported name that nothing reads is dead code. ``__future__`` imports and the
-re-exports of ``__init__.py`` are exempt. An ``assert`` vanishes under
-``python -O``, so a check in the package must raise instead. A module-level
-function or class whose name no file under ``src/``, ``tests/``, ``demos/``
-or ``perfbench/`` reads is dead code too.
+imported name that nothing reads is dead code, in ``tests/`` as well.
+``__future__`` imports and the re-exports of ``__init__.py`` are exempt. An
+``assert`` vanishes under ``python -O``, so a check in the package must raise
+instead. A module-level function or class whose name no file under ``src/``,
+``tests/``, ``demos/`` or ``perfbench/`` reads is dead code too.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ import pytest
 import dmlat
 
 MODULES = sorted(Path(dmlat.__file__).parent.glob("*.py"))
+# The modules whose imports must all be read: the re-exports are exempt.
+IMPORTERS = [p for p in MODULES + sorted(Path(__file__).parent.glob("*.py"))
+             if p.name != "__init__.py"]
 READERS = sorted(path for folder in ("src", "tests", "demos", "perfbench")
                  for path in (Path(__file__).parents[1] / folder).rglob("*.py"))
 IMPORTS = (ast.Import, ast.ImportFrom)
@@ -105,8 +108,7 @@ def test_no_function_local_imports(path):
     assert function_local_imports(_parse(path)) == []
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
-                         ids=[p.name for p in MODULES if p.name != "__init__.py"])
+@pytest.mark.parametrize("path", IMPORTERS, ids=[p.name for p in IMPORTERS])
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
 

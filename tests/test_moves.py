@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from dmlat.moves import (
     compose,
     configurations_of,
     hermitian_form,
-    identity_map,
     inverse,
     move_A1,
     move_J,
@@ -28,7 +26,6 @@ from dmlat.moves import (
     move_P_inverse,
     move_R1,
     move_R2,
-    p_target,
     r1_target,
 )
 
@@ -107,10 +104,6 @@ class TestComposition:
         r1 = move_R1(c3)
         prod = compose(inverse(r1), r1)
         assert projective_equal(prod.matrix, np.eye(3))
-
-    def test_identity(self):
-        _, _, c3 = _configs((4, 4, 6))
-        assert np.allclose(identity_map(c3).matrix, np.eye(3))
 
     def test_singular_inverse(self):
         # The C2 chart of the triple with infinite k' has a singular R2.

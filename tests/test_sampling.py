@@ -44,7 +44,6 @@ from dmlat.sampling import (
 )
 from dmlat.verification import (
     _giraud_copies,
-    _lagrangian_copies,
     _sample_domain_points,
     tessellation_sign_table,
 )
@@ -154,12 +153,11 @@ class TestTablesBuiltOnce:
         c3 = configurations_of(sig)[2]
         dom = build_domain(sig)
         for build, arg in ((_bullet_table, c3), (_bisd_bullets, dom),
-                           (_lagrangian_copies, dom), (_giraud_copies, dom)):
+                           (_giraud_copies, dom)):
             assert build(arg) is build(arg), build.__name__
         bullets = _bullet_table(c3)[0] + _bisd_bullets(dom)
         assert len(bullets) == 8 + 12
         arrays = [row for b in bullets for row in (b.plain, b.mapped)]
-        arrays += _lagrangian_copies(dom).values()
         for _, m, own, others in _giraud_copies(dom):
             arrays += [m, own, *others]
         for a in arrays:

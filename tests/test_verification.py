@@ -11,18 +11,22 @@ from hypothesis import given, settings, strategies as st
 import dmlat.verification as verification_mod
 from dmlat.arithmetic import ExceededBound
 from dmlat.catalog import LatticeSignature, derive_params
-from dmlat.domain import build_domain
+from dmlat.domain import (
+    MalformedWord,
+    _COMPOUND_WORDS,
+    _pairing_words,
+    _word,
+    build_domain,
+)
 from dmlat.verification import (
     HashCollisionAmbiguity,
-    MalformedWord,
+    MalformedOrder,
     RidgeCollapsed,
     UnsupportedDegeneracy,
     _BRAIDS,
-    _COMPOUND_WORDS,
     _CYCLE_IDENTITIES,
     _CYCLE_ORDERS,
-    _pairing_words,
-    _word,
+    _MERGED_ROWS,
     apply_degenerations,
     base_orbit_table,
     check_relations,
@@ -79,11 +83,21 @@ class TestOrbitTable:
         assert order_value("2k'^2", sig, params) == 72
         assert order_value("1", sig, params) == 1
 
-    @pytest.mark.parametrize("expr", ["2kp^2", "x", "2q"])
+    @pytest.mark.parametrize("expr", ["2kp^2", "x", "2q", "", "2"])
     def test_malformed_order_is_a_value_error(self, expr):
+        # "" and "2" hold no symbol; they once read as 1 and 2.
         sig = LatticeSignature(4, 4, 6)
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedOrder):
             order_value(expr, sig, derive_params(sig))
+
+    def test_every_table_order_parses(self):
+        # On (4,4,6) every symbol is positive and finite.
+        sig = LatticeSignature(4, 4, 6)
+        exprs = {row.order_expr for row in base_orbit_table()}
+        exprs.update(row.order_expr for row in _MERGED_ROWS.values())
+        exprs.update(sym for *_, sym in _CYCLE_ORDERS)
+        for expr in exprs:
+            assert order_value(expr, sig, derive_params(sig)) > 0, expr
 
     def test_infinite_order_is_none(self):
         sig = LatticeSignature(6, 6, 3)
