@@ -235,6 +235,7 @@ def _value(convert, ok, need: str):
 _POSITIVE = _value(float, lambda v: math.isfinite(v) and v > 0,
                    "must be a finite positive number")
 _COUNT = _value(int, lambda v: v >= 1, "must be an integer of at least 1")
+_SEED = _value(int, lambda v: v >= 0, "must be a non-negative integer")
 
 
 def _add_signature_args(sub) -> None:
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tolerance", type=_POSITIVE, default=1e-9)
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--max-order", type=_COUNT, default=200)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=_SEED, default=7)
     parser.add_argument("--force", action="store_true",
                         help="allow non-catalog signatures")
     subs = parser.add_subparsers(dest="command", required=True)

@@ -2,13 +2,16 @@
 
 The bullet and glueing samplers draw points of a complex box, one draw being
 ``rng.uniform(-radius, radius, 4)``. One call ``rng.uniform(-radius, radius,
-(m, 4))`` yields the same numbers in the same order as m such draws, so the
-kernel evaluates chunks of at most CHUNK draws at once and still replays the
-per-draw random stream, draw for draw: a report depends only on the seed.
+(m, 4))`` yields the same numbers in the same order as m such draws, and so
+does ``fill_uniform`` into an (m, 4) buffer, bit for bit. The kernel fills
+one buffer of at most CHUNK draws per call, chunk after chunk, and still
+replays the per-draw random stream, draw for draw: a report depends only on
+the seed.
 
 Every sampler keeps only the draws inside the ball of the configuration's
-area form, which is real diagonal; ``in_ball`` reads that form on the raw
-real draws, so only the kept draws become complex points.
+area form, which is real diagonal. ``ball_filter`` reads that form once per
+sampler call; its filter runs on the raw real draws, so only the kept
+draws, copied out of the buffer, become complex points.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ CHUNK = 8192
 
 
 class NotRealDiagonal(ValueError):
-    """A Hermitian form handed to ``in_ball`` is not real diagonal."""
+    """A Hermitian form handed to ``ball_filter`` is not real diagonal."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,26 +80,48 @@ def affine_points(r: np.ndarray) -> np.ndarray:
                       np.ones(r.shape[1], dtype=complex)])
 
 
-def in_ball(h: HermitianForm3, r: np.ndarray) -> np.ndarray:
-    """Which draws lie in the ball of h, for the columns of a (4, m) array.
+def fill_uniform(rng: np.random.Generator, radius: float,
+                 buf: np.ndarray) -> np.ndarray:
+    """Fill the float64 array buf with ``rng.uniform(-radius, radius, buf.shape)``.
+
+    numpy computes uniform(low, high) as low + (high - low) u, with u from
+    ``rng.random()``; here high - low is 2 radius, and (2 radius u) - radius
+    is the same sum, so the numbers are equal bit for bit and no array is
+    allocated. Returns buf.
+    """
+    rng.random(out=buf)
+    buf *= 2 * radius
+    buf -= radius
+    return buf
+
+
+def ball_filter(h: HermitianForm3, m: int):
+    """The draws in the ball of h, copied out of (4, k) arrays of draws, k <= m.
 
     For h = diag(d0, d1, d2), real, the point (r0 + i r1, r2 + i r3, 1) has
     norm d0 (r0^2 + r1^2) + d1 (r2^2 + r3^2) + d2, and lies in the ball when
-    that is positive. Any other form raises ``NotRealDiagonal``.
+    that is positive. The form is read here, once; any other form raises
+    ``NotRealDiagonal``. The returned filter sums row by row in scratch rows
+    of length m allocated here, and returns the kept columns, in order, as
+    a new array, never a view of its argument.
     """
     d = h.matrix.diagonal().real
     if np.any(h.matrix != np.diag(d)):
         raise NotRealDiagonal("the ball test needs a real diagonal form")
-    # Row by row and in place: a fresh (4, m) temporary per batch costs more
-    # in new memory pages than the sums themselves.
-    s0 = np.square(r[0])
-    s0 += np.square(r[1])
-    s0 *= d[0]
-    s1 = np.square(r[2])
-    s1 += np.square(r[3])
-    s1 *= d[1]
-    s0 += s1
-    return s0 > -d[2]
+    scratch = np.empty((3, m))
+
+    def in_ball(r: np.ndarray) -> np.ndarray:
+        s0, s1, square = scratch[:, :r.shape[1]]
+        np.square(r[0], out=s0)
+        s0 += np.square(r[1], out=square)
+        s0 *= d[0]
+        np.square(r[2], out=s1)
+        s1 += np.square(r[3], out=square)
+        s1 *= d[1]
+        s0 += s1
+        # take() gathers the kept columns several times faster than r[:, keep].
+        return r.take(np.flatnonzero(s0 > -d[2]), axis=1)
+    return in_ball
 
 
 def ball_draws(h: HermitianForm3, radius: float, seed: int, cap: int,
@@ -104,15 +129,20 @@ def ball_draws(h: HermitianForm3, radius: float, seed: int, cap: int,
     """Yield the draws inside the ball, chunk by chunk, in draw order.
 
     At most ``cap`` draws are made from ``default_rng(seed)``, in chunks of at
-    most CHUNK. A draw is kept when ``in_ball`` holds and its image under each
-    matrix of ``maps`` has a third coordinate of modulus at least 1e-9. Each
-    chunk yields the charts of the kept draws: the points as a (3, k) array,
-    then their images under ``maps``, scaled to third coordinate 1.
+    most CHUNK, each filled into the same (CHUNK, 4) buffer (a leading slice
+    of it for a partial last chunk). The form is read once, before any draw
+    (``ball_filter``). A draw is kept when it lies in the ball and its image
+    under each matrix of ``maps`` has a third coordinate of modulus at least
+    1e-9. Each chunk yields the charts of the kept draws, none a view of the
+    buffer: the points as a (3, k) array, then their images under ``maps``,
+    scaled to third coordinate 1.
     """
+    size = min(CHUNK, cap)
+    in_ball = ball_filter(h, size)
     rng = np.random.default_rng(seed)
+    buf = np.empty((size, 4))
     for start in range(0, cap, CHUNK):
-        r = rng.uniform(-radius, radius, (min(CHUNK, cap - start), 4)).T
-        z = affine_points(r.take(np.flatnonzero(in_ball(h, r)), axis=1))
+        z = affine_points(in_ball(fill_uniform(rng, radius, buf[:cap - start]).T))
         images = [m @ z for m in maps]
         keep = np.ones(z.shape[1], dtype=bool)
         for image in images:

@@ -33,7 +33,7 @@ from dmlat.catalog import DerivedParams, LatticeSignature, classify_degeneracies
 from dmlat.domain import DomainD, _pairing_words, _word, build_domain, vertices_D
 from dmlat.moves import hermitian_form
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row
-from dmlat.sampling import CHUNK, affine_points, in_ball
+from dmlat.sampling import CHUNK, affine_points, ball_filter, fill_uniform
 
 
 class UnsupportedDegeneracy(ValueError):
@@ -545,34 +545,33 @@ class TessellationReport:
 def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     """Up to n interior points of the glued domain, the columns of a (3, k) array.
 
-    Batch b is the b-th ``rng.uniform(-radius, radius, (4, 8192))``, at most
-    400 of them; column j is the z-frame point (r0 + i r1, r2 + i r3, 1) of a
-    box 1.5x the 24-vertex cloud. A point is kept, in draw order, when its
-    six arguments lie strictly inside ``dom.sectors``, it lies in the ball
-    (``sampling.in_ball``, on each batch's raw draws) and has finite w and y
-    images. The draws in the ball of 8 batches at a time are then tested
-    together: the z arguments before w and y are computed. Drawing is
-    stopped after the first group that brings the count to n, so up to 7
-    batches may be drawn past the one that did; the kept points are the
-    first n in draw order all the same, and the generator is local to the
-    call.
+    Batch b holds the numbers of the b-th ``rng.uniform(-radius, radius, (4,
+    8192))``, at most 400 of them, each filled into the same (4, CHUNK)
+    buffer (``sampling.fill_uniform``); column j is the z-frame point
+    (r0 + i r1, r2 + i r3, 1) of a box 1.5x the 24-vertex cloud. A point is
+    kept, in draw order, when its six arguments lie strictly inside
+    ``dom.sectors``, it lies in the ball (``sampling.ball_filter``, the form
+    read once per call, on each batch's raw draws) and has finite w and y
+    images. The draws in the ball of 8 batches at a time, copied out of the
+    buffer, are then tested together: the z arguments before w and y are
+    computed. Drawing is stopped after the first group that brings the
+    count to n, so up to 7 batches may be drawn past the one that did; the
+    kept points are the first n in draw order all the same, and the
+    generator is local to the call.
     """
-    h = hermitian_form(dom.c3)
+    in_ball = ball_filter(hermitian_form(dom.c3), CHUNK)
 
     def in_sectors(args, sectors):
         return np.logical_and.reduce([(arg > lo) & (arg < hi)
                                       for arg, (lo, hi) in zip(args, sectors)])
 
-    def in_ball_only(r):
-        # take() gathers the kept columns several times faster than r[:, keep].
-        return r.take(np.flatnonzero(in_ball(h, r)), axis=1)
-
     rng = np.random.default_rng(seed)
+    buf = np.empty((4, CHUNK))
     points = np.zeros((3, 0), dtype=complex)
     for _ in range(400 // 8):
         if points.shape[1] >= n:
             break
-        r = np.hstack([in_ball_only(rng.uniform(-dom.radius, dom.radius, (4, CHUNK)))
+        r = np.hstack([in_ball(fill_uniform(rng, dom.radius, buf))
                        for _ in range(8)])
         keep = in_sectors((np.arctan2(r[1], r[0]), np.arctan2(r[3], r[2])),
                           dom.sectors[:2])

@@ -219,6 +219,8 @@ class TestTessellate:
     (("--max-order", "2.5", "check", "--all"), "--max-order"),
     (("tessellate", "4", "4", "6", "--samples", "0"), "--samples"),
     (("tessellate", "4", "4", "6", "--samples", "-5"), "--samples"),
+    (("--seed", "-1", "tessellate", "4", "4", "5", "--samples", "5"), "--seed"),
+    (("--seed", "x", "tessellate", "4", "4", "5", "--samples", "5"), "--seed"),
 ])
 def test_bad_value_is_a_usage_error_naming_the_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
@@ -233,6 +235,9 @@ def test_smallest_good_values_are_accepted(capsys):
     assert code == 1 and "order >= 1" in out
     code, out, _ = run(capsys, "tessellate", "4", "4", "6", "--samples", "1")
     assert (code, out.splitlines()[-1]) == (0, "1 samples; all rows match")
+    code, out, _ = run(capsys, "--seed", "0", "tessellate", "4", "4", "6",
+                       "--samples", "5")
+    assert (code, out.splitlines()[-1]) == (0, "5 samples; all rows match")
 
 
 def test_unknown_command_exits_2(capsys):

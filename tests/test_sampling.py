@@ -10,12 +10,14 @@ draw.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import dmlat.polyhedron as polyhedron_mod
+import dmlat.sampling as sampling_mod
 from dmlat.arithmetic import HermitianForm3, hermitian_eval
 from dmlat.catalog import LatticeSignature
 from dmlat.domain import (
@@ -39,8 +41,9 @@ from dmlat.sampling import (
     NotRealDiagonal,
     affine_points,
     ball_draws,
+    ball_filter,
+    fill_uniform,
     first_decisive,
-    in_ball,
 )
 from dmlat.verification import (
     _giraud_copies,
@@ -382,14 +385,16 @@ class TestInBall:
         r = np.array(u)[:, None] * scale
         inside = hermitian_eval(h, affine_points(r))[0] > 0
         assert inside != outside  # the property is not vacuous
-        assert in_ball(h, r)[0] == inside
+        kept = ball_filter(h, 1)(r)
+        assert (kept.shape[1] == 1) == inside
+        assert not np.shares_memory(kept, r)
 
     @given(st.sampled_from(GENERIC), DIRECTIONS, st.floats(1e-6, 1.0))
     def test_drops_points_well_outside(self, trip, u, delta):
         h = hermitian_form(configurations_of(LatticeSignature(*trip))[2])
         d = h.matrix.diagonal().real
         r = np.array(u)[:, None] * _boundary_scale(d, u) * (1.0 + delta)
-        assert not in_ball(h, r)[0]
+        assert ball_filter(h, 1)(r).shape[1] == 0
 
     @given(st.sampled_from(GENERIC), st.integers(0, 2), st.integers(1, 2),
            st.floats(1e-6, 1.0), st.booleans())
@@ -401,4 +406,23 @@ class TestInBall:
         m[i, j] = value * (1j if imaginary else 1.0)
         m[j, i] = np.conj(m[i, j])
         with pytest.raises(NotRealDiagonal):
-            in_ball(HermitianForm3(m), np.zeros((4, 3)))
+            ball_filter(HermitianForm3(m), 3)
+        with mock.patch.object(sampling_mod, "fill_uniform",
+                               wraps=fill_uniform) as fill:
+            with pytest.raises(NotRealDiagonal):
+                next(ball_draws(HermitianForm3(m), 1.0, 7, CHUNK))
+        fill.assert_not_called()
+
+
+class TestFillUniform:
+    @given(st.floats(1e-3, 1e3), st.booleans(),
+           st.one_of(st.just(CHUNK), st.integers(1, CHUNK - 1)),
+           st.integers(0, 2**32))
+    def test_is_the_uniform_stream(self, radius, rows, m, seed):
+        # The two layouts of the samplers' buffers: a leading slice of the
+        # (CHUNK, 4) buffer of ball_draws, and a (4, m) batch.
+        buf = np.empty((CHUNK, 4))[:m] if rows else np.empty((4, m))
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            assert fill_uniform(rng, radius, buf) is buf
+            assert np.array_equal(buf, reference.uniform(-radius, radius, buf.shape))
