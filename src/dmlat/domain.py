@@ -51,7 +51,8 @@ from dmlat.polyhedron import (
     lines_t,
     vertices_t,
 )
-from dmlat.sampling import Bullet, BulletReport, ball_draws, box_radius, bullet_agreement
+from dmlat.sampling import (Bullet, BulletReport, ball_draws, box_radius,
+                            bullet_agreement, fill_uniform)
 
 # theta' and phi', the angles of the C2 chart: 2*alpha-pi and pi+theta+phi-2*alpha.
 _TP = "theta'"
@@ -458,8 +459,7 @@ def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,
     bullets = _bisd_bullets(dom)
     draws = ball_draws(hermitian_form(dom.c3), dom.radius, seed, 200 * n_samples,
                        (dom.w_of_z, dom.y_of_z))
-    return BulletReport(*bullet_agreement(draws, bullets, n_samples, neutral),
-                        n_samples)
+    return bullet_agreement(draws, bullets, n_samples, neutral)
 
 
 def kneg_form(c: Configuration) -> HermitianForm3:
@@ -564,10 +564,10 @@ def samelines_check(dom: DomainD, n_samples: int = 50, seed: int = 7,
     ly = lines_t(dom.c2)
     lx = lines_t(dom.c1)
     y_of_z, x_of_z = dom.y_of_z, dom.x_of_z
-    rng = np.random.default_rng(seed)
     identities = [("L_*0", "L_*0", "L_*0"), ("L_*3", "L_*3", "L_*2"),
                   ("L_*1", "L_*2", "L_*1")]
-    draws = rng.uniform(-1, 1, (len(identities), n_samples, 2))
+    draws = fill_uniform(np.random.default_rng(seed), 1.0,
+                         np.empty((len(identities), n_samples, 2)))
     ones = np.ones(n_samples, dtype=complex)
     for (z_lab, y_lab, x_lab), r in zip(identities, draws):
         line = lz[z_lab]

@@ -490,5 +490,4 @@ def bisector_equivalence_sample(
     bullets, radius = _bullet_table(c)
     draws = ball_draws(hermitian_form(c), radius, seed, 100 * n_samples,
                        (move_P_inverse(c).matrix,))
-    return BulletReport(*bullet_agreement(draws, bullets, n_samples, neutral),
-                        n_samples)
+    return bullet_agreement(draws, bullets, n_samples, neutral)

@@ -1,17 +1,13 @@
-"""The batched kernel behind the sampled half-space checks.
+"""The batched kernel behind the sampled checks: one generator of draws.
 
-The bullet and glueing samplers draw points of a complex box, one draw being
-``rng.uniform(-radius, radius, 4)``. One call ``rng.uniform(-radius, radius,
-(m, 4))`` yields the same numbers in the same order as m such draws, and so
-does ``fill_uniform`` into an (m, 4) buffer, bit for bit. The kernel fills
-one buffer of at most CHUNK draws per call, chunk after chunk, and still
-replays the per-draw random stream, draw for draw: a report depends only on
-the seed.
-
-Every sampler keeps only the draws inside the ball of the configuration's
-area form, which is real diagonal. ``ball_filter`` reads that form once per
-sampler call; its filter runs on the raw real draws, so only the kept
-draws, copied out of the buffer, become complex points.
+Every sampler draws points of a complex box and keeps those inside the ball
+of the configuration's area form, which is real diagonal. ``ball_batches``
+is the one generator that seeds, fills the box (``fill_uniform``), keeps
+the draws in the ball (``ball_filter``) and stops at the draw cap, so a
+report depends only on the seed. Its two batch layouts are the two streams
+in use: interleaved for the bullet and glueing samplers (``ball_draws``),
+planar for the domain sampler of ``tessellate``. ``finite_charts`` is the
+one rule for dropping points whose chart image is at infinity.
 """
 
 from __future__ import annotations
@@ -124,30 +120,47 @@ def ball_filter(h: HermitianForm3, m: int):
     return in_ball
 
 
-def ball_draws(h: HermitianForm3, radius: float, seed: int, cap: int,
-               maps: tuple[np.ndarray, ...] = ()):
-    """Yield the draws inside the ball, chunk by chunk, in draw order.
+def ball_batches(h: HermitianForm3, radius: float, seed: int, cap: int,
+                 planar: bool = False):
+    """Yield the draws inside the ball of h, batch by batch, in draw order.
 
-    At most ``cap`` draws are made from ``default_rng(seed)``, in chunks of at
-    most CHUNK, each filled into the same (CHUNK, 4) buffer (a leading slice
-    of it for a partial last chunk). The form is read once, before any draw
-    (``ball_filter``). A draw is kept when it lies in the ball and its image
-    under each matrix of ``maps`` has a third coordinate of modulus at least
-    1e-9. Each chunk yields the charts of the kept draws, none a view of the
-    buffer: the points as a (3, k) array, then their images under ``maps``,
-    scaled to third coordinate 1.
+    At most ``cap`` draws are made from ``default_rng(seed)``, in batches of
+    at most CHUNK, each filled in memory order into a leading slice of one
+    flat buffer. A batch of k draws is read as (4, k) when ``planar``, each
+    draw a column, and as (k, 4) otherwise, each draw a row. The form is
+    read before any draw (``ball_filter``); a batch yields its draws in the
+    ball as a new (4, k') array, never a view of the buffer.
     """
     size = min(CHUNK, cap)
     in_ball = ball_filter(h, size)
     rng = np.random.default_rng(seed)
-    buf = np.empty((size, 4))
+    buf = np.empty(4 * size)
     for start in range(0, cap, CHUNK):
-        z = affine_points(in_ball(fill_uniform(rng, radius, buf[:cap - start]).T))
-        images = [m @ z for m in maps]
-        keep = np.ones(z.shape[1], dtype=bool)
-        for image in images:
-            keep &= np.abs(image[2]) >= 1e-9
-        yield (z[:, keep], *(im[:, keep] / im[2, keep] for im in images))
+        k = min(CHUNK, cap - start)
+        flat = fill_uniform(rng, radius, buf[:4 * k])
+        yield in_ball(flat.reshape(4, k) if planar else flat.reshape(k, 4).T)
+
+
+def finite_charts(r: np.ndarray, maps: tuple[np.ndarray, ...]) -> tuple:
+    """The charts of the draws r, a (4, k) array, whose images are finite.
+
+    Draw j is the point (r0 + i r1, r2 + i r3, 1) of column j. It is kept
+    when its image under each matrix of ``maps`` has a third coordinate of
+    modulus at least 1e-9. Returns the kept points as a (3, k') array, then
+    their images, scaled to third coordinate 1.
+    """
+    z = affine_points(r)
+    images = [m @ z for m in maps]
+    keep = np.ones(z.shape[1], dtype=bool)
+    for image in images:
+        keep &= np.abs(image[2]) >= 1e-9
+    return (z[:, keep], *(im[:, keep] / im[2, keep] for im in images))
+
+
+def ball_draws(h: HermitianForm3, radius: float, seed: int, cap: int,
+               maps: tuple[np.ndarray, ...] = ()):
+    """The ``finite_charts`` of each interleaved batch of ``ball_batches``."""
+    return (finite_charts(r, maps) for r in ball_batches(h, radius, seed, cap))
 
 
 def first_decisive(im: np.ndarray, dist: np.ndarray, neutral: float,
@@ -171,13 +184,13 @@ def first_decisive(im: np.ndarray, dist: np.ndarray, neutral: float,
 
 
 def bullet_agreement(draws, bullets: tuple[Bullet, ...], n_samples: int,
-                     neutral: float):
+                     neutral: float) -> BulletReport:
     """Each bullet's sign agreement over its first n_samples decisive draws.
 
     ``draws`` yields chunks of charts, as ``ball_draws`` does; chart k of a
     chunk is the k-th array it yields. Reading stops once every bullet is
-    done. Returns the agreement fractions (0.0 for a bullet with no
-    decisive draw), the samples used and the near-zero maximum.
+    done. Returns the report: the agreement fractions (0.0 for a bullet
+    with no decisive draw), the samples used and the near-zero maximum.
     """
     used = np.zeros(len(bullets), dtype=int)
     agree = np.zeros(len(bullets), dtype=int)
@@ -194,5 +207,6 @@ def bullet_agreement(draws, bullets: tuple[Bullet, ...], n_samples: int,
         near = max(near, n)
         if used.min() >= n_samples:
             break
-    return (tuple(int(a) / int(u) if u else 0.0 for a, u in zip(agree, used)),
-            tuple(int(u) for u in used), near)
+    return BulletReport(
+        tuple(int(a) / int(u) if u else 0.0 for a, u in zip(agree, used)),
+        tuple(int(u) for u in used), near, n_samples)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from operator import mul, sub
 
 import numpy as np
@@ -33,7 +33,7 @@ from dmlat.catalog import DerivedParams, LatticeSignature, classify_degeneracies
 from dmlat.domain import DomainD, _pairing_words, _word, build_domain, vertices_D
 from dmlat.moves import hermitian_form
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row
-from dmlat.sampling import CHUNK, affine_points, ball_filter, fill_uniform
+from dmlat.sampling import ball_batches, finite_charts
 
 
 class UnsupportedDegeneracy(ValueError):
@@ -545,42 +545,27 @@ class TessellationReport:
 def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     """Up to n interior points of the glued domain, the columns of a (3, k) array.
 
-    Batch b holds the numbers of the b-th ``rng.uniform(-radius, radius, (4,
-    8192))``, at most 400 of them, each filled into the same (4, CHUNK)
-    buffer (``sampling.fill_uniform``); column j is the z-frame point
-    (r0 + i r1, r2 + i r3, 1) of a box 1.5x the 24-vertex cloud. A point is
-    kept, in draw order, when its six arguments lie strictly inside
-    ``dom.sectors``, it lies in the ball (``sampling.ball_filter``, the form
-    read once per call, on each batch's raw draws) and has finite w and y
-    images. The draws in the ball of 8 batches at a time, copied out of the
-    buffer, are then tested together: the z arguments before w and y are
-    computed. Drawing is stopped after the first group that brings the
-    count to n, so up to 7 batches may be drawn past the one that did; the
-    kept points are the first n in draw order all the same, and the
-    generator is local to the call.
+    The draws are the planar batches of ``sampling.ball_batches``, at most
+    400 of 8,192, in a box 1.5x the 24-vertex cloud. A draw in the ball is
+    kept, in draw order, when its w and y images are finite
+    (``sampling.finite_charts``) and its six arguments lie strictly inside
+    ``dom.sectors``. Batches are tested 8 at a time, the z arguments before
+    w and y are computed; drawing stops after the group that brings the
+    count to n, up to 7 batches past the one that did, which changes no
+    point kept.
     """
-    in_ball = ball_filter(hermitian_form(dom.c3), CHUNK)
-
     def in_sectors(args, sectors):
         return np.logical_and.reduce([(arg > lo) & (arg < hi)
                                       for arg, (lo, hi) in zip(args, sectors)])
 
-    rng = np.random.default_rng(seed)
-    buf = np.empty((4, CHUNK))
+    batches = ball_batches(hermitian_form(dom.c3), dom.radius, seed, 400 * 8192,
+                           planar=True)
     points = np.zeros((3, 0), dtype=complex)
-    for _ in range(400 // 8):
-        if points.shape[1] >= n:
-            break
-        r = np.hstack([in_ball(fill_uniform(rng, dom.radius, buf))
-                       for _ in range(8)])
+    while points.shape[1] < n and (group := list(islice(batches, 8))):
+        r = np.hstack(group)
         keep = in_sectors((np.arctan2(r[1], r[0]), np.arctan2(r[3], r[2])),
                           dom.sectors[:2])
-        z = affine_points(r[:, keep])
-        w = dom.w_of_z @ z
-        y = dom.y_of_z @ z
-        finite = (np.abs(w[2]) > 1e-12) & (np.abs(y[2]) > 1e-12)
-        z, w, y = z[:, finite], w[:, finite], y[:, finite]
-        w, y = w / w[2], y / y[2]
+        z, w, y = finite_charts(r[:, keep], (dom.w_of_z, dom.y_of_z))
         keep = in_sectors((np.angle(w[0]), np.angle(w[1]), np.angle(y[0]),
                            np.angle(y[1])), dom.sectors[2:])
         points = np.hstack([points, z[:, keep]])

@@ -213,9 +213,9 @@ class TestSampledChecks:
             bad_mat @ _normal_at(dom.c3, "L_*3"), h, "L_*3"))
         draws = ball_draws(h, dom.radius, 7, 200 * 200,
                            (dom.w_of_z, dom.y_of_z))
-        (good, scrambled), used, _ = bullet_agreement(draws, (bullet, bad),
-                                                      200, 1e-8)
-        assert used == (200, 200)
+        report = bullet_agreement(draws, (bullet, bad), 200, 1e-8)
+        good, scrambled = report.per_bullet_agreement
+        assert report.samples_used == (200, 200)
         assert good == 1.0
         assert scrambled < 1.0
 

@@ -7,7 +7,9 @@ imported name that nothing reads is dead code, in ``tests/`` as well.
 ``__future__`` imports and the re-exports of ``__init__.py`` are exempt. An
 ``assert`` vanishes under ``python -O``, so a check in the package must raise
 instead. A module-level function or class whose name no file under ``src/``,
-``tests/``, ``demos/`` or ``perfbench/`` reads is dead code too.
+``tests/``, ``demos/`` or ``perfbench/`` reads is dead code too. Only
+``sampling.fill_uniform`` calls a drawing method of a numpy ``Generator``, so
+that every sampled check draws through the one generator of ``dmlat.sampling``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dmlat
@@ -27,6 +30,9 @@ READERS = sorted(path for folder in ("src", "tests", "demos", "perfbench")
                  for path in (Path(__file__).parents[1] / folder).rglob("*.py"))
 IMPORTS = (ast.Import, ast.ImportFrom)
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# The methods of a numpy Generator that draw numbers.
+DRAWING = ({name for name in dir(np.random.Generator) if not name.startswith("_")}
+           - {"bit_generator", "spawn"})
 
 
 def _parse(path: Path) -> ast.Module:
@@ -98,6 +104,28 @@ def unnamed_definitions(tree: ast.Module, read: set[str]) -> list[str]:
             if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and node.name not in read]
 
 
+def random_draws(tree: ast.Module, allowed: frozenset[str] = frozenset()) -> list[str]:
+    """``function:line`` of every call of a drawing method (``DRAWING``)
+    outside the functions named in ``allowed``; module-level code is
+    ``<module>``. A call on ``np`` or ``numpy`` itself, such as ``np.power``,
+    is a numpy function, not a draw.
+    """
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
+                    and func.attr in DRAWING and where not in allowed
+                    and not (isinstance(func.value, ast.Name)
+                             and func.value.id in ("np", "numpy"))):
+                found.append(f"{where}:{child.lineno}")
+            visit(child, child.name if isinstance(child, (*FUNCTIONS, ast.ClassDef))
+                  else where)
+    visit(tree, "<module>")
+    return found
+
+
 def runtime_asserts(tree: ast.Module) -> list[int]:
     """Line numbers of every ``assert`` statement."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -118,6 +146,21 @@ def test_detectors_see_both_faults():
                      "def f():\n    import sys\n    return z\n")
     assert function_local_imports(tree) == ["f:4"]
     assert unused_imports(tree) == ["os:1"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_draws_only_in_fill_uniform(path):
+    allowed = frozenset({"fill_uniform"} if path.name == "sampling.py" else ())
+    assert random_draws(_parse(path), allowed) == []
+
+
+def test_random_draw_detector():
+    tree = ast.parse("import numpy as np\nrng = np.random.default_rng(0)\n"
+                     "x = rng.normal() + np.random.uniform()\n"
+                     "def fill(rng, buf):\n    rng.random(out=buf)\n"
+                     "def f(g):\n    return np.power(g.integers(3), 2)\n")
+    assert random_draws(tree, frozenset({"fill"})) == ["<module>:3", "<module>:3", "f:7"]
+    assert random_draws(tree) == ["<module>:3", "<module>:3", "fill:5", "f:7"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

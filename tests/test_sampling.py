@@ -40,9 +40,11 @@ from dmlat.sampling import (
     CHUNK,
     NotRealDiagonal,
     affine_points,
+    ball_batches,
     ball_draws,
     ball_filter,
     fill_uniform,
+    finite_charts,
     first_decisive,
 )
 from dmlat.verification import (
@@ -364,6 +366,55 @@ class TestStreamReplay:
                 assert np.array_equal(a, b)
 
 
+class TestDomainSamplerIsLazy:
+    """The domain sampler pulls its batches from the generator 8 at a time
+    and stops after the group that reaches n: an eager generator makes more
+    fills, and no output shows it."""
+
+    @pytest.mark.parametrize("trip", [(4, 4, 5), (2, 4, 3)], ids=str)
+    def test_fills_only_the_groups_it_reads(self, trip):
+        dom = build_domain(LatticeSignature(*trip))
+        rng = mock.Mock(wraps=np.random.default_rng(7))
+        with mock.patch.object(np.random, "default_rng", return_value=rng):
+            per_batch_domain_points(dom, 500, 7)
+        batches = rng.uniform.call_count
+        with mock.patch.object(sampling_mod, "fill_uniform",
+                               wraps=fill_uniform) as fill:
+            points = _sample_domain_points(dom, 500, 7)
+        assert fill.call_count == 8 * -(-batches // 8)
+        # (4,4,5) reaches 500 points inside its 15th group; on (2,4,3) the
+        # 400-batch cap binds.
+        assert (batches, fill.call_count) == ({(4, 4, 5): (113, 120),
+                                               (2, 4, 3): (400, 400)}[trip])
+        assert (points.shape[1] == 500) == (trip == (4, 4, 5))
+
+
+class TestFiniteCharts:
+    @pytest.mark.parametrize("planar", [False, True])
+    def test_drops_images_at_infinity(self, planar):
+        # Draw j is the point (x_j, 0, 1), inside the unit ball; the swap
+        # of the first and third coordinates maps it to (1, 0, x_j), so its
+        # image is at infinity for x_j = 0 and 5e-10, and finite for 2e-9.
+        draws = np.zeros((4, 3))
+        draws[0] = [0.0, 5e-10, 2e-9]
+        swap = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+        ball = HermitianForm3(np.diag([-1.0, -1.0, 1.0]).astype(complex))
+
+        def fill(rng, radius, buf):
+            buf[:] = (draws if planar else draws.T).ravel()
+            return buf
+
+        with mock.patch.object(sampling_mod, "fill_uniform", fill):
+            r = next(ball_batches(ball, 1.0, 7, 3, planar))
+            # ball_draws reads the interleaved layout through the same rule.
+            charts = () if planar else next(ball_draws(ball, 1.0, 7, 3, (swap,)))
+        assert np.array_equal(r, draws)
+        z, image = finite_charts(r, (swap,))
+        assert np.array_equal(z, affine_points(draws[:, 2:]))
+        assert np.allclose(image, [[5e8], [0.0], [1.0]], rtol=1e-15, atol=0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(charts, (z, image)))
+
+
 def _boundary_scale(d, u):
     """The factor that puts the affine point of u on the sphere of diag(d)."""
     s0, s1 = u[0] ** 2 + u[1] ** 2, u[2] ** 2 + u[3] ** 2
@@ -411,18 +462,34 @@ class TestInBall:
                                wraps=fill_uniform) as fill:
             with pytest.raises(NotRealDiagonal):
                 next(ball_draws(HermitianForm3(m), 1.0, 7, CHUNK))
+            with pytest.raises(NotRealDiagonal):
+                next(ball_batches(HermitianForm3(m), 1.0, 7, 400 * CHUNK,
+                                  planar=True))
         fill.assert_not_called()
 
 
+# Each array fill_uniform fills, made for m draws, with the shape it must read
+# as: a leading slice of the flat buffer of ball_batches, read as (4, m) in
+# the planar layout and as (m, 4) in the interleaved one; the (3, m, 2) block
+# of samelines_check; and a leading (m, 4) slice of a two-dimensional buffer,
+# and a (4, m) array.
+FILLED = {
+    "planar": lambda m: (np.empty(4 * CHUNK)[:4 * m], (4, m)),
+    "interleaved": lambda m: (np.empty(4 * CHUNK)[:4 * m], (m, 4)),
+    "rows": lambda m: (np.empty((CHUNK, 4))[:m], (m, 4)),
+    "columns": lambda m: (np.empty((4, m)), (4, m)),
+    "lines": lambda m: (np.empty((3, m, 2)), (3, m, 2)),
+}
+
+
 class TestFillUniform:
-    @given(st.floats(1e-3, 1e3), st.booleans(),
+    @given(st.floats(1e-3, 1e3), st.sampled_from(sorted(FILLED)),
            st.one_of(st.just(CHUNK), st.integers(1, CHUNK - 1)),
            st.integers(0, 2**32))
-    def test_is_the_uniform_stream(self, radius, rows, m, seed):
-        # The two layouts of the samplers' buffers: a leading slice of the
-        # (CHUNK, 4) buffer of ball_draws, and a (4, m) batch.
-        buf = np.empty((CHUNK, 4))[:m] if rows else np.empty((4, m))
+    def test_is_the_uniform_stream(self, radius, layout, m, seed):
+        buf, shape = FILLED[layout](m)
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):
             assert fill_uniform(rng, radius, buf) is buf
-            assert np.array_equal(buf, reference.uniform(-radius, radius, buf.shape))
+            assert np.array_equal(buf.reshape(shape),
+                                  reference.uniform(-radius, radius, shape))
