@@ -134,10 +134,16 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
+def _as_pair(m, n) -> tuple[np.ndarray, np.ndarray]:
+    m, n = np.asarray(m, dtype=complex), np.asarray(n, dtype=complex)
+    if m.shape != n.shape or m.shape not in ((3, 3), (3,)):
+        raise ValueError(f"expected two 3x3 matrices or two 3-vectors, got {m.shape}, {n.shape}")
+    return m, n
+
+
 def projective_scale(m, n, tol: float = DEFAULT_TOL) -> complex:
     """Scalar lambda such that m approximates lambda*n, from n's largest entry."""
-    m = _as_matrix(m)
-    n = _as_matrix(n)
+    m, n = _as_pair(m, n)
     idx = np.unravel_index(np.argmax(np.abs(n)), n.shape)
     if abs(n[idx]) < tol:
         raise ZeroMatrix("reference matrix is numerically zero")
@@ -145,9 +151,12 @@ def projective_scale(m, n, tol: float = DEFAULT_TOL) -> complex:
 
 
 def projective_equal(m, n, tol: float = DEFAULT_TOL) -> bool:
-    """True iff m == lambda*n within tol, relative to n's largest entry."""
-    m = _as_matrix(m)
-    n = _as_matrix(n)
+    """True iff m == lambda*n within tol, relative to n's largest entry.
+
+    m and n are two 3x3 matrices or two 3-vectors: two maps, two forms or
+    two line vectors, each determined up to a nonzero scalar.
+    """
+    m, n = _as_pair(m, n)
     lam = projective_scale(m, n, tol)
     return bool(np.max(np.abs(m - lam * n)) <= tol * np.max(np.abs(n)))
 

@@ -21,6 +21,7 @@ from dmlat.arithmetic import (
     hermitian_eval,
     no_finite_point,
     projective_equal,
+    projective_scale,
     read_only,
     signature as form_signature,
     exp_i_pi,
@@ -51,8 +52,7 @@ from dmlat.polyhedron import (
     lines_t,
     vertices_t,
 )
-from dmlat.sampling import (Bullet, BulletReport, ball_draws, box_radius,
-                            bullet_agreement, fill_uniform)
+from dmlat.sampling import Bullet, BulletReport, ball_draws, box_radius, bullet_agreement
 
 # theta' and phi', the angles of the C2 chart: 2*alpha-pi and pi+theta+phi-2*alpha.
 _TP = "theta'"
@@ -516,68 +516,53 @@ def boundary_null_vertices(dom: DomainD) -> dict[str, list[np.ndarray]]:
     return out
 
 
-def glueing_check(dom: DomainD, n_samples: int = 100, seed: int = 7,
-                  neutral: float = 1e-9) -> bool:
-    """The three glueing identities, tested by sign agreement on samples.
+def _im_form(m: np.ndarray, phase: complex, i: int) -> np.ndarray:
+    """The Hermitian A with p* A p = Im(phase q_i conj(q_3)), where q = m p.
 
-    Draws are those of ``bisD_check``. The first ``n_samples`` inside the ball
-    are tested, among at most ``200 * n_samples`` draws in chunks of 8,192:
-    each identity's two sides must have the same sign, or both lie within
-    1e-6 of zero when either is within ``neutral``.
-
-    The result is True when at least one point was tested and none failed,
-    even when the draw cap stops short of ``n_samples``: at seed 7, (2,4,3)
-    and (2,3,3) test only 25 and 14 of 100 points and pass.
+    That is |q_3|^2 Im(phase q_i / q_3): A has its sign wherever q is finite.
     """
-    t = float(dom.c3.theta)
-    h = hermitian_form(dom.c3)
-    maps = (dom.x_of_z, dom.u_of_z, dom.w_of_z, dom.y_of_z, dom.v_of_z)
-    phase = complex(math.cos(t * math.pi), -math.sin(t * math.pi))
-    count = 0
-    for (z,) in ball_draws(h, dom.radius, seed, 200 * n_samples):
-        z = z[:, :n_samples - count]
-        count += z.shape[1]
-        x, u, w, y, v = (m @ z for m in maps)
-        lhs = np.array([z[1].imag, (phase * (u[1] / u[2])).imag, (v[0] / v[2]).imag])
-        rhs = np.array([(phase * x[1]).imag, (w[1] / w[2]).imag, (y[0] / y[2]).imag])
-        near = (np.abs(lhs) <= neutral) | (np.abs(rhs) <= neutral)
-        both_small = (np.abs(lhs) <= 1e-6) & (np.abs(rhs) <= 1e-6)
-        if np.any(np.where(near, ~both_small, (lhs < 0) != (rhs < 0))):
-            return False
-        if count == n_samples:
-            break
-    return count > 0
+    c = phase * np.outer(m[2].conj(), m[i])
+    return (c - c.conj().T) / 2j
 
 
-def samelines_check(dom: DomainD, n_samples: int = 50, seed: int = 7,
-                    tol: float = 1e-9) -> bool:
-    """The chart-permuted line identities, verified on sampled line points.
+def _glueing_forms(dom: DomainD) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The two sides of each glueing identity, as ``_im_form``s.
 
-    Each identity equates one line of the z-chart with one line each of the
-    y- and x-charts: (L_*0, L_*0, L_*0), (L_*3, L_*3, L_*2) and
-    (L_*1, L_*2, L_*1). Identity j is tested on ``n_samples`` points of its
-    z-line; the free coordinate of point i is r0 + i r1 for the pair
-    ``rng.uniform(-1, 1, (3, n_samples, 2))[j, i]``, the stream of one
-    ``rng.uniform(-1, 1)`` call per real number.
+    With phase e^{-i theta pi}: Im z2 and Im(phase x2), Im(phase u2/u3) and
+    Im(w2/w3), Im(v1/v3) and Im(y1/y3). Every chart map is built here, so
+    one with a zero denominator raises, as ``v_of_z`` does on (3,3,3).
     """
-    lz = lines_t(dom.c3)
-    ly = lines_t(dom.c2)
-    lx = lines_t(dom.c1)
-    y_of_z, x_of_z = dom.y_of_z, dom.x_of_z
-    identities = [("L_*0", "L_*0", "L_*0"), ("L_*3", "L_*3", "L_*2"),
-                  ("L_*1", "L_*2", "L_*1")]
-    draws = fill_uniform(np.random.default_rng(seed), 1.0,
-                         np.empty((len(identities), n_samples, 2)))
-    ones = np.ones(n_samples, dtype=complex)
-    for (z_lab, y_lab, x_lab), r in zip(identities, draws):
-        line = lz[z_lab]
-        other = r[:, 0] + 1j * r[:, 1]
-        if line.a != 0:
-            z = np.vstack([np.full(n_samples, line.c / line.a), other, ones])
-        else:
-            z = np.vstack([other, np.full(n_samples, line.c / line.b), ones])
-        for image, lab, lines in ((y_of_z @ z, y_lab, ly), (x_of_z @ z, x_lab, lx)):
-            scale = np.max(np.abs(image), axis=0, initial=1.0)
-            if np.any(lines[lab].residual(image) > tol * scale):
-                return False
-    return True
+    phase = exp_i_pi(-dom.c3.theta)
+    return ((_im_form(np.eye(3), 1.0, 1), _im_form(dom.x_of_z, phase, 1)),
+            (_im_form(dom.u_of_z, phase, 1), _im_form(dom.w_of_z, 1.0, 1)),
+            (_im_form(dom.v_of_z, 1.0, 0), _im_form(dom.y_of_z, 1.0, 0)))
+
+
+def glueing_check(dom: DomainD, seed: int = 7) -> bool:
+    """The glueing identities: each pair of forms is proportional, ratio > 0.
+
+    Then the two sides have the same sign at every point. ``seed`` is not
+    read, since the check makes no draw; it is kept for callers that pass it.
+    """
+    return all(projective_equal(a, b) and projective_scale(a, b).real > 0
+               for a, b in _glueing_forms(dom))
+
+
+# The same-lines identities: a line each of the z-, y- and x-charts.
+_SAME_LINES = (("L_*0", "L_*0", "L_*0"), ("L_*3", "L_*3", "L_*2"),
+               ("L_*1", "L_*2", "L_*1"))
+
+
+def samelines_check(dom: DomainD, seed: int = 7) -> bool:
+    """The chart maps carry each z-line of ``_SAME_LINES`` onto its y- and x-lines.
+
+    M carries the line of vector l onto that of l' when l' M is a multiple
+    of l (``ComplexLine.vector``, ``projective_equal``). ``seed`` is not
+    read, since the check makes no draw; it is kept for callers that pass it.
+    """
+    if dom.params.k_prime.is_infinite:
+        raise PreconditionFailed("second chart is singular for infinite k'")
+    lz, ly, lx = lines_t(dom.c3), lines_t(dom.c2), lines_t(dom.c1)
+    return all(projective_equal(ly[y].vector @ dom.y_of_z, lz[z].vector)
+               and projective_equal(lx[x].vector @ dom.x_of_z, lz[z].vector)
+               for z, y, x in _SAME_LINES)

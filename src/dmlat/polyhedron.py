@@ -99,10 +99,10 @@ class ComplexLine:
         if self.a == 0 and self.b == 0:
             raise ValueError("line equation must involve a coordinate")
 
-    def residual(self, point: np.ndarray) -> float:
-        """|a x1 + b x2 - c x3| for a point (x1, x2, x3), or per column of a (3, n) array."""
-        p = np.asarray(point, dtype=complex)
-        return abs(self.a * p[0] + self.b * p[1] - self.c * p[2])
+    @property
+    def vector(self) -> np.ndarray:
+        """(a, b, -c): the point p lies on the line when vector @ p = 0."""
+        return np.array([self.a, self.b, -self.c])
 
 
 def lines_t(c: Configuration) -> dict[str, ComplexLine]:
@@ -268,7 +268,7 @@ def check_incidence(c: Configuration, tol: float = 1e-10) -> bool:
     for name, (l1, l2) in VERTEX_LINES.items():
         for lines, verts in ((lt, vt), (ls, vs)):
             for lab in (l1, l2):
-                if lines[lab].residual(verts[name]) > tol:
+                if abs(lines[lab].vector @ verts[name]) > tol:
                     return False
     return True
 

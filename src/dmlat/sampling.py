@@ -5,9 +5,9 @@ of the configuration's area form, which is real diagonal. ``ball_batches``
 is the one generator that seeds, fills the box (``fill_uniform``), keeps
 the draws in the ball (``ball_filter``) and stops at the draw cap, so a
 report depends only on the seed. Its two batch layouts are the two streams
-in use: interleaved for the bullet and glueing samplers (``ball_draws``),
-planar for the domain sampler of ``tessellate``. ``finite_charts`` is the
-one rule for dropping points whose chart image is at infinity.
+in use: interleaved for the bullet samplers (``ball_draws``), planar for
+the domain sampler of ``tessellate``. ``finite_charts`` is the one rule for
+dropping points whose chart image is at infinity.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def finite_charts(r: np.ndarray, maps: tuple[np.ndarray, ...]) -> tuple:
 
 
 def ball_draws(h: HermitianForm3, radius: float, seed: int, cap: int,
-               maps: tuple[np.ndarray, ...] = ()):
+               maps: tuple[np.ndarray, ...]):
     """The ``finite_charts`` of each interleaved batch of ``ball_batches``."""
     return (finite_charts(r, maps) for r in ball_batches(h, radius, seed, cap))
 

@@ -475,17 +475,8 @@ def group_checks(
     # Q^2 fixes the triple-line ridge of Q pointwise (surviving vertices).
     if dom.params.d.is_positive:
         vd = vertices_D(dom)
-        q2 = w["Q^2"]
-        fixed = True
-        for lab in ("v3", "v4", "v5"):
-            if lab in vd.collapsed:
-                continue
-            v = vd.coords[lab]
-            image = q2 @ v
-            lam = image[int(np.argmax(np.abs(v)))] / v[int(np.argmax(np.abs(v)))]
-            fixed = fixed and bool(
-                np.max(np.abs(image - lam * v)) <= tol * np.max(np.abs(v)) * abs(lam)
-            )
+        fixed = all(projective_equal(w["Q^2"] @ vd.coords[lab], vd.coords[lab], tol)
+                    for lab in ("v3", "v4", "v5") if lab not in vd.collapsed)
         cycles.append(CheckEntry("Q^2 fixes F(Q,Q^-1) pointwise",
                                  "pass" if fixed else "fail"))
     else:

@@ -17,6 +17,7 @@ from dmlat.arithmetic import (
     hermitian_eval,
     projective_equal,
     projective_order,
+    projective_scale,
     sin_pi,
     sin_pi_sign,
     signature,
@@ -108,6 +109,27 @@ class TestProjective:
         m = np.eye(3, dtype=complex)
         other = np.diag([1.0, 2.0, 1.0]).astype(complex)
         assert not projective_equal(m, other)
+
+    @given(st.complex_numbers(min_magnitude=0.1, max_magnitude=10,
+                              allow_nan=False, allow_infinity=False))
+    def test_vectors_equal_under_scalar(self, lam):
+        v = np.array([1.0 - 2.0j, 0.5, 3.0j])
+        assert projective_equal(lam * v, v)
+        assert projective_scale(lam * v, v) == pytest.approx(lam, rel=1e-12)
+        assert not projective_equal(lam * v, np.array([1.0 - 2.0j, 0.5, 2.0j]))
+
+    @pytest.mark.parametrize("m,n", [
+        (np.ones(3), np.eye(3)),
+        (np.eye(3), np.ones(3)),
+        (np.ones(2), np.ones(2)),
+        (np.ones(4), np.ones(4)),
+        (np.ones((3, 1)), np.ones((3, 1))),
+        (np.eye(2), np.eye(2)),
+    ], ids=["vector-matrix", "matrix-vector", "2", "4", "3x1", "2x2"])
+    def test_other_shapes_raise(self, m, n):
+        for compare in (projective_equal, projective_scale):
+            with pytest.raises(ValueError, match="two 3x3 matrices or two 3-vectors"):
+                compare(m, n)
 
 
 class TestSignature:

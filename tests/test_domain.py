@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import dmlat.domain as domain_mod
-from dmlat.arithmetic import exp_i_pi, hermitian_eval, projective_equal
+import dmlat.sampling as sampling_mod
+from dmlat.arithmetic import exp_i_pi, hermitian_eval, projective_equal, projective_scale
 from dmlat.catalog import LatticeSignature
 from dmlat.cli import main
 from dmlat.domain import (
@@ -28,13 +31,14 @@ from dmlat.domain import (
 )
 from dmlat.moves import (
     ConfiguredMap,
+    DegenerateDenominator,
     check_isometry,
     configurations_of,
     hermitian_form,
     move_R2,
 )
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row
-from dmlat.sampling import ball_draws, bullet_agreement
+from dmlat.sampling import ball_draws, bullet_agreement, fill_uniform
 
 KNEG_TRIPLES = {(6, 6, 3), (10, 10, 5), (12, 12, 6), (18, 18, 9),
                 (4, 4, 3), (3, 3, 3)}
@@ -185,12 +189,12 @@ class TestSampledChecks:
     @pytest.mark.parametrize("trip", GENERIC_TRIPLES)
     def test_glueing(self, trip):
         dom = build_domain(LatticeSignature(*trip))
-        assert glueing_check(dom, n_samples=100, seed=7)
+        assert glueing_check(dom, seed=7)
 
     @pytest.mark.parametrize("trip", GENERIC_TRIPLES)
     def test_samelines(self, trip):
         dom = build_domain(LatticeSignature(*trip))
-        assert samelines_check(dom, n_samples=50, seed=7)
+        assert samelines_check(dom, seed=7)
 
     @pytest.mark.parametrize("trip", GENERIC_TRIPLES + [(3, 3, 4)])
     def test_bisD(self, trip):
@@ -231,6 +235,121 @@ class TestSampledChecks:
         finally:
             domain_mod._bisd_bullets.cache_clear()
         assert min(report.per_bullet_agreement) < 1.0
+
+
+COMPLEX = st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                             allow_infinity=False)
+# The triples whose mutations of the exact identities are measured: theta
+# is 1/4, 1/3 and 1/2.
+MUTATED = [(4, 4, 5), (3, 3, 4), (2, 4, 3)]
+
+
+def _glueing_mutant(monkeypatch, change):
+    """Make ``glueing_check`` read the forms of ``_glueing_forms`` as
+    ``change(dom, forms)`` returns them, forms a list of the three pairs."""
+    forms_of = domain_mod._glueing_forms
+    monkeypatch.setattr(domain_mod, "_glueing_forms",
+                        lambda dom: change(dom, list(forms_of(dom))))
+
+
+class TestExactIdentities:
+    """The glueing and same-lines identities, compared as matrices."""
+
+    def test_verdicts(self, triple):
+        # k' is infinite only on (3,3,3). There v_of_z has a zero
+        # denominator, and y_of_z inverts a singular move_R2(C2), with
+        # entries near 1e16: samelines_check refuses it, as in_D_union does,
+        # rather than compare noise.
+        dom = build_domain(LatticeSignature(*triple))
+        if triple == (3, 3, 3):
+            with pytest.raises(DegenerateDenominator):
+                glueing_check(dom)
+            with pytest.raises(PreconditionFailed, match="infinite k'"):
+                samelines_check(dom)
+        else:
+            assert glueing_check(dom)
+            assert samelines_check(dom)
+
+    @given(st.sampled_from(GENERIC_TRIPLES + MUTATED[1:]), COMPLEX, COMPLEX)
+    def test_forms_are_the_sampled_quantities(self, trip, z1, z2):
+        # Each side of an identity is Im(phase q_i / q_3) at the image q of
+        # the point p = (z1, z2, 1) in its chart, as the sampled check read
+        # it; its form must give |q_3|^2 times that value.
+        dom = build_domain(LatticeSignature(*trip))
+        phase = exp_i_pi(-dom.c3.theta)
+        sides = [(np.eye(3), 1.0, 1), (dom.x_of_z, phase, 1),
+                 (dom.u_of_z, phase, 1), (dom.w_of_z, 1.0, 1),
+                 (dom.v_of_z, 1.0, 0), (dom.y_of_z, 1.0, 0)]
+        forms = [a for pair in domain_mod._glueing_forms(dom) for a in pair]
+        p = np.array([z1, z2, 1.0])
+        for (m, ph, i), a in zip(sides, forms):
+            q = m @ p
+            assume(abs(q[2]) > 1e-3 * np.max(np.abs(q)))
+            sampled = abs(q[2]) ** 2 * (ph * q[i] / q[2]).imag
+            value = p.conj() @ a @ p
+            bound = 1e-12 * (np.max(np.abs(m)) * np.max(np.abs(p))) ** 2
+            assert abs(value.imag) <= bound
+            assert abs(value.real - sampled) <= bound
+
+    @pytest.mark.parametrize("trip", MUTATED, ids=str)
+    def test_conjugated_phase_fails(self, trip, monkeypatch):
+        # On (2,4,3), theta = 1/2: the conjugated phase negates the form,
+        # which is then proportional, with a negative ratio.
+        def conjugate(dom, forms):
+            phase = exp_i_pi(dom.c3.theta)
+            forms[0] = (forms[0][0], domain_mod._im_form(dom.x_of_z, phase, 1))
+            return forms
+
+        dom = build_domain(LatticeSignature(*trip))
+        _glueing_mutant(monkeypatch, conjugate)
+        (a, b), *_ = domain_mod._glueing_forms(dom)
+        assert projective_equal(a, b) == (trip == (2, 4, 3))
+        assert not glueing_check(dom)
+
+    @pytest.mark.parametrize("trip", MUTATED, ids=str)
+    def test_wrong_coordinate_fails(self, trip, monkeypatch):
+        def first_coordinate(dom, forms):
+            forms[1] = (forms[1][0], domain_mod._im_form(dom.w_of_z, 1.0, 0))
+            return forms
+
+        dom = build_domain(LatticeSignature(*trip))
+        _glueing_mutant(monkeypatch, first_coordinate)
+        assert not projective_equal(*domain_mod._glueing_forms(dom)[1])
+        assert not glueing_check(dom)
+
+    @pytest.mark.parametrize("trip", MUTATED, ids=str)
+    def test_negated_side_fails(self, trip, monkeypatch):
+        def negate(dom, forms):
+            forms[2] = (forms[2][0], -forms[2][1])
+            return forms
+
+        dom = build_domain(LatticeSignature(*trip))
+        _glueing_mutant(monkeypatch, negate)
+        a, b = domain_mod._glueing_forms(dom)[2]
+        assert projective_equal(a, b) and projective_scale(a, b).real < 0
+        assert not glueing_check(dom)
+
+    @pytest.mark.parametrize("trip", MUTATED, ids=str)
+    def test_wrong_line_fails(self, trip, monkeypatch):
+        # The y-line L_*2 in place of L_*3 in the second identity.
+        dom = build_domain(LatticeSignature(*trip))
+        lines = list(domain_mod._SAME_LINES)
+        assert lines[1] == ("L_*3", "L_*3", "L_*2")
+        lines[1] = ("L_*3", "L_*2", "L_*2")
+        monkeypatch.setattr(domain_mod, "_SAME_LINES", tuple(lines))
+        assert not samelines_check(dom)
+
+    @pytest.mark.parametrize("trip", GENERIC_TRIPLES, ids=str)
+    def test_no_draws(self, trip):
+        dom = build_domain(LatticeSignature(*trip))
+        with mock.patch.object(np.random, "default_rng",
+                               wraps=np.random.default_rng) as rng, \
+                mock.patch.object(sampling_mod, "fill_uniform",
+                                  wraps=fill_uniform) as fill:
+            assert glueing_check(dom, seed=7)
+            assert samelines_check(dom, seed=7)
+        rng.assert_not_called()
+        fill.assert_not_called()
 
 
 class TestKnegForms:

@@ -10,6 +10,8 @@ instead. A module-level function or class whose name no file under ``src/``,
 ``tests/``, ``demos/`` or ``perfbench/`` reads is dead code too. Only
 ``sampling.fill_uniform`` calls a drawing method of a numpy ``Generator``, so
 that every sampled check draws through the one generator of ``dmlat.sampling``.
+Every parameter of a function in the package is read in its body, except
+those of ``UNREAD``, each listed with the reason it is kept.
 """
 
 from __future__ import annotations
@@ -126,6 +128,24 @@ def random_draws(tree: ast.Module, allowed: frozenset[str] = frozenset()) -> lis
     return found
 
 
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """``function:parameter`` of every parameter, of a function or a lambda,
+    that the function's body never reads; a read inside a nested function
+    counts."""
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (*FUNCTIONS, ast.Lambda)):
+            args = func.args
+            params = [a for a in (*args.posonlyargs, *args.args, args.vararg,
+                                  *args.kwonlyargs, args.kwarg) if a is not None]
+            body = func.body if isinstance(func.body, list) else [func.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            found += [f"{getattr(func, 'name', '<lambda>')}:{a.arg}"
+                      for a in params if a.arg not in read]
+    return found
+
+
 def runtime_asserts(tree: ast.Module) -> list[int]:
     """Line numbers of every ``assert`` statement."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -161,6 +181,33 @@ def test_random_draw_detector():
                      "def f(g):\n    return np.power(g.integers(3), 2)\n")
     assert random_draws(tree, frozenset({"fill"})) == ["<module>:3", "<module>:3", "f:7"]
     assert random_draws(tree) == ["<module>:3", "<module>:3", "fill:5", "f:7"]
+
+
+# The parameters that no body may read, each with the reason it is kept.
+UNREAD = {
+    "domain.py": {
+        "glueing_check:seed": "the check is exact and draws nothing; "
+                              "perfbench's glue_samelines operation passes it",
+        "samelines_check:seed": "the check is exact and draws nothing; "
+                                "perfbench's glue_samelines operation passes it",
+    },
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_parameter_is_read(path):
+    assert unread_parameters(_parse(path)) == sorted(UNREAD.get(path.name, {}))
+
+
+def test_unread_parameter_detector():
+    # g only assigns x; z is read in a nested function, w in a lambda.
+    tree = ast.parse("def f(a, b, *args, c=1, **kw):\n    return a + kw['x']\n"
+                     "def g(x):\n    x = 1\n    return 0\n"
+                     "class C:\n    def m(self, z, w):\n"
+                     "        def inner():\n            return z\n"
+                     "        return inner, lambda v: w\n")
+    assert sorted(unread_parameters(tree)) == [
+        "<lambda>:v", "f:args", "f:b", "f:c", "g:x", "m:self"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

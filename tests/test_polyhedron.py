@@ -51,7 +51,7 @@ class TestLines:
                 if not np.all(np.isfinite(v)):
                     continue
                 for lab in VERTEX_LINES[name]:
-                    assert lines[lab].residual(v) < 1e-10
+                    assert abs(lines[lab].vector @ v) < 1e-10
 
     def test_normal_is_orthogonal(self, triple):
         # Every vertex is orthogonal to the polars of its two lines, in both

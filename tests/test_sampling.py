@@ -316,7 +316,8 @@ def unscreened_ball_draws(h, radius, seed, cap, maps=()):
 
 def sampler_draws(trip, sampler):
     """The arguments of ``ball_draws`` in one sampler at n = 300, seed left
-    out: form, radius, draw cap and maps."""
+    out: form, radius, draw cap and maps. "glueing" is the no-map case, the
+    draws the glueing check made before it became exact."""
     sig = LatticeSignature(*trip)
     dom = build_domain(sig)
     if sampler == "eight":
@@ -461,7 +462,7 @@ class TestInBall:
         with mock.patch.object(sampling_mod, "fill_uniform",
                                wraps=fill_uniform) as fill:
             with pytest.raises(NotRealDiagonal):
-                next(ball_draws(HermitianForm3(m), 1.0, 7, CHUNK))
+                next(ball_draws(HermitianForm3(m), 1.0, 7, CHUNK, ()))
             with pytest.raises(NotRealDiagonal):
                 next(ball_batches(HermitianForm3(m), 1.0, 7, 400 * CHUNK,
                                   planar=True))
@@ -470,15 +471,13 @@ class TestInBall:
 
 # Each array fill_uniform fills, made for m draws, with the shape it must read
 # as: a leading slice of the flat buffer of ball_batches, read as (4, m) in
-# the planar layout and as (m, 4) in the interleaved one; the (3, m, 2) block
-# of samelines_check; and a leading (m, 4) slice of a two-dimensional buffer,
-# and a (4, m) array.
+# the planar layout and as (m, 4) in the interleaved one; and a leading
+# (m, 4) slice of a two-dimensional buffer, and a (4, m) array.
 FILLED = {
     "planar": lambda m: (np.empty(4 * CHUNK)[:4 * m], (4, m)),
     "interleaved": lambda m: (np.empty(4 * CHUNK)[:4 * m], (m, 4)),
     "rows": lambda m: (np.empty((CHUNK, 4))[:m], (m, 4)),
     "columns": lambda m: (np.empty((4, m)), (4, m)),
-    "lines": lambda m: (np.empty((3, m, 2)), (3, m, 2)),
 }
 
 
