@@ -21,8 +21,20 @@ PiRational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ORDER = 200
+# The tolerance table: every tolerance and bound of the package, one name per
+# decision. The other modules read these names and write none of the values.
+DEFAULT_TOL = 1e-9  # computed matrices or values agree, up to scale or not; --tolerance default
+DEFAULT_MAX_ORDER = 200  # the highest power an order search tries; --max-order default
+VANISHING_TOL = 1e-12  # a value vanishes against the largest entry it is measured with
+ZERO_COORD_TOL = 1e-10  # a coordinate vanishes; catalog vertex coordinates are < 2e-14 or > 0.04
+VERTEX_ARG_TOL = 1e-9  # a vertex-table coordinate has its named argument
+MEMBERSHIP_TOL = 1e-6  # slack of each argument condition of in_D and in_D_union
+RESIDUAL_TOL = 1e-10  # a closed-form vertex meets its line, side bound or bisector
+REAL_TOL = 1e-9  # a Hermitian value is real, or null, relative to its terms
+# Values that pin the sampled reports: changing one changes their streams.
+FINITE_CHART_TOL = 1e-9  # a sampled point's chart image is finite
+BULLET_NEUTRAL = 1e-8  # default neutral band of the two bullet samplers
+TESSELLATE_NEUTRAL = 1e-9  # neutral band of the tessellation sign table
 
 
 class ZeroMatrix(ValueError):
@@ -190,7 +202,7 @@ def projective_order(m, max_n: int = DEFAULT_MAX_ORDER, tol: float = DEFAULT_TOL
 
 @dataclass(frozen=True)
 class HermitianForm3:
-    """A 3x3 Hermitian matrix, validated to 1e-12 at construction.
+    """A 3x3 Hermitian matrix, validated to ``VANISHING_TOL`` at construction.
 
     The matrix is read-only, so that one form can be shared by every caller.
     """
@@ -199,8 +211,8 @@ class HermitianForm3:
 
     def __post_init__(self) -> None:
         h = _as_matrix(self.matrix)
-        if np.max(np.abs(h - h.conj().T)) > 1e-12:
-            raise ValueError("matrix is not Hermitian to 1e-12")
+        if np.max(np.abs(h - h.conj().T)) > VANISHING_TOL:
+            raise ValueError(f"matrix is not Hermitian to {VANISHING_TOL}")
         h.setflags(write=False)
         object.__setattr__(self, "matrix", h)
 
@@ -220,17 +232,17 @@ def hermitian_eval(h: HermitianForm3, v):
     val = (complex(v.conj() @ h.matrix @ v) if v.ndim == 1
            else np.einsum("ij,ik,kj->j", v.conj(), h.matrix, v))
     imag = np.abs(np.imag(val))
-    if np.any(imag > 1e-9 * np.abs(val) + 1e-12):
+    if np.any(imag > REAL_TOL * np.abs(val) + VANISHING_TOL):
         raise NonRealResult(f"v*Hv has imaginary part {np.max(imag)}")
     return np.real(val)
 
 
-def signature(h: HermitianForm3, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a Hermitian form."""
+def signature(h: HermitianForm3) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts, zero within ``DEFAULT_TOL``."""
     eigs = np.linalg.eigvalsh(h.matrix)
-    n_zero = int(np.sum(np.abs(eigs) <= tol))
-    n_pos = int(np.sum(eigs > tol))
-    n_neg = int(np.sum(eigs < -tol))
+    n_zero = int(np.sum(np.abs(eigs) <= DEFAULT_TOL))
+    n_pos = int(np.sum(eigs > DEFAULT_TOL))
+    n_neg = int(np.sum(eigs < -DEFAULT_TOL))
     return (n_pos, n_neg, n_zero)
 
 
@@ -241,5 +253,5 @@ def no_finite_point(v) -> bool:
     point at infinity, or the zero vector of a singular chart.
     """
     v = np.asarray(v)
-    return bool(abs(v[2]) <= 1e-12 * np.max(np.abs(v)))
+    return bool(abs(v[2]) <= VANISHING_TOL * np.max(np.abs(v)))
 

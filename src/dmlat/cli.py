@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
-from dmlat.arithmetic import no_finite_point
+from dmlat.arithmetic import DEFAULT_MAX_ORDER, DEFAULT_TOL, no_finite_point
 from dmlat.catalog import (
     LatticeSignature,
     catalog,
@@ -232,8 +231,9 @@ def _value(convert, ok, need: str):
     return parse
 
 
-_POSITIVE = _value(float, lambda v: math.isfinite(v) and v > 0,
-                   "must be a finite positive number")
+# Below 1, since a projective comparison refuses a reference whose largest
+# entry, 1 for the identity, is below the tolerance.
+_TOLERANCE = _value(float, lambda v: 0 < v < 1, "must be a number in (0, 1)")
 _COUNT = _value(int, lambda v: v >= 1, "must be an integer of at least 1")
 _SEED = _value(int, lambda v: v >= 0, "must be a non-negative integer")
 
@@ -249,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dmlat",
         description="Verification toolkit for thirteen complex hyperbolic "
                     "lattice constructions.")
-    parser.add_argument("--tolerance", type=_POSITIVE, default=1e-9)
+    parser.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL)
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--max-order", type=_COUNT, default=200)
+    parser.add_argument("--max-order", type=_COUNT, default=DEFAULT_MAX_ORDER)
     parser.add_argument("--seed", type=_SEED, default=7)
     parser.add_argument("--force", action="store_true",
                         help="allow non-catalog signatures")

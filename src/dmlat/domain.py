@@ -17,6 +17,7 @@ from itertools import chain
 import numpy as np
 
 from dmlat.arithmetic import (
+    BULLET_NEUTRAL, REAL_TOL, VERTEX_ARG_TOL, ZERO_COORD_TOL,
     HermitianForm3,
     hermitian_eval,
     no_finite_point,
@@ -250,9 +251,6 @@ def _pairing_words(dom: DomainD) -> dict[str, np.ndarray]:
 # The 24-vertex table: label -> (alias in D3, D1, D2, cells). Cells are the
 # six columns of ``_SECTORS``; each cell is None (empty), "zero" (the
 # coordinate vanishes) or a named angle of ``_SECTORS``.
-# Tolerances of the table check: a cell's argument and a vanishing coordinate.
-_TOL_ARG, _TOL_ZERO = 1e-9, 1e-10
-
 _VERT_D_TABLE: dict[str, tuple[str | None, str | None, str | None, tuple]] = {
     "v0": (None, "t2", "t1", (None, None, None, None, "zero", "zero")),
     "v1": ("t1", "t1", None, ("zero", "zero", None, None, None, None)),
@@ -370,10 +368,10 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
             if cell is None or (col >= 4 and not y_usable):
                 continue
             if cell == "zero":
-                if abs(val) > _TOL_ZERO:
+                if abs(val) > ZERO_COORD_TOL:
                     failures.append(f"{label}: expected zero, |value|={abs(val):.2e}")
                 continue
-            if abs(val) <= _TOL_ZERO:
+            if abs(val) <= ZERO_COORD_TOL:
                 failures.append(f"{label}: expected arg, got zero coordinate")
                 continue
             want = angle[cell]
@@ -381,7 +379,7 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
             period = math.pi if (dom.kneg_flag and col == 5) else 2 * math.pi
             diff = abs((got - want + math.pi) % (2 * math.pi) - math.pi)
             diff = min(diff, abs(diff - period)) if period == math.pi else diff
-            if diff > _TOL_ARG:
+            if diff > VERTEX_ARG_TOL:
                 failures.append(f"{label}: arg mismatch {got:.6f} vs {want:.6f}")
     if unplaced:
         notes.append(f"cells skipped for vertices with no finite point: {unplaced}")
@@ -390,10 +388,15 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
     )
 
 
-def in_D_union(point, dom: DomainD, tol: float = 1e-6) -> bool:
-    """Membership in the glued domain: six z/w/y argument conditions."""
-    if dom.params.k_prime.is_infinite:
-        raise PreconditionFailed("second chart is singular for infinite k'")
+def in_D_union(point, dom: DomainD) -> bool:
+    """Membership in the glued domain: six z/w/y argument conditions.
+
+    Refused unless k' is positive and finite: the second chart is singular
+    for infinite k', and the y1 sector (-phi', phi') is empty for k' < 0.
+    """
+    if dom.kneg_flag:
+        raise PreconditionFailed("the second chart is singular (k' = inf) "
+                                 "or its y1 sector empty (k' < 0)")
     z = np.asarray(point, dtype=complex)
     if no_finite_point(z):
         raise PointAtInfinity("point has vanishing third z-coordinate")
@@ -404,7 +407,7 @@ def in_D_union(point, dom: DomainD, tol: float = 1e-6) -> bool:
         raise PointAtInfinity("image chart coordinate at infinity")
     w = w / w[2]
     y = y / y[2]
-    return all(_arg_in(value, lo, hi, tol) for value, (lo, hi)
+    return all(_arg_in(value, lo, hi) for value, (lo, hi)
                in zip((z[0], z[1], w[0], w[1], y[0], y[1]), dom.sectors))
 
 
@@ -442,7 +445,7 @@ def _bisd_bullets(dom: DomainD) -> tuple[Bullet, ...]:
 
 
 def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,
-               neutral: float = 1e-8) -> BulletReport:
+               neutral: float = BULLET_NEUTRAL) -> BulletReport:
     """Sampled sign-equivalence of the 12 half-space inequalities.
 
     Draw i, the i-th ``rng.uniform(-radius, radius, 4)``, is the z-frame
@@ -488,7 +491,7 @@ def kneg_collapsed_vertex(dom: DomainD) -> np.ndarray:
     y_point = np.array([1.0, 0.0, 0.0], dtype=complex)
     z = move_R2(dom.c2).matrix @ y_point
     norm = hermitian_eval(hermitian_form(dom.c3), z)
-    is_null = abs(norm) <= 1e-9 * float(np.max(np.abs(z)) ** 2)
+    is_null = abs(norm) <= REAL_TOL * float(np.max(np.abs(z)) ** 2)
     if dom.params.k_prime.is_infinite:
         if not is_null:
             raise CollapsedVertexMisplaced(

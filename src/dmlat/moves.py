@@ -16,6 +16,7 @@ from functools import cache
 import numpy as np
 
 from dmlat.arithmetic import (
+    DEFAULT_TOL, VANISHING_TOL,
     HermitianForm3,
     PiRational,
     exp_i_pi,
@@ -254,7 +255,7 @@ def compose(f: ConfiguredMap, g: ConfiguredMap) -> ConfiguredMap:
 def inverse(f: ConfiguredMap) -> ConfiguredMap:
     """Matrix inverse with source and target swapped."""
     m = f.matrix / np.max(np.abs(f.matrix))
-    if abs(np.linalg.det(m)) <= 1e-12:
+    if abs(np.linalg.det(m)) <= VANISHING_TOL:
         raise SingularMatrix(f"map {f.label} is numerically singular")
     inv = np.linalg.inv(f.matrix)
     label = f.label[:-3] if f.label.endswith("^-1") else f.label + "^-1"
@@ -269,15 +270,15 @@ def compose_chain(*maps: ConfiguredMap) -> ConfiguredMap:
     return result
 
 
-def check_isometry(f: ConfiguredMap, tol: float = 1e-9) -> bool:
-    """True iff f.matrix* H(target) f.matrix == H(source) entrywise to tol."""
+def check_isometry(f: ConfiguredMap) -> bool:
+    """True iff f.matrix* H(target) f.matrix == H(source) entrywise to ``DEFAULT_TOL``."""
     h_src = hermitian_form(f.source).matrix
     h_tgt = hermitian_form(f.target).matrix
     lhs = f.matrix.conj().T @ h_tgt @ f.matrix
-    return bool(np.max(np.abs(lhs - h_src)) <= tol)
+    return bool(np.max(np.abs(lhs - h_src)) <= DEFAULT_TOL)
 
 
-def check_braid(c: Configuration, tol: float = 1e-9) -> bool:
+def check_braid(c: Configuration) -> bool:
     """Configuration-tracked triple products agree projectively.
 
     Both ways around the commuting square of exchanges are built from c and
@@ -291,7 +292,7 @@ def check_braid(c: Configuration, tol: float = 1e-9) -> bool:
     )
     if not (left.source.same_angles(right.source) and left.target.same_angles(right.target)):
         raise ConfigMismatch("the two triple products do not share configurations")
-    return projective_equal(left.matrix, right.matrix, tol)
+    return projective_equal(left.matrix, right.matrix)
 
 
 def configurations_of(sig: LatticeSignature) -> tuple[Configuration, Configuration, Configuration]:

@@ -15,6 +15,7 @@ from functools import cache
 import numpy as np
 
 from dmlat.arithmetic import (
+    BULLET_NEUTRAL, DEFAULT_TOL, MEMBERSHIP_TOL, RESIDUAL_TOL, VANISHING_TOL, ZERO_COORD_TOL,
     HermitianForm3,
     no_finite_point,
     read_only,
@@ -261,28 +262,28 @@ def vertices_s(c: Configuration) -> dict[str, np.ndarray]:
     return _affine_to_projective(_s_vertex_coords(c))
 
 
-def check_incidence(c: Configuration, tol: float = 1e-10) -> bool:
+def check_incidence(c: Configuration) -> bool:
     """Every vertex satisfies its two defining line equations, in both frames."""
     lt, ls = lines_t(c), lines_s(c)
     vt, vs = vertices_t(c), vertices_s(c)
     for name, (l1, l2) in VERTEX_LINES.items():
         for lines, verts in ((lt, vt), (ls, vs)):
             for lab in (l1, l2):
-                if abs(lines[lab].vector @ verts[name]) > tol:
+                if abs(lines[lab].vector @ verts[name]) > RESIDUAL_TOL:
                     return False
     return True
 
 
-def check_s_consistency(c: Configuration, tol: float = 1e-9) -> bool:
+def check_s_consistency(c: Configuration) -> bool:
     """Reference s-frame vertices agree with the inverse composite applied to t."""
     pinv = move_P_inverse(c)
     vt, vs = vertices_t(c), vertices_s(c)
     for name, tv in vt.items():
         image = pinv.matrix @ tv
-        if abs(image[2]) < 1e-12:
+        if no_finite_point(image):
             return False
         image = image / image[2]
-        if np.max(np.abs(image - vs[name])) > tol:
+        if np.max(np.abs(image - vs[name])) > DEFAULT_TOL:
             return False
     return True
 
@@ -296,20 +297,20 @@ def to_s_frame(point, c: Configuration) -> np.ndarray:
     return s / s[2]
 
 
-def _arg_in(value: complex, lo: float, hi: float, tol: float) -> bool:
-    if abs(value) <= 1e-9:
+def _arg_in(value: complex, lo: float, hi: float) -> bool:
+    if abs(value) <= ZERO_COORD_TOL:
         return True
     arg = math.atan2(value.imag, value.real)
-    return lo - tol <= arg <= hi + tol
+    return lo - MEMBERSHIP_TOL <= arg <= hi + MEMBERSHIP_TOL
 
 
-def in_D(point, c: Configuration, tol: float = 1e-6) -> bool:
+def in_D(point, c: Configuration) -> bool:
     """Membership in the generic polyhedron: four argument conditions.
 
     arg(t1) in (-phi, 0), arg(t2) in (0, theta), arg(s1) in (0, phi''),
     arg(s2) in (0, theta''), where theta'' and phi'' are the angles of the
-    s-frame chart (``p_inverse_target``); a coordinate smaller than 1e-9 in
-    modulus satisfies its condition vacuously.
+    s-frame chart (``p_inverse_target``), each with ``MEMBERSHIP_TOL`` slack;
+    a coordinate within ``ZERO_COORD_TOL`` of 0 satisfies its condition vacuously.
     """
     p = np.asarray(point, dtype=complex)
     if no_finite_point(p):
@@ -319,10 +320,10 @@ def in_D(point, c: Configuration, tol: float = 1e-6) -> bool:
     t, f, tpp, fpp = (float(x) * math.pi for x in (c.theta, c.phi, cs.theta, cs.phi))
     s = to_s_frame(p, c)
     return (
-        _arg_in(p[0], -f, 0.0, tol)
-        and _arg_in(p[1], 0.0, t, tol)
-        and _arg_in(s[0], 0.0, fpp, tol)
-        and _arg_in(s[1], 0.0, tpp, tol)
+        _arg_in(p[0], -f, 0.0)
+        and _arg_in(p[1], 0.0, t)
+        and _arg_in(s[0], 0.0, fpp)
+        and _arg_in(s[1], 0.0, tpp)
     )
 
 
@@ -374,7 +375,7 @@ def side_bounds(c: Configuration) -> dict[str, float]:
     }
 
 
-def side_bound_check(c: Configuration, tol: float = 1e-10) -> bool:
+def side_bound_check(c: Configuration) -> bool:
     """Each side's vertices respect that side's modulus bound."""
     violated = pp_possible(c)
     if violated:
@@ -387,12 +388,12 @@ def side_bound_check(c: Configuration, tol: float = 1e-10) -> bool:
     for bis, (frame, coord, members) in BISECTOR_TABLE.items():
         verts = vt if frame == "t" else vs
         for name in members:
-            if abs(verts[name][coord - 1]) > bounds["S" + bis[1:]] + tol:
+            if abs(verts[name][coord - 1]) > bounds["S" + bis[1:]] + RESIDUAL_TOL:
                 return False
     return True
 
 
-def bisector_membership_check(c: Configuration, tol: float = 1e-10) -> bool:
+def bisector_membership_check(c: Configuration) -> bool:
     """The listed vertices satisfy each bisector's im-equation."""
     vt, vs = vertices_t(c), vertices_s(c)
     cs = p_inverse_target(c)
@@ -409,7 +410,7 @@ def bisector_membership_check(c: Configuration, tol: float = 1e-10) -> bool:
     for bis, (frame, coord, members) in BISECTOR_TABLE.items():
         verts = vt if frame == "t" else vs
         for name in members:
-            if abs((phases[bis] * verts[name][coord - 1]).imag) > tol:
+            if abs((phases[bis] * verts[name][coord - 1]).imag) > RESIDUAL_TOL:
                 return False
     return True
 
@@ -420,11 +421,11 @@ def _polar_row(n: np.ndarray, h: HermitianForm3, label: str) -> np.ndarray:
     The polar of a line meeting the ball is a negative vector; a collapsed
     line has a positive polar, which the half-space comparisons still
     accept under the same absolute-value scale. A null polar has no scale
-    and is rejected: |n* H n| at most 1e-12 |n|^T |H| |n|.
+    and is rejected: |n* H n| at most ``VANISHING_TOL`` |n|^T |H| |n|.
     """
     row = n.conj() @ h.matrix
     norm = (row @ n).real
-    if abs(norm) <= 1e-12 * (np.abs(n) @ np.abs(h.matrix) @ np.abs(n)):
+    if abs(norm) <= VANISHING_TOL * (np.abs(n) @ np.abs(h.matrix) @ np.abs(n)):
         raise SingularSystem(f"normal of {label} is a null vector")
     return read_only(row / math.sqrt(abs(norm)))
 
@@ -471,7 +472,7 @@ def _bullet_table(c: Configuration) -> tuple[tuple[Bullet, ...], float]:
 
 
 def bisector_equivalence_sample(
-    c: Configuration, n_samples: int = 1000, seed: int = 7, neutral: float = 1e-8
+    c: Configuration, n_samples: int = 1000, seed: int = 7, neutral: float = BULLET_NEUTRAL
 ) -> BulletReport:
     """Check the eight im/distance half-space equivalences on random points.
 

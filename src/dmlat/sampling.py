@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dmlat.arithmetic import HermitianForm3, no_finite_point
+from dmlat.arithmetic import FINITE_CHART_TOL, HermitianForm3, no_finite_point
 
 CHUNK = 8192
 
@@ -146,14 +146,14 @@ def finite_charts(r: np.ndarray, maps: tuple[np.ndarray, ...]) -> tuple:
 
     Draw j is the point (r0 + i r1, r2 + i r3, 1) of column j. It is kept
     when its image under each matrix of ``maps`` has a third coordinate of
-    modulus at least 1e-9. Returns the kept points as a (3, k') array, then
+    modulus at least ``FINITE_CHART_TOL``. Returns the kept points as a (3, k') array, then
     their images, scaled to third coordinate 1.
     """
     z = affine_points(r)
     images = [m @ z for m in maps]
     keep = np.ones(z.shape[1], dtype=bool)
     for image in images:
-        keep &= np.abs(image[2]) >= 1e-9
+        keep &= np.abs(image[2]) >= FINITE_CHART_TOL
     return (z[:, keep], *(im[:, keep] / im[2, keep] for im in images))
 
 

@@ -23,6 +23,7 @@ from operator import mul, sub
 import numpy as np
 
 from dmlat.arithmetic import (
+    DEFAULT_MAX_ORDER, DEFAULT_TOL, TESSELLATE_NEUTRAL, VANISHING_TOL,
     ExceededBound,
     exp_i_pi,
     projective_equal,
@@ -270,9 +271,7 @@ _KEY_WEIGHTS /= np.linalg.norm(_KEY_WEIGHTS)
 _KEY_SCALE = 1e5  # buckets of width 1e-5 in |<c, m>|
 
 
-def stabilizer_bfs(
-    generators, max_size: int = 10000, tol: float = 1e-9
-) -> int:
+def stabilizer_bfs(generators, max_size: int = 10000) -> int:
     """Order of the group generated by the matrices, as projective maps.
 
     Breadth-first closure under right multiplication by the generators and
@@ -294,19 +293,20 @@ def stabilizer_bfs(
     Probe bound: if m and n are unit-norm and lam n lies within d of m
     entrywise, |<c, m>| and |<c, n>| differ by at most ||c||_1 d < 3 d.
     Probing buckets key-1, key and key+1 therefore finds every element
-    within 10 ``tol`` of m while 30 ``tol`` < 1e-5.
+    within 10 tol of m while 30 tol < 1e-5, where tol is ``DEFAULT_TOL``.
 
     A candidate is compared with the members of those three buckets in
     that order, each bucket in registration order. The distance is the
     largest entry of |m - lam n| after optimal phase alignment, computed on
     the level's rows as Python complex lists, which is cheaper than a numpy
     call per pair on 3x3 matrices. The scan stops at the first member
-    within ``tol``. A member neither within ``tol`` nor beyond 10x ``tol``
+    within tol. A member neither within tol nor beyond 10x tol
     raises HashCollisionAmbiguity rather than guessing. A group of more
     than ``max_size`` elements raises ExceededBound.
     """
     if max_size > 10000:
         raise ValueError("max_size is capped at 10000")
+    tol, zero = DEFAULT_TOL, VANISHING_TOL  # read by ``known`` as cells, not globals
     gens = np.array(list(generators), dtype=complex).reshape(-1, 3, 3)
     gens = np.concatenate([gens, np.linalg.inv(gens)])
     n_gens = len(gens)
@@ -333,9 +333,9 @@ def stabilizer_bfs(
         return flat, fresh
 
     def known(row: list[complex], other: list[complex]) -> bool:
-        """Whether the rows are equal at ``tol``; raises if ambiguous."""
+        """Whether the rows are equal at tol; raises if ambiguous."""
         inner = sum(map(mul, row, map(complex.conjugate, other)))
-        if abs(inner) < 1e-12:
+        if abs(inner) < zero:
             dist = max(map(abs, row)) + max(map(abs, other))
         else:
             lam = inner / abs(inner)
@@ -430,7 +430,7 @@ def _holds(equation: str, w: dict[str, np.ndarray], tol: float) -> bool:
 
 
 def group_checks(
-    sig: LatticeSignature, tol: float = 1e-9, max_order: int = 200
+    sig: LatticeSignature, tol: float = DEFAULT_TOL, max_order: int = DEFAULT_MAX_ORDER
 ) -> tuple[CheckReport, CheckReport]:
     """The relation report and the cycle report, each equation evaluated once.
 
@@ -489,18 +489,14 @@ def group_checks(
     return CheckReport(sig, tuple(entries)), CheckReport(sig, tuple(cycles))
 
 
-def check_relations(
-    sig: LatticeSignature, tol: float = 1e-9, max_order: int = 200
-) -> CheckReport:
+def check_relations(sig: LatticeSignature) -> CheckReport:
     """The presentation relations: the first report of ``group_checks``."""
-    return group_checks(sig, tol, max_order)[0]
+    return group_checks(sig)[0]
 
 
-def cycle_orders(
-    sig: LatticeSignature, tol: float = 1e-9, max_order: int = 200
-) -> CheckReport:
+def cycle_orders(sig: LatticeSignature) -> CheckReport:
     """The cycle conditions of D: the second report of ``group_checks``."""
-    return group_checks(sig, tol, max_order)[1]
+    return group_checks(sig)[1]
 
 
 # Reference sign rows for the Lagrangian ridge: the word that maps D's points
@@ -586,7 +582,6 @@ def tessellation_sign_table(
     ridge_id: str = "F(K,R'1)",
     n_samples: int = 500,
     seed: int = 7,
-    neutral: float = 1e-9,
 ) -> TessellationReport:
     """Sampled check of the tessellation sign pattern around a ridge.
 
@@ -614,7 +609,7 @@ def tessellation_sign_table(
             image = points if name == "id" else _word(name, w) @ points
             image = image / image[2]
             im = (np.array(phases)[:, None] * image[[0, 0, 1, 1]]).imag
-            decisive = ~(np.abs(im) <= neutral)
+            decisive = ~(np.abs(im) <= TESSELLATE_NEUTRAL)
             good = decisive & ((im > 0) == (np.array(signs) > 0)[:, None])
             total = decisive.sum()
             rows.append((name, float(good.sum() / total) if total else 0.0))
@@ -626,7 +621,7 @@ def tessellation_sign_table(
         image = m @ points
         d_own = np.abs(own @ image)
         diff = np.array([np.abs(other @ image) - d_own for other in others])
-        decisive = ~(np.abs(diff) <= neutral)
+        decisive = ~(np.abs(diff) <= TESSELLATE_NEUTRAL)
         counted = decisive.any(axis=0)
         good = counted & ~(decisive & ~(diff > 0)).any(axis=0)
         total = counted.sum()

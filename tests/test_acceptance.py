@@ -114,7 +114,7 @@ def test_criterion_06_braid_and_isometry():
     for trip in ALL_TRIPLES:
         for c in configurations_of(LatticeSignature(*trip)):
             try:
-                ok = ok and check_braid(c, tol=1e-9)
+                ok = ok and check_braid(c)
             except DegenerateDenominator:
                 pass
             for make in (move_R1, move_R2, move_A1, move_P, move_J,
@@ -123,7 +123,7 @@ def test_criterion_06_braid_and_isometry():
                     m = make(c)
                 except DegenerateDenominator:
                     continue
-                ok = ok and check_isometry(m, tol=1e-9)
+                ok = ok and check_isometry(m)
     report(6, ok, "braid and isometry contracts hold for all charts")
 
 
@@ -131,9 +131,9 @@ def test_criterion_07_vertex_geometry():
     ok = True
     for trip in ALL_TRIPLES:
         for c in configurations_of(LatticeSignature(*trip)):
-            ok = ok and check_incidence(c, tol=1e-10)
+            ok = ok and check_incidence(c)
             try:
-                s_ok = check_s_consistency(c, tol=1e-9)
+                s_ok = check_s_consistency(c)
             except DegenerateDenominator:
                 continue
             if trip == (3, 3, 3) and c.type_tag.startswith("C2"):

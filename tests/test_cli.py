@@ -230,6 +230,16 @@ def test_bad_value_is_a_usage_error_naming_the_flag(capsys, argv, flag):
     assert f"error: argument {flag}: " in err
 
 
+@pytest.mark.parametrize("value", ["1", "2"])
+def test_tolerance_of_one_or_more_is_a_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--tolerance", value, "check", "--all"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert (f"error: argument --tolerance: must be a number in (0, 1), got '{value}'"
+            in err)
+
+
 def test_smallest_good_values_are_accepted(capsys):
     code, out, _ = run(capsys, "--max-order", "1", "check", "4", "4", "6")
     assert code == 1 and "order >= 1" in out

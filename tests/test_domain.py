@@ -184,6 +184,13 @@ class TestMembership:
         with pytest.raises(PreconditionFailed):
             in_D_union(np.array([0, 0, 1], dtype=complex), dom)
 
+    def test_rejected_for_negative_k_prime(self):
+        # phi' < 0 empties the y1 sector, so every vertex would read outside.
+        dom = build_domain(LatticeSignature(6, 6, 3))
+        assert dom.params.k_prime.is_negative
+        with pytest.raises(PreconditionFailed, match="k' < 0"):
+            in_D_union(vertices_D(dom).coords["v4"], dom)
+
 
 class TestSampledChecks:
     @pytest.mark.parametrize("trip", GENERIC_TRIPLES)

@@ -11,7 +11,9 @@ instead. A module-level function or class whose name no file under ``src/``,
 ``sampling.fill_uniform`` calls a drawing method of a numpy ``Generator``, so
 that every sampled check draws through the one generator of ``dmlat.sampling``.
 Every parameter of a function in the package is read in its body, except
-those of ``UNREAD``, each listed with the reason it is kept.
+those of ``UNREAD``, each listed with the reason it is kept. A tolerance, a
+float in (0, 1e-3), is written only in the table of module-level assignments
+of ``arithmetic.py``; every other module reads it from there by name.
 """
 
 from __future__ import annotations
@@ -146,6 +148,17 @@ def unread_parameters(tree: ast.Module) -> list[str]:
     return found
 
 
+def small_floats(tree: ast.Module, table: bool = False) -> list[int]:
+    """Line numbers of every float literal in (0, 1e-3), outside the
+    module-level assignments when ``table``. A docstring is a string, so
+    a number written in one is not a literal."""
+    skip = {id(node) for stmt in tree.body if table and isinstance(stmt, ast.Assign)
+            for node in ast.walk(stmt)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0 < node.value < 1e-3 and id(node) not in skip]
+
+
 def runtime_asserts(tree: ast.Module) -> list[int]:
     """Line numbers of every ``assert`` statement."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
@@ -208,6 +221,18 @@ def test_unread_parameter_detector():
                      "        return inner, lambda v: w\n")
     assert sorted(unread_parameters(tree)) == [
         "<lambda>:v", "f:args", "f:b", "f:c", "g:x", "m:self"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_tolerances_only_in_the_table(path):
+    assert small_floats(_parse(path), table=path.name == "arithmetic.py") == []
+
+
+def test_small_float_detector():
+    tree = ast.parse('TOL = 1e-9\ndef f(x):\n    """Is x below 1e-7?"""\n'
+                     "    if x < 1e-7:\n        return 0.5 * TOL\n")
+    assert small_floats(tree) == [1, 4]
+    assert small_floats(tree, table=True) == [4]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

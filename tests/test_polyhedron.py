@@ -84,7 +84,7 @@ class TestLines:
 class TestIncidence:
     def test_t_frame(self, triple):
         for c in _configs(triple):
-            assert check_incidence(c, tol=1e-10)
+            assert check_incidence(c)
 
     def test_s_frame_consistency(self, triple):
         for c in _configs(triple):

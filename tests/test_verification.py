@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dmlat.verification as verification_mod
-from dmlat.arithmetic import ExceededBound
+from dmlat.arithmetic import DEFAULT_TOL, ExceededBound
 from dmlat.catalog import LatticeSignature, derive_params
 from dmlat.domain import (
     MalformedWord,
@@ -26,6 +26,8 @@ from dmlat.verification import (
     _BRAIDS,
     _CYCLE_IDENTITIES,
     _CYCLE_ORDERS,
+    _KEY_SCALE,
+    _KEY_WEIGHTS,
     _MERGED_ROWS,
     apply_degenerations,
     base_orbit_table,
@@ -173,6 +175,12 @@ class TestBFS:
                 stabilizer_bfs([a, b], max_size=100)
         else:
             assert stabilizer_bfs([a, b], max_size=100) == order
+
+    def test_probe_bound(self):
+        # The three probed buckets find every element within 10x the
+        # tolerance while ||c||_1 * 10 tol < the bucket width 1/_KEY_SCALE.
+        assert np.abs(_KEY_WEIGHTS).sum() < 3
+        assert 30 * DEFAULT_TOL < 1 / _KEY_SCALE
 
     def test_max_size_boundary(self):
         w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
