@@ -1,13 +1,14 @@
 """The batched kernel behind the sampled checks: one generator of draws.
 
-Every sampler draws points of a complex box and keeps those inside the ball
-of the configuration's area form, which is real diagonal. ``ball_batches``
-is the one generator that seeds, fills the box (``fill_uniform``), keeps
-the draws in the ball (``ball_filter``) and stops at the draw cap, so a
-report depends only on the seed. Its two batch layouts are the two streams
-in use: interleaved for the bullet samplers (``ball_draws``), planar for
-the domain sampler of ``tessellate``. ``finite_charts`` is the one rule for
-dropping points whose chart image is at infinity.
+Every sampler draws points of C^2 and keeps those inside the ball of the
+configuration's area form, which is real diagonal. ``ball_batches`` is the
+one generator that seeds, fills a batch (``fill_uniform``), keeps the draws
+in the ball (``ball_filter``) and stops at the draw cap, so a report depends
+only on the seed. Its two proposals are the two streams in use: a box, four
+consecutive numbers per draw, for the bullet samplers (``ball_draws``), and
+two disc sectors bounded by the ball (``fill_sectors``) for the domain
+sampler of ``tessellate``. ``finite_charts`` is the one rule for dropping
+points whose chart image is at infinity.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ import numpy as np
 from dmlat.arithmetic import FINITE_CHART_TOL, HermitianForm3, no_finite_point
 
 CHUNK = 8192
+# About half of the sector draws land in the ball, so sector batches are 8x
+# smaller than box batches: the arrays the domain sampler computes from the
+# draws a batch keeps then stay small.
+SECTOR_CHUNK = 1024
 
 
 class NotRealDiagonal(ValueError):
@@ -91,6 +96,26 @@ def fill_uniform(rng: np.random.Generator, radius: float,
     return buf
 
 
+def _real_diagonal(h: HermitianForm3) -> np.ndarray:
+    """The diagonal (d0, d1, d2) of h; any form but a real diagonal one
+    raises ``NotRealDiagonal``."""
+    d = h.matrix.diagonal().real
+    if np.any(h.matrix != np.diag(d)):
+        raise NotRealDiagonal("the ball test needs a real diagonal form")
+    return d
+
+
+def ball_bounds(h: HermitianForm3) -> np.ndarray:
+    """The bounds of |z1| and |z2| on the ball of h = diag(d0, d1, d2).
+
+    A point of the ball has d0 |z1|^2 + d1 |z2|^2 > -d2 with d0, d1 < 0, so
+    |z_i| < sqrt(-d2 / d_i); the points with the other coordinate 0 come
+    arbitrarily close to the bound.
+    """
+    d = _real_diagonal(h)
+    return np.sqrt(-d[2] / d[:2])
+
+
 def ball_filter(h: HermitianForm3, m: int):
     """The draws in the ball of h, copied out of (4, k) arrays of draws, k <= m.
 
@@ -101,9 +126,7 @@ def ball_filter(h: HermitianForm3, m: int):
     of length m allocated here, and returns the kept columns, in order, as
     a new array, never a view of its argument.
     """
-    d = h.matrix.diagonal().real
-    if np.any(h.matrix != np.diag(d)):
-        raise NotRealDiagonal("the ball test needs a real diagonal form")
+    d = _real_diagonal(h)
     scratch = np.empty((3, m))
 
     def in_ball(r: np.ndarray) -> np.ndarray:
@@ -120,25 +143,58 @@ def ball_filter(h: HermitianForm3, m: int):
     return in_ball
 
 
-def ball_batches(h: HermitianForm3, radius: float, seed: int, cap: int,
-                 planar: bool = False):
+def fill_sectors(rng: np.random.Generator, arcs: tuple[tuple[float, float], ...],
+                 bounds: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Fill the (4, k) float64 array buf with draws uniform in two disc sectors.
+
+    Column j is the point (r0 + i r1, r2 + i r3, 1) with arg z_i uniform in
+    the arc ``arcs[i]`` = (lo, hi) and |z_i|^2 uniform in [0, bounds[i]^2):
+    uniform by area in the sector of the disc of radius bounds[i], one
+    coordinate after the other. Row 2i of a ``fill_uniform`` fill on
+    [-1, 1) gives the argument and row 2i + 1 the modulus, in place.
+    Returns buf.
+    """
+    fill_uniform(rng, 1.0, buf)
+    for (lo, hi), bound, (x, y) in zip(arcs, bounds, (buf[:2], buf[2:])):
+        x *= (hi - lo) / 2
+        x += (hi + lo) / 2
+        y += 1.0
+        y *= bound ** 2 / 2
+        np.sqrt(y, out=y)
+        sin = np.sin(x)
+        np.cos(x, out=x)
+        x *= y
+        y *= sin
+    return buf
+
+
+def ball_batches(h: HermitianForm3, radius: float | None, seed: int, cap: int,
+                 arcs: tuple[tuple[float, float], ...] | None = None):
     """Yield the draws inside the ball of h, batch by batch, in draw order.
 
-    At most ``cap`` draws are made from ``default_rng(seed)``, in batches of
-    at most CHUNK, each filled in memory order into a leading slice of one
-    flat buffer. A batch of k draws is read as (4, k) when ``planar``, each
-    draw a column, and as (k, 4) otherwise, each draw a row. The form is
-    read before any draw (``ball_filter``); a batch yields its draws in the
-    ball as a new (4, k') array, never a view of the buffer.
+    At most ``cap`` draws are made from ``default_rng(seed)``, in batches
+    each filled in memory order into a leading slice of one flat buffer.
+    Without ``arcs`` a batch is at most CHUNK draws, and a batch of k draws
+    is read as (k, 4), each draw a row of the box [-radius, radius]^4. With
+    ``arcs``, the arcs of arg z1 and arg z2, radius is None, and a batch is
+    at most SECTOR_CHUNK draws, the (4, k) array of ``fill_sectors``, its
+    moduli bounded by the ball (``ball_bounds``). The form is read before
+    any draw (``ball_filter``); a batch yields its draws in the ball as a
+    new (4, k') array, never a view of the buffer.
     """
-    size = min(CHUNK, cap)
+    chunk = CHUNK if arcs is None else SECTOR_CHUNK
+    size = min(chunk, cap)
     in_ball = ball_filter(h, size)
+    bounds = None if arcs is None else ball_bounds(h)
     rng = np.random.default_rng(seed)
     buf = np.empty(4 * size)
-    for start in range(0, cap, CHUNK):
-        k = min(CHUNK, cap - start)
-        flat = fill_uniform(rng, radius, buf[:4 * k])
-        yield in_ball(flat.reshape(4, k) if planar else flat.reshape(k, 4).T)
+    for start in range(0, cap, chunk):
+        k = min(chunk, cap - start)
+        if arcs is None:
+            r = fill_uniform(rng, radius, buf[:4 * k]).reshape(k, 4).T
+        else:
+            r = fill_sectors(rng, arcs, bounds, buf[:4 * k].reshape(4, k))
+        yield in_ball(r)
 
 
 def finite_charts(r: np.ndarray, maps: tuple[np.ndarray, ...]) -> tuple:

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from operator import mul, sub
 
 import numpy as np
@@ -34,7 +34,7 @@ from dmlat.catalog import DerivedParams, LatticeSignature, classify_degeneracies
 from dmlat.domain import DomainD, _pairing_words, _word, build_domain, vertices_D
 from dmlat.moves import hermitian_form
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row
-from dmlat.sampling import ball_batches, finite_charts
+from dmlat.sampling import SECTOR_CHUNK, ball_batches, finite_charts
 
 
 class UnsupportedDegeneracy(ValueError):
@@ -529,33 +529,41 @@ class TessellationReport:
         return all(frac == 1.0 for _, frac in self.rows)
 
 
+# The draw cap of the domain sampler, per requested point.
+_DRAWS_PER_POINT = 200
+
+
 def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     """Up to n interior points of the glued domain, the columns of a (3, k) array.
 
-    The draws are the planar batches of ``sampling.ball_batches``, at most
-    400 of 8,192, in a box 1.5x the 24-vertex cloud. A draw in the ball is
-    kept, in draw order, when its w and y images are finite
-    (``sampling.finite_charts``) and its six arguments lie strictly inside
-    ``dom.sectors``. Batches are tested 8 at a time, the z arguments before
-    w and y are computed; drawing stops after the group that brings the
-    count to n, up to 7 batches past the one that did, which changes no
-    point kept.
+    The draws are the sector batches of ``sampling.ball_batches``: arg z1
+    and arg z2 uniform in the first two arcs of ``dom.sectors``, |z1| and
+    |z2| uniform by area up to the ball's bounds, at most ``_DRAWS_PER_POINT``
+    n draws rounded up to whole batches of SECTOR_CHUNK, so that a seed
+    gives one stream whatever n is. A draw in the ball is kept, in draw order, when
+    its z arguments lie strictly inside their arcs, its w and y images are
+    finite (``sampling.finite_charts``) and their four arguments lie
+    strictly inside the other arcs: the kept points are uniform on D, as a
+    box proposal's are. Drawing stops at the batch that brings the count to
+    n.
     """
     def in_sectors(args, sectors):
         return np.logical_and.reduce([(arg > lo) & (arg < hi)
                                       for arg, (lo, hi) in zip(args, sectors)])
 
-    batches = ball_batches(hermitian_form(dom.c3), dom.radius, seed, 400 * 8192,
-                           planar=True)
+    cap = SECTOR_CHUNK * -(-_DRAWS_PER_POINT * n // SECTOR_CHUNK)
+    batches = ball_batches(hermitian_form(dom.c3), None, seed, cap,
+                           arcs=dom.sectors[:2])
     points = np.zeros((3, 0), dtype=complex)
-    while points.shape[1] < n and (group := list(islice(batches, 8))):
-        r = np.hstack(group)
+    for r in batches:
         keep = in_sectors((np.arctan2(r[1], r[0]), np.arctan2(r[3], r[2])),
                           dom.sectors[:2])
         z, w, y = finite_charts(r[:, keep], (dom.w_of_z, dom.y_of_z))
         keep = in_sectors((np.angle(w[0]), np.angle(w[1]), np.angle(y[0]),
                            np.angle(y[1])), dom.sectors[2:])
         points = np.hstack([points, z[:, keep]])
+        if points.shape[1] >= n:
+            break
     return points[:, :n]
 
 

@@ -187,18 +187,26 @@ class TestTessellate:
         assert code == 1
         assert "collapsed" in out
 
-    def test_draw_cap_shortfall_fails(self, capsys):
-        # The sampler stops at its draw cap short of the requested count:
-        # the rows that were sampled match, but the report must fail.
+    def test_draw_cap_shortfall_fails(self, capsys, monkeypatch):
+        # With its cap cut to one batch, the sampler stops short of the
+        # requested count: the rows that were sampled match, but the report
+        # must fail.
+        monkeypatch.setattr(verification_mod, "_DRAWS_PER_POINT", 1)
         code, out, _ = run(capsys, "tessellate", "2", "4", "3",
                            "--ridge", "F(K,K^-1)", "--samples", "500")
         assert (code, out.splitlines()[-1]) == (
-            1, "35 of 500 samples (draw cap reached); all rows match")
+            1, "55 of 500 samples (draw cap reached); all rows match")
         code, out, _ = run(capsys, "--json", "tessellate", "2", "3", "3",
                            "--ridge", "F(K,K^-1)", "--samples", "500")
         report = json.loads(out)
         assert code == 1
-        assert (report["samples_used"], report["samples_requested"]) == (13, 500)
+        assert (report["samples_used"], report["samples_requested"]) == (29, 500)
+
+    def test_seed_that_fell_short_on_the_box_stream(self, capsys):
+        # At this seed the sampler's box stream stopped at 497 of 500 points.
+        code, out, _ = run(capsys, "--seed", "3003000894", "tessellate", "2",
+                           "6", "6", "--ridge", "F(K,K^-1)", "--samples", "500")
+        assert (code, out.splitlines()[-1]) == (0, "500 samples; all rows match")
 
     def test_json_deterministic(self, capsys):
         args = ("--json", "--seed", "11", "tessellate", "4", "4", "6",

@@ -1,10 +1,13 @@
 """Sampled half-space checks: exact reports pinned, and the reduction's power.
 
-The pinned values were recorded with the per-draw samplers that the batched
+The bullet values were recorded with the per-draw samplers that the batched
 kernel replaced; the kernel replays the same random stream, so every report
-must stay equal. The ball test on raw draws and the grouped domain sampler
-are replayed against in-test copies of the loops they replaced, draw for
-draw.
+must stay equal, and the ball test on raw draws is replayed against an
+in-test copy of the loop it replaced, draw for draw. The domain sampler of
+``tessellate`` draws from disc sectors bounded by the ball, not from a box:
+its values were recorded with that stream, and its tests show that the
+proposal is uniform, covers the region a box stream keeps, and keeps only
+points of D.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from hypothesis import given, strategies as st
 
 import dmlat.polyhedron as polyhedron_mod
 import dmlat.sampling as sampling_mod
+import dmlat.verification as verification_mod
 from dmlat.arithmetic import HermitianForm3, hermitian_eval
 from dmlat.catalog import LatticeSignature
 from dmlat.domain import (
@@ -41,8 +45,10 @@ from dmlat.sampling import (
     NotRealDiagonal,
     affine_points,
     ball_batches,
+    ball_bounds,
     ball_draws,
     ball_filter,
+    fill_sectors,
     fill_uniform,
     finite_charts,
     first_decisive,
@@ -78,14 +84,16 @@ TWELVE = {
                              2.7783205219707785),
 }
 
-# (triple, ridge) -> (samples used, rows) at seed 7, 500 samples.
+# (triple, ridge) -> (samples used, rows) at seed 7, 500 samples, on the
+# sector stream. The (3,3,4) F(K,R'1) rows are a known finding: the
+# Lagrangian sign rows test the wrong sectors there.
 TESSELLATION = {
     ((4, 4, 6), "F(K,R'1)"): (500, (("id", 1.0), ("R'1^-1", 1.0),
                                     ("K^-1", 1.0), ("R'1^-1K^-1", 1.0))),
     ((4, 4, 6), "F(K,K^-1)"): (500, (("id", 1.0), ("K", 1.0),
                                      ("K^-1", 1.0))),
-    ((3, 3, 4), "F(K,R'1)"): (500, (("id", 1.0), ("R'1^-1", 0.8815),
-                                    ("K^-1", 1.0), ("R'1^-1K^-1", 0.8035))),
+    ((3, 3, 4), "F(K,R'1)"): (500, (("id", 1.0), ("R'1^-1", 0.8835),
+                                    ("K^-1", 1.0), ("R'1^-1K^-1", 0.804))),
 }
 
 
@@ -132,8 +140,20 @@ def test_domain_points_are_members(trip):
     # The domain sampler and in_D_union both read DomainD.sectors.
     dom = build_domain(LatticeSignature(*trip))
     points = _sample_domain_points(dom, 500, 7)
-    assert points.shape[1] > 0
+    assert points.shape == (3, 500)
+    assert np.all(hermitian_eval(hermitian_form(dom.c3), points) > 0)
     assert all(in_D_union(z, dom) for z in points.T)
+
+
+@pytest.mark.parametrize("seed", [7, 11, 3000017])
+@pytest.mark.parametrize("trip", [(2, 4, 3), (2, 3, 3), (3, 4, 4)], ids=str)
+def test_giraud_reaches_its_count(trip, seed):
+    # The box stream stopped short of 500 points on (2,4,3) and (2,3,3) at
+    # every seed, and on (3,4,4) at seed 3000017.
+    report = tessellation_sign_table(LatticeSignature(*trip), "F(K,K^-1)",
+                                     n_samples=500, seed=seed)
+    assert report.samples_used == report.samples_requested == 500
+    assert report.all_match
 
 
 class TestTablesBuiltOnce:
@@ -242,7 +262,8 @@ class TestReductionCanFail:
 
 class TestSamplesRequested:
     """Each report carries the count asked for next to the count used: on
-    (2,4,3) at seed 7 the draw cap stops every sampler short of it."""
+    (2,4,3) at seed 7 the draw cap stops both bullet samplers short of it,
+    and the domain sampler when its cap is cut to one batch."""
 
     SIG = LatticeSignature(2, 4, 3)
 
@@ -257,46 +278,12 @@ class TestSamplesRequested:
         assert report.samples_requested == 1000
         assert report.samples_used == (331,) * 12
 
-    def test_sign_table(self):
+    def test_sign_table(self, monkeypatch):
+        monkeypatch.setattr(verification_mod, "_DRAWS_PER_POINT", 1)
         report = tessellation_sign_table(self.SIG, "F(K,K^-1)", n_samples=500,
                                          seed=7)
         assert report.samples_requested == 500
-        assert report.samples_used == 35
-
-
-def per_batch_domain_points(dom, n, seed):
-    """The domain sampler as it was before the ball screen: every batch of
-    8,192 draws is tested on its own, z arguments first."""
-    h = hermitian_form(dom.c3)
-    a, _, t, f = (float(x) for x in dom.c3.angles())
-    tp = 2 * a - 1.0
-    fp = 1.0 + t + f - 2 * a
-    pi = math.pi
-
-    def args_in(arg, lo, hi):
-        return (arg > lo) & (arg < hi)
-
-    rng = np.random.default_rng(seed)
-    points = np.zeros((3, 0), dtype=complex)
-    for _ in range(400):
-        if points.shape[1] >= n:
-            break
-        r = rng.uniform(-dom.radius, dom.radius, (4, CHUNK))
-        keep = (args_in(np.arctan2(r[1], r[0]), -f * pi, 0.0)
-                & args_in(np.arctan2(r[3], r[2]), -t * pi, t * pi))
-        z = affine_points(r.take(np.flatnonzero(keep), axis=1))
-        z = z[:, hermitian_eval(h, z) > 0]
-        w = dom.w_of_z @ z
-        y = dom.y_of_z @ z
-        finite = (np.abs(w[2]) > 1e-12) & (np.abs(y[2]) > 1e-12)
-        z, w, y = z[:, finite], w[:, finite], y[:, finite]
-        w, y = w / w[2], y / y[2]
-        keep = (args_in(np.angle(w[0]), 0.0, f * pi)
-                & args_in(np.angle(w[1]), -t * pi, t * pi)
-                & args_in(np.angle(y[0]), -fp * pi, fp * pi)
-                & args_in(np.angle(y[1]), 0.0, tp * pi))
-        points = np.hstack([points, z[:, keep]])
-    return points[:, :n]
+        assert report.samples_used == 55
 
 
 def unscreened_ball_draws(h, radius, seed, cap, maps=()):
@@ -331,27 +318,27 @@ def sampler_draws(trip, sampler):
 
 REPLAY_SEEDS = [7, 11, 3000017]
 
-# (triple, seed) where the domain sampler reaches its 400-batch cap short of
-# 500 points.
-CAPPED = ({((2, 4, 3), s) for s in REPLAY_SEEDS}
-          | {((2, 3, 3), s) for s in REPLAY_SEEDS} | {((3, 4, 4), 3000017)})
-
 
 class TestStreamReplay:
-    """The screened samplers keep the same draws, in the same order, as the
-    loops they replaced. The domain sampler is replayed both where it stops
-    at 500 points and where its 400-batch cap binds; every ball_draws replay
-    runs to its draw cap, the last chunk a partial one."""
+    """One seed gives one stream. The screened bullet samplers keep the same
+    draws, in the same order, as the loop they replaced; every ball_draws
+    replay runs to its draw cap, the last chunk a partial one. The domain
+    sampler reaches 500 points at every seed, where the box stream it
+    replaced stopped short on (2,4,3) and (2,3,3), and returns the same
+    points on a second call, and its first points for a smaller count,
+    since its cap is whole batches."""
 
     @pytest.mark.parametrize("seed", REPLAY_SEEDS)
     @pytest.mark.parametrize("trip", GENERIC, ids=str)
     def test_domain_points(self, trip, seed):
         dom = build_domain(LatticeSignature(*trip))
-        new = _sample_domain_points(dom, 500, seed)
-        old = per_batch_domain_points(dom, 500, seed)
-        assert np.array_equal(new, old)
-        assert 0 < new.shape[1] <= 500
-        assert (new.shape[1] < 500) == ((trip, seed) in CAPPED)
+        points = _sample_domain_points(dom, 500, seed)
+        assert points.shape == (3, 500)
+        assert np.array_equal(_sample_domain_points(dom, 500, seed), points)
+        assert np.array_equal(_sample_domain_points(dom, 37, seed),
+                              points[:, :37])
+        assert not np.array_equal(_sample_domain_points(dom, 500, seed + 1),
+                                  points)
 
     @pytest.mark.parametrize("seed", REPLAY_SEEDS)
     @pytest.mark.parametrize("sampler", ["eight", "twelve", "glueing"])
@@ -368,51 +355,105 @@ class TestStreamReplay:
 
 
 class TestDomainSamplerIsLazy:
-    """The domain sampler pulls its batches from the generator 8 at a time
-    and stops after the group that reaches n: an eager generator makes more
-    fills, and no output shows it."""
+    """The domain sampler stops at the batch that brings its count to n,
+    well inside its cap of 98 batches for 500 points: an eager generator
+    makes more fills, and no output shows it."""
 
     @pytest.mark.parametrize("trip", [(4, 4, 5), (2, 4, 3)], ids=str)
     def test_fills_only_the_groups_it_reads(self, trip):
         dom = build_domain(LatticeSignature(*trip))
-        rng = mock.Mock(wraps=np.random.default_rng(7))
-        with mock.patch.object(np.random, "default_rng", return_value=rng):
-            per_batch_domain_points(dom, 500, 7)
-        batches = rng.uniform.call_count
         with mock.patch.object(sampling_mod, "fill_uniform",
                                wraps=fill_uniform) as fill:
             points = _sample_domain_points(dom, 500, 7)
-        assert fill.call_count == 8 * -(-batches // 8)
-        # (4,4,5) reaches 500 points inside its 15th group; on (2,4,3) the
-        # 400-batch cap binds.
-        assert (batches, fill.call_count) == ({(4, 4, 5): (113, 120),
-                                               (2, 4, 3): (400, 400)}[trip])
-        assert (points.shape[1] == 500) == (trip == (4, 4, 5))
+        assert (points.shape[1], fill.call_count) == (
+            500, {(4, 4, 5): 3, (2, 4, 3): 10}[trip])
+
+
+def ks_distance(u: np.ndarray) -> float:
+    """The Kolmogorov-Smirnov distance of the sample u from uniform on [0, 1]."""
+    u = np.sort(u)
+    i = np.arange(1, len(u) + 1)
+    return float(max(np.max(i / len(u) - u), np.max(u - (i - 1) / len(u))))
+
+
+class TestSectorProposal:
+    @pytest.mark.parametrize("trip", GENERIC, ids=str)
+    def test_uniform_in_arc_and_area(self, trip):
+        # At a fixed seed, the argument of each coordinate is uniform in its
+        # arc and its squared modulus in [0, bound^2): the KS distance is
+        # below its 1% critical value 1.63 / sqrt(m).
+        dom = build_domain(LatticeSignature(*trip))
+        arcs, bounds = dom.sectors[:2], ball_bounds(hermitian_form(dom.c3))
+        m = 20000
+        r = fill_sectors(np.random.default_rng(7), arcs, bounds,
+                         np.empty((4, m)))
+        for (lo, hi), bound, (x, y) in zip(arcs, bounds, (r[:2], r[2:])):
+            for u in ((np.arctan2(y, x) - lo) / (hi - lo),
+                      (x ** 2 + y ** 2) / bound ** 2):
+                assert np.all((u > -1e-12) & (u < 1.0 + 1e-12))
+                assert ks_distance(u) < 1.63 / math.sqrt(m)
+
+    @pytest.mark.parametrize("trip", GENERIC, ids=str)
+    def test_covers_what_a_box_stream_keeps(self, trip):
+        # The box of half-width dom.radius holds the ball. Every box draw in
+        # the ball lies inside the moduli bounds, which are tight: some come
+        # within 10% of them. The points the domain sampler keeps from box
+        # draws, uniform on D like the sectors', lie inside the arcs too.
+        dom = build_domain(LatticeSignature(*trip))
+        h = hermitian_form(dom.c3)
+        bounds = ball_bounds(h)
+        assert np.all(bounds < dom.radius)
+        r = np.hstack(list(ball_batches(h, dom.radius, 7, 100 * CHUNK)))
+        ratio = np.abs(affine_points(r)[:2]).max(axis=1) / bounds
+        assert np.all((ratio > 0.9) & (ratio < 1.0))
+
+        def box_batches(h, radius, seed, cap, arcs):
+            return ball_batches(h, dom.radius, seed, 400 * CHUNK)
+
+        with mock.patch.object(verification_mod, "ball_batches", box_batches):
+            points = _sample_domain_points(dom, 10, 7)
+        assert points.shape[1] > 0
+        for (lo, hi), bound, z in zip(dom.sectors[:2], bounds, points[:2]):
+            assert np.all((np.angle(z) > lo) & (np.angle(z) < hi))
+            assert np.all(np.abs(z) < bound)
 
 
 class TestFiniteCharts:
-    @pytest.mark.parametrize("planar", [False, True])
-    def test_drops_images_at_infinity(self, planar):
-        # Draw j is the point (x_j, 0, 1), inside the unit ball; the swap
-        # of the first and third coordinates maps it to (1, 0, x_j), so its
-        # image is at infinity for x_j = 0 and 5e-10, and finite for 2e-9.
+    @pytest.mark.parametrize("sectors", [False, True])
+    def test_drops_images_at_infinity(self, sectors):
+        # Draw j is the point (x_j, 0, 1), inside the unit ball; the map
+        # below sends it to (1, 0, x_j - 1/2), so its image is at infinity
+        # for x_j - 1/2 = 0 and 5e-10, and finite for 2e-9.
+        x = 0.5 + np.array([0.0, 5e-10, 2e-9])
         draws = np.zeros((4, 3))
-        draws[0] = [0.0, 5e-10, 2e-9]
-        swap = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
+        draws[0] = x
+        chart = np.array([[0, 0, 1], [0, 1, 0], [1, 0, -0.5]], dtype=complex)
         ball = HermitianForm3(np.diag([-1.0, -1.0, 1.0]).astype(complex))
+        # The numbers that make these draws: the draws themselves in the
+        # box; in the sectors of the arcs (-1, 1), bounded by 1, argument 0
+        # and squared modulus x_j^2 for z1, modulus 0 for z2.
+        arcs = ((-1.0, 1.0), (-1.0, 1.0))
+        filled = (np.array([[0.0] * 3, 2 * x ** 2 - 1, [0.0] * 3, [-1.0] * 3])
+                  if sectors else draws.T)
 
         def fill(rng, radius, buf):
-            buf[:] = (draws if planar else draws.T).ravel()
+            buf[...] = filled.reshape(buf.shape)
             return buf
 
         with mock.patch.object(sampling_mod, "fill_uniform", fill):
-            r = next(ball_batches(ball, 1.0, 7, 3, planar))
-            # ball_draws reads the interleaved layout through the same rule.
-            charts = () if planar else next(ball_draws(ball, 1.0, 7, 3, (swap,)))
-        assert np.array_equal(r, draws)
-        z, image = finite_charts(r, (swap,))
-        assert np.array_equal(z, affine_points(draws[:, 2:]))
-        assert np.allclose(image, [[5e8], [0.0], [1.0]], rtol=1e-15, atol=0.0)
+            if sectors:
+                r = next(ball_batches(ball, None, 7, 3, arcs))
+                charts = ()
+                assert np.allclose(r, draws, rtol=0.0, atol=1e-15)
+            else:
+                r = next(ball_batches(ball, 1.0, 7, 3))
+                # ball_draws reads the box through the same rule.
+                charts = next(ball_draws(ball, 1.0, 7, 3, (chart,)))
+                assert np.array_equal(r, draws)
+        z, image = finite_charts(r, (chart,))
+        assert np.array_equal(z, affine_points(r[:, 2:]))
+        assert np.allclose(image, [[1 / (r[0, 2] - 0.5)], [0.0], [1.0]],
+                           rtol=1e-12, atol=0.0)
         assert all(np.array_equal(a, b) for a, b in zip(charts, (z, image)))
 
 
@@ -464,17 +505,17 @@ class TestInBall:
             with pytest.raises(NotRealDiagonal):
                 next(ball_draws(HermitianForm3(m), 1.0, 7, CHUNK, ()))
             with pytest.raises(NotRealDiagonal):
-                next(ball_batches(HermitianForm3(m), 1.0, 7, 400 * CHUNK,
-                                  planar=True))
+                next(ball_batches(HermitianForm3(m), None, 7, 13 * CHUNK,
+                                  arcs=((-1.0, 0.0), (-1.0, 1.0))))
         fill.assert_not_called()
 
 
 # Each array fill_uniform fills, made for m draws, with the shape it must read
-# as: a leading slice of the flat buffer of ball_batches, read as (4, m) in
-# the planar layout and as (m, 4) in the interleaved one; and a leading
-# (m, 4) slice of a two-dimensional buffer, and a (4, m) array.
+# as: a leading slice of the flat buffer of ball_batches, read as (4, m) by
+# fill_sectors and as (m, 4) in the box; and a leading (m, 4) slice of a
+# two-dimensional buffer, and a (4, m) array.
 FILLED = {
-    "planar": lambda m: (np.empty(4 * CHUNK)[:4 * m], (4, m)),
+    "sectors": lambda m: (np.empty(4 * CHUNK)[:4 * m].reshape(4, m), (4, m)),
     "interleaved": lambda m: (np.empty(4 * CHUNK)[:4 * m], (m, 4)),
     "rows": lambda m: (np.empty((CHUNK, 4))[:m], (m, 4)),
     "columns": lambda m: (np.empty((4, m)), (4, m)),
