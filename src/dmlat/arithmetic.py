@@ -31,6 +31,7 @@ VERTEX_ARG_TOL = 1e-9  # a vertex-table coordinate has its named argument
 MEMBERSHIP_TOL = 1e-6  # slack of each argument condition of in_D and in_D_union
 RESIDUAL_TOL = 1e-10  # a closed-form vertex meets its line, side bound or bisector
 REAL_TOL = 1e-9  # a Hermitian value is real, or null, relative to its terms
+DRAWS_PER_SAMPLE = 200  # draw cap of every sampler, per requested sample
 # Values that pin the sampled reports: changing one changes their streams.
 FINITE_CHART_TOL = 1e-9  # a sampled point's chart image is finite
 BULLET_NEUTRAL = 1e-8  # default neutral band of the two bullet samplers

@@ -204,8 +204,9 @@ def _cmd_tessellate(args) -> int:
     short = report.samples_used < requested  # the sampler's draw cap was hit
     lines = [f"{name}: agreement {frac:.4f}" for name, frac in report.rows]
     count = f" of {requested} samples (draw cap reached)" if short else " samples"
-    lines.append(f"{report.samples_used}{count}; "
-                 + ("all rows match" if report.all_match else "MISMATCH"))
+    verdict = ("MISMATCH" if any(frac != 1.0 for _, frac in report.rows)
+               else "SHORTFALL" if short else "all rows match")
+    lines.append(f"{report.samples_used}{count}; {verdict}")
     _emit({
         "command": "tessellate",
         "signature": [sig.p, sig.k, sig.p_prime],
@@ -215,7 +216,7 @@ def _cmd_tessellate(args) -> int:
         "samples_requested": requested,
         "all_match": report.all_match,
     }, args.json, "\n".join(lines))
-    return 0 if report.all_match and not short else 1
+    return 0 if report.all_match else 1
 
 
 def _value(convert, ok, need: str):

@@ -53,7 +53,7 @@ from dmlat.polyhedron import (
     lines_t,
     vertices_t,
 )
-from dmlat.sampling import Bullet, BulletReport, ball_draws, box_radius, bullet_agreement
+from dmlat.sampling import Bullet, BulletReport, ball_draws, bullet_agreement
 
 # theta' and phi', the angles of the C2 chart: 2*alpha-pi and pi+theta+phi-2*alpha.
 _TP = "theta'"
@@ -69,9 +69,9 @@ _SECTORS = (("-phi", 0), ("-theta", "theta"), (0, "phi"), ("-theta", "theta"),
 class DomainD:
     """The glued domain: signature, the three charts and the k'-flag.
 
-    The maps from the z-chart to the others, the argument sectors, the
-    sampling radius and the frame-diagram verdict are computed on first use
-    and kept, the maps read-only.
+    The maps from the z-chart to the others, the argument sectors and the
+    frame-diagram verdict are computed on first use and kept, the maps
+    read-only.
     """
 
     signature: LatticeSignature
@@ -109,11 +109,6 @@ class DomainD:
         named = {0: 0.0, "theta": t, "-theta": -t, "phi": f, "-phi": -f,
                  _TP: tp, _FP: fp, "-phi'": -fp}
         return tuple((named[lo], named[hi]) for lo, hi in _SECTORS)
-
-    @cached_property
-    def radius(self) -> float:
-        """Half-width of the sampling box around the 24-vertex cloud."""
-        return box_radius(vertices_D(self).coords.values())
 
     @cached_property
     def diagram_ok(self) -> bool:
@@ -448,19 +443,17 @@ def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,
                neutral: float = BULLET_NEUTRAL) -> BulletReport:
     """Sampled sign-equivalence of the 12 half-space inequalities.
 
-    Draw i, the i-th ``rng.uniform(-radius, radius, 4)``, is the z-frame
-    point (r0 + i r1, r2 + i r3, 1) of a box 1.5x the 24-vertex cloud; it is
-    used when it lies in the ball and its w and y images are finite. Each
-    bullet reads the draws in order until it has ``n_samples`` outside the
-    ``neutral`` band. At most ``200 * n_samples`` draws are made, in chunks
-    of 8,192 (``dmlat.sampling.ball_draws``). The bullets are built once per
-    domain (``_bisd_bullets``); a failed precondition or a null normal
-    raises on every call.
+    The draws are z-frame points of the ball, uniform
+    (``dmlat.sampling.ball_draws``, which also sets the draw cap); a draw is
+    used when its w and y images are finite. Each bullet reads the draws in
+    order until it has ``n_samples`` outside the ``neutral`` band. The
+    bullets are built once per domain (``_bisd_bullets``); a failed
+    precondition or a null normal raises on every call.
     """
     if dom.kneg_flag:
         raise PreconditionFailed("bisD sampling requires the generic regime")
     bullets = _bisd_bullets(dom)
-    draws = ball_draws(hermitian_form(dom.c3), dom.radius, seed, 200 * n_samples,
+    draws = ball_draws(hermitian_form(dom.c3), seed, n_samples,
                        (dom.w_of_z, dom.y_of_z))
     return bullet_agreement(draws, bullets, n_samples, neutral)
 

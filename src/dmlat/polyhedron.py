@@ -38,7 +38,7 @@ from dmlat.moves import (
     p_target,
     r1_target,
 )
-from dmlat.sampling import Bullet, BulletReport, ball_draws, box_radius, bullet_agreement
+from dmlat.sampling import Bullet, BulletReport, ball_draws, bullet_agreement
 
 LINE_LABELS = ("L_*0", "L_*1", "L_*2", "L_*3", "L_01", "L_02", "L_03", "L_12", "L_13", "L_23")
 
@@ -439,8 +439,8 @@ def _normal_at(config: Configuration, label: str, frame: str = "t") -> np.ndarra
 
 
 @cache
-def _bullet_table(c: Configuration) -> tuple[tuple[Bullet, ...], float]:
-    """The eight bullets of ``bisector_equivalence_sample`` and its box radius.
+def _bullet_table(c: Configuration) -> tuple[Bullet, ...]:
+    """The eight bullets of ``bisector_equivalence_sample``.
 
     Built once per configuration. A mapped normal is a move matrix applied
     to a line normal. The pairings were fixed by requiring 100% sampled
@@ -448,7 +448,6 @@ def _bullet_table(c: Configuration) -> tuple[tuple[Bullet, ...], float]:
     t-frame normals of the adjacent chart, while s-frame bullets transport
     s-frame normals with moves at the s-chart.
     """
-    radius = box_radius(vertices_t(c).values())
     cs, pt, rt = p_inverse_target(c), p_target(c), r1_target(c)
     forms = {"t": hermitian_form(c), "s": hermitian_form(cs)}
     specs = (  # frame, phase, coord, im_leq, plain line, move, mapped line at
@@ -468,7 +467,7 @@ def _bullet_table(c: Configuration) -> tuple[tuple[Bullet, ...], float]:
             chart, phase, coord, im_leq, chart,
             _polar_row(_normal_at(c, plain, frame), h, plain),
             _polar_row(move.matrix @ _normal_at(at, mapped, frame), h, mapped)))
-    return tuple(bullets), radius
+    return tuple(bullets)
 
 
 def bisector_equivalence_sample(
@@ -476,19 +475,17 @@ def bisector_equivalence_sample(
 ) -> BulletReport:
     """Check the eight im/distance half-space equivalences on random points.
 
-    Draw i, the i-th ``rng.uniform(-radius, radius, 4)``, is the t-frame
-    point (r0 + i r1, r2 + i r3, 1) of a box 1.5x the vertex cloud; it is
-    used when it lies in the ball and its s-frame image is finite. Each
-    bullet reads the draws in order until it has ``n_samples`` outside the
-    ``neutral`` band around both zero sets; draws in the band are skipped
-    and their largest value reported. At most ``100 * n_samples`` draws are
-    made, in chunks of 8,192 (``dmlat.sampling.ball_draws``). The bullets
-    and the radius are built once per configuration (``_bullet_table``);
-    a failed precondition or a null normal raises on every call.
+    The draws are t-frame points of the ball, uniform
+    (``dmlat.sampling.ball_draws``, which also sets the draw cap); a draw is
+    used when its s-frame image is finite. Each bullet reads the draws in
+    order until it has ``n_samples`` outside the ``neutral`` band around
+    both zero sets; draws in the band are skipped and their largest value
+    reported. The bullets are built once per configuration
+    (``_bullet_table``); a failed precondition or a null normal raises on
+    every call.
     """
     if pp_possible(c):
         raise PreconditionFailed("equivalence sampling needs the generic regime")
-    bullets, radius = _bullet_table(c)
-    draws = ball_draws(hermitian_form(c), radius, seed, 100 * n_samples,
+    draws = ball_draws(hermitian_form(c), seed, n_samples,
                        (move_P_inverse(c).matrix,))
-    return bullet_agreement(draws, bullets, n_samples, neutral)
+    return bullet_agreement(draws, _bullet_table(c), n_samples, neutral)

@@ -2,28 +2,29 @@
 
 Every sampler draws points of C^2 and keeps those inside the ball of the
 configuration's area form, which is real diagonal. ``ball_batches`` is the
-one generator that seeds, fills a batch (``fill_uniform``), keeps the draws
+one generator that seeds, fills a batch (``fill_sectors``), keeps the draws
 in the ball (``ball_filter``) and stops at the draw cap, so a report depends
-only on the seed. Its two proposals are the two streams in use: a box, four
-consecutive numbers per draw, for the bullet samplers (``ball_draws``), and
-two disc sectors bounded by the ball (``fill_sectors``) for the domain
-sampler of ``tessellate``. ``finite_charts`` is the one rule for dropping
-points whose chart image is at infinity.
+only on the seed. Its one proposal draws arg z1 and arg z2 uniform in two
+arcs and |z1|, |z2| uniform by area up to the ball's bounds: the whole
+circle for the bullet samplers (``ball_draws``), D's z-sectors for the
+domain sampler of ``tessellate``. ``finite_charts`` is the one rule for
+dropping points whose chart image is at infinity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from dmlat.arithmetic import FINITE_CHART_TOL, HermitianForm3, no_finite_point
+from dmlat.arithmetic import DRAWS_PER_SAMPLE, FINITE_CHART_TOL, HermitianForm3
 
-CHUNK = 8192
-# About half of the sector draws land in the ball, so sector batches are 8x
-# smaller than box batches: the arrays the domain sampler computes from the
-# draws a batch keeps then stay small.
-SECTOR_CHUNK = 1024
+# The draws of one batch. About half of them land in the ball; the arrays a
+# sampler computes from the draws a batch keeps stay small.
+BATCH = 1024
+# The arcs of the bullet samplers: arg z1 and arg z2 anywhere on the circle.
+FULL_ARCS = ((-math.pi, math.pi), (-math.pi, math.pi))
 
 
 class NotRealDiagonal(ValueError):
@@ -56,8 +57,8 @@ class BulletReport:
 
     ``max_near_zero_discrepancy`` is the largest max(|im|, |dist|) over the
     neutral draws read (``first_decisive``). ``samples_used`` below
-    ``samples_requested`` means the draw cap was reached; ``all_agree``
-    reads the agreement alone, not the shortfall.
+    ``samples_requested`` means the draw cap was reached, and ``all_agree``
+    is then False whatever the agreement.
     """
 
     per_bullet_agreement: tuple[float, ...]
@@ -67,12 +68,8 @@ class BulletReport:
 
     @property
     def all_agree(self) -> bool:
-        return all(a == 1.0 for a in self.per_bullet_agreement)
-
-
-def box_radius(vertices) -> float:
-    """Half-width of a sampling box: 1.5x the cloud of the finite vertices."""
-    return 1.5 * max(np.max(np.abs(v[:2])) for v in vertices if not no_finite_point(v))
+        return (min(self.samples_used) == self.samples_requested
+                and all(a == 1.0 for a in self.per_bullet_agreement))
 
 
 def affine_points(r: np.ndarray) -> np.ndarray:
@@ -81,18 +78,16 @@ def affine_points(r: np.ndarray) -> np.ndarray:
                       np.ones(r.shape[1], dtype=complex)])
 
 
-def fill_uniform(rng: np.random.Generator, radius: float,
-                 buf: np.ndarray) -> np.ndarray:
-    """Fill the float64 array buf with ``rng.uniform(-radius, radius, buf.shape)``.
+def fill_uniform(rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
+    """Fill the float64 array buf with ``rng.uniform(-1, 1, buf.shape)``.
 
     numpy computes uniform(low, high) as low + (high - low) u, with u from
-    ``rng.random()``; here high - low is 2 radius, and (2 radius u) - radius
-    is the same sum, so the numbers are equal bit for bit and no array is
-    allocated. Returns buf.
+    ``rng.random()``; here (2 u) - 1 is the same sum, so the numbers are
+    equal bit for bit and no array is allocated. Returns buf.
     """
     rng.random(out=buf)
-    buf *= 2 * radius
-    buf -= radius
+    buf *= 2.0
+    buf -= 1.0
     return buf
 
 
@@ -116,18 +111,18 @@ def ball_bounds(h: HermitianForm3) -> np.ndarray:
     return np.sqrt(-d[2] / d[:2])
 
 
-def ball_filter(h: HermitianForm3, m: int):
-    """The draws in the ball of h, copied out of (4, k) arrays of draws, k <= m.
+def ball_filter(h: HermitianForm3):
+    """The draws in the ball of h, copied out of (4, k) arrays of draws, k <= BATCH.
 
     For h = diag(d0, d1, d2), real, the point (r0 + i r1, r2 + i r3, 1) has
     norm d0 (r0^2 + r1^2) + d1 (r2^2 + r3^2) + d2, and lies in the ball when
     that is positive. The form is read here, once; any other form raises
     ``NotRealDiagonal``. The returned filter sums row by row in scratch rows
-    of length m allocated here, and returns the kept columns, in order, as
+    of length BATCH allocated here, and returns the kept columns, in order, as
     a new array, never a view of its argument.
     """
     d = _real_diagonal(h)
-    scratch = np.empty((3, m))
+    scratch = np.empty((3, BATCH))
 
     def in_ball(r: np.ndarray) -> np.ndarray:
         s0, s1, square = scratch[:, :r.shape[1]]
@@ -154,7 +149,7 @@ def fill_sectors(rng: np.random.Generator, arcs: tuple[tuple[float, float], ...]
     [-1, 1) gives the argument and row 2i + 1 the modulus, in place.
     Returns buf.
     """
-    fill_uniform(rng, 1.0, buf)
+    fill_uniform(rng, buf)
     for (lo, hi), bound, (x, y) in zip(arcs, bounds, (buf[:2], buf[2:])):
         x *= (hi - lo) / 2
         x += (hi + lo) / 2
@@ -168,33 +163,25 @@ def fill_sectors(rng: np.random.Generator, arcs: tuple[tuple[float, float], ...]
     return buf
 
 
-def ball_batches(h: HermitianForm3, radius: float | None, seed: int, cap: int,
-                 arcs: tuple[tuple[float, float], ...] | None = None):
+def ball_batches(h: HermitianForm3, arcs: tuple[tuple[float, float], ...],
+                 seed: int, n: int):
     """Yield the draws inside the ball of h, batch by batch, in draw order.
 
-    At most ``cap`` draws are made from ``default_rng(seed)``, in batches
-    each filled in memory order into a leading slice of one flat buffer.
-    Without ``arcs`` a batch is at most CHUNK draws, and a batch of k draws
-    is read as (k, 4), each draw a row of the box [-radius, radius]^4. With
-    ``arcs``, the arcs of arg z1 and arg z2, radius is None, and a batch is
-    at most SECTOR_CHUNK draws, the (4, k) array of ``fill_sectors``, its
-    moduli bounded by the ball (``ball_bounds``). The form is read before
-    any draw (``ball_filter``); a batch yields its draws in the ball as a
-    new (4, k') array, never a view of the buffer.
+    A batch is the (4, BATCH) array of ``fill_sectors`` from
+    ``default_rng(seed)``: arg z1 and arg z2 uniform in the two ``arcs``,
+    |z1| and |z2| uniform by area up to the ball's bounds (``ball_bounds``).
+    The draw cap, for a caller that asks for n samples, is DRAWS_PER_SAMPLE
+    n draws rounded up to whole batches, so that a seed gives one stream
+    whatever n is. The form is read before any draw (``ball_filter``); a
+    batch yields its draws in the ball as a new (4, k) array, never a view
+    of the buffer.
     """
-    chunk = CHUNK if arcs is None else SECTOR_CHUNK
-    size = min(chunk, cap)
-    in_ball = ball_filter(h, size)
-    bounds = None if arcs is None else ball_bounds(h)
+    in_ball = ball_filter(h)
+    bounds = ball_bounds(h)
     rng = np.random.default_rng(seed)
-    buf = np.empty(4 * size)
-    for start in range(0, cap, chunk):
-        k = min(chunk, cap - start)
-        if arcs is None:
-            r = fill_uniform(rng, radius, buf[:4 * k]).reshape(k, 4).T
-        else:
-            r = fill_sectors(rng, arcs, bounds, buf[:4 * k].reshape(4, k))
-        yield in_ball(r)
+    buf = np.empty((4, BATCH))
+    for _ in range(-(-DRAWS_PER_SAMPLE * n // BATCH)):
+        yield in_ball(fill_sectors(rng, arcs, bounds, buf))
 
 
 def finite_charts(r: np.ndarray, maps: tuple[np.ndarray, ...]) -> tuple:
@@ -213,10 +200,11 @@ def finite_charts(r: np.ndarray, maps: tuple[np.ndarray, ...]) -> tuple:
     return (z[:, keep], *(im[:, keep] / im[2, keep] for im in images))
 
 
-def ball_draws(h: HermitianForm3, radius: float, seed: int, cap: int,
+def ball_draws(h: HermitianForm3, seed: int, n: int,
                maps: tuple[np.ndarray, ...]):
-    """The ``finite_charts`` of each interleaved batch of ``ball_batches``."""
-    return (finite_charts(r, maps) for r in ball_batches(h, radius, seed, cap))
+    """The ``finite_charts`` of each batch of ``ball_batches`` on ``FULL_ARCS``:
+    the points of the ball, uniform, for a sampler that asks for n samples."""
+    return (finite_charts(r, maps) for r in ball_batches(h, FULL_ARCS, seed, n))
 
 
 def first_decisive(im: np.ndarray, dist: np.ndarray, neutral: float,

@@ -34,7 +34,7 @@ from dmlat.catalog import DerivedParams, LatticeSignature, classify_degeneracies
 from dmlat.domain import DomainD, _pairing_words, _word, build_domain, vertices_D
 from dmlat.moves import hermitian_form
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row
-from dmlat.sampling import SECTOR_CHUNK, ball_batches, finite_charts
+from dmlat.sampling import ball_batches, finite_charts
 
 
 class UnsupportedDegeneracy(ValueError):
@@ -515,7 +515,7 @@ class TessellationReport:
     """The per-copy agreement rows of ``tessellation_sign_table``.
 
     ``samples_used`` below ``samples_requested`` means the draw cap was
-    reached; ``all_match`` reads the agreement alone, not the shortfall.
+    reached, and ``all_match`` is then False whatever the rows read.
     """
 
     signature: LatticeSignature
@@ -526,34 +526,27 @@ class TessellationReport:
 
     @property
     def all_match(self) -> bool:
-        return all(frac == 1.0 for _, frac in self.rows)
-
-
-# The draw cap of the domain sampler, per requested point.
-_DRAWS_PER_POINT = 200
+        return (self.samples_used == self.samples_requested
+                and all(frac == 1.0 for _, frac in self.rows))
 
 
 def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     """Up to n interior points of the glued domain, the columns of a (3, k) array.
 
-    The draws are the sector batches of ``sampling.ball_batches``: arg z1
-    and arg z2 uniform in the first two arcs of ``dom.sectors``, |z1| and
-    |z2| uniform by area up to the ball's bounds, at most ``_DRAWS_PER_POINT``
-    n draws rounded up to whole batches of SECTOR_CHUNK, so that a seed
-    gives one stream whatever n is. A draw in the ball is kept, in draw order, when
-    its z arguments lie strictly inside their arcs, its w and y images are
-    finite (``sampling.finite_charts``) and their four arguments lie
-    strictly inside the other arcs: the kept points are uniform on D, as a
-    box proposal's are. Drawing stops at the batch that brings the count to
-    n.
+    The draws are the batches of ``sampling.ball_batches`` on the first two
+    arcs of ``dom.sectors``: arg z1 and arg z2 uniform in them, |z1| and
+    |z2| uniform by area up to the ball's bounds, up to the draw cap for n.
+    A draw in the ball is kept, in draw order, when its z arguments lie
+    strictly inside their arcs, its w and y images are finite
+    (``sampling.finite_charts``) and their four arguments lie strictly
+    inside the other arcs: the kept points are uniform on D. Drawing stops
+    at the batch that brings the count to n.
     """
     def in_sectors(args, sectors):
         return np.logical_and.reduce([(arg > lo) & (arg < hi)
                                       for arg, (lo, hi) in zip(args, sectors)])
 
-    cap = SECTOR_CHUNK * -(-_DRAWS_PER_POINT * n // SECTOR_CHUNK)
-    batches = ball_batches(hermitian_form(dom.c3), None, seed, cap,
-                           arcs=dom.sectors[:2])
+    batches = ball_batches(hermitian_form(dom.c3), dom.sectors[:2], seed, n)
     points = np.zeros((3, 0), dtype=complex)
     for r in batches:
         keep = in_sectors((np.arctan2(r[1], r[0]), np.arctan2(r[3], r[2])),

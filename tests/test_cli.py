@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dmlat
+import dmlat.sampling as sampling_mod
 import dmlat.verification as verification_mod
 from dmlat.cli import main
 
@@ -190,17 +191,18 @@ class TestTessellate:
     def test_draw_cap_shortfall_fails(self, capsys, monkeypatch):
         # With its cap cut to one batch, the sampler stops short of the
         # requested count: the rows that were sampled match, but the report
-        # must fail.
-        monkeypatch.setattr(verification_mod, "_DRAWS_PER_POINT", 1)
+        # must fail, and say why.
+        monkeypatch.setattr(sampling_mod, "DRAWS_PER_SAMPLE", 1)
         code, out, _ = run(capsys, "tessellate", "2", "4", "3",
                            "--ridge", "F(K,K^-1)", "--samples", "500")
         assert (code, out.splitlines()[-1]) == (
-            1, "55 of 500 samples (draw cap reached); all rows match")
+            1, "55 of 500 samples (draw cap reached); SHORTFALL")
         code, out, _ = run(capsys, "--json", "tessellate", "2", "3", "3",
                            "--ridge", "F(K,K^-1)", "--samples", "500")
         report = json.loads(out)
         assert code == 1
-        assert (report["samples_used"], report["samples_requested"]) == (29, 500)
+        assert (report["samples_used"], report["samples_requested"],
+                report["all_match"]) == (29, 500, False)
 
     def test_seed_that_fell_short_on_the_box_stream(self, capsys):
         # At this seed the sampler's box stream stopped at 497 of 500 points.

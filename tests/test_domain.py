@@ -222,8 +222,7 @@ class TestSampledChecks:
             dtype=complex)
         bad = dataclasses.replace(bullet, mapped=_polar_row(
             bad_mat @ _normal_at(dom.c3, "L_*3"), h, "L_*3"))
-        draws = ball_draws(h, dom.radius, 7, 200 * 200,
-                           (dom.w_of_z, dom.y_of_z))
+        draws = ball_draws(h, 7, 200, (dom.w_of_z, dom.y_of_z))
         report = bullet_agreement(draws, (bullet, bad), 200, 1e-8)
         good, scrambled = report.per_bullet_agreement
         assert report.samples_used == (200, 200)

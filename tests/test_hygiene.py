@@ -8,8 +8,9 @@ imported name that nothing reads is dead code, in ``tests/`` as well.
 ``assert`` vanishes under ``python -O``, so a check in the package must raise
 instead. A module-level function or class whose name no file under ``src/``,
 ``tests/``, ``demos/`` or ``perfbench/`` reads is dead code too. Only
-``sampling.fill_uniform`` calls a drawing method of a numpy ``Generator``, so
-that every sampled check draws through the one generator of ``dmlat.sampling``.
+``sampling.fill_uniform`` calls a drawing method of a numpy ``Generator``, and
+only ``sampling.fill_sectors`` calls ``fill_uniform``, so that every sampled
+check draws through the one proposal of ``dmlat.sampling``.
 Every parameter of a function in the package is read in its body, except
 those of ``UNREAD``, each listed with the reason it is kept. A tolerance, a
 float in (0, 1e-3), is written only in the table of module-level assignments
@@ -108,26 +109,39 @@ def unnamed_definitions(tree: ast.Module, read: set[str]) -> list[str]:
             if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and node.name not in read]
 
 
-def random_draws(tree: ast.Module, allowed: frozenset[str] = frozenset()) -> list[str]:
-    """``function:line`` of every call of a drawing method (``DRAWING``)
-    outside the functions named in ``allowed``; module-level code is
-    ``<module>``. A call on ``np`` or ``numpy`` itself, such as ``np.power``,
-    is a numpy function, not a draw.
-    """
+def calls(tree: ast.Module, hit, allowed: frozenset[str]) -> list[str]:
+    """``function:line`` of every call whose callee expression ``hit``
+    accepts, outside the functions named in ``allowed``; module-level code
+    is ``<module>``."""
     found = []
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            func = getattr(child, "func", None)
-            if (isinstance(child, ast.Call) and isinstance(func, ast.Attribute)
-                    and func.attr in DRAWING and where not in allowed
-                    and not (isinstance(func.value, ast.Name)
-                             and func.value.id in ("np", "numpy"))):
+            if (isinstance(child, ast.Call) and where not in allowed
+                    and hit(child.func)):
                 found.append(f"{where}:{child.lineno}")
             visit(child, child.name if isinstance(child, (*FUNCTIONS, ast.ClassDef))
                   else where)
     visit(tree, "<module>")
     return found
+
+
+def random_draws(tree: ast.Module, allowed: frozenset[str] = frozenset()) -> list[str]:
+    """``function:line`` of every call of a drawing method (``DRAWING``)
+    outside the functions named in ``allowed``. A call on ``np`` or
+    ``numpy`` itself, such as ``np.power``, is a numpy function, not a draw.
+    """
+    return calls(tree, lambda func: (
+        isinstance(func, ast.Attribute) and func.attr in DRAWING
+        and not (isinstance(func.value, ast.Name)
+                 and func.value.id in ("np", "numpy"))), allowed)
+
+
+def fill_uniform_calls(tree: ast.Module, allowed: frozenset[str] = frozenset()) -> list[str]:
+    """``function:line`` of every call of ``fill_uniform``, by name or as
+    an attribute, outside the functions named in ``allowed``."""
+    return calls(tree, lambda func: "fill_uniform" in (
+        getattr(func, "id", None), getattr(func, "attr", None)), allowed)
 
 
 def unread_parameters(tree: ast.Module) -> list[str]:
@@ -194,6 +208,22 @@ def test_random_draw_detector():
                      "def f(g):\n    return np.power(g.integers(3), 2)\n")
     assert random_draws(tree, frozenset({"fill"})) == ["<module>:3", "<module>:3", "f:7"]
     assert random_draws(tree) == ["<module>:3", "<module>:3", "fill:5", "f:7"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_fill_uniform_only_in_fill_sectors(path):
+    allowed = frozenset({"fill_sectors"} if path.name == "sampling.py" else ())
+    assert fill_uniform_calls(_parse(path), allowed) == []
+
+
+def test_fill_uniform_call_detector():
+    # A reference that is not a call, as in mock's wraps=, is no call.
+    tree = ast.parse("import dmlat.sampling as s\nfrom dmlat.sampling import fill_uniform\n"
+                     "def fill_sectors(rng, buf):\n    return fill_uniform(rng, buf)\n"
+                     "def box(rng, buf):\n    return s.fill_uniform(rng, buf)\n"
+                     "f = fill_uniform\nfill_uniform(None, None)\n")
+    assert fill_uniform_calls(tree, frozenset({"fill_sectors"})) == ["box:6", "<module>:8"]
+    assert fill_uniform_calls(tree) == ["fill_sectors:4", "box:6", "<module>:8"]
 
 
 # The parameters that no body may read, each with the reason it is kept.

@@ -1,18 +1,18 @@
 """Sampled half-space checks: exact reports pinned, and the reduction's power.
 
-The bullet values were recorded with the per-draw samplers that the batched
-kernel replaced; the kernel replays the same random stream, so every report
-must stay equal, and the ball test on raw draws is replayed against an
-in-test copy of the loop it replaced, draw for draw. The domain sampler of
-``tessellate`` draws from disc sectors bounded by the ball, not from a box:
-its values were recorded with that stream, and its tests show that the
-proposal is uniform, covers the region a box stream keeps, and keeps only
-points of D.
+Every sampler draws from one proposal: two arguments uniform in their arcs
+and two moduli uniform by area up to the ball's bounds, on the whole circle
+for the bullet samplers and on D's z-sectors for the domain sampler of
+``tessellate``. The reports were recorded with that stream. The tests show
+that the proposal is uniform, that it covers what a box stream, drawn here
+with ``rng.uniform``, keeps in the ball, that one seed gives one stream, and
+that the kept draws are points of the ball, or of D, with finite charts.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from unittest import mock
 
 import numpy as np
@@ -22,7 +22,7 @@ from hypothesis import given, strategies as st
 import dmlat.polyhedron as polyhedron_mod
 import dmlat.sampling as sampling_mod
 import dmlat.verification as verification_mod
-from dmlat.arithmetic import HermitianForm3, hermitian_eval
+from dmlat.arithmetic import FINITE_CHART_TOL, HermitianForm3, hermitian_eval, no_finite_point
 from dmlat.catalog import LatticeSignature
 from dmlat.domain import (
     _bisd_bullets,
@@ -31,6 +31,7 @@ from dmlat.domain import (
     glueing_check,
     in_D_union,
     samelines_check,
+    vertices_D,
 )
 from dmlat.moves import configurations_of, hermitian_form, move_P_inverse
 from dmlat.polyhedron import (
@@ -38,10 +39,10 @@ from dmlat.polyhedron import (
     _bullet_table,
     bisector_equivalence_sample,
     line_normal,
-    vertices_t,
 )
 from dmlat.sampling import (
-    CHUNK,
+    BATCH,
+    FULL_ARCS,
     NotRealDiagonal,
     affine_points,
     ball_batches,
@@ -63,25 +64,23 @@ GENERIC = [(4, 4, 5), (4, 4, 6), (3, 3, 4), (2, 6, 6), (2, 4, 3), (2, 3, 3),
            (3, 4, 4)]
 
 # (triple, n, neutral) -> 8-bullet samples used and max near-zero discrepancy
-# at seed 7. (2,4,3) stops at the 100n draw cap; the wide neutral band makes
-# the bullets stop at different draws and records a near-zero maximum.
+# at seed 7. The wide neutral band makes the bullets skip draws and records
+# a near-zero maximum.
 EIGHT = {
     ((4, 4, 6), 1000, 1e-8): ((1000,) * 8, 0.0),
     ((3, 3, 4), 1000, 1e-8): ((1000,) * 8, 0.0),
-    ((2, 4, 3), 1000, 1e-8): ((160,) * 8, 0.0),
-    ((4, 4, 6), 300, 0.05): ((300,) * 8, 0.3686266783401928),
-    ((2, 4, 3), 300, 0.05): ((39, 40, 38, 38, 34, 38, 40, 41),
-                             0.43889533928462),
+    ((2, 4, 3), 1000, 1e-8): ((1000,) * 8, 0.0),
+    ((4, 4, 6), 300, 0.05): ((300,) * 8, 0.37157394152556966),
+    ((2, 4, 3), 300, 0.05): ((300,) * 8, 0.47086400320870103),
 }
 
-# The same for the 12 bullets of bisD_check (draw cap 200n).
+# The same for the 12 bullets of bisD_check.
 TWELVE = {
     ((4, 4, 6), 1000, 1e-8): ((1000,) * 12, 0.0),
     ((3, 3, 4), 1000, 1e-8): ((1000,) * 12, 0.0),
-    ((2, 4, 3), 1000, 1e-8): ((331,) * 12, 0.0),
-    ((4, 4, 6), 300, 0.05): ((300,) * 12, 2.4965476963452824),
-    ((2, 4, 3), 300, 0.05): ((74, 74, 73, 73, 76, 57, 72, 69, 76, 73, 68, 68),
-                             2.7783205219707785),
+    ((2, 4, 3), 1000, 1e-8): ((1000,) * 12, 0.0),
+    ((4, 4, 6), 300, 0.05): ((300,) * 12, 3.4874455132126974),
+    ((2, 4, 3), 300, 0.05): ((300,) * 12, 3.0586628139198933),
 }
 
 # (triple, ridge) -> (samples used, rows) at seed 7, 500 samples, on the
@@ -180,7 +179,7 @@ class TestTablesBuiltOnce:
         for build, arg in ((_bullet_table, c3), (_bisd_bullets, dom),
                            (_giraud_copies, dom)):
             assert build(arg) is build(arg), build.__name__
-        bullets = _bullet_table(c3)[0] + _bisd_bullets(dom)
+        bullets = _bullet_table(c3) + _bisd_bullets(dom)
         assert len(bullets) == 8 + 12
         arrays = [row for b in bullets for row in (b.plain, b.mapped)]
         for _, m, own, others in _giraud_copies(dom):
@@ -261,72 +260,68 @@ class TestReductionCanFail:
 
 
 class TestSamplesRequested:
-    """Each report carries the count asked for next to the count used: on
-    (2,4,3) at seed 7 the draw cap stops both bullet samplers short of it,
-    and the domain sampler when its cap is cut to one batch."""
+    """Each report carries the count asked for next to the count used. With
+    the one draw cap cut to a single batch, every sampler stops short of it
+    on (2,4,3) at seed 7, and the report fails although every sample used
+    agrees."""
 
     SIG = LatticeSignature(2, 4, 3)
+
+    @pytest.fixture(autouse=True)
+    def one_batch(self, monkeypatch):
+        monkeypatch.setattr(sampling_mod, "DRAWS_PER_SAMPLE", 1)
 
     def test_eight_bullets(self):
         report = bisector_equivalence_sample(configurations_of(self.SIG)[2],
                                              n_samples=1000, seed=7)
         assert report.samples_requested == 1000
-        assert report.samples_used == (160,) * 8
+        assert report.samples_used == (502,) * 8
+        assert report.per_bullet_agreement == (1.0,) * 8
+        assert not report.all_agree
 
     def test_twelve_bullets(self):
         report = bisD_check(build_domain(self.SIG), n_samples=1000, seed=7)
         assert report.samples_requested == 1000
-        assert report.samples_used == (331,) * 12
+        assert report.samples_used == (502,) * 12
+        assert report.per_bullet_agreement == (1.0,) * 12
+        assert not report.all_agree
 
-    def test_sign_table(self, monkeypatch):
-        monkeypatch.setattr(verification_mod, "_DRAWS_PER_POINT", 1)
+    def test_sign_table(self):
         report = tessellation_sign_table(self.SIG, "F(K,K^-1)", n_samples=500,
                                          seed=7)
         assert report.samples_requested == 500
         assert report.samples_used == 55
-
-
-def unscreened_ball_draws(h, radius, seed, cap, maps=()):
-    """``ball_draws`` as it was before the ball screen: ``hermitian_eval``
-    on every draw of the chunk."""
-    rng = np.random.default_rng(seed)
-    for start in range(0, cap, CHUNK):
-        r = rng.uniform(-radius, radius, (min(CHUNK, cap - start), 4))
-        z = affine_points(r.T)
-        z = z[:, hermitian_eval(h, z) > 0]
-        images = [m @ z for m in maps]
-        keep = np.ones(z.shape[1], dtype=bool)
-        for image in images:
-            keep &= np.abs(image[2]) >= 1e-9
-        yield (z[:, keep], *(im[:, keep] / im[2, keep] for im in images))
+        assert all(frac == 1.0 for _, frac in report.rows)
+        assert not report.all_match
 
 
 def sampler_draws(trip, sampler):
-    """The arguments of ``ball_draws`` in one sampler at n = 300, seed left
-    out: form, radius, draw cap and maps. "glueing" is the no-map case, the
-    draws the glueing check made before it became exact."""
+    """The form and chart maps one sampler hands ``ball_draws``. "glueing"
+    is the no-map case, the draws the glueing check made before it became
+    exact."""
     sig = LatticeSignature(*trip)
-    dom = build_domain(sig)
     if sampler == "eight":
         c3 = configurations_of(sig)[2]
-        radius = 1.5 * max(np.max(np.abs(v[:2])) for v in vertices_t(c3).values())
-        return hermitian_form(c3), radius, 100 * 300, (move_P_inverse(c3).matrix,)
-    if sampler == "twelve":
-        return hermitian_form(dom.c3), dom.radius, 200 * 300, (dom.w_of_z, dom.y_of_z)
-    return hermitian_form(dom.c3), dom.radius, 200 * 300, ()
+        return hermitian_form(c3), (move_P_inverse(c3).matrix,)
+    dom = build_domain(sig)
+    return hermitian_form(dom.c3), ((dom.w_of_z, dom.y_of_z)
+                                    if sampler == "twelve" else ())
+
+
+def batches_for(n):
+    """The batches the draw cap allows for n samples."""
+    return -(-sampling_mod.DRAWS_PER_SAMPLE * n // BATCH)
 
 
 REPLAY_SEEDS = [7, 11, 3000017]
 
 
 class TestStreamReplay:
-    """One seed gives one stream. The screened bullet samplers keep the same
-    draws, in the same order, as the loop they replaced; every ball_draws
-    replay runs to its draw cap, the last chunk a partial one. The domain
-    sampler reaches 500 points at every seed, where the box stream it
-    replaced stopped short on (2,4,3) and (2,3,3), and returns the same
-    points on a second call, and its first points for a smaller count,
-    since its cap is whole batches."""
+    """One seed gives one stream. The bullet samplers' draws are points of
+    the ball with finite charts, and every ball_draws stream runs to its
+    draw cap. The domain sampler reaches 500 points at every seed. Both
+    streams give the same points on a second call, and their first points
+    for a smaller count, since the cap is whole batches."""
 
     @pytest.mark.parametrize("seed", REPLAY_SEEDS)
     @pytest.mark.parametrize("trip", GENERIC, ids=str)
@@ -344,14 +339,37 @@ class TestStreamReplay:
     @pytest.mark.parametrize("sampler", ["eight", "twelve", "glueing"])
     @pytest.mark.parametrize("trip", GENERIC, ids=str)
     def test_ball_draws(self, trip, sampler, seed):
-        h, radius, cap, maps = sampler_draws(trip, sampler)
-        new = list(ball_draws(h, radius, seed, cap, maps))
-        old = list(unscreened_ball_draws(h, radius, seed, cap, maps))
-        assert len(new) == len(old) == -(-cap // CHUNK)
-        for new_charts, old_charts in zip(new, old):
-            assert len(new_charts) == len(old_charts) == 1 + len(maps)
-            for a, b in zip(new_charts, old_charts):
-                assert np.array_equal(a, b)
+        h, maps = sampler_draws(trip, sampler)
+        draws = list(ball_draws(h, seed, 100, maps))
+        assert len(draws) == batches_for(100)
+        for z, *images in draws:
+            assert len(images) == len(maps)
+            assert np.all(hermitian_eval(h, z) > 0)
+            for m, image in zip(maps, images):
+                raw = m @ z
+                assert np.all(np.abs(raw[2]) >= FINITE_CHART_TOL)
+                assert np.allclose(image, raw / raw[2], rtol=1e-12, atol=0.0)
+        again = list(ball_draws(h, seed, 100, maps))
+        prefix = list(ball_draws(h, seed, 37, maps))
+        assert len(again) == len(draws)
+        assert len(prefix) == batches_for(37) < len(draws)
+        for stream in (again, prefix):
+            for new, old in zip(stream, draws):
+                assert all(np.array_equal(a, b) for a, b in zip(new, old))
+        other = next(ball_draws(h, seed + 1, 100, maps))[0]
+        assert not np.array_equal(other[:, :10], draws[0][0][:, :10])
+
+
+@pytest.mark.parametrize("seed", REPLAY_SEEDS)
+def test_bullets_reach_their_count_on_243(seed):
+    # The box stream stopped both samplers short of 1000 on (2,4,3).
+    sig = LatticeSignature(2, 4, 3)
+    for report, bullets in (
+            (bisector_equivalence_sample(configurations_of(sig)[2],
+                                         n_samples=1000, seed=seed), 8),
+            (bisD_check(build_domain(sig), n_samples=1000, seed=seed), 12)):
+        assert report.samples_used == (1000,) * bullets
+        assert report.all_agree
 
 
 class TestDomainSamplerIsLazy:
@@ -376,39 +394,80 @@ def ks_distance(u: np.ndarray) -> float:
     return float(max(np.max(i / len(u) - u), np.max(u - (i - 1) / len(u))))
 
 
+def assert_uniform(arcs, bounds):
+    """At a fixed seed, the argument of each coordinate of ``fill_sectors``
+    is uniform in its arc and its squared modulus in [0, bound^2): the KS
+    distance is below its 1% critical value 1.63 / sqrt(m)."""
+    m = 20000
+    r = fill_sectors(np.random.default_rng(7), arcs, bounds, np.empty((4, m)))
+    for (lo, hi), bound, (x, y) in zip(arcs, bounds, (r[:2], r[2:])):
+        for u in ((np.arctan2(y, x) - lo) / (hi - lo),
+                  (x ** 2 + y ** 2) / bound ** 2):
+            assert np.all((u > -1e-12) & (u < 1.0 + 1e-12))
+            assert ks_distance(u) < 1.63 / math.sqrt(m)
+
+
+def box_stream(h, radius, seed, batches):
+    """The draws in the ball of a box stream, batch by batch: 8,192 draws of
+    ``rng.uniform`` on [-radius, radius]^4 each, as (4, k) arrays."""
+    rng = np.random.default_rng(seed)
+    for _ in range(batches):
+        r = rng.uniform(-radius, radius, (4, 8192))
+        yield r[:, hermitian_eval(h, affine_points(r)) > 0]
+
+
+@cache
+def box_draws_in_ball(trip):
+    """The form of D's ball, the half-width of the box the bullet samplers
+    once drew from (1.5x the cloud of D's finite vertices), and the draws in
+    the ball of 100 batches of that box at seed 7."""
+    dom = build_domain(LatticeSignature(*trip))
+    h = hermitian_form(dom.c3)
+    radius = 1.5 * max(np.max(np.abs(v[:2])) for v in vertices_D(dom).coords.values()
+                       if not no_finite_point(v))
+    return h, radius, np.hstack(list(box_stream(h, radius, 7, 100)))
+
+
+def covered(r, bounds):
+    """Whether every draw of the (4, k) array r has |z_i| below bounds[i],
+    and some come within 10% of them: the bounds hold the draws, tightly."""
+    ratio = np.abs(affine_points(r)[:2]).max(axis=1) / bounds
+    return bool(np.all((ratio > 0.9) & (ratio < 1.0)))
+
+
 class TestSectorProposal:
     @pytest.mark.parametrize("trip", GENERIC, ids=str)
     def test_uniform_in_arc_and_area(self, trip):
-        # At a fixed seed, the argument of each coordinate is uniform in its
-        # arc and its squared modulus in [0, bound^2): the KS distance is
-        # below its 1% critical value 1.63 / sqrt(m).
         dom = build_domain(LatticeSignature(*trip))
-        arcs, bounds = dom.sectors[:2], ball_bounds(hermitian_form(dom.c3))
-        m = 20000
-        r = fill_sectors(np.random.default_rng(7), arcs, bounds,
-                         np.empty((4, m)))
-        for (lo, hi), bound, (x, y) in zip(arcs, bounds, (r[:2], r[2:])):
-            for u in ((np.arctan2(y, x) - lo) / (hi - lo),
-                      (x ** 2 + y ** 2) / bound ** 2):
-                assert np.all((u > -1e-12) & (u < 1.0 + 1e-12))
-                assert ks_distance(u) < 1.63 / math.sqrt(m)
+        assert_uniform(dom.sectors[:2], ball_bounds(hermitian_form(dom.c3)))
+
+    @pytest.mark.parametrize("trip", GENERIC, ids=str)
+    def test_uniform_on_the_circle(self, trip):
+        # The proposal of the bullet samplers. The ball turns with each
+        # argument, so the arguments of the draws ball_draws keeps are
+        # uniform on the circle too.
+        h = hermitian_form(configurations_of(LatticeSignature(*trip))[2])
+        assert_uniform(FULL_ARCS, ball_bounds(h))
+        z = np.hstack([charts[0] for charts in ball_draws(h, 7, 100, ())])
+        for u in (np.angle(z[0]) / (2 * math.pi) + 0.5,
+                  np.angle(z[1]) / (2 * math.pi) + 0.5):
+            assert ks_distance(u) < 1.63 / math.sqrt(len(u))
 
     @pytest.mark.parametrize("trip", GENERIC, ids=str)
     def test_covers_what_a_box_stream_keeps(self, trip):
-        # The box of half-width dom.radius holds the ball. Every box draw in
-        # the ball lies inside the moduli bounds, which are tight: some come
-        # within 10% of them. The points the domain sampler keeps from box
-        # draws, uniform on D like the sectors', lie inside the arcs too.
+        # The box the bullet samplers drew from holds the polydisc of the
+        # bounds, so it holds the ball, and the proposal keeps draws uniform
+        # on the same set. Every box draw in the ball lies inside the moduli
+        # bounds, which are tight. The points the domain sampler keeps from
+        # box draws, uniform on D like the sectors', lie inside the arcs too.
         dom = build_domain(LatticeSignature(*trip))
-        h = hermitian_form(dom.c3)
+        h, radius, r = box_draws_in_ball(trip)
         bounds = ball_bounds(h)
-        assert np.all(bounds < dom.radius)
-        r = np.hstack(list(ball_batches(h, dom.radius, 7, 100 * CHUNK)))
-        ratio = np.abs(affine_points(r)[:2]).max(axis=1) / bounds
-        assert np.all((ratio > 0.9) & (ratio < 1.0))
+        assert np.all(bounds < radius)
+        assert covered(r, bounds)
 
-        def box_batches(h, radius, seed, cap, arcs):
-            return ball_batches(h, dom.radius, seed, 400 * CHUNK)
+        def box_batches(h, arcs, seed, n):
+            return box_stream(h, radius, seed, 400)
 
         with mock.patch.object(verification_mod, "ball_batches", box_batches):
             points = _sample_domain_points(dom, 10, 7)
@@ -417,39 +476,44 @@ class TestSectorProposal:
             assert np.all((np.angle(z) > lo) & (np.angle(z) < hi))
             assert np.all(np.abs(z) < bound)
 
+    @pytest.mark.parametrize("trip", GENERIC, ids=str)
+    def test_wrong_bounds_fail_coverage(self, trip):
+        # Bounds shrunk by 1.1 leave box draws of the ball outside; bounds
+        # grown by 1.2 are not tight.
+        h, _, r = box_draws_in_ball(trip)
+        assert not covered(r, ball_bounds(h) / 1.1)
+        assert not covered(r, ball_bounds(h) * 1.2)
+
 
 class TestFiniteCharts:
-    @pytest.mark.parametrize("sectors", [False, True])
-    def test_drops_images_at_infinity(self, sectors):
+    @pytest.mark.parametrize("full", [False, True])
+    def test_drops_images_at_infinity(self, full):
         # Draw j is the point (x_j, 0, 1), inside the unit ball; the map
         # below sends it to (1, 0, x_j - 1/2), so its image is at infinity
-        # for x_j - 1/2 = 0 and 5e-10, and finite for 2e-9.
+        # for x_j - 1/2 = 0 and 5e-10, and finite for 2e-9. The batch is
+        # read through the arcs (-1, 1), or through ball_draws, whose arcs
+        # are the whole circle.
         x = 0.5 + np.array([0.0, 5e-10, 2e-9])
         draws = np.zeros((4, 3))
         draws[0] = x
         chart = np.array([[0, 0, 1], [0, 1, 0], [1, 0, -0.5]], dtype=complex)
         ball = HermitianForm3(np.diag([-1.0, -1.0, 1.0]).astype(complex))
-        # The numbers that make these draws: the draws themselves in the
-        # box; in the sectors of the arcs (-1, 1), bounded by 1, argument 0
-        # and squared modulus x_j^2 for z1, modulus 0 for z2.
-        arcs = ((-1.0, 1.0), (-1.0, 1.0))
-        filled = (np.array([[0.0] * 3, 2 * x ** 2 - 1, [0.0] * 3, [-1.0] * 3])
-                  if sectors else draws.T)
+        # The numbers that make these draws, bounded by 1: argument 0 and
+        # squared modulus x_j^2 for z1, modulus 0 for z2. The rest of the
+        # batch has both moduli at the bound, outside the ball.
+        filled = np.zeros((4, BATCH))
+        filled[1], filled[3] = 1.0, 1.0
+        filled[1, :3], filled[3, :3] = 2 * x ** 2 - 1, -1.0
 
-        def fill(rng, radius, buf):
-            buf[...] = filled.reshape(buf.shape)
+        def fill(rng, buf):
+            buf[...] = filled
             return buf
 
         with mock.patch.object(sampling_mod, "fill_uniform", fill):
-            if sectors:
-                r = next(ball_batches(ball, None, 7, 3, arcs))
-                charts = ()
-                assert np.allclose(r, draws, rtol=0.0, atol=1e-15)
-            else:
-                r = next(ball_batches(ball, 1.0, 7, 3))
-                # ball_draws reads the box through the same rule.
-                charts = next(ball_draws(ball, 1.0, 7, 3, (chart,)))
-                assert np.array_equal(r, draws)
+            r = next(ball_batches(ball, FULL_ARCS if full else ((-1.0, 1.0),) * 2,
+                                  7, 3))
+            charts = next(ball_draws(ball, 7, 3, (chart,))) if full else ()
+        assert np.allclose(r, draws, rtol=0.0, atol=1e-15)
         z, image = finite_charts(r, (chart,))
         assert np.array_equal(z, affine_points(r[:, 2:]))
         assert np.allclose(image, [[1 / (r[0, 2] - 0.5)], [0.0], [1.0]],
@@ -478,7 +542,7 @@ class TestInBall:
         r = np.array(u)[:, None] * scale
         inside = hermitian_eval(h, affine_points(r))[0] > 0
         assert inside != outside  # the property is not vacuous
-        kept = ball_filter(h, 1)(r)
+        kept = ball_filter(h)(r)
         assert (kept.shape[1] == 1) == inside
         assert not np.shares_memory(kept, r)
 
@@ -487,7 +551,7 @@ class TestInBall:
         h = hermitian_form(configurations_of(LatticeSignature(*trip))[2])
         d = h.matrix.diagonal().real
         r = np.array(u)[:, None] * _boundary_scale(d, u) * (1.0 + delta)
-        assert ball_filter(h, 1)(r).shape[1] == 0
+        assert ball_filter(h)(r).shape[1] == 0
 
     @given(st.sampled_from(GENERIC), st.integers(0, 2), st.integers(1, 2),
            st.floats(1e-6, 1.0), st.booleans())
@@ -499,37 +563,24 @@ class TestInBall:
         m[i, j] = value * (1j if imaginary else 1.0)
         m[j, i] = np.conj(m[i, j])
         with pytest.raises(NotRealDiagonal):
-            ball_filter(HermitianForm3(m), 3)
+            ball_filter(HermitianForm3(m))
         with mock.patch.object(sampling_mod, "fill_uniform",
                                wraps=fill_uniform) as fill:
             with pytest.raises(NotRealDiagonal):
-                next(ball_draws(HermitianForm3(m), 1.0, 7, CHUNK, ()))
+                next(ball_draws(HermitianForm3(m), 7, 100, ()))
             with pytest.raises(NotRealDiagonal):
-                next(ball_batches(HermitianForm3(m), None, 7, 13 * CHUNK,
-                                  arcs=((-1.0, 0.0), (-1.0, 1.0))))
+                next(ball_batches(HermitianForm3(m), ((-1.0, 0.0), (-1.0, 1.0)),
+                                  7, 100))
         fill.assert_not_called()
 
 
-# Each array fill_uniform fills, made for m draws, with the shape it must read
-# as: a leading slice of the flat buffer of ball_batches, read as (4, m) by
-# fill_sectors and as (m, 4) in the box; and a leading (m, 4) slice of a
-# two-dimensional buffer, and a (4, m) array.
-FILLED = {
-    "sectors": lambda m: (np.empty(4 * CHUNK)[:4 * m].reshape(4, m), (4, m)),
-    "interleaved": lambda m: (np.empty(4 * CHUNK)[:4 * m], (m, 4)),
-    "rows": lambda m: (np.empty((CHUNK, 4))[:m], (m, 4)),
-    "columns": lambda m: (np.empty((4, m)), (4, m)),
-}
-
-
 class TestFillUniform:
-    @given(st.floats(1e-3, 1e3), st.sampled_from(sorted(FILLED)),
-           st.one_of(st.just(CHUNK), st.integers(1, CHUNK - 1)),
+    @given(st.one_of(st.just(BATCH), st.integers(1, BATCH - 1)),
            st.integers(0, 2**32))
-    def test_is_the_uniform_stream(self, radius, layout, m, seed):
-        buf, shape = FILLED[layout](m)
+    def test_is_the_uniform_stream(self, m, seed):
+        # fill_sectors hands it a (4, BATCH) batch; any (4, m) array will do.
+        buf = np.empty((4, m))
         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(2):
-            assert fill_uniform(rng, radius, buf) is buf
-            assert np.array_equal(buf.reshape(shape),
-                                  reference.uniform(-radius, radius, shape))
+            assert fill_uniform(rng, buf) is buf
+            assert np.array_equal(buf, reference.uniform(-1.0, 1.0, (4, m)))
