@@ -1,6 +1,9 @@
 """Run the full verification pipeline for one signature and print a summary.
 
 Usage: python demos/verify_signature.py [p k p']   (defaults to 4 4 6)
+
+Relation and cycle rows are counted as ``dmlat check`` reports them: pass,
+fail or skipped. The demo exits 1 if any check fails.
 """
 
 import sys
@@ -10,7 +13,7 @@ from dmlat.domain import build_domain, side_pairings, vertices_D
 from dmlat.verification import euler_characteristic, group_checks
 
 
-def main() -> None:
+def main() -> int:
     args = [int(a) for a in sys.argv[1:4]] or [4, 4, 6]
     sig = LatticeSignature(*args)
     dom = build_domain(sig)
@@ -18,21 +21,20 @@ def main() -> None:
     vd = vertices_D(dom)
     rel, cyc = group_checks(sig)
     euler = euler_characteristic(sig)
+    flags = (dom.diagram_ok, sp.factorizations_ok, vd.table_ok)
 
     print(f"signature          {sig}")
-    print(f"frame diagram      {'ok' if dom.diagram_ok else 'FAILED'}")
-    print(f"factorizations     {'ok' if sp.factorizations_ok else 'FAILED'}")
-    print(f"vertex table       {'ok' if vd.table_ok else 'FAILED'}")
+    for label, ok in zip(("frame diagram", "factorizations", "vertex table"), flags):
+        print(f"{label:<18} {'ok' if ok else 'FAILED'}")
     print(f"collapsed vertices {sorted(vd.collapsed) or 'none'}")
-    print(f"relations          "
-          f"{sum(e.status == 'pass' for e in rel.entries)} pass, "
-          f"{sum(e.status == 'skipped' for e in rel.entries)} skipped")
-    print(f"cycle checks       "
-          f"{sum(e.status == 'pass' for e in cyc.entries)} pass, "
-          f"{sum(e.status == 'skipped' for e in cyc.entries)} skipped")
+    for label, report in (("relations", rel), ("cycle checks", cyc)):
+        counts = ", ".join(f"{sum(e.status == s for e in report.entries)} {s}"
+                           for s in ("pass", "fail", "skipped"))
+        print(f"{label:<18} {counts}")
     print(f"euler chi          {euler.chi}")
     print(f"volume             {euler.volume_coeff} * pi^2")
+    return 0 if all(flags) and rel.all_pass and cyc.all_pass else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -49,6 +49,8 @@ from dmlat.polyhedron import (
     _arg_in,
     _normal_at,
     _polar_row,
+    arc_radians,
+    arc_side,
     collapse_status,
     lines_t,
     vertices_t,
@@ -59,8 +61,9 @@ from dmlat.sampling import Bullet, BulletReport, ball_draws, bullet_agreement
 _TP = "theta'"
 _FP = "phi'"
 # The argument sectors of D, one per column (arg z1, arg z2, arg w1, arg w2,
-# arg y1, arg y2), as (lo, hi) named angles in units of pi. Every named angle
-# of the vertex table below is an end of one of them.
+# arg y1, arg y2), as (lo, hi) named angles in units of pi (``_sector_angles``).
+# Every named angle of the vertex table below is an end of one of them, and each
+# end is a side (``arc_side``) of ``bisD_check`` and ``tessellate``.
 _SECTORS = (("-phi", 0), ("-theta", "theta"), (0, "phi"), ("-theta", "theta"),
             ("-phi'", _FP), (0, _TP))
 
@@ -104,11 +107,7 @@ class DomainD:
     @cached_property
     def sectors(self) -> tuple[tuple[float, float], ...]:
         """The six arcs (lo, hi) of ``_SECTORS``, in radians."""
-        t, f, tp, fp = (float(x) * math.pi for x in (
-            self.c3.theta, self.c3.phi, self.c2.theta, self.c2.phi))
-        named = {0: 0.0, "theta": t, "-theta": -t, "phi": f, "-phi": -f,
-                 _TP: tp, _FP: fp, "-phi'": -fp}
-        return tuple((named[lo], named[hi]) for lo, hi in _SECTORS)
+        return arc_radians(_SECTORS, _sector_angles(self))
 
     @cached_property
     def diagram_ok(self) -> bool:
@@ -122,6 +121,13 @@ class DomainD:
             ok = ok and projective_equal(
                 move_P_inverse(self.c2).matrix @ self.y_of_z, self.w_of_z)
         return ok
+
+
+def _sector_angles(dom: DomainD) -> dict:
+    """The named angles of ``_SECTORS``, from the C3 and C2 charts."""
+    t, f, fp = dom.c3.theta, dom.c3.phi, dom.c2.phi
+    return {0: 0, "theta": t, "-theta": -t, "phi": f, "-phi": -f,
+            _TP: dom.c2.theta, _FP: fp, "-phi'": -fp}
 
 
 @cache
@@ -416,27 +422,25 @@ def _bisd_bullets(dom: DomainD) -> tuple[Bullet, ...]:
     composite move.
     """
     c2, c3 = dom.c2, dom.c3
-    h = hermitian_form(c3)
-    w = _pairing_words(dom)
-    t, f, tp, fp = c3.theta, c3.phi, c2.theta, c2.phi
-    specs = (  # chart, phase, coord, im_leq, plain line, matrix, mapped line at
-        ("z", 1.0, 1, True, "L_*1", move_P_inverse(c2).matrix, "L_*3", c2),
-        ("z", exp_i_pi(f), 1, False, "L_*0", _word("K^-1", w), "L_*0", c3),
-        ("z", exp_i_pi(-t), 2, True, "L_*3", _word("R'1", w), "L_*3", c3),
-        ("z", exp_i_pi(t), 2, False, "L_*3", _word("R'1^-1", w), "L_*3", c3),
-        ("y", exp_i_pi(fp), 1, False, "L_*0", _word("K^2", w), "L_*0", c3),
-        ("y", 1.0, 2, False, "L_*1", _word("Q^-1R'1", w), "L_*3", c3),
-        ("y", exp_i_pi(-tp), 2, True, "L_*3", _word("R'1^-1Q", w), "L_*1", c3),
-        ("y", exp_i_pi(-fp), 1, True, "L_*0", _word("K^-2", w), "L_*0", c3),
-        ("w", 1.0, 1, False, "L_*3", _word("Q", w), "L_*1", c3),
-        ("w", exp_i_pi(-f), 1, True, "L_*0", _word("K", w), "L_*0", c3),
-        ("w", exp_i_pi(-t), 2, True, "L_*1", _word("R'2", w), "L_*1", c3),
-        ("w", exp_i_pi(t), 2, False, "L_*1", _word("R'2^-1", w), "L_*1", c3),
+    h, w, angles = hermitian_form(c3), _pairing_words(dom), _sector_angles(dom)
+    specs = (  # side (column of _SECTORS, end), plain line, matrix, mapped line at
+        (0, "hi", "L_*1", move_P_inverse(c2).matrix, "L_*3", c2),
+        (0, "lo", "L_*0", _word("K^-1", w), "L_*0", c3),
+        (1, "hi", "L_*3", _word("R'1", w), "L_*3", c3),
+        (1, "lo", "L_*3", _word("R'1^-1", w), "L_*3", c3),
+        (4, "lo", "L_*0", _word("K^2", w), "L_*0", c3),
+        (5, "lo", "L_*1", _word("Q^-1R'1", w), "L_*3", c3),
+        (5, "hi", "L_*3", _word("R'1^-1Q", w), "L_*1", c3),
+        (4, "hi", "L_*0", _word("K^-2", w), "L_*0", c3),
+        (2, "lo", "L_*3", _word("Q", w), "L_*1", c3),
+        (2, "hi", "L_*0", _word("K", w), "L_*0", c3),
+        (3, "hi", "L_*1", _word("R'2", w), "L_*1", c3),
+        (3, "lo", "L_*1", _word("R'2^-1", w), "L_*1", c3),
     )
-    return tuple(Bullet("zwy".index(chart), phase, coord, im_leq, 0,
+    return tuple(Bullet(*arc_side(_SECTORS, angles, column, end), 0,
                         _polar_row(_normal_at(c3, plain), h, plain),
                         _polar_row(mat @ _normal_at(at, mapped), h, mapped))
-                 for chart, phase, coord, im_leq, plain, mat, mapped, at in specs)
+                 for column, end, plain, mat, mapped, at in specs)
 
 
 def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,

@@ -78,9 +78,7 @@ class ConfiguredMap:
 def hermitian_form(c: Configuration) -> HermitianForm3:
     """The diagonal area form of a configuration."""
     a, b, t, f = c.angles()
-    for denom in (a - f, b - t, t + f):
-        if sin_pi(denom) == 0.0:
-            raise DegenerateDenominator(f"sin({denom}*pi) = 0 in the area form")
+    _check_denominators(c, a - f, b - t, t + f)
     diag = [
         -sin_pi(f) * sin_pi(a) / sin_pi(a - f),
         -sin_pi(t) * sin_pi(b) / sin_pi(b - t),

@@ -4,6 +4,7 @@ Everything here is parametrized by one angle configuration. The ten complex
 lines and fourteen vertices are built in two coordinate frames (t and s,
 related by the inverse composite move), and the checks compare reference
 closed forms against each other and against sampled half-space conditions.
+The sides are the ends of the four argument arcs of ``_ARCS``.
 """
 
 from __future__ import annotations
@@ -59,18 +60,47 @@ VERTEX_LINES: dict[str, tuple[str, str]] = {
     "t14": ("L_*2", "L_03"),
 }
 
-# Bisector label -> (frame, coefficient multiplying the coordinate inside im(),
-# which coordinate, vertices on it). The defining condition is im(coef*x) = 0.
-BISECTOR_TABLE: dict[str, tuple[str, int, tuple[str, ...]]] = {
-    "B(P)": ("t", 1, ("t1", "t3", "t4", "t5", "t9", "t10", "t12", "t13")),
-    "B(P^-1)": ("s", 1, ("t2", "t3", "t4", "t5", "t6", "t8", "t13", "t14")),
-    "B(J)": ("t", 1, ("t1", "t6", "t7", "t8", "t9", "t11", "t12", "t14")),
-    "B(J^-1)": ("s", 1, ("t2", "t7", "t8", "t9", "t10", "t11", "t12", "t14")),
-    "B(R1)": ("t", 2, ("t1", "t3", "t4", "t6", "t7", "t9", "t10", "t11")),
-    "B(R1^-1)": ("t", 2, ("t1", "t3", "t5", "t6", "t8", "t12", "t13", "t14")),
-    "B(R2)": ("s", 2, ("t2", "t4", "t5", "t9", "t10", "t12", "t13", "t14")),
-    "B(R2^-1)": ("s", 2, ("t2", "t3", "t4", "t6", "t7", "t8", "t10", "t11")),
+# The argument arcs of the polyhedron, one per column (arg t1, arg t2, arg s1,
+# arg s2), as (lo, hi) named angles (``_arc_angles``). Each end is a side
+# (``arc_side``): the bisectors, bullets and ``in_D`` read their sides here.
+_ARCS = (("-phi", 0), (0, "theta"), (0, "phi''"), (0, "theta''"))
+
+# Bisector label -> (column of ``_ARCS``, end, vertices on it). The defining
+# condition is im(phase * x) = 0, with the phase and coordinate of that side.
+BISECTOR_TABLE: dict[str, tuple[int, str, tuple[str, ...]]] = {
+    "B(P)": (0, "hi", ("t1", "t3", "t4", "t5", "t9", "t10", "t12", "t13")),
+    "B(P^-1)": (2, "lo", ("t2", "t3", "t4", "t5", "t6", "t8", "t13", "t14")),
+    "B(J)": (0, "lo", ("t1", "t6", "t7", "t8", "t9", "t11", "t12", "t14")),
+    "B(J^-1)": (2, "hi", ("t2", "t7", "t8", "t9", "t10", "t11", "t12", "t14")),
+    "B(R1)": (1, "lo", ("t1", "t3", "t4", "t6", "t7", "t9", "t10", "t11")),
+    "B(R1^-1)": (1, "hi", ("t1", "t3", "t5", "t6", "t8", "t12", "t13", "t14")),
+    "B(R2)": (3, "lo", ("t2", "t4", "t5", "t9", "t10", "t12", "t13", "t14")),
+    "B(R2^-1)": (3, "hi", ("t2", "t3", "t4", "t6", "t7", "t8", "t10", "t11")),
 }
+
+
+def arc_side(arcs: tuple, angles: dict, column: int, end: str) -> tuple:
+    """The ``Bullet`` fields (chart, phase, coord, im_leq) of one side.
+
+    ``arcs`` holds a (lo, hi) pair of names per column, two columns (arg x1,
+    arg x2) per chart; ``angles`` maps a name to its angle a, in units of pi.
+    The side at ``end`` ("lo" or "hi") is im(e^{-i a pi} x_coord) = 0, <= 0
+    inside at "hi" and >= 0 inside at "lo".
+    """
+    angle = angles[arcs[column][("lo", "hi").index(end)]]
+    return column // 2, exp_i_pi(-angle), column % 2 + 1, end == "hi"
+
+
+def arc_radians(arcs: tuple, angles: dict) -> tuple[tuple[float, float], ...]:
+    """The arcs (lo, hi) of an arc table, in radians."""
+    return tuple((float(angles[lo]) * math.pi, float(angles[hi]) * math.pi)
+                 for lo, hi in arcs)
+
+
+def _arc_angles(c: Configuration) -> dict:
+    """The named angles of ``_ARCS``; theta'' and phi'' are the s-chart's."""
+    cs = p_inverse_target(c)
+    return {0: 0, "-phi": -c.phi, "theta": c.theta, "phi''": cs.phi, "theta''": cs.theta}
 
 
 class SingularSystem(ValueError):
@@ -88,13 +118,12 @@ class PreconditionFailed(ValueError):
 
 @dataclass(frozen=True)
 class ComplexLine:
-    """The affine equation a*x1 + b*x2 = c in the given frame."""
+    """The affine equation a*x1 + b*x2 = c."""
 
     label: str
     a: complex
     b: complex
     c: complex
-    frame: str
 
     def __post_init__(self) -> None:
         if self.a == 0 and self.b == 0:
@@ -124,7 +153,7 @@ def lines_t(c: Configuration) -> dict[str, ComplexLine]:
         "L_13": (1, exp_i_pi(-t) * sb / sbt, 1),
         "L_23": (0, 1, 0),
     }
-    return {k: ComplexLine(k, *map(complex, v), "t") for k, v in eqs.items()}
+    return {k: ComplexLine(k, *map(complex, v)) for k, v in eqs.items()}
 
 
 def lines_s(c: Configuration) -> dict[str, ComplexLine]:
@@ -150,7 +179,7 @@ def lines_s(c: Configuration) -> dict[str, ComplexLine]:
         "L_13": (1, 1, 1),
         "L_23": (1, exp_i_pi(-t) * sb / sbt, 1),
     }
-    return {k: ComplexLine(k, *map(complex, v), "s") for k, v in eqs.items()}
+    return {k: ComplexLine(k, *map(complex, v)) for k, v in eqs.items()}
 
 
 def line_normal(line: ComplexLine, h: HermitianForm3) -> np.ndarray:
@@ -307,24 +336,17 @@ def _arg_in(value: complex, lo: float, hi: float) -> bool:
 def in_D(point, c: Configuration) -> bool:
     """Membership in the generic polyhedron: four argument conditions.
 
-    arg(t1) in (-phi, 0), arg(t2) in (0, theta), arg(s1) in (0, phi''),
-    arg(s2) in (0, theta''), where theta'' and phi'' are the angles of the
-    s-frame chart (``p_inverse_target``), each with ``MEMBERSHIP_TOL`` slack;
-    a coordinate within ``ZERO_COORD_TOL`` of 0 satisfies its condition vacuously.
+    arg t1, arg t2, arg s1 and arg s2 lie in the arcs of ``_ARCS``, each with
+    ``MEMBERSHIP_TOL`` slack; a coordinate within ``ZERO_COORD_TOL`` of 0
+    satisfies its condition vacuously.
     """
     p = np.asarray(point, dtype=complex)
     if no_finite_point(p):
         raise PointAtInfinity("point has vanishing third t-coordinate")
     p = p / p[2]
-    cs = p_inverse_target(c)
-    t, f, tpp, fpp = (float(x) * math.pi for x in (c.theta, c.phi, cs.theta, cs.phi))
     s = to_s_frame(p, c)
-    return (
-        _arg_in(p[0], -f, 0.0)
-        and _arg_in(p[1], 0.0, t)
-        and _arg_in(s[0], 0.0, fpp)
-        and _arg_in(s[1], 0.0, tpp)
-    )
+    return all(_arg_in(value, lo, hi) for value, (lo, hi)
+               in zip((p[0], p[1], s[0], s[1]), arc_radians(_ARCS, _arc_angles(c))))
 
 
 def collapse_status(c: Configuration) -> dict[str, bool]:
@@ -375,44 +397,30 @@ def side_bounds(c: Configuration) -> dict[str, float]:
     }
 
 
+def _bisector_coords(c: Configuration):
+    """(bisector, phase, coordinate of its side) at each vertex of a bisector."""
+    verts, angles = (vertices_t(c), vertices_s(c)), _arc_angles(c)
+    for bis, (column, end, members) in BISECTOR_TABLE.items():
+        chart, phase, coord, _ = arc_side(_ARCS, angles, column, end)
+        yield from ((bis, phase, verts[chart][name][coord - 1]) for name in members)
+
+
 def side_bound_check(c: Configuration) -> bool:
-    """Each side's vertices respect that side's modulus bound."""
+    """The vertices of each bisector B(X) respect the modulus bound of side S(X)."""
     violated = pp_possible(c)
     if violated:
         raise PreconditionFailed(
             "side-combinatorics precondition fails: " + ", ".join(violated)
         )
-    vt, vs = vertices_t(c), vertices_s(c)
     bounds = side_bounds(c)
-    # Side S(X) is bounded by the vertices of bisector B(X).
-    for bis, (frame, coord, members) in BISECTOR_TABLE.items():
-        verts = vt if frame == "t" else vs
-        for name in members:
-            if abs(verts[name][coord - 1]) > bounds["S" + bis[1:]] + RESIDUAL_TOL:
-                return False
-    return True
+    return not any(abs(x) > bounds["S" + bis[1:]] + RESIDUAL_TOL
+                   for bis, _, x in _bisector_coords(c))
 
 
 def bisector_membership_check(c: Configuration) -> bool:
     """The listed vertices satisfy each bisector's im-equation."""
-    vt, vs = vertices_t(c), vertices_s(c)
-    cs = p_inverse_target(c)
-    phases = {
-        "B(P)": 1.0,
-        "B(P^-1)": 1.0,
-        "B(J)": exp_i_pi(c.phi),
-        "B(J^-1)": exp_i_pi(-cs.phi),
-        "B(R1)": 1.0,
-        "B(R1^-1)": exp_i_pi(-c.theta),
-        "B(R2)": 1.0,
-        "B(R2^-1)": exp_i_pi(-cs.theta),
-    }
-    for bis, (frame, coord, members) in BISECTOR_TABLE.items():
-        verts = vt if frame == "t" else vs
-        for name in members:
-            if abs((phases[bis] * verts[name][coord - 1]).imag) > RESIDUAL_TOL:
-                return False
-    return True
+    return not any(abs((phase * x).imag) > RESIDUAL_TOL
+                   for _, phase, x in _bisector_coords(c))
 
 
 def _polar_row(n: np.ndarray, h: HermitianForm3, label: str) -> np.ndarray:
@@ -430,10 +438,10 @@ def _polar_row(n: np.ndarray, h: HermitianForm3, label: str) -> np.ndarray:
     return read_only(row / math.sqrt(abs(norm)))
 
 
-def _normal_at(config: Configuration, label: str, frame: str = "t") -> np.ndarray:
-    """The polar of line ``label`` of the t-frame of ``config`` (or of the
-    s-frame attached to it)."""
-    if frame == "t":
+def _normal_at(config: Configuration, label: str, chart: int = 0) -> np.ndarray:
+    """The polar of line ``label`` of the t-frame of ``config`` (chart 0) or
+    of the s-frame attached to it (chart 1)."""
+    if chart == 0:
         return line_normal(lines_t(config)[label], hermitian_form(config))
     return line_normal(lines_s(config)[label], hermitian_form(p_inverse_target(config)))
 
@@ -449,24 +457,23 @@ def _bullet_table(c: Configuration) -> tuple[Bullet, ...]:
     s-frame normals with moves at the s-chart.
     """
     cs, pt, rt = p_inverse_target(c), p_target(c), r1_target(c)
-    forms = {"t": hermitian_form(c), "s": hermitian_form(cs)}
-    specs = (  # frame, phase, coord, im_leq, plain line, move, mapped line at
-        ("t", 1.0, 1, True, "L_*1", move_P_inverse(pt), "L_*3", pt),
-        ("s", 1.0, 1, False, "L_*3", move_P(cs), "L_*1", c),
-        ("t", exp_i_pi(c.phi), 1, False, "L_*0", inverse(move_J(c)), "L_*0", pt),
-        ("s", exp_i_pi(-cs.phi), 1, True, "L_*0", move_A1(cs), "L_*0", c),
-        ("t", 1.0, 2, False, "L_*2", inverse(move_R1(c)), "L_*3", rt),
-        ("t", exp_i_pi(-c.theta), 2, True, "L_*3", move_R1(rt), "L_*2", rt),
-        ("s", 1.0, 2, False, "L_*1", move_R2(cs), "L_*3", c),
-        ("s", exp_i_pi(-cs.theta), 2, True, "L_*2", move_R1(cs), "L_*1", c),
+    forms, angles = (hermitian_form(c), hermitian_form(cs)), _arc_angles(c)
+    specs = (  # bisector, plain line, move, mapped line at
+        ("B(P)", "L_*1", move_P_inverse(pt), "L_*3", pt),
+        ("B(P^-1)", "L_*3", move_P(cs), "L_*1", c),
+        ("B(J)", "L_*0", inverse(move_J(c)), "L_*0", pt),
+        ("B(J^-1)", "L_*0", move_A1(cs), "L_*0", c),
+        ("B(R1)", "L_*2", inverse(move_R1(c)), "L_*3", rt),
+        ("B(R1^-1)", "L_*3", move_R1(rt), "L_*2", rt),
+        ("B(R2)", "L_*1", move_R2(cs), "L_*3", c),
+        ("B(R2^-1)", "L_*2", move_R1(cs), "L_*1", c),
     )
     bullets = []
-    for frame, phase, coord, im_leq, plain, move, mapped, at in specs:
-        h, chart = forms[frame], "ts".index(frame)
-        bullets.append(Bullet(
-            chart, phase, coord, im_leq, chart,
-            _polar_row(_normal_at(c, plain, frame), h, plain),
-            _polar_row(move.matrix @ _normal_at(at, mapped, frame), h, mapped)))
+    for bis, plain, move, mapped, at in specs:
+        chart, *side = arc_side(_ARCS, angles, *BISECTOR_TABLE[bis][:2])
+        h, n = forms[chart], _normal_at(c, plain, chart)
+        bullets.append(Bullet(chart, *side, chart, _polar_row(n, h, plain), _polar_row(
+            move.matrix @ _normal_at(at, mapped, chart), h, mapped)))
     return tuple(bullets)
 
 

@@ -25,15 +25,16 @@ import numpy as np
 from dmlat.arithmetic import (
     DEFAULT_MAX_ORDER, DEFAULT_TOL, TESSELLATE_NEUTRAL, VANISHING_TOL,
     ExceededBound,
-    exp_i_pi,
     projective_equal,
     projective_order,
     read_only,
 )
 from dmlat.catalog import DerivedParams, LatticeSignature, classify_degeneracies, derive_params
-from dmlat.domain import DomainD, _pairing_words, _word, build_domain, vertices_D
+from dmlat.domain import (
+    _SECTORS, DomainD, _pairing_words, _sector_angles, _word, build_domain, vertices_D,
+)
 from dmlat.moves import hermitian_form
-from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row
+from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row, arc_side
 from dmlat.sampling import ball_batches, finite_charts
 
 
@@ -65,7 +66,6 @@ class OrbitRow:
 
 def base_orbit_table() -> list[OrbitRow]:
     """The 44 orbits of facets with their stabiliser orders, generic case."""
-    rows: list[OrbitRow] = []
     dim0 = [
         ("v1,v2", "<A1,R'1>", "kp"),
         ("v3,v4", "<Q^2,R'1>", "pd"),
@@ -118,16 +118,8 @@ def base_orbit_table() -> list[OrbitRow]:
         ("S(R'0),S(R'0^-1)", "1", "1"),
         ("S(A'0),S(A'0^-1)", "1", "1"),
     ]
-    for label, stab, expr in dim0:
-        rows.append(OrbitRow(0, label, stab, expr))
-    for label, stab, expr in dim1:
-        rows.append(OrbitRow(1, label, stab, expr))
-    for label, stab, expr in dim2:
-        rows.append(OrbitRow(2, label, stab, expr))
-    for label, stab, expr in dim3:
-        rows.append(OrbitRow(3, label, stab, expr))
-    rows.append(OrbitRow(4, "D", "1", "1"))
-    return rows
+    return [OrbitRow(dim, *row) for dim, rows in enumerate((dim0, dim1, dim2, dim3))
+            for row in rows] + [OrbitRow(4, "D", "1", "1")]
 
 
 def _orders(sig: LatticeSignature, params: DerivedParams) -> dict[str, int | None]:
@@ -232,7 +224,6 @@ class EulerReport:
     chi: Fraction
     volume_coeff: Fraction
     applied_rules: tuple[str, ...]
-    per_dim_sums: dict[int, Fraction]
     row_count: int
     notes: tuple[str, ...] = ()
 
@@ -241,17 +232,16 @@ def euler_characteristic(sig: LatticeSignature) -> EulerReport:
     """Exact orbifold Euler characteristic via the modified orbit table."""
     params = derive_params(sig)
     rows, applied, notes = apply_degenerations(base_orbit_table(), params)
-    per_dim: dict[int, Fraction] = {d: Fraction(0) for d in range(5)}
+    chi = Fraction(0)
     for row in rows:
         value = order_value(row.order_expr, sig, params)
         if value is None or value <= 0:
             raise UnsupportedDegeneracy(
                 f"surviving row {row.label} has non-positive order {value}"
             )
-        per_dim[row.dim] += Fraction(1) / value
-    chi = sum((-1) ** d * s for d, s in per_dim.items())
+        chi += Fraction((-1) ** row.dim) / value
     return EulerReport(
-        sig, chi, Fraction(8, 3) * chi, applied, per_dim, len(rows), notes
+        sig, chi, Fraction(8, 3) * chi, applied, len(rows), notes
     )
 
 
@@ -500,8 +490,10 @@ def cycle_orders(sig: LatticeSignature) -> CheckReport:
 
 
 # Reference sign rows for the Lagrangian ridge: the word that maps D's points
-# ("id" for D itself) and the expected signs of (im z1, im e^{i phi} z1,
-# im e^{i theta} z2, im e^{-i theta} z2).
+# ("id" for D itself) and the expected signs at the sides (column of
+# ``_SECTORS``, end) z1 hi, z1 lo, z2 lo and z2 hi, that is of (im z1,
+# im e^{i phi} z1, im e^{i theta} z2, im e^{-i theta} z2).
+_LAGRANGIAN_SIDES = ((0, "hi"), (0, "lo"), (1, "lo"), (1, "hi"))
 _LAGRANGIAN_SIGNS = (
     ("id", (-1, 1, 1, -1)),
     ("R'1^-1", (-1, 1, -1, -1)),
@@ -599,12 +591,11 @@ def tessellation_sign_table(
         raise PreconditionFailed("sampling requires the generic regime")
     if ridge_id not in ("F(K,R'1)", "F(K,K^-1)"):
         raise ValueError(f"unsupported ridge {ridge_id}")
-    c3 = dom.c3
     points = _sample_domain_points(dom, n_samples, seed)
     if ridge_id == "F(K,R'1)":
-        w = _pairing_words(dom)
-        phases = (1.0, exp_i_pi(c3.phi), exp_i_pi(c3.theta),
-                  exp_i_pi(-c3.theta))
+        w, angles = _pairing_words(dom), _sector_angles(dom)
+        phases = [arc_side(_SECTORS, angles, column, end)[1]
+                  for column, end in _LAGRANGIAN_SIDES]
         rows = []
         for name, signs in _LAGRANGIAN_SIGNS:
             image = points if name == "id" else _word(name, w) @ points
@@ -648,7 +639,6 @@ _COMMENSURABILITY_TABLE = {
 class CommensurabilityEntry:
     signature: tuple[int, int, int]
     computed_chi: Fraction
-    reference_partner_value: Fraction
     ratio: Fraction
     status: str
     detail: str = ""
@@ -672,5 +662,5 @@ def commensurability_check() -> tuple[CommensurabilityEntry, ...]:
         if chi != reference_chi:
             detail += (f"; reference value {reference_chi} differs from computed "
                        f"{chi} (flagged, not asserted)")
-        out.append(CommensurabilityEntry(trip, chi, partner, ratio, status, detail))
+        out.append(CommensurabilityEntry(trip, chi, ratio, status, detail))
     return tuple(out)

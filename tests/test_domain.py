@@ -229,6 +229,24 @@ class TestSampledChecks:
         assert good == 1.0
         assert scrambled < 1.0
 
+    def test_moved_sector_end_breaks_agreement(self, monkeypatch):
+        # The bullets read their sides from _SECTORS: z2's arc moved from
+        # (-theta, theta) to (0, theta) must break a bullet. The vertex table
+        # would not see this, since its cells name angles, not arcs. On C3,
+        # theta'' = theta and phi'' = phi always, and theta = phi when
+        # p = k, so the triple has p != k, where a theta/phi mix-up shows.
+        dom = build_domain(LatticeSignature(2, 4, 3))
+        assert bisD_check(dom, n_samples=300, seed=7).all_agree
+        sectors = list(domain_mod._SECTORS)
+        sectors[1] = (0, "theta")
+        monkeypatch.setattr(domain_mod, "_SECTORS", tuple(sectors))
+        domain_mod._bisd_bullets.cache_clear()
+        try:
+            report = bisD_check(dom, n_samples=300, seed=7)
+        finally:
+            domain_mod._bisd_bullets.cache_clear()
+        assert min(report.per_bullet_agreement) < 1.0
+
     def test_bullets_read_the_word_table(self, monkeypatch):
         # The transports are words on _pairing_words, the one table of
         # letters: R'1 swapped for its inverse there must reach the bullets.

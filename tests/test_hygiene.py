@@ -11,6 +11,8 @@ instead. A module-level function or class whose name no file under ``src/``,
 ``sampling.fill_uniform`` calls a drawing method of a numpy ``Generator``, and
 only ``sampling.fill_sectors`` calls ``fill_uniform``, so that every sampled
 check draws through the one proposal of ``dmlat.sampling``.
+Every field of a dataclass of the package is read as an attribute somewhere
+under those four folders; a field that nothing reads is dead data.
 Every parameter of a function in the package is read in its body, except
 those of ``UNREAD``, each listed with the reason it is kept. A tolerance, a
 float in (0, 1e-3), is written only in the table of module-level assignments
@@ -107,6 +109,26 @@ def unnamed_definitions(tree: ast.Module, read: set[str]) -> list[str]:
     """Module-level functions and classes whose names are not in ``read``."""
     return [node.name for node in tree.body
             if isinstance(node, (*FUNCTIONS, ast.ClassDef)) and node.name not in read]
+
+
+def attributes_loaded(tree: ast.Module) -> set[str]:
+    """Every attribute name the module reads: ``x.name`` in a load, not a store."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields(tree: ast.Module, read: set[str]) -> list[str]:
+    """``Class.field`` of every field of a ``@dataclass`` class of the module,
+    plain or called, whose name is not in ``read``."""
+    def is_dataclass(decorator: ast.expr) -> bool:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return "dataclass" in (getattr(func, "id", None), getattr(func, "attr", None))
+
+    return [f"{node.name}.{stmt.target.id}" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
 
 
 def calls(tree: ast.Module, hit, allowed: frozenset[str]) -> list[str]:
@@ -290,3 +312,20 @@ def test_unnamed_definition_detector():
     reader = ast.parse("from m import C, E\nimport m\nC()\nm.k\n")
     read = names_read(module) | names_read(reader)
     assert unnamed_definitions(module, read) == ["f", "D", "E", "h"]
+
+
+def test_every_dataclass_field_is_read():
+    read = set().union(*(attributes_loaded(_parse(path)) for path in READERS))
+    assert [f"{path.name}:{field}" for path in MODULES
+            for field in unread_fields(_parse(path), read)] == []
+
+
+def test_unread_field_detector():
+    # y is only stored, z only named as a variable; B is no dataclass, and
+    # C's decorator is called through the module.
+    module = ast.parse("from dataclasses import dataclass\nimport dataclasses\n"
+                       "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n"
+                       "    z: int = 0\nclass B:\n    w: int\n"
+                       "@dataclasses.dataclass\nclass C:\n    v: int\n")
+    reader = ast.parse("a.x\nb.y = 1\nz = 2\nprint(z)\n")
+    assert unread_fields(module, attributes_loaded(reader)) == ["A.y", "A.z", "C.v"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import dmlat.polyhedron as polyhedron_mod
 from dmlat.arithmetic import hermitian_eval
 from dmlat.catalog import LatticeSignature
 from dmlat.moves import (
@@ -173,3 +174,22 @@ class TestSampledEquivalences:
         _, c2, _ = _configs((6, 6, 3))
         with pytest.raises(PreconditionFailed):
             bisector_equivalence_sample(c2, n_samples=10)
+
+    def test_moved_arc_end_fails_both_checks(self, monkeypatch):
+        # The bullets and the bisector phases are read from _ARCS: t2's end
+        # theta swapped for phi'' must break both checks. On C3, theta'' =
+        # theta and phi'' = phi always, and theta = phi when p = k, so the
+        # triple has p != k: on (4,4,5) the swap would change nothing.
+        _, _, c3 = _configs((2, 4, 3))
+        assert bisector_equivalence_sample(c3, n_samples=300).all_agree
+        assert bisector_membership_check(c3)
+        arcs = list(polyhedron_mod._ARCS)
+        arcs[1] = (0, "phi''")
+        monkeypatch.setattr(polyhedron_mod, "_ARCS", tuple(arcs))
+        polyhedron_mod._bullet_table.cache_clear()
+        try:
+            report = bisector_equivalence_sample(c3, n_samples=300)
+        finally:
+            polyhedron_mod._bullet_table.cache_clear()
+        assert min(report.per_bullet_agreement) < 1.0
+        assert not bisector_membership_check(c3)
