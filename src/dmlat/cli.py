@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from dmlat.arithmetic import DEFAULT_MAX_ORDER, DEFAULT_TOL, no_finite_point
 from dmlat.catalog import (
@@ -245,7 +246,9 @@ def _add_signature_args(sub) -> None:
     sub.add_argument("p_prime", type=int)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="dmlat",
         description="Verification toolkit for thirteen complex hyperbolic "
@@ -290,8 +293,7 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except _UsageError as exc:

@@ -31,6 +31,7 @@ from dmlat.catalog import DerivedParams, LatticeSignature, derive_params
 from dmlat.moves import (
     ConfiguredMap,
     Configuration,
+    SingularMatrix,
     compose,
     configurations_of,
     hermitian_form,
@@ -90,7 +91,12 @@ class DomainD:
 
     @cached_property
     def y_of_z(self) -> np.ndarray:
-        return read_only(np.linalg.inv(move_R2(self.c2).matrix))
+        m = move_R2(self.c2).matrix
+        try:
+            return read_only(np.linalg.inv(m))
+        except np.linalg.LinAlgError:
+            raise SingularMatrix(f"the y chart of {self.signature} is singular: "
+                                 f"R2 at C2 {self.c2} has no inverse") from None
 
     @cached_property
     def w_of_z(self) -> np.ndarray:
@@ -134,8 +140,8 @@ def _sector_angles(dom: DomainD) -> dict:
 def build_domain(sig: LatticeSignature) -> DomainD:
     """The domain of a signature, built once per process.
 
-    The C2 chart is inverted here, so that a singular one (p' = 2) fails
-    before anything else is built on the domain.
+    The C2 chart is inverted here, so that a singular one, as on (4,4,4),
+    raises ``SingularMatrix`` before anything else is built on the domain.
     """
     params = derive_params(sig)
     kneg = params.k_prime.is_negative or params.k_prime.is_infinite
@@ -522,15 +528,18 @@ def _im_form(m: np.ndarray, phase: complex, i: int) -> np.ndarray:
     That is |q_3|^2 Im(phase q_i / q_3): A has its sign wherever q is finite.
     """
     c = phase * np.outer(m[2].conj(), m[i])
-    return (c - c.conj().T) / 2j
+    return read_only((c - c.conj().T) / 2j)
 
 
+@cache
 def _glueing_forms(dom: DomainD) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The two sides of each glueing identity, as ``_im_form``s.
+    """The two sides of each glueing identity, as ``_im_form``s: built once
+    per domain, read-only.
 
     With phase e^{-i theta pi}: Im z2 and Im(phase x2), Im(phase u2/u3) and
     Im(w2/w3), Im(v1/v3) and Im(y1/y3). Every chart map is built here, so
-    one with a zero denominator raises, as ``v_of_z`` does on (3,3,3).
+    one with a zero denominator raises on every call, as ``v_of_z`` does on
+    (3,3,3).
     """
     phase = exp_i_pi(-dom.c3.theta)
     return ((_im_form(np.eye(3), 1.0, 1), _im_form(dom.x_of_z, phase, 1)),

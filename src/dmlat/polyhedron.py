@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -135,8 +136,9 @@ class ComplexLine:
         return np.array([self.a, self.b, -self.c])
 
 
-def lines_t(c: Configuration) -> dict[str, ComplexLine]:
-    """The ten reference line equations in the t-frame of configuration c."""
+@cache
+def lines_t(c: Configuration) -> MappingProxyType[str, ComplexLine]:
+    """The ten reference line equations in the t-frame of c: built once, read-only."""
     a, b, t, f = c.angles()
     _check_denominators(c, a - f, b - t, t + f)
     sa, sb = sin_pi(a), sin_pi(b)
@@ -153,14 +155,17 @@ def lines_t(c: Configuration) -> dict[str, ComplexLine]:
         "L_13": (1, exp_i_pi(-t) * sb / sbt, 1),
         "L_23": (0, 1, 0),
     }
-    return {k: ComplexLine(k, *map(complex, v)) for k, v in eqs.items()}
+    return MappingProxyType(
+        {k: ComplexLine(k, *map(complex, v)) for k, v in eqs.items()})
 
 
-def lines_s(c: Configuration) -> dict[str, ComplexLine]:
+@cache
+def lines_s(c: Configuration) -> MappingProxyType[str, ComplexLine]:
     """The ten reference line equations in the s-frame attached to c.
 
     These follow the t-frame shapes evaluated at the angles of the s-frame
     configuration, with the sign of the first-coordinate phase reversed.
+    Built once per configuration and read-only, as the moves are.
     """
     cs = p_inverse_target(c)
     a, b, t, f = cs.angles()
@@ -179,7 +184,8 @@ def lines_s(c: Configuration) -> dict[str, ComplexLine]:
         "L_13": (1, 1, 1),
         "L_23": (1, exp_i_pi(-t) * sb / sbt, 1),
     }
-    return {k: ComplexLine(k, *map(complex, v)) for k, v in eqs.items()}
+    return MappingProxyType(
+        {k: ComplexLine(k, *map(complex, v)) for k, v in eqs.items()})
 
 
 def line_normal(line: ComplexLine, h: HermitianForm3) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 import dmlat
 import dmlat.sampling as sampling_mod
 import dmlat.verification as verification_mod
-from dmlat.cli import main
+from dmlat.cli import build_parser, main
 
 from conftest import ALL_TRIPLES
 
@@ -77,9 +77,14 @@ class TestEuler:
 class TestCheck:
     @pytest.mark.parametrize("command", ["check", "vertices", "tessellate"])
     def test_singular_second_chart_is_an_error(self, capsys, command):
-        # At (4,4,4) the C2 chart matrix is singular: a clean usage error.
-        code, out, err = run(capsys, "--force", command, "4", "4", "4")
-        assert (code, out, err) == (2, "", "error: Singular matrix\n")
+        # At (4,4,4) and (6,3,4) the C2 chart matrix is singular: a clean
+        # error that names the chart.
+        for triple, c2 in (("4 4 4", "1/2"), ("6 3 4", "5/12")):
+            code, out, err = run(capsys, "--force", command, *triple.split())
+            assert (code, out) == (2, "")
+            assert err == (f"error: the y chart of ({triple.replace(' ', ',')}) is "
+                           f"singular: R2 at C2 ({c2}, 3/4, 1/2, 0)*pi [C2-kneg] "
+                           f"has no inverse\n")
 
     @pytest.mark.parametrize("command", ["check", "vertices", "tessellate"])
     @pytest.mark.parametrize("triple,angle", [
@@ -264,6 +269,38 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _outcome(capsys, argv):
+    """Exit code, standard output and standard error of ``main(argv)``."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error found by argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_carries_no_state_between_calls(capsys):
+    tess = ["--json", "--seed", "3", "tessellate", "4", "4", "6", "--samples", "50"]
+    argvs = [tess, ["frobnicate"],
+             ["--tolerance", "1e-8", "--json", "check", "4", "4", "6"],
+             ["--json", "tessellate", "4", "4", "6"], tess]
+    build_parser.cache_clear()
+    parser = build_parser()
+    shared = [_outcome(capsys, argv) for argv in argvs]
+    assert build_parser() is parser
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0]
+    assert shared[0] == shared[4]
+    # The fourth call takes the defaults, not the first call's seed and samples.
+    assert shared[3] == _outcome(capsys, ["--json", "--seed", "7", "tessellate",
+                                          "4", "4", "6", "--samples", "200"])
+    assert json.loads(shared[3][1])["samples_requested"] == 200
 
 
 @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])

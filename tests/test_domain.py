@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -32,13 +33,15 @@ from dmlat.domain import (
 from dmlat.moves import (
     ConfiguredMap,
     DegenerateDenominator,
+    SingularMatrix,
     check_isometry,
     configurations_of,
     hermitian_form,
     move_R2,
 )
-from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row
+from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row, lines_s, lines_t
 from dmlat.sampling import ball_draws, bullet_agreement, fill_uniform
+from dmlat.verification import tessellation_sign_table
 
 KNEG_TRIPLES = {(6, 6, 3), (10, 10, 5), (12, 12, 6), (18, 18, 9),
                 (4, 4, 3), (3, 3, 3)}
@@ -54,6 +57,12 @@ class TestBuildDomain:
         dom = build_domain(LatticeSignature(*triple))
         assert dom.kneg_flag == (triple in KNEG_TRIPLES)
 
+    @pytest.mark.parametrize("trip", [(4, 4, 4), (6, 3, 4)], ids=str)
+    def test_singular_y_chart_is_typed(self, trip):
+        # move_R2(C2) has no inverse on these non-catalog triples.
+        with pytest.raises(SingularMatrix, match=rf"y chart of \({trip[0]},"):
+            build_domain(LatticeSignature(*trip))
+
 
 class TestBuiltOnce:
     def test_same_objects(self, triple):
@@ -63,6 +72,11 @@ class TestBuiltOnce:
         assert vertices_D(dom) is vertices_D(dom)
         assert _pairing_words(dom) is _pairing_words(dom)
         assert dom.w_of_z is dom.w_of_z
+        for c in (dom.c1, dom.c2, dom.c3):
+            assert lines_t(c) is lines_t(c)
+            assert lines_s(c) is lines_s(c)
+        if triple != (3, 3, 3):  # v_of_z has a zero denominator there
+            assert domain_mod._glueing_forms(dom) is domain_mod._glueing_forms(dom)
 
     def test_shared_arrays_read_only(self):
         dom = build_domain(LatticeSignature(4, 4, 6))
@@ -70,11 +84,16 @@ class TestBuiltOnce:
                   "w_of_z": dom.w_of_z, "u_of_z": dom.u_of_z,
                   "v_of_z": dom.v_of_z, **_pairing_words(dom),
                   **vertices_D(dom).coords}
-        assert len(shared) == 5 + 14 + 24
+        shared.update((f"glueing {i}", a) for i, a in enumerate(
+            chain(*domain_mod._glueing_forms(dom))))
+        assert len(shared) == 5 + 14 + 24 + 6
         for name, m in shared.items():
             assert not m.flags.writeable, name
             with pytest.raises(ValueError):
                 m[0] = 0.0
+        for table in (lines_t(dom.c3), lines_s(dom.c3)):
+            with pytest.raises(TypeError):
+                table["L_*0"] = table["L_*1"]
 
     def test_chart_maps(self):
         dom = build_domain(LatticeSignature(4, 4, 6))
@@ -83,6 +102,30 @@ class TestBuiltOnce:
         assert projective_equal(move_R2(dom.c2).matrix @ dom.y_of_z, eye)
         assert projective_equal(dom.v_of_z, dom.y_of_z)
         assert projective_equal(dom.u_of_z, dom.x_of_z @ dom.w_of_z)
+
+    @pytest.mark.parametrize("check,count", [(glueing_check, 3),
+                                             (samelines_check, 6)],
+                             ids=["glueing", "samelines"])
+    def test_no_verdict_is_cached(self, check, count):
+        # Every call compares every identity: 3 pairs of forms, or 3 z-lines
+        # each against a y- and an x-line.
+        dom = build_domain(LatticeSignature(4, 4, 6))
+        check(dom)
+        with mock.patch.object(domain_mod, "projective_equal",
+                               wraps=projective_equal) as compare:
+            for calls in (count, 2 * count):
+                assert check(dom)
+                assert compare.call_count == calls
+
+    def test_no_sample_is_cached(self):
+        sig = LatticeSignature(4, 4, 6)
+        with mock.patch.object(sampling_mod, "fill_uniform",
+                               wraps=fill_uniform) as fill:
+            first = tessellation_sign_table(sig, n_samples=20)
+            drawn = fill.call_count
+            assert drawn > 0
+            assert tessellation_sign_table(sig, n_samples=20) == first
+            assert fill.call_count == 2 * drawn
 
     def test_check_all_builds_each_domain_once(self, monkeypatch, capsys):
         calls = []
