@@ -5,10 +5,10 @@ configuration's area form, which is real diagonal. ``ball_batches`` is the
 one generator that seeds, fills a batch (``fill_sectors``), keeps the draws
 in the ball (``ball_filter``) and stops at the draw cap, so a report depends
 only on the seed. Its one proposal draws arg z1 and arg z2 uniform in two
-arcs and |z1|, |z2| uniform by area up to the ball's bounds: the whole
-circle for the bullet samplers (``ball_draws``), D's z-sectors for the
-domain sampler of ``tessellate``. ``finite_charts`` is the one rule for
-dropping points whose chart image is at infinity.
+arcs and (|z1|, |z2|) uniform by area inside the ball: the whole circle for
+the bullet samplers (``ball_draws``), D's z-sectors for the domain sampler
+of ``tessellate``. ``finite_mask`` is the one rule for dropping points
+whose chart image is at infinity; ``finite_charts`` applies it.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from dmlat.arithmetic import DRAWS_PER_SAMPLE, FINITE_CHART_TOL, HermitianForm3
 
-# The draws of one batch. About half of them land in the ball; the arrays a
-# sampler computes from the draws a batch keeps stay small.
+# The draws of one batch. All of them but boundary rounding land in the ball;
+# the arrays a sampler computes from the draws a batch keeps stay small.
 BATCH = 1024
 # The arcs of the bullet samplers: arg z1 and arg z2 anywhere on the circle.
 FULL_ARCS = ((-math.pi, math.pi), (-math.pi, math.pi))
@@ -140,16 +140,22 @@ def ball_filter(h: HermitianForm3):
 
 def fill_sectors(rng: np.random.Generator, arcs: tuple[tuple[float, float], ...],
                  bounds: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Fill the (4, k) float64 array buf with draws uniform in two disc sectors.
+    """Fill the (4, k) float64 array buf with draws uniform in the ball's sectors.
 
     Column j is the point (r0 + i r1, r2 + i r3, 1) with arg z_i uniform in
-    the arc ``arcs[i]`` = (lo, hi) and |z_i|^2 uniform in [0, bounds[i]^2):
-    uniform by area in the sector of the disc of radius bounds[i], one
-    coordinate after the other. Row 2i of a ``fill_uniform`` fill on
-    [-1, 1) gives the argument and row 2i + 1 the modulus, in place.
-    Returns buf.
+    the arc ``arcs[i]`` = (lo, hi) and |z_i|^2 = t_i bounds[i]^2, where
+    (t1, t2) is uniform in the triangle t1 + t2 < 1. For the bounds of
+    ``ball_bounds`` that triangle is the ball, so the draws are uniform by
+    area in ball and sectors. Row 2i of a ``fill_uniform`` fill on [-1, 1)
+    gives the argument and row 2i + 1 the modulus, in place. The square of
+    (t1, t2) they fill is folded onto the triangle by the point reflection
+    t -> 1 - t where t1 + t2 > 1, which keeps the law uniform. Returns buf.
     """
     fill_uniform(rng, buf)
+    # t_i = (u_i + 1) / 2 with u_i in row 2i + 1, so t1 + t2 > 1 where
+    # u1 + u2 > 0, and 1 - t_i = (1 - u_i) / 2: the fold negates u, exactly.
+    moduli = buf[1::2]
+    np.negative(moduli, out=moduli, where=moduli.sum(axis=0) > 0)
     for (lo, hi), bound, (x, y) in zip(arcs, bounds, (buf[:2], buf[2:])):
         x *= (hi - lo) / 2
         x += (hi + lo) / 2
@@ -169,7 +175,7 @@ def ball_batches(h: HermitianForm3, arcs: tuple[tuple[float, float], ...],
 
     A batch is the (4, BATCH) array of ``fill_sectors`` from
     ``default_rng(seed)``: arg z1 and arg z2 uniform in the two ``arcs``,
-    |z1| and |z2| uniform by area up to the ball's bounds (``ball_bounds``).
+    (|z1|, |z2|) uniform by area inside the ball (``ball_bounds``).
     The draw cap, for a caller that asks for n samples, is DRAWS_PER_SAMPLE
     n draws rounded up to whole batches, so that a seed gives one stream
     whatever n is. The form is read before any draw (``ball_filter``); a
@@ -184,19 +190,27 @@ def ball_batches(h: HermitianForm3, arcs: tuple[tuple[float, float], ...],
         yield in_ball(fill_sectors(rng, arcs, bounds, buf))
 
 
+def finite_mask(thirds, k: int) -> np.ndarray:
+    """The one rule for points at infinity: which of k points have finite
+    images. ``thirds`` yields the third coordinates of their images, one (k,)
+    array per chart; each must have modulus at least ``FINITE_CHART_TOL``."""
+    keep = np.ones(k, dtype=bool)
+    for third in thirds:
+        keep &= np.abs(third) >= FINITE_CHART_TOL
+    return keep
+
+
 def finite_charts(r: np.ndarray, maps: tuple[np.ndarray, ...]) -> tuple:
     """The charts of the draws r, a (4, k) array, whose images are finite.
 
     Draw j is the point (r0 + i r1, r2 + i r3, 1) of column j. It is kept
-    when its image under each matrix of ``maps`` has a third coordinate of
-    modulus at least ``FINITE_CHART_TOL``. Returns the kept points as a (3, k') array, then
-    their images, scaled to third coordinate 1.
+    when its image under each matrix of ``maps`` is finite (``finite_mask``).
+    Returns the kept points as a (3, k') array, then their images, scaled
+    to third coordinate 1.
     """
     z = affine_points(r)
     images = [m @ z for m in maps]
-    keep = np.ones(z.shape[1], dtype=bool)
-    for image in images:
-        keep &= np.abs(image[2]) >= FINITE_CHART_TOL
+    keep = finite_mask((image[2] for image in images), z.shape[1])
     return (z[:, keep], *(im[:, keep] / im[2, keep] for im in images))
 
 

@@ -35,7 +35,7 @@ from dmlat.domain import (
 )
 from dmlat.moves import hermitian_form
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row, arc_side
-from dmlat.sampling import ball_batches, finite_charts
+from dmlat.sampling import affine_points, ball_batches, finite_mask
 
 
 class UnsupportedDegeneracy(ValueError):
@@ -526,30 +526,34 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     """Up to n interior points of the glued domain, the columns of a (3, k) array.
 
     The draws are the batches of ``sampling.ball_batches`` on the first two
-    arcs of ``dom.sectors``: arg z1 and arg z2 uniform in them, |z1| and
-    |z2| uniform by area up to the ball's bounds, up to the draw cap for n.
-    A draw in the ball is kept, in draw order, when its z arguments lie
-    strictly inside their arcs, its w and y images are finite
-    (``sampling.finite_charts``) and their four arguments lie strictly
-    inside the other arcs: the kept points are uniform on D. Drawing stops
-    at the batch that brings the count to n.
+    arcs of ``dom.sectors``: arg z1 and arg z2 uniform in them, (|z1|, |z2|)
+    uniform by area inside the ball, up to the draw cap for n. A draw in the
+    ball is kept, in draw order, when its z arguments lie strictly inside
+    their arcs, its w and y images h = (w_of_z; y_of_z) z are finite
+    (``sampling.finite_mask``) and their four arguments, read without
+    dividing as arg(h_i conj(h_3)) in each chart, lie strictly inside the
+    other arcs: the kept points are uniform on D. Drawing stops at the
+    batch that brings the count to n.
     """
     def in_sectors(args, sectors):
         return np.logical_and.reduce([(arg > lo) & (arg < hi)
                                       for arg, (lo, hi) in zip(args, sectors)])
 
+    wy_of_z = np.vstack([dom.w_of_z, dom.y_of_z])
     batches = ball_batches(hermitian_form(dom.c3), dom.sectors[:2], seed, n)
-    points = np.zeros((3, 0), dtype=complex)
+    chunks, count = [np.zeros((3, 0), dtype=complex)], 0
     for r in batches:
         keep = in_sectors((np.arctan2(r[1], r[0]), np.arctan2(r[3], r[2])),
                           dom.sectors[:2])
-        z, w, y = finite_charts(r[:, keep], (dom.w_of_z, dom.y_of_z))
-        keep = in_sectors((np.angle(w[0]), np.angle(w[1]), np.angle(y[0]),
-                           np.angle(y[1])), dom.sectors[2:])
-        points = np.hstack([points, z[:, keep]])
-        if points.shape[1] >= n:
+        z = affine_points(r[:, keep])
+        h = wy_of_z @ z
+        keep = finite_mask(h[2::3], z.shape[1]) & in_sectors(
+            np.angle(h[[0, 1, 3, 4]] * h[[2, 2, 5, 5]].conj()), dom.sectors[2:])
+        chunks.append(z[:, keep])
+        count += chunks[-1].shape[1]
+        if count >= n:
             break
-    return points[:, :n]
+    return np.concatenate(chunks, axis=1)[:, :n]
 
 
 @cache

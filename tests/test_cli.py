@@ -201,13 +201,13 @@ class TestTessellate:
         code, out, _ = run(capsys, "tessellate", "2", "4", "3",
                            "--ridge", "F(K,K^-1)", "--samples", "500")
         assert (code, out.splitlines()[-1]) == (
-            1, "55 of 500 samples (draw cap reached); SHORTFALL")
+            1, "99 of 500 samples (draw cap reached); SHORTFALL")
         code, out, _ = run(capsys, "--json", "tessellate", "2", "3", "3",
                            "--ridge", "F(K,K^-1)", "--samples", "500")
         report = json.loads(out)
         assert code == 1
         assert (report["samples_used"], report["samples_requested"],
-                report["all_match"]) == (29, 500, False)
+                report["all_match"]) == (56, 500, False)
 
     def test_seed_that_fell_short_on_the_box_stream(self, capsys):
         # At this seed the sampler's box stream stopped at 497 of 500 points.
