@@ -33,7 +33,6 @@ RESIDUAL_TOL = 1e-10  # a closed-form vertex meets its line, side bound or bisec
 REAL_TOL = 1e-9  # a Hermitian value is real, or null, relative to its terms
 DRAWS_PER_SAMPLE = 200  # draw cap of every sampler, per requested sample
 # Values that pin the sampled reports: changing one changes their streams.
-FINITE_CHART_TOL = 1e-9  # a sampled point's chart image is finite
 BULLET_NEUTRAL = 1e-8  # default neutral band of the two bullet samplers
 TESSELLATE_NEUTRAL = 1e-9  # neutral band of the tessellation sign table
 

@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from dmlat.arithmetic import (
-    BULLET_NEUTRAL, REAL_TOL, VERTEX_ARG_TOL, ZERO_COORD_TOL,
+    BULLET_NEUTRAL, MEMBERSHIP_TOL, REAL_TOL, VERTEX_ARG_TOL, ZERO_COORD_TOL,
     HermitianForm3,
     hermitian_eval,
     no_finite_point,
@@ -47,12 +47,12 @@ from dmlat.polyhedron import (
     VERTEX_LINES,
     PointAtInfinity,
     PreconditionFailed,
-    _arg_in,
     _normal_at,
     _polar_row,
     arc_radians,
     arc_side,
     collapse_status,
+    in_arcs,
     lines_t,
     vertices_t,
 )
@@ -405,17 +405,12 @@ def in_D_union(point, dom: DomainD) -> bool:
         raise PreconditionFailed("the second chart is singular (k' = inf) "
                                  "or its y1 sector empty (k' < 0)")
     z = np.asarray(point, dtype=complex)
+    h = np.vstack([np.eye(3), dom.w_of_z, dom.y_of_z]) @ z
     if no_finite_point(z):
         raise PointAtInfinity("point has vanishing third z-coordinate")
-    z = z / z[2]
-    w = dom.w_of_z @ z
-    y = dom.y_of_z @ z
-    if no_finite_point(w) or no_finite_point(y):
+    if no_finite_point(h[3:6]) or no_finite_point(h[6:]):
         raise PointAtInfinity("image chart coordinate at infinity")
-    w = w / w[2]
-    y = y / y[2]
-    return all(_arg_in(value, lo, hi) for value, (lo, hi)
-               in zip((z[0], z[1], w[0], w[1], y[0], y[1]), dom.sectors))
+    return bool(in_arcs(h[:, None], dom.sectors, MEMBERSHIP_TOL)[0])
 
 
 @cache

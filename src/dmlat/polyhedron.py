@@ -323,36 +323,40 @@ def check_s_consistency(c: Configuration) -> bool:
     return True
 
 
-def to_s_frame(point, c: Configuration) -> np.ndarray:
-    """Map a projective t-frame point to the s-frame, normalized to x3 = 1."""
-    pinv = move_P_inverse(c)
-    s = pinv.matrix @ np.asarray(point, dtype=complex)
-    if no_finite_point(s):
-        raise PointAtInfinity("image has vanishing third coordinate")
-    return s / s[2]
+def in_arcs(h: np.ndarray, arcs: tuple[tuple[float, float], ...],
+            slack: float) -> np.ndarray:
+    """Which columns of h have their arguments in ``arcs``: the one arc rule.
 
-
-def _arg_in(value: complex, lo: float, hi: float) -> bool:
-    if abs(value) <= ZERO_COORD_TOL:
-        return True
-    arg = math.atan2(value.imag, value.real)
-    return lo - MEMBERSHIP_TOL <= arg <= hi + MEMBERSHIP_TOL
+    h is a (3c, m) stack of homogeneous images, three rows per chart, and
+    ``arcs`` holds a (lo, hi) pair in radians for each of the c charts' two
+    first coordinates. Coordinate i of a chart passes when
+    arg(h_i conj(h_3)), the argument of h_i / h_3 read without dividing,
+    lies in the open arc (lo - slack, hi + slack), or when |h_i| is at most
+    ``ZERO_COORD_TOL`` |h_3|. Returns a (m,) bool array.
+    """
+    charts = h.reshape(len(arcs) // 2, 3, -1)
+    x, third = charts[:, :2], charts[:, 2:]
+    arg = np.angle(x * third.conj()).reshape(len(arcs), -1)
+    zero = (np.abs(x) <= ZERO_COORD_TOL * np.abs(third)).reshape(len(arcs), -1)
+    lo, hi = (np.array(arcs) + [-slack, slack]).T[..., None]
+    return np.all((arg > lo) & (arg < hi) | zero, axis=0)
 
 
 def in_D(point, c: Configuration) -> bool:
     """Membership in the generic polyhedron: four argument conditions.
 
     arg t1, arg t2, arg s1 and arg s2 lie in the arcs of ``_ARCS``, each with
-    ``MEMBERSHIP_TOL`` slack; a coordinate within ``ZERO_COORD_TOL`` of 0
-    satisfies its condition vacuously.
+    ``MEMBERSHIP_TOL`` slack (``in_arcs``); a coordinate within
+    ``ZERO_COORD_TOL`` of 0 satisfies its condition vacuously.
     """
     p = np.asarray(point, dtype=complex)
+    h = np.vstack([np.eye(3), move_P_inverse(c).matrix]) @ p
     if no_finite_point(p):
         raise PointAtInfinity("point has vanishing third t-coordinate")
-    p = p / p[2]
-    s = to_s_frame(p, c)
-    return all(_arg_in(value, lo, hi) for value, (lo, hi)
-               in zip((p[0], p[1], s[0], s[1]), arc_radians(_ARCS, _arc_angles(c))))
+    if no_finite_point(h[3:]):
+        raise PointAtInfinity("image has vanishing third coordinate")
+    return bool(in_arcs(h[:, None], arc_radians(_ARCS, _arc_angles(c)),
+                        MEMBERSHIP_TOL)[0])
 
 
 def collapse_status(c: Configuration) -> dict[str, bool]:

@@ -7,8 +7,9 @@ in the ball (``ball_filter``) and stops at the draw cap, so a report depends
 only on the seed. Its one proposal draws arg z1 and arg z2 uniform in two
 arcs and (|z1|, |z2|) uniform by area inside the ball: the whole circle for
 the bullet samplers (``ball_draws``), D's z-sectors for the domain sampler
-of ``tessellate``. ``finite_mask`` is the one rule for dropping points
-whose chart image is at infinity; ``finite_charts`` applies it.
+of ``tessellate``. No draw is dropped for a chart image at infinity: every
+chart map a sampler applies is an isometry onto a ball, which sends the
+closed ball to finite points.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dmlat.arithmetic import DRAWS_PER_SAMPLE, FINITE_CHART_TOL, HermitianForm3
+from dmlat.arithmetic import DRAWS_PER_SAMPLE, HermitianForm3
 
 # The draws of one batch. All of them but boundary rounding land in the ball;
 # the arrays a sampler computes from the draws a batch keeps stay small.
@@ -190,35 +191,20 @@ def ball_batches(h: HermitianForm3, arcs: tuple[tuple[float, float], ...],
         yield in_ball(fill_sectors(rng, arcs, bounds, buf))
 
 
-def finite_mask(thirds, k: int) -> np.ndarray:
-    """The one rule for points at infinity: which of k points have finite
-    images. ``thirds`` yields the third coordinates of their images, one (k,)
-    array per chart; each must have modulus at least ``FINITE_CHART_TOL``."""
-    keep = np.ones(k, dtype=bool)
-    for third in thirds:
-        keep &= np.abs(third) >= FINITE_CHART_TOL
-    return keep
-
-
-def finite_charts(r: np.ndarray, maps: tuple[np.ndarray, ...]) -> tuple:
-    """The charts of the draws r, a (4, k) array, whose images are finite.
-
-    Draw j is the point (r0 + i r1, r2 + i r3, 1) of column j. It is kept
-    when its image under each matrix of ``maps`` is finite (``finite_mask``).
-    Returns the kept points as a (3, k') array, then their images, scaled
-    to third coordinate 1.
-    """
-    z = affine_points(r)
-    images = [m @ z for m in maps]
-    keep = finite_mask((image[2] for image in images), z.shape[1])
-    return (z[:, keep], *(im[:, keep] / im[2, keep] for im in images))
-
-
 def ball_draws(h: HermitianForm3, seed: int, n: int,
                maps: tuple[np.ndarray, ...]):
-    """The ``finite_charts`` of each batch of ``ball_batches`` on ``FULL_ARCS``:
-    the points of the ball, uniform, for a sampler that asks for n samples."""
-    return (finite_charts(r, maps) for r in ball_batches(h, FULL_ARCS, seed, n))
+    """The points of the ball, uniform, for a sampler that asks for n samples.
+
+    Each batch of ``ball_batches`` on ``FULL_ARCS`` yields its draws as a
+    (3, k) array of points (``affine_points``), then their images under each
+    matrix of ``maps``, scaled to third coordinate 1. Every map a sampler
+    passes is an isometry onto a ball, so no image of a point of the ball is
+    at infinity.
+    """
+    for r in ball_batches(h, FULL_ARCS, seed, n):
+        z = affine_points(r)
+        images = [m @ z for m in maps]
+        yield (z, *(image / image[2] for image in images))
 
 
 def first_decisive(im: np.ndarray, dist: np.ndarray, neutral: float,

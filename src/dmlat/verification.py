@@ -34,8 +34,8 @@ from dmlat.domain import (
     _SECTORS, DomainD, _pairing_words, _sector_angles, _word, build_domain, vertices_D,
 )
 from dmlat.moves import hermitian_form
-from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row, arc_side
-from dmlat.sampling import affine_points, ball_batches, finite_mask
+from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row, arc_side, in_arcs
+from dmlat.sampling import affine_points, ball_batches
 
 
 class UnsupportedDegeneracy(ValueError):
@@ -528,28 +528,18 @@ def _sample_domain_points(dom: DomainD, n: int, seed: int) -> np.ndarray:
     The draws are the batches of ``sampling.ball_batches`` on the first two
     arcs of ``dom.sectors``: arg z1 and arg z2 uniform in them, (|z1|, |z2|)
     uniform by area inside the ball, up to the draw cap for n. A draw in the
-    ball is kept, in draw order, when its z arguments lie strictly inside
-    their arcs, its w and y images h = (w_of_z; y_of_z) z are finite
-    (``sampling.finite_mask``) and their four arguments, read without
-    dividing as arg(h_i conj(h_3)) in each chart, lie strictly inside the
-    other arcs: the kept points are uniform on D. Drawing stops at the
-    batch that brings the count to n.
+    ball is kept, in draw order, when its z, w and y images, the one stacked
+    map (I; w_of_z; y_of_z) applied to it, lie in all six arcs, without
+    slack (``polyhedron.in_arcs``): the kept points are uniform on D.
+    Both maps are isometries onto balls, so no image of a point of the ball
+    is at infinity. Drawing stops at the batch that brings the count to n.
     """
-    def in_sectors(args, sectors):
-        return np.logical_and.reduce([(arg > lo) & (arg < hi)
-                                      for arg, (lo, hi) in zip(args, sectors)])
-
-    wy_of_z = np.vstack([dom.w_of_z, dom.y_of_z])
+    maps = np.vstack([np.eye(3), dom.w_of_z, dom.y_of_z])
     batches = ball_batches(hermitian_form(dom.c3), dom.sectors[:2], seed, n)
     chunks, count = [np.zeros((3, 0), dtype=complex)], 0
     for r in batches:
-        keep = in_sectors((np.arctan2(r[1], r[0]), np.arctan2(r[3], r[2])),
-                          dom.sectors[:2])
-        z = affine_points(r[:, keep])
-        h = wy_of_z @ z
-        keep = finite_mask(h[2::3], z.shape[1]) & in_sectors(
-            np.angle(h[[0, 1, 3, 4]] * h[[2, 2, 5, 5]].conj()), dom.sectors[2:])
-        chunks.append(z[:, keep])
+        z = affine_points(r)
+        chunks.append(z[:, in_arcs(maps @ z, dom.sectors, 0.0)])
         count += chunks[-1].shape[1]
         if count >= n:
             break

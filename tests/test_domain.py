@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-from itertools import chain
+import math
+from itertools import chain, product
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,14 @@ from hypothesis import assume, given, strategies as st
 
 import dmlat.domain as domain_mod
 import dmlat.sampling as sampling_mod
-from dmlat.arithmetic import exp_i_pi, hermitian_eval, projective_equal, projective_scale
+from dmlat.arithmetic import (
+    MEMBERSHIP_TOL, ZERO_COORD_TOL,
+    exp_i_pi,
+    hermitian_eval,
+    no_finite_point,
+    projective_equal,
+    projective_scale,
+)
 from dmlat.catalog import LatticeSignature
 from dmlat.cli import main
 from dmlat.domain import (
@@ -37,9 +45,22 @@ from dmlat.moves import (
     check_isometry,
     configurations_of,
     hermitian_form,
+    move_P_inverse,
     move_R2,
 )
-from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row, lines_s, lines_t
+from dmlat.polyhedron import (
+    _ARCS,
+    PointAtInfinity,
+    PreconditionFailed,
+    _arc_angles,
+    _normal_at,
+    _polar_row,
+    arc_radians,
+    in_D,
+    lines_s,
+    lines_t,
+    vertices_t,
+)
 from dmlat.sampling import ball_draws, bullet_agreement, fill_uniform
 from dmlat.verification import tessellation_sign_table
 
@@ -233,6 +254,103 @@ class TestMembership:
         assert dom.params.k_prime.is_negative
         with pytest.raises(PreconditionFailed, match="k' < 0"):
             in_D_union(vertices_D(dom).coords["v4"], dom)
+
+
+def arg_in_reference(value: complex, lo: float, hi: float) -> bool:
+    """The scalar argument-in-arc rule that ``in_arcs`` replaced: a value
+    within ``ZERO_COORD_TOL`` of 0, or one whose ``math.atan2`` lies in the
+    closed arc [lo - MEMBERSHIP_TOL, hi + MEMBERSHIP_TOL]."""
+    if abs(value) <= ZERO_COORD_TOL:
+        return True
+    return lo - MEMBERSHIP_TOL <= math.atan2(value.imag, value.real) <= hi + MEMBERSHIP_TOL
+
+
+def divided_charts(point, maps):
+    """The point and its images under maps, each scaled to third coordinate 1;
+    ``PointAtInfinity`` for one that has no finite point."""
+    charts = [np.asarray(point, dtype=complex)]
+    charts += [m @ charts[0] for m in maps]
+    if any(no_finite_point(x) for x in charts):
+        raise PointAtInfinity("no finite point")
+    return [x / x[2] for x in charts]
+
+
+def reference_in_D(point, c):
+    charts = divided_charts(point, (move_P_inverse(c).matrix,))
+    return all(arg_in_reference(x[i], lo, hi) for (lo, hi), (x, i) in zip(
+        arc_radians(_ARCS, _arc_angles(c)), product(charts, (0, 1))))
+
+
+def reference_in_D_union(point, dom):
+    if dom.kneg_flag:
+        raise PreconditionFailed("refused")
+    charts = divided_charts(point, (dom.w_of_z, dom.y_of_z))
+    return all(arg_in_reference(x[i], lo, hi) for (lo, hi), (x, i) in zip(
+        dom.sectors, product(charts, (0, 1))))
+
+
+def outcome(member, point, domain):
+    """What member(point, domain) returns, or the type of what it raises."""
+    try:
+        return member(point, domain)
+    except (PointAtInfinity, PreconditionFailed, DegenerateDenominator) as exc:
+        return type(exc)
+
+
+def arc_points(arcs, vertices, seed):
+    """400 random points with arg z1 and arg z2 within 0.3 of their arcs,
+    and |z1| and |z2| up to the largest finite vertex coordinate, then the
+    vertices: inside and outside the arcs, and on their ends."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.sort(np.array(arcs[:2]), axis=1).T[..., None]
+    radius = max(np.max(np.abs(v[:2] / v[2])) for v in vertices
+                 if np.all(np.isfinite(v)) and not no_finite_point(v))
+    z = rng.uniform(0.0, radius, (2, 400)) * np.exp(
+        1j * rng.uniform(lo - 0.3, hi + 0.3, (2, 400)))
+    return [*np.vstack([z, np.ones(400)]).T, *vertices]
+
+
+class TestOneArcRule:
+    """``in_D`` and ``in_D_union`` read their arcs through ``in_arcs``, which
+    reads arg(h_i conj(h_3)) in open arcs; on random points and on the
+    vertices they agree with the scalar rule that divided each chart and
+    read its arguments in closed arcs."""
+
+    @pytest.mark.parametrize("chart", [0, 1, 2])
+    def test_in_D_agrees_with_the_scalar_rule(self, triple, chart):
+        c = configurations_of(LatticeSignature(*triple))[chart]
+        try:
+            arcs = arc_radians(_ARCS, _arc_angles(c))
+        except DegenerateDenominator:  # (3,3,3) C1: in_D raises too
+            arcs = ((-math.pi, math.pi),) * 2
+        points = arc_points(arcs, list(vertices_t(c).values()), 1)
+        got = [outcome(in_D, p, c) for p in points]
+        assert got == [outcome(reference_in_D, p, c) for p in points]
+        if triple not in KNEG_TRIPLES:
+            assert {True, False} <= set(got)
+
+    def test_in_D_union_agrees_with_the_scalar_rule(self, triple):
+        dom = build_domain(LatticeSignature(*triple))
+        points = arc_points(dom.sectors, list(vertices_D(dom).coords.values()), 2)
+        got = [outcome(in_D_union, p, dom) for p in points]
+        assert got == [outcome(reference_in_D_union, p, dom) for p in points]
+        assert {True, False} <= set(got) or dom.kneg_flag
+
+    def test_points_at_infinity_raise(self):
+        # z3 = 0, and finite points whose image charts have third coordinate
+        # 0: (-m_2, 0, m_0) for the third row m of a chart map.
+        c3 = configurations_of(LatticeSignature(4, 4, 6))[2]
+        dom = build_domain(LatticeSignature(4, 4, 6))
+        at_infinity = np.array([0.3, 0.1, 0.0], dtype=complex)
+        for member, domain, maps in ((in_D, c3, [move_P_inverse(c3).matrix]),
+                                     (in_D_union, dom, [dom.w_of_z, dom.y_of_z])):
+            with pytest.raises(PointAtInfinity, match="third z-coordinate|third t-coordinate"):
+                member(at_infinity, domain)
+            for m in maps:
+                point = np.array([-m[2, 2], 0.0, m[2, 0]])
+                assert not no_finite_point(point)
+                with pytest.raises(PointAtInfinity, match="coordinate"):
+                    member(point, domain)
 
 
 class TestSampledChecks:

@@ -10,7 +10,9 @@ instead. A module-level function or class whose name no file under ``src/``,
 ``tests/``, ``demos/`` or ``perfbench/`` reads is dead code too. Only
 ``sampling.fill_uniform`` calls a drawing method of a numpy ``Generator``, and
 only ``sampling.fill_sectors`` calls ``fill_uniform``, so that every sampled
-check draws through the one proposal of ``dmlat.sampling``.
+check draws through the one proposal of ``dmlat.sampling``. Only
+``polyhedron.in_arcs``, the one arc rule, and ``domain.vertices_D`` read an
+argument with ``np.angle``, ``np.arctan2`` or ``math.atan2``.
 Every field of a dataclass of the package is read as an attribute somewhere
 under those four folders; a field that nothing reads is dead data.
 Every parameter of a function in the package is read in its body, except
@@ -246,6 +248,41 @@ def test_fill_uniform_call_detector():
                      "f = fill_uniform\nfill_uniform(None, None)\n")
     assert fill_uniform_calls(tree, frozenset({"fill_sectors"})) == ["box:6", "<module>:8"]
     assert fill_uniform_calls(tree) == ["fill_sectors:4", "box:6", "<module>:8"]
+
+
+# The functions that read an argument: the one arc rule, and the vertex table,
+# which reports each vertex's argument.
+ARGUMENT_READERS = {"polyhedron.py": frozenset({"in_arcs"}),
+                    "domain.py": frozenset({"vertices_D"})}
+
+
+def argument_calls(tree: ast.Module, allowed: frozenset[str] = frozenset()) -> list[str]:
+    """``function:line`` of every call of ``np.angle``, ``np.arctan2`` or
+    ``math.atan2``, through the module or by a bare ``atan2`` or
+    ``arctan2``, outside the functions named in ``allowed``."""
+    return calls(tree, lambda func: (
+        (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+         and (func.value.id, func.attr) in {("np", "angle"), ("numpy", "angle"),
+                                            ("np", "arctan2"), ("numpy", "arctan2"),
+                                            ("math", "atan2")})
+        or getattr(func, "id", None) in ("atan2", "arctan2")), allowed)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_arguments_read_only_by_the_arc_rule(path):
+    assert argument_calls(_parse(path), ARGUMENT_READERS.get(path.name, frozenset())) == []
+
+
+def test_argument_call_detector():
+    # np.angle named but not called is no call; the method x.angle is not
+    # numpy's.
+    tree = ast.parse("import math\nimport numpy as np\nfrom math import atan2\n"
+                     "def in_arcs(h):\n    return np.angle(h)\n"
+                     "def rule(h, x):\n    return np.arctan2(h.imag, h.real), x.angle()\n"
+                     "f = np.angle\ny = math.atan2(1, 0) + atan2(0, 1)\n")
+    assert argument_calls(tree, frozenset({"in_arcs"})) == [
+        "rule:7", "<module>:9", "<module>:9"]
+    assert argument_calls(tree) == ["in_arcs:5", "rule:7", "<module>:9", "<module>:9"]
 
 
 # The parameters that no body may read, each with the reason it is kept.

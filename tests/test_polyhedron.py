@@ -12,6 +12,7 @@ from dmlat.moves import (
     DegenerateDenominator,
     configurations_of,
     hermitian_form,
+    move_P_inverse,
     p_inverse_target,
 )
 from dmlat.polyhedron import (
@@ -30,7 +31,6 @@ from dmlat.polyhedron import (
     lines_t,
     pp_possible,
     side_bound_check,
-    to_s_frame,
     vertices_s,
     vertices_t,
 )
@@ -152,7 +152,8 @@ class TestFrames:
                 v = vt[name]
                 if not np.all(np.isfinite(v)) or not np.all(np.isfinite(vs[name])):
                     continue
-                img = to_s_frame(v, c)
+                img = move_P_inverse(c).matrix @ v
+                img = img / img[2]
                 assert np.max(np.abs(img - vs[name])) < 1e-8, (triple, name)
 
 

@@ -7,7 +7,8 @@ the bullet samplers and on D's z-sectors for the domain sampler of
 that the proposal is uniform on ball and sectors, that it covers what a box
 stream, drawn here with ``rng.uniform``, keeps in the ball, that one seed
 gives one stream, and that the kept draws are points of the ball, or of D,
-with finite charts.
+whose chart images are finite because every sampler chart is an isometry
+onto a ball.
 """
 
 from __future__ import annotations
@@ -20,10 +21,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import ALL_TRIPLES
+
 import dmlat.polyhedron as polyhedron_mod
 import dmlat.sampling as sampling_mod
 import dmlat.verification as verification_mod
-from dmlat.arithmetic import FINITE_CHART_TOL, HermitianForm3, hermitian_eval, no_finite_point
+from dmlat.arithmetic import (
+    HermitianForm3,
+    hermitian_eval,
+    no_finite_point,
+    projective_equal,
+    projective_scale,
+)
 from dmlat.catalog import LatticeSignature
 from dmlat.domain import (
     _bisd_bullets,
@@ -34,12 +43,19 @@ from dmlat.domain import (
     samelines_check,
     vertices_D,
 )
-from dmlat.moves import configurations_of, hermitian_form, move_P_inverse
+from dmlat.moves import (
+    DegenerateDenominator,
+    configurations_of,
+    hermitian_form,
+    move_P_inverse,
+    p_inverse_target,
+)
 from dmlat.polyhedron import (
     SingularSystem,
     _bullet_table,
     bisector_equivalence_sample,
     line_normal,
+    pp_possible,
 )
 from dmlat.sampling import (
     BATCH,
@@ -52,7 +68,6 @@ from dmlat.sampling import (
     ball_filter,
     fill_sectors,
     fill_uniform,
-    finite_charts,
     first_decisive,
 )
 from dmlat.verification import (
@@ -147,9 +162,9 @@ def test_domain_points_are_members(trip):
 
 def divided_rule_points(dom, n, seed):
     """The points of ``_sample_domain_points`` by the rule that divides: on
-    the same batches, ``finite_charts`` of the draws whose z arguments lie
-    in their arcs, then ``np.angle`` of the w and y coordinates scaled to
-    third coordinate 1."""
+    the same batches, the draws whose z arguments lie in their arcs, then
+    ``np.angle`` of the w and y coordinates of their images scaled to third
+    coordinate 1."""
     def inside(args, arcs):
         return np.logical_and.reduce([(arg > lo) & (arg < hi)
                                       for arg, (lo, hi) in zip(args, arcs)])
@@ -158,8 +173,10 @@ def divided_rule_points(dom, n, seed):
     for r in ball_batches(hermitian_form(dom.c3), dom.sectors[:2], seed, n):
         keep = inside((np.arctan2(r[1], r[0]), np.arctan2(r[3], r[2])),
                       dom.sectors[:2])
-        z, w, y = finite_charts(r[:, keep], (dom.w_of_z, dom.y_of_z))
-        keep = inside(np.angle([w[0], w[1], y[0], y[1]]), dom.sectors[2:])
+        z = affine_points(r[:, keep])
+        w, y = dom.w_of_z @ z, dom.y_of_z @ z
+        keep = inside(np.angle([w[0] / w[2], w[1] / w[2], y[0] / y[2],
+                                y[1] / y[2]]), dom.sectors[2:])
         points.append(z[:, keep])
         count += points[-1].shape[1]
         if count >= n:
@@ -334,17 +351,45 @@ class TestSamplesRequested:
         assert not report.all_match
 
 
-def sampler_draws(trip, sampler):
-    """The form and chart maps one sampler hands ``ball_draws``. "glueing"
-    is the no-map case, the draws the glueing check made before it became
-    exact."""
+@cache
+def sampler_charts(trip):
+    """Every chart map a sampler applies on one triple, by name, with the
+    area forms of its source and image charts: P^-1 at each of the three
+    charts (``bisector_equivalence_sample``), w_of_z and y_of_z (``bisD_check``
+    and the domain sampler)."""
     sig = LatticeSignature(*trip)
-    if sampler == "eight":
-        c3 = configurations_of(sig)[2]
-        return hermitian_form(c3), (move_P_inverse(c3).matrix,)
     dom = build_domain(sig)
-    return hermitian_form(dom.c3), ((dom.w_of_z, dom.y_of_z)
-                                    if sampler == "twelve" else ())
+    h = hermitian_form(dom.c3)
+    charts = {f"P^-1 at {c.type_tag}": (move_P_inverse(c).matrix, hermitian_form(c),
+                                        hermitian_form(p_inverse_target(c)))
+              for c in configurations_of(sig)}
+    charts["w_of_z"] = (dom.w_of_z, h, h)
+    charts["y_of_z"] = (dom.y_of_z, h, hermitian_form(dom.c2))
+    return charts
+
+
+def ball_bound(m, image):
+    """The lower bound sqrt(c / (1 + c)) sigma_min(m) on |(m z)_3| over the
+    points z = (z1, z2, 1) of the closed ball of H, for a map m with
+    m* H' m = lambda H, lambda > 0, and H' = ``image`` = diag(d0', d1', d2')
+    of signs (-, -, +), c = min(-d0', -d1') / d2'. There
+    (m z)* H' (m z) >= 0 gives
+    |h3|^2 >= c (|h1|^2 + |h2|^2) for h = m z, so
+    |h3|^2 >= c / (1 + c) |h|^2, and |h| >= sigma_min(m) |z| >= sigma_min(m)."""
+    d = image.matrix.diagonal().real
+    c = min(-d[0], -d[1]) / d[2]
+    return math.sqrt(c / (1 + c)) * np.linalg.svd(m, compute_uv=False)[-1]
+
+
+def sampler_draws(trip, sampler):
+    """The form and chart maps one sampler hands ``ball_draws``, and each
+    map's ``ball_bound``. "glueing" is the no-map case, the draws the
+    glueing check made before it became exact."""
+    charts = sampler_charts(trip)
+    names = {"eight": ("P^-1 at C3",), "twelve": ("w_of_z", "y_of_z"),
+             "glueing": ()}[sampler]
+    return (charts["w_of_z"][1], tuple(charts[k][0] for k in names),
+            tuple(ball_bound(charts[k][0], charts[k][2]) for k in names))
 
 
 def batches_for(n):
@@ -357,10 +402,11 @@ REPLAY_SEEDS = [7, 11, 3000017]
 
 class TestStreamReplay:
     """One seed gives one stream. The bullet samplers' draws are points of
-    the ball with finite charts, and every ball_draws stream runs to its
-    draw cap. The domain sampler reaches 500 points at every seed. Both
-    streams give the same points on a second call, and their first points
-    for a smaller count, since the cap is whole batches."""
+    the ball whose chart images keep to ``ball_bound``, and every ball_draws
+    stream runs to its draw cap. The domain sampler reaches 500 points at
+    every seed. Both streams give the same points on a second call, and
+    their first points for a smaller count, since the cap is whole
+    batches."""
 
     @pytest.mark.parametrize("seed", REPLAY_SEEDS)
     @pytest.mark.parametrize("trip", GENERIC, ids=str)
@@ -378,15 +424,15 @@ class TestStreamReplay:
     @pytest.mark.parametrize("sampler", ["eight", "twelve", "glueing"])
     @pytest.mark.parametrize("trip", GENERIC, ids=str)
     def test_ball_draws(self, trip, sampler, seed):
-        h, maps = sampler_draws(trip, sampler)
+        h, maps, bounds = sampler_draws(trip, sampler)
         draws = list(ball_draws(h, seed, 100, maps))
         assert len(draws) == batches_for(100)
         for z, *images in draws:
             assert len(images) == len(maps)
             assert np.all(hermitian_eval(h, z) > 0)
-            for m, image in zip(maps, images):
+            for m, bound, image in zip(maps, bounds, images):
                 raw = m @ z
-                assert np.all(np.abs(raw[2]) >= FINITE_CHART_TOL)
+                assert np.all(np.abs(raw[2]) >= bound)
                 assert np.allclose(image, raw / raw[2], rtol=1e-12, atol=0.0)
         again = list(ball_draws(h, seed, 100, maps))
         prefix = list(ball_draws(h, seed, 37, maps))
@@ -555,22 +601,59 @@ class TestSectorProposal:
 
 
 class TestFiniteCharts:
+    """No chart image of a point of the ball is at infinity, so the samplers
+    divide by it without a mask. Every chart map m that a sampler applies
+    is an isometry onto a ball: m* H' m = lambda H with lambda > 0 and H'
+    real diagonal of signs (-, -, +). On the closed ball |(m z)_3| then
+    keeps to ``ball_bound``, which is at least 0.05 on every such map."""
+
+    @pytest.mark.parametrize("trip", GENERIC, ids=str)
+    def test_sampler_charts_are_isometries(self, trip):
+        for name, (m, h, image) in sampler_charts(trip).items():
+            d = image.matrix.diagonal()
+            assert np.array_equal(image.matrix, np.diag(d)), name
+            assert np.all(d.imag == 0) and list(np.sign(d.real)) == [-1, -1, 1], name
+            pulled = m.conj().T @ image.matrix @ m
+            scale = projective_scale(pulled, h.matrix)
+            assert projective_equal(pulled, h.matrix), name
+            assert scale.real > 0 and abs(scale.imag) < 1e-9 * scale.real, name
+            assert ball_bound(m, image) >= 0.05, name
+
+    def test_every_admitted_chart_is_covered(self):
+        # pp_possible admits the charts of the generic triples, and those of
+        # (3,3,3), where k' is infinite. There the 8-bullet sampler raises
+        # before it draws; P^-1 at C2 is singular, and has no bound.
+        admitted = {trip for trip in ALL_TRIPLES if any(
+            not pp_possible(c) for c in configurations_of(LatticeSignature(*trip)))}
+        assert admitted == set(GENERIC) | {(3, 3, 3)}
+        for c in configurations_of(LatticeSignature(3, 3, 3)):
+            with mock.patch.object(sampling_mod, "fill_uniform",
+                                   wraps=fill_uniform) as fill:
+                with pytest.raises(DegenerateDenominator):
+                    bisector_equivalence_sample(c)
+            fill.assert_not_called()
+
+    def test_a_chart_that_is_no_isometry_fails(self):
+        # This chart sends the point (1/2, 0, 1) of the unit ball to
+        # infinity; it maps no ball onto a ball.
+        chart = np.array([[0, 0, 1], [0, 1, 0], [1, 0, -0.5]], dtype=complex)
+        ball = np.diag([-1.0, -1.0, 1.0]).astype(complex)
+        assert abs((chart @ [0.5, 0.0, 1.0])[2]) == 0.0
+        assert not projective_equal(chart.conj().T @ ball @ chart, ball)
+
     @pytest.mark.parametrize("full", [False, True])
-    def test_drops_images_at_infinity(self, full):
-        # Draw j is the point (x_j, 0, 1), inside the unit ball; the map
-        # below sends it to (1, 0, x_j - 1/2), so its image is at infinity
-        # for x_j - 1/2 = 0 and 5e-10, and finite for 2e-9. The batch is
-        # read through the arcs (-1, 1), or through ball_draws, whose arcs
-        # are the whole circle.
-        x = 0.5 + np.array([0.0, 5e-10, 2e-9])
+    def test_drops_sphere_draws(self, full):
+        # Draw j is the point (x_j, 0, 1), inside the unit ball. The numbers
+        # that make these draws, bounded by 1: argument 0 and squared
+        # modulus x_j^2 for z1, modulus 0 for z2. The rest of the batch has
+        # |z1| at its bound and z2 = 0, t1 + t2 = 1, which the fold keeps:
+        # the points (1, 0, 1) of the sphere, which the ball test drops. The
+        # batch is read through the arcs (-1, 1), or through ball_draws,
+        # whose arcs are the whole circle.
+        x = np.array([0.25, 0.5, 0.75])
         draws = np.zeros((4, 3))
         draws[0] = x
-        chart = np.array([[0, 0, 1], [0, 1, 0], [1, 0, -0.5]], dtype=complex)
         ball = HermitianForm3(np.diag([-1.0, -1.0, 1.0]).astype(complex))
-        # The numbers that make these draws, bounded by 1: argument 0 and
-        # squared modulus x_j^2 for z1, modulus 0 for z2. The rest of the
-        # batch has |z1| at its bound and z2 = 0, t1 + t2 = 1, which the
-        # fold keeps: the points (1, 0, 1) of the sphere, outside the ball.
         filled = np.zeros((4, BATCH))
         filled[1], filled[3] = 1.0, -1.0
         filled[1, :3], filled[3, :3] = 2 * x ** 2 - 1, -1.0
@@ -582,13 +665,9 @@ class TestFiniteCharts:
         with mock.patch.object(sampling_mod, "fill_uniform", fill):
             r = next(ball_batches(ball, FULL_ARCS if full else ((-1.0, 1.0),) * 2,
                                   7, 3))
-            charts = next(ball_draws(ball, 7, 3, (chart,))) if full else ()
+            charts = next(ball_draws(ball, 7, 3, ())) if full else (affine_points(r),)
         assert np.allclose(r, draws, rtol=0.0, atol=1e-15)
-        z, image = finite_charts(r, (chart,))
-        assert np.array_equal(z, affine_points(r[:, 2:]))
-        assert np.allclose(image, [[1 / (r[0, 2] - 0.5)], [0.0], [1.0]],
-                           rtol=1e-12, atol=0.0)
-        assert all(np.array_equal(a, b) for a, b in zip(charts, (z, image)))
+        assert len(charts) == 1 and np.array_equal(charts[0], affine_points(r))
 
 
 def _boundary_scale(d, u):
