@@ -1,7 +1,5 @@
 """Print the exact Euler characteristic and volume for every catalog row."""
 
-from fractions import Fraction
-
 from dmlat.catalog import catalog
 from dmlat.verification import euler_characteristic
 

@@ -157,9 +157,7 @@ _RIDGES_BY_PARAM: dict[str, tuple[str, ...]] = {
 }
 
 
-def classify_degeneracies(
-    params: DerivedParams, sig: LatticeSignature | None = None
-) -> DegeneracyReport:
+def classify_degeneracies(params: DerivedParams, sig: LatticeSignature) -> DegeneracyReport:
     """Which ridges collapse, read off the parameter signs alone.
 
     A parameter that is negative or infinite triggers its ridge collapses.
@@ -173,19 +171,17 @@ def classify_degeneracies(
         if name in degenerate:
             ridges.extend(_RIDGES_BY_PARAM[name])
     notes: list[str] = []
-    if sig is not None:
-        key = (sig.p, sig.k, sig.p_prime)
-        reference = _REFERENCE_DEGENERATE.get(key)
-        if reference is None:
-            notes.append(
-                f"signature {sig} is absent from the reference collapse table; "
-                f"classified from parameter signs as {sorted(degenerate)}"
-            )
-        elif reference != frozenset(degenerate):
-            notes.append(
-                f"reference collapse table lists {sorted(reference)} for {sig} "
-                f"but parameter signs give {sorted(degenerate)}"
-            )
+    reference = _REFERENCE_DEGENERATE.get((sig.p, sig.k, sig.p_prime))
+    if reference is None:
+        notes.append(
+            f"signature {sig} is absent from the reference collapse table; "
+            f"classified from parameter signs as {sorted(degenerate)}"
+        )
+    elif reference != frozenset(degenerate):
+        notes.append(
+            f"reference collapse table lists {sorted(reference)} for {sig} "
+            f"but parameter signs give {sorted(degenerate)}"
+        )
     return DegeneracyReport(
         k_prime=statuses["k'"],
         l=statuses["l"],

@@ -144,7 +144,7 @@ def build_domain(sig: LatticeSignature) -> DomainD:
     raises ``SingularMatrix`` before anything else is built on the domain.
     """
     params = derive_params(sig)
-    kneg = params.k_prime.is_negative or params.k_prime.is_infinite
+    kneg = not params.k_prime.is_positive
     dom = DomainD(sig, params, *configurations_of(sig), kneg)
     dom.y_of_z
     return dom

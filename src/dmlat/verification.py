@@ -6,9 +6,10 @@ transformations and one of cycle identities drive both the relation and the
 cycle reports, and ``group_checks`` evaluates each equation once.
 
 The orbifold Euler characteristic is an exact alternating sum of reciprocal
-stabiliser orders over a 44-row orbit table, with degeneration rules merging
-or deleting rows depending on the signs of the derived parameters. Volumes
-are (8 pi^2 / 3) times the Euler characteristic.
+stabiliser orders over a 44-row orbit table. A derived order that is negative
+or infinite deletes every row whose order names it, and a negative one adds
+its merged vertex row. Volumes are (8 pi^2 / 3) times the Euler
+characteristic.
 """
 
 from __future__ import annotations
@@ -158,62 +159,42 @@ def order_value(expr: str, sig: LatticeSignature, params: DerivedParams):
     return None if None in values else reduce(mul, values, Fraction(2 if two else 1))
 
 
-# Rules keyed by (parameter, regime): rows to delete as (dim, order_expr)
-# and, for the merge rules, the replacement row.
+# The row a negative parameter adds once its rows are deleted: the coalesced
+# vertex, with a doubled-square stabiliser.
 _MERGED_ROWS = {
     "d": OrbitRow(0, "v(3,4,5,16)", "<R'1,R'0>", "2d^2"),
     "l'": OrbitRow(0, "v(12..14),v(18..20),v(21..23)", "<R'0,A1>", "2l'^2"),
     "k'": OrbitRow(0, "v(0,7,11)", "<R'0,K>", "2k'^2"),
 }
 
-_DELETIONS = {
-    "d": ((0, "pd"), (0, "p'd"), (1, "d"), (2, "2d")),
-    "l'": ((0, "l'k"), (0, "p'l'"), (1, "l'"), (1, "2l'"), (2, "l'")),
-    "l": ((0, "pl"), (0, "k'l"), (0, "kl"), (1, "l"), (1, "l"), (2, "l")),
-    "k'": ((0, "k'l"), (0, "k'p'"), (1, "2k'"), (1, "k'"), (2, "k'")),
-}
-
 
 def apply_degenerations(
     rows: list[OrbitRow], params: DerivedParams
-) -> tuple[list[OrbitRow], tuple[str, ...], tuple[str, ...]]:
-    """Merge or delete orbit rows for negative or infinite parameters.
+) -> tuple[list[OrbitRow], tuple[str, ...], list[OrbitRow]]:
+    """Delete and merge orbit rows for parameters that are not positive finite.
 
-    Returns (modified rows, applied rule names, notes). A negative or
-    infinite parameter removes its rows; a negative one additionally adds
-    the merged doubled-square row. When both the l rule and the k' merge
-    touch the k'l row, the l deletion wins.
+    Returns (modified rows, applied rule names, deleted rows in table order).
+    Each of l, d, l' and k' that is negative or infinite deletes every row
+    whose order names its symbol; a negative one then adds its merged row
+    from ``_MERGED_ROWS`` at the front.
     """
     if params.l.is_negative:
         raise UnsupportedDegeneracy("negative l is outside the supported range")
-    out = list(rows)
+    degenerate = {name: order for name, order in params.named_orders.items()
+                  if not order.is_positive}
+    out: list[OrbitRow] = []
+    deleted: list[OrbitRow] = []
+    for row in rows:
+        named = degenerate.keys() & _SYMBOL.findall(row.order_expr)
+        (deleted if named else out).append(row)
     applied: list[str] = []
-    notes: list[str] = []
-
-    def delete(dim: int, expr: str) -> bool:
-        for i, row in enumerate(out):
-            if row.dim == dim and row.order_expr == expr:
-                del out[i]
-                return True
-        return False
-
-    named = params.named_orders
     for name in ("l", "d", "l'", "k'"):
-        param = named[name]
-        if not (param.is_negative or param.is_infinite):
+        if (order := degenerate.get(name)) is None:
             continue
-        regime = "infinite" if param.is_infinite else "negative"
-        applied.append(f"{name} {regime}")
-        for dim, expr in _DELETIONS[name]:
-            found = delete(dim, expr)
-            if not found:
-                notes.append(
-                    f"row (dim {dim}, {expr}) already removed before the "
-                    f"{name} rule; prior deletion wins"
-                )
-        if param.is_negative and name in _MERGED_ROWS:
+        applied.append(f"{name} {'infinite' if order.is_infinite else 'negative'}")
+        if order.is_negative and name in _MERGED_ROWS:
             out.insert(0, _MERGED_ROWS[name])
-    return out, tuple(applied), tuple(notes)
+    return out, tuple(applied), deleted
 
 
 @dataclass(frozen=True)
@@ -225,13 +206,12 @@ class EulerReport:
     volume_coeff: Fraction
     applied_rules: tuple[str, ...]
     row_count: int
-    notes: tuple[str, ...] = ()
 
 
 def euler_characteristic(sig: LatticeSignature) -> EulerReport:
     """Exact orbifold Euler characteristic via the modified orbit table."""
     params = derive_params(sig)
-    rows, applied, notes = apply_degenerations(base_orbit_table(), params)
+    rows, applied, _ = apply_degenerations(base_orbit_table(), params)
     chi = Fraction(0)
     for row in rows:
         value = order_value(row.order_expr, sig, params)
@@ -240,9 +220,7 @@ def euler_characteristic(sig: LatticeSignature) -> EulerReport:
                 f"surviving row {row.label} has non-positive order {value}"
             )
         chi += Fraction((-1) ** row.dim) / value
-    return EulerReport(
-        sig, chi, Fraction(8, 3) * chi, applied, len(rows), notes
-    )
+    return EulerReport(sig, chi, Fraction(8, 3) * chi, applied, len(rows))
 
 
 def triangle_group_order(a, b) -> Fraction:

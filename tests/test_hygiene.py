@@ -3,16 +3,17 @@ no runtime ``assert``, no function or class that nothing names.
 
 Each module of ``src/dmlat`` is parsed with ``ast``. An ``import`` inside a
 function body hides a dependency from the top of the module; a module-level
-imported name that nothing reads is dead code, in ``tests/`` as well.
-``__future__`` imports and the re-exports of ``__init__.py`` are exempt. An
-``assert`` vanishes under ``python -O``, so a check in the package must raise
-instead. A module-level function or class whose name no file under ``src/``,
-``tests/``, ``demos/`` or ``perfbench/`` reads is dead code too. Only
-``sampling.fill_uniform`` calls a drawing method of a numpy ``Generator``, and
-only ``sampling.fill_sectors`` calls ``fill_uniform``, so that every sampled
-check draws through the one proposal of ``dmlat.sampling``. Only
-``polyhedron.in_arcs``, the one arc rule, and ``domain.vertices_D`` read an
-argument with ``np.angle``, ``np.arctan2`` or ``math.atan2``.
+imported name that nothing reads is dead code, in ``tests/`` and ``demos/``
+as well. ``__future__`` imports and the re-exports of ``__init__.py`` are
+exempt. An ``assert`` vanishes under ``python -O``, so a check in the package
+must raise instead. A module-level function or class whose name no file
+under ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` reads is dead code
+too. Only ``sampling.fill_uniform`` calls a drawing method of a numpy
+``Generator``, and only ``sampling.fill_sectors`` calls ``fill_uniform``, so
+that every sampled check draws through the one proposal of
+``dmlat.sampling``. Only ``polyhedron.in_arcs``, the one arc rule, and
+``domain.vertices_D`` read an argument with ``np.angle``, ``np.arctan2`` or
+``math.atan2``.
 Every field of a dataclass of the package is read as an attribute somewhere
 under those four folders; a field that nothing reads is dead data.
 Every parameter of a function in the package is read in its body, except
@@ -34,6 +35,7 @@ import dmlat
 MODULES = sorted(Path(dmlat.__file__).parent.glob("*.py"))
 # The modules whose imports must all be read: the re-exports are exempt.
 IMPORTERS = [p for p in MODULES + sorted(Path(__file__).parent.glob("*.py"))
+             + sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
              if p.name != "__init__.py"]
 READERS = sorted(path for folder in ("src", "tests", "demos", "perfbench")
                  for path in (Path(__file__).parents[1] / folder).rglob("*.py"))

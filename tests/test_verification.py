@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import time
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,12 @@ CHI_TABLE = {
     (2, 3, 3): Fraction(1, 24),
     (3, 4, 4): Fraction(17, 96),
 }
+
+# Every triple of [2,39]^3 whose derived orders are integers, keyed "p,k,p'":
+# chi, row count, applied rules and the labels of the deleted base rows, or
+# "UnsupportedDegeneracy".
+EULER_SWEEP = json.loads(
+    (Path(__file__).parent / "data" / "euler_sweep.json").read_text())
 
 ROW_COUNTS = {
     (6, 6, 3): 31, (10, 10, 5): 40, (12, 12, 6): 40, (18, 18, 9): 40,
@@ -132,6 +142,61 @@ class TestEuler:
         report = euler_characteristic(LatticeSignature(4, 4, 6))
         assert report.volume_coeff == Fraction(13, 18)
         assert report.applied_rules == ()
+
+
+def sweep_entry(key: str):
+    """The golden entry of ``EULER_SWEEP`` as the current code computes it."""
+    sig = LatticeSignature(*map(int, key.split(",")))
+    try:
+        report = euler_characteristic(sig)
+    except UnsupportedDegeneracy:
+        return "UnsupportedDegeneracy"
+    _, _, deleted = apply_degenerations(verification_mod.base_orbit_table(),
+                                        derive_params(sig))
+    return {"chi": str(report.chi), "row_count": report.row_count,
+            "applied_rules": list(report.applied_rules),
+            "deleted": [row.label for row in deleted]}
+
+
+def sweep_mismatches() -> list[str]:
+    """The keys of ``EULER_SWEEP`` whose entry the current code changes."""
+    return [key for key, want in EULER_SWEEP.items() if sweep_entry(key) != want]
+
+
+class TestEulerSweep:
+    def test_golden_has_every_integer_triple(self):
+        assert len(EULER_SWEEP) == 128
+        assert list(EULER_SWEEP.values()).count("UnsupportedDegeneracy") == 15
+
+    def test_every_entry_matches(self):
+        start = time.perf_counter()
+        mismatches = sweep_mismatches()
+        elapsed = time.perf_counter() - start
+        assert mismatches == []
+        assert elapsed < 0.5
+
+    def test_survivors_keep_table_order(self):
+        # The merged rows come first, then the undeleted base rows in order.
+        base = base_orbit_table()
+        for key, want in EULER_SWEEP.items():
+            if want == "UnsupportedDegeneracy":
+                continue
+            params = derive_params(LatticeSignature(*map(int, key.split(","))))
+            rows, _, deleted = apply_degenerations(base, params)
+            kept = [row for row in base if row not in deleted]
+            assert rows[len(rows) - len(kept):] == kept, key
+            assert set(rows[:len(rows) - len(kept)]) <= set(_MERGED_ROWS.values())
+
+    def test_fails_on_a_renamed_order(self, monkeypatch):
+        table = base_orbit_table()
+        i = next(i for i, row in enumerate(table) if row.order_expr == "d")
+        table[i] = replace(table[i], order_expr="p")
+        monkeypatch.setattr(verification_mod, "base_orbit_table", lambda: list(table))
+        assert sweep_mismatches() != []
+
+    def test_fails_without_the_k_prime_merge(self, monkeypatch):
+        monkeypatch.delitem(verification_mod._MERGED_ROWS, "k'")
+        assert sweep_mismatches() != []
 
 
 class TestBFS:
