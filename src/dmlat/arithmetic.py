@@ -82,6 +82,13 @@ class ExtOrder:
     def is_negative(self) -> bool:
         return self.value is not None and self.value < 0
 
+    @property
+    def status(self) -> str:
+        """The sign class: "positive-finite", "negative" or "infinite"."""
+        if self.is_infinite:
+            return "infinite"
+        return "positive-finite" if self.is_positive else "negative"
+
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)
 

@@ -1,8 +1,13 @@
-"""The 13-signature catalog, derived parameters and degeneracy classification."""
+"""The 13-signature catalog, derived parameters and degeneracy classification.
+
+``DerivedParams.degenerate`` is the one degeneracy rule: a named order k', l,
+l' or d that is not positive finite is degenerate. ``collapsed_ridges`` and
+every other reader of degeneracy read it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from dmlat.arithmetic import ExtOrder, PiRational
@@ -62,17 +67,11 @@ class DerivedParams:
         """k', l, l' and d, keyed by their order symbols."""
         return {"k'": self.k_prime, "l": self.l, "l'": self.l_prime, "d": self.d}
 
-
-@dataclass(frozen=True)
-class DegeneracyReport:
-    """Per-parameter status and the ridge collapses those statuses imply."""
-
-    k_prime: str
-    l: str
-    l_prime: str
-    d: str
-    collapsed_ridges: tuple[str, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
+    @property
+    def degenerate(self) -> dict[str, ExtOrder]:
+        """The named orders that are not positive finite, in the same order."""
+        return {name: order for name, order in self.named_orders.items()
+                if not order.is_positive}
 
 
 def catalog() -> list[LatticeSignature]:
@@ -129,26 +128,7 @@ def cone_angles(sig: LatticeSignature) -> tuple[PiRational, ...]:
     return angles
 
 
-def _status(order: ExtOrder) -> str:
-    if order.is_infinite:
-        return "infinite"
-    return "positive-finite" if order.is_positive else "negative"
-
-
-# Reference collapse table, used only as a cross-check (see classify notes).
-_REFERENCE_DEGENERATE: dict[tuple[int, int, int], frozenset[str]] = {
-    (4, 4, 6): frozenset(),
-    (4, 4, 5): frozenset(),
-    (3, 4, 4): frozenset({"l'", "d"}),
-    (2, 4, 3): frozenset({"l'", "d"}),
-    (3, 3, 4): frozenset({"l'", "d"}),
-    (2, 6, 6): frozenset({"l", "d"}),
-    (2, 3, 3): frozenset({"l", "l'", "d"}),
-    (3, 3, 3): frozenset({"k'", "l'", "d"}),
-    (4, 4, 3): frozenset({"k'", "l'", "d"}),
-    (6, 6, 3): frozenset({"k'", "l'", "d"}),
-}
-
+# The ridges that collapse when a named order is degenerate.
 _RIDGES_BY_PARAM: dict[str, tuple[str, ...]] = {
     "d": ("F(Q,Q^-1)",),
     "l": ("F(K,R'0^-1)", "F(K^-1,R'0)"),
@@ -157,36 +137,8 @@ _RIDGES_BY_PARAM: dict[str, tuple[str, ...]] = {
 }
 
 
-def classify_degeneracies(params: DerivedParams, sig: LatticeSignature) -> DegeneracyReport:
-    """Which ridges collapse, read off the parameter signs alone.
-
-    A parameter that is negative or infinite triggers its ridge collapses.
-    The reference lattice-to-degeneracy table is consulted only to report
-    discrepancies, never to decide.
-    """
-    statuses = {name: _status(order) for name, order in params.named_orders.items()}
-    degenerate = {name for name, st in statuses.items() if st != "positive-finite"}
-    ridges: list[str] = []
-    for name in ("d", "l", "l'", "k'"):
-        if name in degenerate:
-            ridges.extend(_RIDGES_BY_PARAM[name])
-    notes: list[str] = []
-    reference = _REFERENCE_DEGENERATE.get((sig.p, sig.k, sig.p_prime))
-    if reference is None:
-        notes.append(
-            f"signature {sig} is absent from the reference collapse table; "
-            f"classified from parameter signs as {sorted(degenerate)}"
-        )
-    elif reference != frozenset(degenerate):
-        notes.append(
-            f"reference collapse table lists {sorted(reference)} for {sig} "
-            f"but parameter signs give {sorted(degenerate)}"
-        )
-    return DegeneracyReport(
-        k_prime=statuses["k'"],
-        l=statuses["l"],
-        l_prime=statuses["l'"],
-        d=statuses["d"],
-        collapsed_ridges=tuple(ridges),
-        notes=tuple(notes),
-    )
+def collapsed_ridges(params: DerivedParams) -> tuple[str, ...]:
+    """The ridges of every degenerate order, in the order d, l, l', k'."""
+    degenerate = params.degenerate
+    return tuple(ridge for name, ridges in _RIDGES_BY_PARAM.items()
+                 if name in degenerate for ridge in ridges)

@@ -13,7 +13,7 @@ from dmlat.arithmetic import DEFAULT_MAX_ORDER, DEFAULT_TOL, no_finite_point
 from dmlat.catalog import (
     LatticeSignature,
     catalog,
-    classify_degeneracies,
+    collapsed_ridges,
     cone_angles,
     derive_params,
 )
@@ -36,15 +36,17 @@ def _frac_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
+# The report's key for each named order.
+_ORDER_KEYS = {"k'": "k_prime", "l": "l", "l'": "l_prime", "d": "d"}
+
+
 def _params_json(params) -> dict:
     return {
         "alpha": _frac_json(params.alpha),
         "theta": _frac_json(params.theta),
         "phi": _frac_json(params.phi),
-        "k_prime": params.k_prime.to_json(),
-        "l": params.l.to_json(),
-        "l_prime": params.l_prime.to_json(),
-        "d": params.d.to_json(),
+        **{_ORDER_KEYS[name]: order.to_json()
+           for name, order in params.named_orders.items()},
     }
 
 
@@ -75,22 +77,17 @@ def _cmd_list(args) -> int:
     lines = []
     for sig in catalog():
         params = derive_params(sig)
-        report = classify_degeneracies(params, sig)
         rows.append({
             "signature": [sig.p, sig.k, sig.p_prime],
             "params": _params_json(params),
-            "degeneracies": {
-                "k_prime": report.k_prime, "l": report.l,
-                "l_prime": report.l_prime, "d": report.d,
-            },
-            "collapsed_ridges": list(report.collapsed_ridges),
+            "degeneracies": {_ORDER_KEYS[name]: order.status
+                             for name, order in params.named_orders.items()},
+            "collapsed_ridges": list(collapsed_ridges(params)),
         })
-        degen = [name for name, st in (("k'", report.k_prime), ("l", report.l),
-                                       ("l'", report.l_prime), ("d", report.d))
-                 if st != "positive-finite"]
+        degen = ",".join(params.degenerate)
         lines.append(f"{sig}  k'={params.k_prime} l={params.l} "
                      f"l'={params.l_prime} d={params.d}"
-                     + (f"  degenerate: {','.join(degen)}" if degen else ""))
+                     + (f"  degenerate: {degen}" if degen else ""))
     _emit({"command": "list", "signatures": rows}, args.json, "\n".join(lines))
     return 0
 
@@ -296,10 +293,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
+    except (_UsageError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -83,7 +83,11 @@ class DomainD:
     c1: Configuration
     c2: Configuration
     c3: Configuration
-    kneg_flag: bool
+
+    @property
+    def kneg_flag(self) -> bool:
+        """Whether k' is degenerate: negative or infinite."""
+        return "k'" in self.params.degenerate
 
     @cached_property
     def x_of_z(self) -> np.ndarray:
@@ -143,9 +147,7 @@ def build_domain(sig: LatticeSignature) -> DomainD:
     The C2 chart is inverted here, so that a singular one, as on (4,4,4),
     raises ``SingularMatrix`` before anything else is built on the domain.
     """
-    params = derive_params(sig)
-    kneg = not params.k_prime.is_positive
-    dom = DomainD(sig, params, *configurations_of(sig), kneg)
+    dom = DomainD(sig, derive_params(sig), *configurations_of(sig))
     dom.y_of_z
     return dom
 

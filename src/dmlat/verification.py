@@ -6,10 +6,11 @@ transformations and one of cycle identities drive both the relation and the
 cycle reports, and ``group_checks`` evaluates each equation once.
 
 The orbifold Euler characteristic is an exact alternating sum of reciprocal
-stabiliser orders over a 44-row orbit table. A derived order that is negative
-or infinite deletes every row whose order names it, and a negative one adds
-its merged vertex row. Volumes are (8 pi^2 / 3) times the Euler
-characteristic.
+stabiliser orders over a 44-row orbit table. Each degenerate order
+(``DerivedParams.degenerate``: negative or infinite) deletes every row whose
+order names it, and a negative one adds its merged vertex row. The same rule
+skips the cycle orders it names and decides the collapsed ridges. Volumes are
+(8 pi^2 / 3) times the Euler characteristic.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dmlat.arithmetic import (
     projective_order,
     read_only,
 )
-from dmlat.catalog import DerivedParams, LatticeSignature, classify_degeneracies, derive_params
+from dmlat.catalog import DerivedParams, LatticeSignature, collapsed_ridges, derive_params
 from dmlat.domain import (
     _SECTORS, DomainD, _pairing_words, _sector_angles, _word, build_domain, vertices_D,
 )
@@ -174,14 +175,13 @@ def apply_degenerations(
     """Delete and merge orbit rows for parameters that are not positive finite.
 
     Returns (modified rows, applied rule names, deleted rows in table order).
-    Each of l, d, l' and k' that is negative or infinite deletes every row
-    whose order names its symbol; a negative one then adds its merged row
-    from ``_MERGED_ROWS`` at the front.
+    Each order of ``params.degenerate`` deletes every row whose order names
+    its symbol; a negative one then adds its merged row from ``_MERGED_ROWS``
+    at the front. The rules apply in the order l, d, l', k'.
     """
     if params.l.is_negative:
         raise UnsupportedDegeneracy("negative l is outside the supported range")
-    degenerate = {name: order for name, order in params.named_orders.items()
-                  if not order.is_positive}
+    degenerate = params.degenerate
     out: list[OrbitRow] = []
     deleted: list[OrbitRow] = []
     for row in rows:
@@ -191,7 +191,7 @@ def apply_degenerations(
     for name in ("l", "d", "l'", "k'"):
         if (order := degenerate.get(name)) is None:
             continue
-        applied.append(f"{name} {'infinite' if order.is_infinite else 'negative'}")
+        applied.append(f"{name} {order.status}")
         if order.is_negative and name in _MERGED_ROWS:
             out.insert(0, _MERGED_ROWS[name])
     return out, tuple(applied), deleted
@@ -209,17 +209,15 @@ class EulerReport:
 
 
 def euler_characteristic(sig: LatticeSignature) -> EulerReport:
-    """Exact orbifold Euler characteristic via the modified orbit table."""
+    """Exact orbifold Euler characteristic via the modified orbit table.
+
+    Every surviving row has a positive finite order: ``apply_degenerations``
+    deletes each row that names a degenerate order.
+    """
     params = derive_params(sig)
     rows, applied, _ = apply_degenerations(base_orbit_table(), params)
-    chi = Fraction(0)
-    for row in rows:
-        value = order_value(row.order_expr, sig, params)
-        if value is None or value <= 0:
-            raise UnsupportedDegeneracy(
-                f"surviving row {row.label} has non-positive order {value}"
-            )
-        chi += Fraction((-1) ** row.dim) / value
+    chi = sum((Fraction((-1) ** row.dim) / order_value(row.order_expr, sig, params)
+               for row in rows), Fraction(0))
     return EulerReport(sig, chi, Fraction(8, 3) * chi, applied, len(rows))
 
 
@@ -403,19 +401,19 @@ def group_checks(
     """The relation report and the cycle report, each equation evaluated once.
 
     Each cycle order and cycle identity is also a relation, and its one
-    result goes into both reports; an order whose symbol is not positive
-    finite is skipped. The relations add the braids (``_BRAIDS``); the
-    cycles add (R'2^-1K)^2 = (R'1A'0R'2)^-1 and the pointwise fix of
-    F(Q,Q^-1) by Q^2.
+    result goes into both reports; an order whose symbol is degenerate
+    (``DerivedParams.degenerate``) is skipped. The relations add the braids
+    (``_BRAIDS``); the cycles add (R'2^-1K)^2 = (R'1A'0R'2)^-1 and the
+    pointwise fix of F(Q,Q^-1) by Q^2, skipped when d is degenerate.
     """
     dom = build_domain(sig)
     w = _pairing_words(dom)
-    orders = _orders(sig, dom.params)
+    orders, degenerate = _orders(sig, dom.params), dom.params.degenerate
     relations: dict[int, CheckEntry] = {}
     cycles: list[CheckEntry] = []
     for place, relation, word, ell, sym in _CYCLE_ORDERS:
         m = orders[sym]
-        if m is None or m < 0:
+        if sym in degenerate:
             exponent, value = ("inf", "inf") if m is None else (ell * m, m)
             relations[place] = CheckEntry(
                 relation, "skipped", f"exponent {exponent} not positive finite")
@@ -441,7 +439,7 @@ def group_checks(
         cycles.append(CheckEntry(word + " = id", "pass" if ok else "fail"))
 
     # Q^2 fixes the triple-line ridge of Q pointwise (surviving vertices).
-    if dom.params.d.is_positive:
+    if "d" not in degenerate:
         vd = vertices_D(dom)
         fixed = all(projective_equal(w["Q^2"] @ vd.coords[lab], vd.coords[lab], tol)
                     for lab in ("v3", "v4", "v5") if lab not in vd.collapsed)
@@ -557,7 +555,7 @@ def tessellation_sign_table(
     (``_giraud_copies``). The points are drawn anew on every call.
     """
     dom = build_domain(sig)
-    if ridge_id in classify_degeneracies(dom.params, sig).collapsed_ridges:
+    if ridge_id in collapsed_ridges(dom.params):
         raise RidgeCollapsed(f"{ridge_id} is collapsed for {sig}")
     if dom.kneg_flag:
         raise PreconditionFailed("sampling requires the generic regime")

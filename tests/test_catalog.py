@@ -9,13 +9,16 @@ from hypothesis import given, strategies as st
 
 from dmlat.catalog import (
     AngleOutOfRange,
+    DerivedParams,
     LatticeSignature,
     NonIntegerOrder,
     catalog,
-    classify_degeneracies,
+    collapsed_ridges,
     cone_angles,
     derive_params,
 )
+from dmlat.cli import main
+from dmlat.verification import apply_degenerations, base_orbit_table
 
 # Frozen oracle: (k', l, l', d) for every catalog row ("inf" = infinite).
 PARAM_TABLE = {
@@ -121,26 +124,36 @@ class TestConeAngles:
 
 class TestDegeneracies:
     def test_sign_classification(self, triple):
-        sig = LatticeSignature(*triple)
-        report = classify_degeneracies(derive_params(sig), sig)
-        statuses = {"k'": report.k_prime, "l": report.l,
-                    "l'": report.l_prime, "d": report.d}
-        degenerate = {n for n, s in statuses.items() if s != "positive-finite"}
-        assert degenerate == DEGENERATE_SETS[triple]
-
-    def test_no_discrepancy_notes(self, triple):
-        sig = LatticeSignature(*triple)
-        report = classify_degeneracies(derive_params(sig), sig)
-        if triple in ((10, 10, 5), (12, 12, 6), (18, 18, 9)):
-            assert any("absent" in n for n in report.notes)
-        else:
-            assert report.notes == ()
+        params = derive_params(LatticeSignature(*triple))
+        assert set(params.degenerate) == DEGENERATE_SETS[triple]
+        assert {name for name, order in params.named_orders.items()
+                if order.status != "positive-finite"} == DEGENERATE_SETS[triple]
 
     def test_ridge_lists(self):
-        sig = LatticeSignature(2, 6, 6)
-        report = classify_degeneracies(derive_params(sig), sig)
-        assert "F(K^-1,R'0)" in report.collapsed_ridges
-        assert "F(Q,Q^-1)" in report.collapsed_ridges
+        params = derive_params(LatticeSignature(2, 6, 6))
+        assert collapsed_ridges(params) == ("F(Q,Q^-1)", "F(K,R'0^-1)", "F(K^-1,R'0)")
+
+    def test_one_rule_feeds_every_reader(self, monkeypatch, capsys):
+        # Dropping d from the one rule on (2,6,6) changes the collapsed
+        # ridges, the deleted orbit rows and the list suffix alike.
+        params = derive_params(LatticeSignature(2, 6, 6))
+
+        def readings():
+            deleted = apply_degenerations(base_orbit_table(), params)[2]
+            main(["list"])
+            line = capsys.readouterr().out.splitlines()[9]
+            return collapsed_ridges(params), [row.label for row in deleted], line
+
+        ridges, deleted, line = readings()
+        degenerate = DerivedParams.degenerate.fget
+        monkeypatch.setattr(DerivedParams, "degenerate", property(
+            lambda self: {n: o for n, o in degenerate(self).items() if n != "d"}))
+        mutated = readings()
+        assert line.endswith("degenerate: l,d")
+        assert mutated[0] == tuple(r for r in ridges if r != "F(Q,Q^-1)")
+        assert set(mutated[1]) < set(deleted)
+        assert "F(Q,Q^-1)" in set(deleted) - set(mutated[1])
+        assert mutated[2].endswith("degenerate: l")
 
 
 @given(st.integers(2, 24), st.integers(2, 24), st.integers(2, 24))

@@ -32,9 +32,7 @@ def run(capsys, *argv):
 class TestList:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "list")
-        assert code == 0
-        assert out.count("\n") == 13
-        assert "(4,4,6)" in out
+        assert (code, out) == (0, (DATA / "list.txt").read_text())
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "--json", "list")

@@ -20,11 +20,16 @@ Every parameter of a function in the package is read in its body, except
 those of ``UNREAD``, each listed with the reason it is kept. A tolerance, a
 float in (0, 1e-3), is written only in the table of module-level assignments
 of ``arithmetic.py``; every other module reads it from there by name.
+Every name that ``perfbench/`` or ``demos/`` imports from ``dmlat``, at the
+top of a module or inside a function, exists, so that a rename in the
+package fails here rather than when the benchmark runs.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +44,9 @@ IMPORTERS = [p for p in MODULES + sorted(Path(__file__).parent.glob("*.py"))
              if p.name != "__init__.py"]
 READERS = sorted(path for folder in ("src", "tests", "demos", "perfbench")
                  for path in (Path(__file__).parents[1] / folder).rglob("*.py"))
+# The scripts outside the package that import it.
+CLIENTS = sorted(path for folder in ("perfbench", "demos")
+                 for path in (Path(__file__).parents[1] / folder).glob("*.py"))
 IMPORTS = (ast.Import, ast.ImportFrom)
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # The methods of a numpy Generator that draw numbers.
@@ -368,3 +376,59 @@ def test_unread_field_detector():
                        "@dataclasses.dataclass\nclass C:\n    v: int\n")
     reader = ast.parse("a.x\nb.y = 1\nz = 2\nprint(z)\n")
     assert unread_fields(module, attributes_loaded(reader)) == ["A.y", "A.z", "C.v"]
+
+
+
+def package_imports(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(module, name, line) of every import from ``dmlat`` anywhere in the
+    module: ``from dmlat.m import f`` asks ``dmlat.m`` for ``f``, and
+    ``import dmlat.m`` asks ``dmlat`` for ``m``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dmlat":
+            found += [(node.module, alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(*alias.name.rsplit(".", 1), node.lineno)
+                      for alias in node.names if alias.name.startswith("dmlat.")]
+    return found
+
+
+def missing_package_names(tree: ast.Module) -> list[str]:
+    """``module.name:line`` of every name that the module imports from
+    ``dmlat`` and that is neither an attribute nor a submodule of its
+    module; ``module:line`` when the module itself is missing."""
+    missing = []
+    for module, name, line in package_imports(tree):
+        try:
+            mod = importlib.import_module(module)
+        except ModuleNotFoundError:
+            missing.append(f"{module}:{line}")
+            continue
+        if not (hasattr(mod, name) or hasattr(mod, "__path__")
+                and importlib.util.find_spec(f"{module}.{name}")):
+            missing.append(f"{module}.{name}:{line}")
+    return missing
+
+
+@pytest.mark.parametrize("path", CLIENTS, ids=[p.name for p in CLIENTS])
+def test_imported_package_names_exist(path):
+    assert missing_package_names(_parse(path)) == []
+
+
+def test_missing_package_name_detector(monkeypatch):
+    # A misspelt name, a missing module and a missing submodule; the names
+    # that exist, functions and submodules alike, pass.
+    tree = ast.parse("import dmlat.cli\nfrom dmlat import catalog\n"
+                     "def f():\n    from dmlat.verification import apply_degeneration\n"
+                     "    from dmlat.verificaton import euler_characteristic\n"
+                     "    import dmlat.tables\n")
+    assert missing_package_names(tree) == [
+        "dmlat.verification.apply_degeneration:4", "dmlat.verificaton:5",
+        "dmlat.tables:6"]
+    # Renaming a function the benchmark imports inside a function fails it.
+    run = _parse(Path(__file__).parents[1] / "perfbench" / "run.py")
+    assert missing_package_names(run) == []
+    monkeypatch.delattr(importlib.import_module("dmlat.verification"),
+                        "apply_degenerations")
+    assert [entry.split(":")[0] for entry in missing_package_names(run)] == [
+        "dmlat.verification.apply_degenerations"]
