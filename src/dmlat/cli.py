@@ -61,12 +61,12 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 def _signature(args, allow_force: bool = True) -> LatticeSignature:
     sig = LatticeSignature(args.p, args.k, args.p_prime)
     if not sig.in_catalog:
-        if not args.force:
-            raise _UsageError(f"{sig} is not a catalog signature "
-                              f"(use --force for exploratory mode)")
         if not allow_force:
             raise _UsageError(f"{sig} is not a catalog signature; this "
                               f"command requires a catalog signature")
+        if not args.force:
+            raise _UsageError(f"{sig} is not a catalog signature "
+                              f"(use --force for exploratory mode)")
         # A cone angle of 0 or 2*pi degenerates the charts: refuse it first.
         cone_angles(sig)
     return sig

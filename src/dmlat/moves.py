@@ -46,16 +46,12 @@ class Configuration:
     beta: PiRational
     theta: PiRational
     phi: PiRational
-    type_tag: str = "generic"
 
     def angles(self) -> tuple[PiRational, PiRational, PiRational, PiRational]:
         return (self.alpha, self.beta, self.theta, self.phi)
 
-    def same_angles(self, other: "Configuration") -> bool:
-        return self.angles() == other.angles()
-
     def __str__(self) -> str:
-        return f"({self.alpha}, {self.beta}, {self.theta}, {self.phi})*pi [{self.type_tag}]"
+        return f"({self.alpha}, {self.beta}, {self.theta}, {self.phi})*pi"
 
 
 @dataclass(frozen=True)
@@ -95,12 +91,12 @@ def _check_denominators(c: Configuration, *quantities: Fraction) -> None:
 
 def r1_target(c: Configuration) -> Configuration:
     a, b, t, f = c.angles()
-    return Configuration(a, 1 + t - b, t, f, "generic")
+    return Configuration(a, 1 + t - b, t, f)
 
 
 def r2_target(c: Configuration) -> Configuration:
     a, b, t, f = c.angles()
-    return Configuration(b, a, t + a - b, f + b - a, "generic")
+    return Configuration(b, a, t + a - b, f + b - a)
 
 
 def p_target(c: Configuration) -> Configuration:
@@ -109,7 +105,7 @@ def p_target(c: Configuration) -> Configuration:
 
 def p_inverse_target(c: Configuration) -> Configuration:
     a, b, t, f = c.angles()
-    return Configuration(1 + t - b, a, a + b - 1, 1 + t + f - a - b, "generic")
+    return Configuration(1 + t - b, a, a + b - 1, 1 + t + f - a - b)
 
 
 @cache
@@ -242,7 +238,7 @@ def move_P_inverse(c: Configuration) -> ConfiguredMap:
 
 def compose(f: ConfiguredMap, g: ConfiguredMap) -> ConfiguredMap:
     """The composite f after g; requires f.source == g.target exactly."""
-    if not f.source.same_angles(g.target):
+    if f.source != g.target:
         raise ConfigMismatch(
             f"cannot compose {f.label} (source {f.source}) after {g.label} "
             f"(target {g.target})"
@@ -288,7 +284,7 @@ def check_braid(c: Configuration) -> bool:
     right = compose_chain(
         move_R2(r1_target(r2_target(c))), move_R1(r2_target(c)), move_R2(c)
     )
-    if not (left.source.same_angles(right.source) and left.target.same_angles(right.target)):
+    if (left.source, left.target) != (right.source, right.target):
         raise ConfigMismatch("the two triple products do not share configurations")
     return projective_equal(left.matrix, right.matrix)
 
@@ -296,14 +292,12 @@ def check_braid(c: Configuration) -> bool:
 def configurations_of(sig: LatticeSignature) -> tuple[Configuration, Configuration, Configuration]:
     """The three charts (C1, C2, C3) attached to a signature.
 
-    C2 has a negative last angle exactly when the derived order k' is
-    negative; its tag then carries a '-kneg' marker.
+    They are the move targets r1(C3) = p^-1(C3) = C1 and r2(C3) = p(C3) = C2,
+    so each chart's moves and forms are built once. C2's last angle phi' is
+    negative exactly when k' < 0, and 0 exactly when k' is infinite.
     """
     params = derive_params(sig)
     a, t, f = params.alpha, params.theta, params.phi
-    c1 = Configuration(a, a, t, f, "C1")
-    c2_phi = 1 + t + f - 2 * a
-    c2_tag = "C2" if c2_phi > 0 else "C2-kneg"
-    c2 = Configuration(1 + t - a, a, 2 * a - 1, c2_phi, c2_tag)
-    c3 = Configuration(a, 1 + t - a, t, f, "C3")
-    return (c1, c2, c3)
+    return (Configuration(a, a, t, f),
+            Configuration(1 + t - a, a, 2 * a - 1, 1 + t + f - 2 * a),
+            Configuration(a, 1 + t - a, t, f))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from itertools import chain, product
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import assume, given, strategies as st
 
 import dmlat.domain as domain_mod
 import dmlat.sampling as sampling_mod
+import dmlat.verification as verification_mod
 from dmlat.arithmetic import (
     MEMBERSHIP_TOL, ZERO_COORD_TOL,
     exp_i_pi,
@@ -45,6 +47,7 @@ from dmlat.moves import (
     check_isometry,
     configurations_of,
     hermitian_form,
+    move_A1,
     move_P_inverse,
     move_R2,
 )
@@ -165,6 +168,14 @@ class TestBuiltOnce:
         assert capsys.readouterr().out.count("\n") == 13
 
 
+def _clear_domain_caches():
+    """Forget every domain and everything built on one."""
+    for module in (domain_mod, verification_mod):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
 class TestSidePairings:
     def test_factorizations(self, triple):
         assert side_pairings(build_domain(LatticeSignature(*triple))).factorizations_ok
@@ -192,6 +203,30 @@ class TestSidePairings:
         broken = side_pairings.__wrapped__(dom)
         assert projective_equal(broken.K.matrix, np.linalg.inv(sp.K.matrix))
         assert not broken.factorizations_ok
+
+    def test_wrong_r2_fails_the_relation_rows(self, monkeypatch, capsys):
+        # R'2 = R2(C2) R2(C3) with A1 slipped in at C3. side_pairings does
+        # not compare R'2 with K R'1 K^-1; check does, in its relation rows.
+        sig = LatticeSignature(4, 4, 6)
+        c3 = build_domain(sig).c3
+
+        def wrong_at_c3(c):
+            m = move_R2(c)
+            return (ConfiguredMap(m.matrix @ move_A1(c).matrix, c, m.target, m.label)
+                    if c == c3 else m)
+
+        monkeypatch.setattr(domain_mod, "move_R2", wrong_at_c3)
+        _clear_domain_caches()
+        try:
+            code = main(["--json", "check", "4", "4", "6"])
+            assert side_pairings(build_domain(sig)).factorizations_ok
+        finally:
+            _clear_domain_caches()
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        failed = {c["name"] for c in checks if c["passed"] is False}
+        assert code == 1
+        assert {"relation R'2K = KR'1", "relation R'2^p"} <= failed
+        assert all(name.startswith(("relation", "cycle")) for name in failed)
 
     def test_braid_style_identities(self, triple):
         sp = side_pairings(build_domain(LatticeSignature(*triple)))

@@ -9,7 +9,7 @@ import pytest
 
 import dmlat.moves as moves_mod
 from dmlat.arithmetic import exp_i_pi, projective_equal, sin_pi
-from dmlat.catalog import LatticeSignature, catalog
+from dmlat.catalog import LatticeSignature, catalog, derive_params
 from dmlat.moves import (
     ConfigMismatch,
     DegenerateDenominator,
@@ -26,7 +26,10 @@ from dmlat.moves import (
     move_P_inverse,
     move_R1,
     move_R2,
+    p_inverse_target,
+    p_target,
     r1_target,
+    r2_target,
 )
 
 
@@ -76,12 +79,12 @@ class TestIsometry:
                     m = make(c)
                 except DegenerateDenominator:
                     continue
-                assert check_isometry(m), (triple, c.type_tag, m.label)
+                assert check_isometry(m), (triple, c, m.label)
 
     def test_braid(self, triple):
         for c in _configs(triple):
             try:
-                assert check_braid(c), (triple, c.type_tag)
+                assert check_braid(c), (triple, c)
             except DegenerateDenominator:
                 continue
 
@@ -92,7 +95,7 @@ class TestComposition:
         r1 = move_R1(c3)
         again = move_R1(r1_target(c3))
         prod = compose(again, r1)
-        assert prod.source.same_angles(c3)
+        assert prod.source == c3
 
     def test_config_mismatch(self):
         c1, c2, c3 = _configs((4, 4, 6))
@@ -116,18 +119,33 @@ class TestConfigurations:
     def test_chart_relations(self, triple):
         sig = LatticeSignature(*triple)
         c1, c2, c3 = configurations_of(sig)
-        from dmlat.catalog import derive_params
         params = derive_params(sig)
         a, t, f = params.alpha, params.theta, params.phi
         assert c1.angles() == (a, a, t, f)
         assert c3.angles() == (a, 1 + t - a, t, f)
         assert c2.angles() == (1 + t - a, a, 2 * a - 1, 1 + t + f - 2 * a)
 
-    def test_kneg_tag(self):
-        _, c2, _ = _configs((6, 6, 3))
-        assert c2.type_tag == "C2-kneg"
-        _, c2g, _ = _configs((4, 4, 6))
-        assert c2g.type_tag != "C2-kneg"
+    def test_c2_phi_reads_k_prime(self):
+        # phi' = 1/k': negative exactly when k' < 0, 0 exactly when k' = inf.
+        signs = set()
+        for sig in catalog():
+            _, c2, _ = configurations_of(sig)
+            k_prime = derive_params(sig).k_prime
+            assert (c2.phi < 0) == k_prime.is_negative, sig
+            assert (c2.phi == 0) == k_prime.is_infinite, sig
+            signs.add((c2.phi > 0) - (c2.phi < 0))
+        assert signs == {-1, 0, 1}
+
+    def test_charts_are_move_targets(self, triple):
+        c1, c2, c3 = _configs(triple)
+        assert r1_target(c3) == p_inverse_target(c3) == c1
+        assert r2_target(c3) == p_target(c3) == c2
+
+    def test_each_chart_is_built_once(self, triple):
+        # Equal configurations are one cache key, whichever move made them.
+        c1, _, c3 = _configs(triple)
+        assert hermitian_form(p_inverse_target(c3)) is hermitian_form(c1)
+        assert move_R1(r1_target(c3)) is move_R1(c1)
 
     def test_degenerate_chart_raises(self):
         c1, _, c3 = _configs((3, 3, 3))

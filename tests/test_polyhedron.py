@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import dmlat.polyhedron as polyhedron_mod
 from dmlat.arithmetic import hermitian_eval
-from dmlat.catalog import LatticeSignature
+from dmlat.catalog import DerivedParams, LatticeSignature, derive_params
 from dmlat.moves import (
     DegenerateDenominator,
     configurations_of,
@@ -40,6 +43,37 @@ def _configs(triple):
     return configurations_of(LatticeSignature(*triple))
 
 
+def _named_configs(triple):
+    """The pairs (chart name, configuration) of C1, C2 and C3."""
+    return zip(("C1", "C2", "C3"), _configs(triple))
+
+
+# Every triple of [2,39]^3 whose derived orders are integers: the keys
+# "p,k,p'" of the Euler sweep golden.
+_INTEGER_ORDER_TRIPLES = [tuple(map(int, key.split(","))) for key in json.loads(
+    (Path(__file__).parent / "data" / "euler_sweep.json").read_text())]
+
+# The order each line L_*0..L_*3 of a chart names: its collapse is that
+# order's degeneracy.
+_STAR_LINES = ("L_*0", "L_*1", "L_*2", "L_*3")
+_LINE_ORDERS = {"C1": ("d", "l", "l", "l'"), "C2": ("d", "l'", "l", "l"),
+                "C3": ("d", "l", "l'", "l")}
+
+
+def _collapse_disagreements(triples):
+    """The (triple, chart, line) where ``collapse_status`` and
+    ``DerivedParams.degenerate`` differ."""
+    out = []
+    for triple in triples:
+        degenerate = derive_params(LatticeSignature(*triple)).degenerate
+        for chart, c in _named_configs(triple):
+            status = collapse_status(c)
+            out.extend((triple, chart, line)
+                       for line, order in zip(_STAR_LINES, _LINE_ORDERS[chart])
+                       if status[line] != (order in degenerate))
+    return out
+
+
 class TestLines:
     def test_labels(self):
         assert {"L_*0", "L_*1", "L_*2", "L_*3"} <= set(LINE_LABELS)
@@ -58,7 +92,7 @@ class TestLines:
         # Every vertex is orthogonal to the polars of its two lines, in both
         # frames of every chart whose area form is nonsingular.
         checked = 0
-        for c in _configs(triple):
+        for chart, c in _named_configs(triple):
             for frame, at, lines_of, verts_of in (
                     ("t", c, lines_t, vertices_t),
                     ("s", p_inverse_target(c), lines_s, vertices_s)):
@@ -77,7 +111,7 @@ class TestLines:
                         n = line_normal(lines[lab], h)
                         scale = np.abs(n) @ np.abs(h.matrix) @ np.abs(v)
                         assert abs(h.inner(v, n)) <= 1e-12 * scale, (
-                            c.type_tag, frame, name, lab)
+                            chart, frame, name, lab)
                         checked += 1
         assert checked > 0
 
@@ -88,15 +122,15 @@ class TestIncidence:
             assert check_incidence(c)
 
     def test_s_frame_consistency(self, triple):
-        for c in _configs(triple):
+        for chart, c in _named_configs(triple):
             try:
                 ok = check_s_consistency(c)
             except DegenerateDenominator:
                 continue
-            if triple == (3, 3, 3) and c.type_tag.startswith("C2"):
+            if triple == (3, 3, 3) and chart == "C2":
                 # The C2 chart is exactly singular at infinite k'.
                 continue
-            assert ok, (triple, c.type_tag)
+            assert ok, (triple, chart)
 
     def test_bisector_membership(self, triple):
         for c in _configs(triple):
@@ -104,8 +138,8 @@ class TestIncidence:
 
     def test_side_bounds_generic(self):
         for triple in ((4, 4, 5), (4, 4, 6), (3, 3, 4), (2, 6, 6), (3, 4, 4)):
-            for c in _configs(triple):
-                assert side_bound_check(c), (triple, c.type_tag)
+            for chart, c in _named_configs(triple):
+                assert side_bound_check(c), (triple, chart)
 
     def test_side_bounds_need_positive_sines(self):
         for c in _configs((6, 6, 3)):
@@ -131,6 +165,19 @@ class TestMembership:
         assert status["L_*0"] is True  # 1 - alpha - theta <= 0 here
         _, _, c3g = _configs((4, 4, 6))
         assert not any(collapse_status(c3g).values())
+
+    def test_collapse_status_is_the_degeneracy_rule(self):
+        # Over every triple of [2,39]^3 whose derived orders are integers.
+        assert len(_INTEGER_ORDER_TRIPLES) == 128
+        assert _collapse_disagreements(_INTEGER_ORDER_TRIPLES) == []
+
+    def test_collapse_disagreement_shows(self, monkeypatch):
+        # Dropping d from the rule: L_*0 of every chart of (2,6,6) disagrees.
+        degenerate = DerivedParams.degenerate.fget
+        monkeypatch.setattr(DerivedParams, "degenerate", property(
+            lambda self: {n: o for n, o in degenerate(self).items() if n != "d"}))
+        assert _collapse_disagreements([(2, 6, 6)]) == [
+            ((2, 6, 6), chart, "L_*0") for chart in ("C1", "C2", "C3")]
 
     def test_pp_possible_generic(self):
         for c in _configs((4, 4, 6)):

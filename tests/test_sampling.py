@@ -360,9 +360,9 @@ def sampler_charts(trip):
     sig = LatticeSignature(*trip)
     dom = build_domain(sig)
     h = hermitian_form(dom.c3)
-    charts = {f"P^-1 at {c.type_tag}": (move_P_inverse(c).matrix, hermitian_form(c),
-                                        hermitian_form(p_inverse_target(c)))
-              for c in configurations_of(sig)}
+    charts = {f"P^-1 at {name}": (move_P_inverse(c).matrix, hermitian_form(c),
+                                  hermitian_form(p_inverse_target(c)))
+              for name, c in zip(("C1", "C2", "C3"), configurations_of(sig))}
     charts["w_of_z"] = (dom.w_of_z, h, h)
     charts["y_of_z"] = (dom.y_of_z, h, hermitian_form(dom.c2))
     return charts
