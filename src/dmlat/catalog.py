@@ -1,8 +1,9 @@
 """The 13-signature catalog, derived parameters and degeneracy classification.
 
 ``DerivedParams.degenerate`` is the one degeneracy rule: a named order k', l,
-l' or d that is not positive finite is degenerate. ``collapsed_ridges`` and
-every other reader of degeneracy read it.
+l' or d that is not positive finite is degenerate. Every collapse is decided
+by it: the ridges of ``collapsed_ridges``, the orbit rows it deletes, the
+cycle orders it skips and the vertices on a collapsed triple line.
 """
 
 from __future__ import annotations

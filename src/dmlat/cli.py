@@ -18,12 +18,7 @@ from dmlat.catalog import (
     derive_params,
 )
 from dmlat.domain import build_domain, side_pairings, vertices_D
-from dmlat.verification import (
-    RidgeCollapsed,
-    euler_characteristic,
-    group_checks,
-    tessellation_sign_table,
-)
+from dmlat.verification import euler_characteristic, group_checks, tessellation_sign_table
 
 SCHEMA = "dmlat-report/1"
 
@@ -187,17 +182,8 @@ def _cmd_vertices(args) -> int:
 
 def _cmd_tessellate(args) -> int:
     sig = _signature(args)
-    try:
-        report = tessellation_sign_table(
-            sig, ridge_id=args.ridge, n_samples=args.samples, seed=args.seed)
-    except RidgeCollapsed as exc:
-        _emit({
-            "command": "tessellate",
-            "signature": [sig.p, sig.k, sig.p_prime],
-            "ridge": args.ridge,
-            "collapsed": True,
-        }, args.json, f"{exc}")
-        return 1
+    report = tessellation_sign_table(
+        sig, ridge_id=args.ridge, n_samples=args.samples, seed=args.seed)
     requested = report.samples_requested
     short = report.samples_used < requested  # the sampler's draw cap was hit
     lines = [f"{name}: agreement {frac:.4f}" for name, frac in report.rows]

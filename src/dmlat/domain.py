@@ -12,7 +12,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from itertools import chain
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from dmlat.polyhedron import (
     _polar_row,
     arc_radians,
     arc_side,
-    collapse_status,
     in_arcs,
     lines_t,
     vertices_t,
@@ -293,39 +291,49 @@ class DomainVertexTable:
     """z-frame coordinates of the 24 vertices plus cross-check results.
 
     ``collapsed`` lists vertices lying on a collapsed triple line in at
-    least one chart; their table cells are not checked. In the
-    k'-negative regime the y2 argument column is checked modulo pi only
-    (the second chart's coordinate sector flips there), recorded in notes.
+    least one chart; their table cells are not checked. For k' < 0 the y2
+    argument column is checked modulo pi only (the second chart's coordinate
+    sector flips there), recorded in notes.
     """
 
     coords: dict[str, np.ndarray]
     collapsed: frozenset[str]
-    table_ok: bool
     failures: tuple[str, ...]
     notes: tuple[str, ...] = ()
 
+    @property
+    def table_ok(self) -> bool:
+        """Whether no checked cell failed."""
+        return not self.failures
+
+
+# The order each triple line L_*0..L_*3 names, in the z (C3), x (C1) and y
+# (C2) charts: the line collapses exactly when its order is degenerate.
+_LINE_ORDERS = {"z": ("d", "l", "l'", "l"), "x": ("d", "l", "l", "l'"),
+                "y": ("d", "l'", "l", "l")}
+
 
 def _collapsed_vertices(dom: DomainD) -> frozenset[str]:
-    """Vertices lying on a collapsed triple line in any of the three charts."""
-    status = {
-        "z": collapse_status(dom.c3),
-        "x": collapse_status(dom.c1),
-        "y": collapse_status(dom.c2),
-    }
-    out: set[str] = set()
-    for label, (z_alias, x_alias, y_alias, _) in _VERT_D_TABLE.items():
-        for chart, alias in (("z", z_alias), ("x", x_alias), ("y", y_alias)):
-            if alias is None:
-                continue
-            for line in VERTEX_LINES[alias]:
-                if status[chart].get(line, False):
-                    out.add(label)
-    return frozenset(out)
+    """Vertices lying on a collapsed triple line in any of the three charts.
+
+    A line collapses when ``DerivedParams.degenerate`` names its order.
+    """
+    degenerate = dom.params.degenerate
+    lines = {chart: {f"L_*{i}" for i, order in enumerate(orders) if order in degenerate}
+             for chart, orders in _LINE_ORDERS.items()}
+    return frozenset(label for label, aliases in _VERT_D_TABLE.items()
+                     if any(alias and lines[chart].intersection(VERTEX_LINES[alias])
+                            for chart, alias in zip("zxy", aliases)))
 
 
 @cache
 def vertices_D(dom: DomainD) -> DomainVertexTable:
-    """Assemble the 24 z-frame vertices and cross-check the reference table."""
+    """Assemble the 24 z-frame vertices and cross-check the reference table.
+
+    Each cell's angle is its ``_sector_angles`` entry times pi. The cells of
+    collapsed vertices (``_collapsed_vertices``) are skipped, and so are the
+    y columns when k' is infinite.
+    """
     c1, c2, c3 = dom.c1, dom.c2, dom.c3
     vt3 = vertices_t(c3)
     vt1 = vertices_t(c1)
@@ -333,15 +341,16 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
     z_of_x = np.linalg.inv(dom.x_of_z)
     z_of_y = move_R2(c2).matrix
     y_usable = not dom.params.k_prime.is_infinite
+    y2_mod_pi = dom.params.k_prime.is_negative
     collapsed = _collapsed_vertices(dom)
-    angle = dict(zip(chain(*_SECTORS), chain(*dom.sectors)))
+    angles = _sector_angles(dom)
     coords: dict[str, np.ndarray] = {}
     failures: list[str] = []
     notes: list[str] = []
     unplaced: list[str] = []  # not collapsed, but with no finite point
     if collapsed:
         notes.append(f"cells skipped for collapsed vertices: {sorted(collapsed)}")
-    if dom.kneg_flag:
+    if y2_mod_pi:
         notes.append("k'-negative regime: y2 arguments compared modulo pi")
     if not y_usable:
         notes.append("k' infinite: the second chart is singular, y columns skipped")
@@ -379,18 +388,16 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
             if abs(val) <= ZERO_COORD_TOL:
                 failures.append(f"{label}: expected arg, got zero coordinate")
                 continue
-            want = angle[cell]
+            want = float(angles[cell]) * math.pi
             got = math.atan2(val.imag, val.real)
-            period = math.pi if (dom.kneg_flag and col == 5) else 2 * math.pi
+            period = math.pi if (y2_mod_pi and col == 5) else 2 * math.pi
             diff = abs((got - want + math.pi) % (2 * math.pi) - math.pi)
             diff = min(diff, abs(diff - period)) if period == math.pi else diff
             if diff > VERTEX_ARG_TOL:
                 failures.append(f"{label}: arg mismatch {got:.6f} vs {want:.6f}")
     if unplaced:
         notes.append(f"cells skipped for vertices with no finite point: {unplaced}")
-    return DomainVertexTable(
-        coords, collapsed, not failures, tuple(failures), tuple(notes)
-    )
+    return DomainVertexTable(coords, collapsed, tuple(failures), tuple(notes))
 
 
 def in_D_union(point, dom: DomainD) -> bool:

@@ -359,20 +359,6 @@ def in_D(point, c: Configuration) -> bool:
                         MEMBERSHIP_TOL)[0])
 
 
-def collapse_status(c: Configuration) -> dict[str, bool]:
-    """Exact sign tests for the four triple-vertex collapses.
-
-    A boundary case (the tested quantity exactly zero) counts as collapsed.
-    """
-    a, b, t, f = c.angles()
-    return {
-        "L_*0": 1 - a - t <= 0,
-        "L_*1": a - t - f <= 0,
-        "L_*2": b - t - f <= 0,
-        "L_*3": 1 - b - f <= 0,
-    }
-
-
 def pp_possible(c: Configuration) -> list[str]:
     """Violated sine-sign conditions of the side-combinatorics precondition."""
     a, b, t, f = c.angles()

@@ -9,8 +9,8 @@ The orbifold Euler characteristic is an exact alternating sum of reciprocal
 stabiliser orders over a 44-row orbit table. Each degenerate order
 (``DerivedParams.degenerate``: negative or infinite) deletes every row whose
 order names it, and a negative one adds its merged vertex row. The same rule
-skips the cycle orders it names and decides the collapsed ridges. Volumes are
-(8 pi^2 / 3) times the Euler characteristic.
+skips the cycle orders it names. Volumes are (8 pi^2 / 3) times the Euler
+characteristic.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dmlat.arithmetic import (
     projective_order,
     read_only,
 )
-from dmlat.catalog import DerivedParams, LatticeSignature, collapsed_ridges, derive_params
+from dmlat.catalog import DerivedParams, LatticeSignature, derive_params
 from dmlat.domain import (
     _SECTORS, DomainD, _pairing_words, _sector_angles, _word, build_domain, vertices_D,
 )
@@ -50,10 +50,6 @@ class HashCollisionAmbiguity(RuntimeError):
 
 class MalformedOrder(ValueError):
     """A symbolic order expression outside the order grammar."""
-
-
-class RidgeCollapsed(ValueError):
-    """The requested ridge is collapsed for this signature."""
 
 
 @dataclass(frozen=True)
@@ -549,18 +545,19 @@ def tessellation_sign_table(
     """Sampled check of the tessellation sign pattern around a ridge.
 
     Supports the Lagrangian ridge F(K,R'1) (four sign rows) and the Giraud
-    ridge F(K,K^-1) (three pairwise-separating distance conditions). A
-    Lagrangian row's name is the word, in ``_pairing_words``, of the copy of
-    D it tests; the Giraud copies are built once per domain
-    (``_giraud_copies``). The points are drawn anew on every call.
+    ridge F(K,K^-1) (three pairwise-separating distance conditions); any
+    other ridge raises ``ValueError`` on every signature, before the domain
+    is built. Neither supported ridge is in a collapsed-ridge list
+    (``collapsed_ridges``). A Lagrangian row's name is the word, in
+    ``_pairing_words``, of the copy of D it tests; the Giraud copies are
+    built once per domain (``_giraud_copies``). The points are drawn anew on
+    every call.
     """
-    dom = build_domain(sig)
-    if ridge_id in collapsed_ridges(dom.params):
-        raise RidgeCollapsed(f"{ridge_id} is collapsed for {sig}")
-    if dom.kneg_flag:
-        raise PreconditionFailed("sampling requires the generic regime")
     if ridge_id not in ("F(K,R'1)", "F(K,K^-1)"):
         raise ValueError(f"unsupported ridge {ridge_id}")
+    dom = build_domain(sig)
+    if dom.kneg_flag:
+        raise PreconditionFailed("sampling requires the generic regime")
     points = _sample_domain_points(dom, n_samples, seed)
     if ridge_id == "F(K,R'1)":
         w, angles = _pairing_words(dom), _sector_angles(dom)

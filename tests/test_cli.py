@@ -194,11 +194,13 @@ class TestTessellate:
         assert code == 0
         assert "all rows match" in out
 
-    def test_collapsed_ridge(self, capsys):
-        code, out, _ = run(capsys, "tessellate", "2", "6", "6",
-                           "--ridge", "F(K^-1,R'0)")
-        assert code == 1
-        assert "collapsed" in out
+    @pytest.mark.parametrize("trip", ["2 6 6", "4 4 6"])
+    def test_unsupported_ridge_one_answer(self, capsys, trip):
+        # F(K^-1,R'0) is collapsed on (2,6,6) but not on (4,4,6); neither
+        # is a ridge that tessellate supports, and both get its refusal.
+        code, out, err = run(capsys, "tessellate", *trip.split(),
+                             "--ridge", "F(K^-1,R'0)")
+        assert (code, out, err) == (2, "", "error: unsupported ridge F(K^-1,R'0)\n")
 
     def test_draw_cap_shortfall_fails(self, capsys, monkeypatch):
         # With its cap cut to one batch, the sampler stops short of the

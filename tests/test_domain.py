@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 from itertools import chain, product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -70,6 +71,12 @@ from dmlat.verification import tessellation_sign_table
 KNEG_TRIPLES = {(6, 6, 3), (10, 10, 5), (12, 12, 6), (18, 18, 9),
                 (4, 4, 3), (3, 3, 3)}
 GENERIC_TRIPLES = [(4, 4, 5), (4, 4, 6)]
+
+# Every triple of [2,39]^3 whose derived orders are integers (the keys of the
+# Euler sweep golden), keyed "p,k,p'": the vertex table's sorted collapsed
+# labels, failures, verdict and notes, or the name of the exception raised.
+VERTEX_SWEEP = json.loads(
+    (Path(__file__).parent / "data" / "vertex_sweep.json").read_text())
 
 
 class TestBuildDomain:
@@ -257,6 +264,29 @@ class TestVerticesD:
 
     def test_collapse_degenerate(self):
         assert len(vertices_D(build_domain(LatticeSignature(3, 3, 4))).collapsed) > 0
+
+    def test_sweep(self):
+        assert len(VERTEX_SWEEP) == 128
+        got = {}
+        for key in VERTEX_SWEEP:
+            try:
+                vd = vertices_D(build_domain(
+                    LatticeSignature(*map(int, key.split(",")))))
+            except Exception as exc:
+                got[key] = type(exc).__name__
+                continue
+            got[key] = {"collapsed": sorted(vd.collapsed),
+                        "failures": list(vd.failures),
+                        "table_ok": vd.table_ok, "notes": list(vd.notes)}
+        assert got == VERTEX_SWEEP
+
+    @pytest.mark.parametrize("trip", [(3, 3, 3), (6, 6, 3)], ids=str)
+    def test_modulo_pi_note_only_for_negative_k_prime(self, trip):
+        # At k' = inf the y columns are skipped, so nothing is compared
+        # modulo pi; at k' < 0 the y2 column is.
+        dom = build_domain(LatticeSignature(*trip))
+        assert ("k'-negative regime: y2 arguments compared modulo pi"
+                in vertices_D(dom).notes) == dom.params.k_prime.is_negative
 
 
 class TestMembership:

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import dmlat.polyhedron as polyhedron_mod
 from dmlat.arithmetic import hermitian_eval
-from dmlat.catalog import DerivedParams, LatticeSignature, derive_params
+from dmlat.catalog import LatticeSignature
 from dmlat.moves import (
     DegenerateDenominator,
     configurations_of,
@@ -27,7 +24,6 @@ from dmlat.polyhedron import (
     bisector_membership_check,
     check_incidence,
     check_s_consistency,
-    collapse_status,
     in_D,
     line_normal,
     lines_s,
@@ -46,32 +42,6 @@ def _configs(triple):
 def _named_configs(triple):
     """The pairs (chart name, configuration) of C1, C2 and C3."""
     return zip(("C1", "C2", "C3"), _configs(triple))
-
-
-# Every triple of [2,39]^3 whose derived orders are integers: the keys
-# "p,k,p'" of the Euler sweep golden.
-_INTEGER_ORDER_TRIPLES = [tuple(map(int, key.split(","))) for key in json.loads(
-    (Path(__file__).parent / "data" / "euler_sweep.json").read_text())]
-
-# The order each line L_*0..L_*3 of a chart names: its collapse is that
-# order's degeneracy.
-_STAR_LINES = ("L_*0", "L_*1", "L_*2", "L_*3")
-_LINE_ORDERS = {"C1": ("d", "l", "l", "l'"), "C2": ("d", "l'", "l", "l"),
-                "C3": ("d", "l", "l'", "l")}
-
-
-def _collapse_disagreements(triples):
-    """The (triple, chart, line) where ``collapse_status`` and
-    ``DerivedParams.degenerate`` differ."""
-    out = []
-    for triple in triples:
-        degenerate = derive_params(LatticeSignature(*triple)).degenerate
-        for chart, c in _named_configs(triple):
-            status = collapse_status(c)
-            out.extend((triple, chart, line)
-                       for line, order in zip(_STAR_LINES, _LINE_ORDERS[chart])
-                       if status[line] != (order in degenerate))
-    return out
 
 
 class TestLines:
@@ -158,26 +128,6 @@ class TestMembership:
         pt = np.array([0.3 + 0.3j, 0.1, 1.0], dtype=complex)
         assert hermitian_eval(h, pt) > 0
         assert not in_D(pt, c3)
-
-    def test_collapse_status(self):
-        _, _, c3 = _configs((3, 3, 4))
-        status = collapse_status(c3)
-        assert status["L_*0"] is True  # 1 - alpha - theta <= 0 here
-        _, _, c3g = _configs((4, 4, 6))
-        assert not any(collapse_status(c3g).values())
-
-    def test_collapse_status_is_the_degeneracy_rule(self):
-        # Over every triple of [2,39]^3 whose derived orders are integers.
-        assert len(_INTEGER_ORDER_TRIPLES) == 128
-        assert _collapse_disagreements(_INTEGER_ORDER_TRIPLES) == []
-
-    def test_collapse_disagreement_shows(self, monkeypatch):
-        # Dropping d from the rule: L_*0 of every chart of (2,6,6) disagrees.
-        degenerate = DerivedParams.degenerate.fget
-        monkeypatch.setattr(DerivedParams, "degenerate", property(
-            lambda self: {n: o for n, o in degenerate(self).items() if n != "d"}))
-        assert _collapse_disagreements([(2, 6, 6)]) == [
-            ((2, 6, 6), chart, "L_*0") for chart in ("C1", "C2", "C3")]
 
     def test_pp_possible_generic(self):
         for c in _configs((4, 4, 6)):

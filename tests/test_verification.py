@@ -25,7 +25,6 @@ from dmlat.domain import (
 from dmlat.verification import (
     HashCollisionAmbiguity,
     MalformedOrder,
-    RidgeCollapsed,
     UnsupportedDegeneracy,
     _BRAIDS,
     _CYCLE_IDENTITIES,
@@ -416,11 +415,6 @@ class TestTessellation:
         assert report.all_match
         assert len(report.rows) == 3
 
-    def test_collapsed_ridge(self):
-        with pytest.raises(RidgeCollapsed):
-            tessellation_sign_table(
-                LatticeSignature(2, 6, 6), "F(K^-1,R'0)")
-
     def test_unknown_ridge(self):
         with pytest.raises(ValueError):
             tessellation_sign_table(LatticeSignature(4, 4, 6), "F(X,Y)")
@@ -430,8 +424,10 @@ class TestTessellation:
             raise AssertionError("sampled for an unknown ridge")
 
         monkeypatch.setattr(verification_mod, "_sample_domain_points", no_sampling)
-        with pytest.raises(ValueError, match="unsupported ridge F"):
-            tessellation_sign_table(LatticeSignature(2, 4, 3), "F(X,Y)")
+        # F(K^-1,R'0) is a collapsed ridge of (2,6,6): it is refused the same way.
+        for trip, ridge in (((2, 4, 3), "F(X,Y)"), ((2, 6, 6), "F(K^-1,R'0)")):
+            with pytest.raises(ValueError, match="unsupported ridge F"):
+                tessellation_sign_table(LatticeSignature(*trip), ridge)
 
 
 class TestCommensurability:
