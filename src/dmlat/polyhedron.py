@@ -201,6 +201,7 @@ def line_normal(line: ComplexLine, h: HermitianForm3) -> np.ndarray:
 
 def _t_vertex_coords(c: Configuration) -> dict[str, tuple[complex, complex]]:
     a, b, t, f = c.angles()
+    _check_denominators(c, t + f, a, b, a - f, b - t)
     sa, sb, st, sf = sin_pi(a), sin_pi(b), sin_pi(t), sin_pi(f)
     saf, sbt, stf = sin_pi(a - f), sin_pi(b - t), sin_pi(t + f)
     eif, eit = exp_i_pi(f), exp_i_pi(t)
@@ -241,6 +242,7 @@ def _t_vertex_coords(c: Configuration) -> dict[str, tuple[complex, complex]]:
 def _s_vertex_coords(c: Configuration) -> dict[str, tuple[complex, complex]]:
     """Closed-form s-frame coordinates, written in the original angles of c."""
     a, b, t, f = c.angles()
+    _check_denominators(c, t + f, a, b, a - f, b - t)
     sa, sb, st, sf = sin_pi(a), sin_pi(b), sin_pi(t), sin_pi(f)
     saf, sbt, stf = sin_pi(a - f), sin_pi(b - t), sin_pi(t + f)
     sab = sin_pi(a + b)

@@ -236,14 +236,33 @@ _KEY_SCALE = 1e5  # buckets of width 1e-5 in |<c, m>|
 def stabilizer_bfs(generators, max_size: int = 10000) -> int:
     """Order of the group generated by the matrices, as projective maps.
 
-    Breadth-first closure under right multiplication by the generators and
-    their inverses, expanded one level at a time: one batched product
-    multiplies the whole frontier by every generator, and the level's
-    products are scaled to unit Frobenius norm and keyed together.
+    One breadth-first closure over right cosets, run twice. The first run
+    closes {1} under the first generator a and its inverse, giving H = <a>.
+    With more generators, the second closes H under all of them and their
+    inverses, one right coset H y at a time. The order is the number of
+    elements registered. Only coset representatives are looked up: a group
+    of n elements costs 2n/|H| lookups per generator instead of 2n.
 
-    Each frontier element remembers the generator that produced it, and the
-    next level skips the product with that generator's inverse: it is the
-    parent, which is already registered, so no level's new elements change.
+    A level multiplies the frontier's cosets H y by every step s in one
+    batched product, which gives each coset H y s whole, led by y s. Only
+    y s is looked up. If it is found, its coset is registered already; if
+    not, the whole coset is registered and y s joins the next frontier. Its
+    other members skip the lookup because a right coset that misses a
+    union of right cosets is disjoint from it. Two products of one level
+    can lie in one coset, so the later one is looked up after the earlier
+    one has registered, and is found. With H = {1}, as in the first run,
+    this is the plain BFS over elements.
+
+    H is closed symmetrically, by a and a^-1 on one frontier, so that each
+    element of H is a product of at most |H|/2 factors and carries the
+    rounding error of the plain BFS. Powers of a taken one factor at a time,
+    or by doubling, carry more: on one order-36 group of the catalog, with
+    a of order 18, a^18 taken one factor at a time misses the identity by
+    7e-10, against a ``DEFAULT_TOL`` of 1e-9.
+
+    Each representative remembers the step that produced it, and the next
+    level skips the product with that step's inverse: it is the parent,
+    whose coset is registered, so no level's new cosets change.
 
     Elements are deduplicated projectively. A unit-norm m goes into the
     bucket round(|<c, m>| * 1e5), where c is the fixed weight matrix
@@ -257,42 +276,27 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
     Probing buckets key-1, key and key+1 therefore finds every element
     within 10 tol of m while 30 tol < 1e-5, where tol is ``DEFAULT_TOL``.
 
-    A candidate is compared with the members of those three buckets in
-    that order, each bucket in registration order. The distance is the
-    largest entry of |m - lam n| after optimal phase alignment, computed on
-    the level's rows as Python complex lists, which is cheaper than a numpy
-    call per pair on 3x3 matrices. The scan stops at the first member
-    within tol. A member neither within tol nor beyond 10x tol
-    raises HashCollisionAmbiguity rather than guessing. A group of more
-    than ``max_size`` elements raises ExceededBound.
+    A product is compared with the members of those three buckets in that
+    order, each bucket in registration order. The distance is the largest
+    entry of |m - lam n| after optimal phase alignment, computed on Python
+    complex lists, which is cheaper than a numpy call per pair on 3x3
+    matrices. The scan stops at the first member within tol. A member
+    neither within tol nor beyond 10x tol raises HashCollisionAmbiguity
+    rather than guessing. That can fire on the lookup of any product, in
+    either run, and nowhere else. A coset member h y s within 10 tol of a
+    registered h' z would put y s near the registered h^-1 h' z, within
+    10 tol times the conditioning of h, so such a near-collision shows at
+    the lookup of y s as long as h is well conditioned.
+
+    Each registration adds its coset to the count. A count above
+    ``max_size`` raises ExceededBound at once, in either run.
     """
     if max_size > 10000:
         raise ValueError("max_size is capped at 10000")
     tol, zero = DEFAULT_TOL, VANISHING_TOL  # read by ``known`` as cells, not globals
-    gens = np.array(list(generators), dtype=complex).reshape(-1, 3, 3)
-    gens = np.concatenate([gens, np.linalg.inv(gens)])
-    n_gens = len(gens)
-    inverse = [(g + n_gens // 2) % n_gens for g in range(n_gens)]
     weights = _KEY_WEIGHTS.conj().ravel()
-    seen: dict[int, list[list[complex]]] = {}
-
-    def register(level: np.ndarray, is_parent: list[bool]):
-        """The level as unit-norm rows, and the indices of the rows not seen
-        before, which are now registered. Parents are not looked up."""
-        flat = level.reshape(-1, 9)
-        flat = flat / np.sqrt(np.einsum("ij,ij->i", flat.conj(), flat).real)[:, None]
-        keys = np.rint(np.abs(flat @ weights) * _KEY_SCALE).astype(int).tolist()
-        fresh = []
-        rows = zip(flat.tolist(), keys, is_parent)
-        for i, (row, key, parent) in enumerate(rows):
-            if parent:
-                continue
-            members = chain(seen.get(key - 1, ()), seen.get(key, ()),
-                            seen.get(key + 1, ()))
-            if not any(known(row, other) for other in members):
-                seen.setdefault(key, []).append(row)
-                fresh.append(i)
-        return flat, fresh
+    gens = np.array(list(generators), dtype=complex).reshape(-1, 3, 3)
+    steps = np.concatenate([gens, np.linalg.inv(gens)])
 
     def known(row: list[complex], other: list[complex]) -> bool:
         """Whether the rows are equal at tol; raises if ambiguous."""
@@ -308,19 +312,58 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
             )
         return dist <= tol
 
+    seen: dict[int, list[list[complex]]] = {}
+    elements: list[np.ndarray] = []
     count = 0
-    flat, fresh = register(np.eye(3, dtype=complex), [False])
-    # gens[back[j]] takes frontier[j] to its parent; the identity has none
-    frontier, back = flat[fresh], [-1]
-    while len(frontier):
-        count += len(frontier)
+
+    def unit_rows(level: np.ndarray, size: int):
+        """The matrices as unit-norm rows in (n, size, 9) cosets, and their
+        (n, size) keys."""
+        flat = level.reshape(-1, 9)
+        flat = flat / np.sqrt(np.einsum("ij,ij->i", flat.conj(), flat).real)[:, None]
+        keys = np.rint(np.abs(flat @ weights) * _KEY_SCALE).astype(int)
+        return flat.reshape(-1, size, 9), keys.reshape(-1, size)
+
+    def register(rows: np.ndarray, keys: np.ndarray):
+        """Register one coset, without lookups."""
+        nonlocal count
+        count += len(rows)
         if count > max_size:
             raise ExceededBound(f"group exceeds max_size = {max_size}")
-        is_parent = [g == b for b in back for g in range(n_gens)]
-        products = np.matmul(frontier.reshape(-1, 1, 3, 3), gens)
-        flat, fresh = register(products, is_parent)
-        frontier = flat[fresh]
-        back = [inverse[i % n_gens] for i in fresh]
+        elements.append(rows)
+        for row, key in zip(rows.tolist(), keys.tolist()):
+            seen.setdefault(key, []).append(row)
+
+    def close(subgroup: np.ndarray, factors: np.ndarray):
+        """Register the closure of the registered (1, |H|, 3, 3) subgroup H,
+        led by the identity, under ``factors``: generators and then their
+        inverses, in order."""
+        size, n_steps = subgroup.shape[1], len(factors)
+        inverse = [(g + n_steps // 2) % n_steps for g in range(n_steps)]
+        # factors[back[j]] takes frontier[j] to its parent; 1 has none
+        frontier, back = subgroup, [-1]
+        while len(frontier):
+            is_parent = [g == b for b in back for g in range(n_steps)]
+            flat, keys = unit_rows(np.matmul(frontier[:, None], factors[:, None]), size)
+            fresh = []
+            products = zip(flat[:, 0].tolist(), keys[:, 0].tolist(), is_parent)
+            for i, (row, key, parent) in enumerate(products):
+                if parent:
+                    continue
+                members = chain(seen.get(key - 1, ()), seen.get(key, ()),
+                                seen.get(key + 1, ()))
+                if not any(known(row, other) for other in members):
+                    register(flat[i], keys[i])
+                    fresh.append(i)
+            frontier = flat[fresh].reshape(-1, size, 3, 3)
+            back = [inverse[i % n_steps] for i in fresh]
+
+    flat, keys = unit_rows(np.eye(3, dtype=complex), 1)
+    register(flat[0], keys[0])
+    # steps[0] and steps[len(gens)] are a and a^-1, if there is an a
+    close(flat.reshape(1, 1, 3, 3), steps[::max(len(gens), 1)])
+    if len(gens) > 1:  # else the group is H
+        close(np.concatenate(elements).reshape(1, -1, 3, 3), steps)
     return count
 
 

@@ -63,6 +63,7 @@ from dmlat.polyhedron import (
     in_D,
     lines_s,
     lines_t,
+    vertices_s,
     vertices_t,
 )
 from dmlat.sampling import ball_draws, bullet_agreement, fill_uniform
@@ -279,6 +280,20 @@ class TestVerticesD:
                         "failures": list(vd.failures),
                         "table_ok": vd.table_ok, "notes": list(vd.notes)}
         assert got == VERTEX_SWEEP
+
+    @pytest.mark.parametrize("trip", [(2, 2, 3), (2, 2, 4)], ids=str)
+    def test_zero_sine_denominator_is_typed(self, trip):
+        # theta + phi = pi in every chart: sin((theta + phi) pi) = 0 divides
+        # the closed-form vertices of both frames, which refuse with the
+        # moves' typed error.
+        dom = build_domain(LatticeSignature(*trip))
+        refusal = r"sin\(1\*pi\) = 0"
+        with pytest.raises(DegenerateDenominator, match=refusal):
+            vertices_D(dom)
+        for c in (dom.c1, dom.c2, dom.c3):
+            for vertices in (vertices_t, vertices_s):
+                with pytest.raises(DegenerateDenominator, match=refusal):
+                    vertices(c)
 
     @pytest.mark.parametrize("trip", [(3, 3, 3), (6, 6, 3)], ids=str)
     def test_modulo_pi_note_only_for_negative_k_prime(self, trip):

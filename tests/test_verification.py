@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dmlat.verification as verification_mod
-from dmlat.arithmetic import DEFAULT_TOL, ExceededBound
+from dmlat.arithmetic import (
+    DEFAULT_TOL, ExceededBound, projective_equal, projective_order, renormalize,
+)
 from dmlat.catalog import LatticeSignature, derive_params
 from dmlat.domain import (
     MalformedWord,
@@ -198,6 +200,39 @@ class TestEulerSweep:
         assert sweep_mismatches() != []
 
 
+def _oracle_rows():
+    """The (generators, symbolic order) of every orbit row of order <= 400
+    on the 13 triples, each triple's generators conjugated by a seeded
+    random diagonal unitary: the groups of one oracle pass."""
+    rng = np.random.default_rng(61)
+    rows = []
+    for triple in ALL_TRIPLES:
+        phases = np.exp(2j * np.pi * rng.random(3))
+        conj = np.outer(phases, phases.conj())
+        sig = LatticeSignature(*triple)
+        params = derive_params(sig)
+        words = _pairing_words(build_domain(sig))
+        table, _, _ = apply_degenerations(base_orbit_table(), params)
+        for row in table:
+            value = order_value(row.order_expr, sig, params)
+            if value is None or value > 400:
+                continue
+            rows.append(([conj * g for g in
+                          stabilizer_generators(row.stabilizer, words)], value))
+    return rows
+
+
+def _normalises(a, b) -> bool:
+    """Whether b^-1 a b is a power of a, that is b normalises <a>."""
+    conjugate = np.linalg.inv(b) @ a @ b
+    power = np.eye(3, dtype=complex)
+    for _ in range(projective_order(a, tol=1e-6).value):
+        if projective_equal(conjugate, power, tol=1e-6):
+            return True
+        power = renormalize(power @ a)
+    return False
+
+
 class TestBFS:
     def test_identity(self):
         assert stabilizer_bfs([np.eye(3)]) == 1
@@ -247,33 +282,38 @@ class TestBFS:
         assert 30 * DEFAULT_TOL < 1 / _KEY_SCALE
 
     def test_max_size_boundary(self):
+        # |<Q^2>| = 12 and |<R'1>| = 4, so the 48 elements are 4 or 12
+        # cosets, by the generator order. Each max_size below 48 falls
+        # inside a coset, or, for 5, inside the first run's H = <Q^2>.
         w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
-        gens = [w["Q^2"], w["R'1"]]
-        assert stabilizer_bfs(gens, max_size=48) == 48
-        with pytest.raises(ExceededBound):
-            stabilizer_bfs(gens, max_size=47)
+        for gens in ([w["Q^2"], w["R'1"]], [w["R'1"], w["Q^2"]]):
+            assert stabilizer_bfs(gens, max_size=48) == 48
+            for max_size in (5, 37, 45, 47):
+                with pytest.raises(ExceededBound):
+                    stabilizer_bfs(gens, max_size=max_size)
 
     def test_oracle_pass_replay(self):
-        # Every orbit row of order <= 400 on the 13 triples, the generators
-        # of each triple conjugated by a seeded random diagonal unitary.
-        rng = np.random.default_rng(61)
-        orders = []
-        for triple in ALL_TRIPLES:
-            phases = np.exp(2j * np.pi * rng.random(3))
-            conj = np.outer(phases, phases.conj())
-            sig = LatticeSignature(*triple)
-            params = derive_params(sig)
-            words = _pairing_words(build_domain(sig))
-            rows, _, _ = apply_degenerations(base_orbit_table(), params)
-            for row in rows:
-                value = order_value(row.order_expr, sig, params)
-                if value is None or value > 400:
-                    continue
-                gens = [conj * g for g in
-                        stabilizer_generators(row.stabilizer, words)]
-                orders.append((stabilizer_bfs(gens, max_size=2000), value))
+        orders = [(stabilizer_bfs(gens, max_size=2000), value)
+                  for gens, value in _oracle_rows()]
         assert (len(orders), sum(n for n, _ in orders)) == (480, 7067)
         assert all(n == value for n, value in orders)
+
+    def test_reversed_generators(self):
+        # H = <first generator> changes with the order. On 17 of the 86
+        # two-generator rows neither cyclic group is normal, so a left coset
+        # taken for a right one would miscount there in either order.
+        rows = [(gens, value) for gens, value in _oracle_rows() if len(gens) == 2]
+        assert len(rows) == 86
+        normal = [(_normalises(a, b), _normalises(b, a)) for (a, b), _ in rows]
+        assert (normal.count((False, False)), normal.count((True, True))) == (17, 69)
+        for (a, b), value in rows:
+            assert stabilizer_bfs([a, b], max_size=2000) == value
+            assert stabilizer_bfs([b, a], max_size=2000) == value
+
+    def test_trivial_first_generator(self):
+        # H = {1}: the second run is the plain BFS over single elements.
+        b = np.diag([1.0, np.exp(2j * np.pi / 7), 1.0])
+        assert stabilizer_bfs([np.eye(3), b]) == 7
 
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.floats(0, 2 * np.pi), min_size=5, max_size=5))
