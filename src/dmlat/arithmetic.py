@@ -30,7 +30,7 @@ ZERO_COORD_TOL = 1e-10  # a coordinate vanishes; catalog vertex coordinates are 
 VERTEX_ARG_TOL = 1e-9  # a vertex-table coordinate has its named argument
 MEMBERSHIP_TOL = 1e-6  # slack of each argument condition of in_D and in_D_union
 RESIDUAL_TOL = 1e-10  # a closed-form vertex meets its line, side bound or bisector
-REAL_TOL = 1e-9  # a Hermitian value is real, or null, relative to its terms
+REAL_TOL = 1e-9  # the k'-collapsed vertex's norm is null, relative to its largest entry squared
 DRAWS_PER_SAMPLE = 200  # draw cap of every sampler, per requested sample
 # Values that pin the sampled reports: changing one changes their streams.
 BULLET_NEUTRAL = 1e-8  # default neutral band of the two bullet samplers
@@ -39,10 +39,6 @@ TESSELLATE_NEUTRAL = 1e-9  # neutral band of the tessellation sign table
 
 class ZeroMatrix(ValueError):
     """Reference matrix of a projective comparison is numerically zero."""
-
-
-class NonRealResult(ValueError):
-    """A supposedly real Hermitian evaluation had a large imaginary part."""
 
 
 class ExceededBound(RuntimeError):
@@ -192,65 +188,39 @@ def renormalize(m) -> np.ndarray:
 def projective_order(m, max_n: int = DEFAULT_MAX_ORDER, tol: float = DEFAULT_TOL) -> ExtOrder:
     """Smallest n in [1, max_n] with m**n projectively the identity.
 
-    Powers are renormalized at each step. Raises ExceededBound if no power
-    within the bound is a scalar matrix.
+    m**n is scalar exactly when m**ceil(n/2) and m**-floor(n/2) agree
+    projectively; the search compares those two powers, each renormalized
+    at each step. Their chains are half as long as that of m**n, so they
+    drift half as far from the exact powers. m must be invertible. Raises
+    ExceededBound if no power within the bound is a scalar matrix.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     m = renormalize(m)
-    eye = np.eye(3, dtype=complex)
-    power = m
+    m_inv = np.linalg.inv(m)
+    ahead, behind = m, np.eye(3, dtype=complex)
     for n in range(1, max_n + 1):
-        if projective_equal(power, eye, tol):
+        if projective_equal(ahead, behind, tol):
             return ExtOrder.finite(n)
-        power = renormalize(power @ m)
+        if n % 2:
+            behind = renormalize(behind @ m_inv)
+        else:
+            ahead = renormalize(ahead @ m)
     raise ExceededBound(f"no projective identity among the first {max_n} powers")
 
 
-@dataclass(frozen=True)
-class HermitianForm3:
-    """A 3x3 Hermitian matrix, validated to ``VANISHING_TOL`` at construction.
+def hermitian_eval(d: np.ndarray, v):
+    """The real number v* H v for the diagonal form H = diag(d).
 
-    The matrix is read-only, so that one form can be shared by every caller.
+    For a (3, m) array, the m values of its columns.
     """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        h = _as_matrix(self.matrix)
-        if np.max(np.abs(h - h.conj().T)) > VANISHING_TOL:
-            raise ValueError(f"matrix is not Hermitian to {VANISHING_TOL}")
-        h.setflags(write=False)
-        object.__setattr__(self, "matrix", h)
-
-    def inner(self, v, w) -> complex:
-        """<v, w> = w* H v (linear in the first slot)."""
-        v = np.asarray(v, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        return complex(w.conj() @ self.matrix @ v)
+    return d @ np.abs(v) ** 2
 
 
-def hermitian_eval(h: HermitianForm3, v):
-    """The real number v* H v; errors if the imaginary part is not tiny.
-
-    For a (3, m) array, the m values of its columns, each checked.
-    """
-    v = np.asarray(v, dtype=complex)
-    val = (complex(v.conj() @ h.matrix @ v) if v.ndim == 1
-           else np.einsum("ij,ik,kj->j", v.conj(), h.matrix, v))
-    imag = np.abs(np.imag(val))
-    if np.any(imag > REAL_TOL * np.abs(val) + VANISHING_TOL):
-        raise NonRealResult(f"v*Hv has imaginary part {np.max(imag)}")
-    return np.real(val)
-
-
-def signature(h: HermitianForm3) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts, zero within ``DEFAULT_TOL``."""
-    eigs = np.linalg.eigvalsh(h.matrix)
-    n_zero = int(np.sum(np.abs(eigs) <= DEFAULT_TOL))
-    n_pos = int(np.sum(eigs > DEFAULT_TOL))
-    n_neg = int(np.sum(eigs < -DEFAULT_TOL))
-    return (n_pos, n_neg, n_zero)
+def signature(d: np.ndarray) -> tuple[int, int, int]:
+    """(positive, negative, zero) counts of the diagonal form d, zero within ``DEFAULT_TOL``."""
+    return (int(np.sum(d > DEFAULT_TOL)), int(np.sum(d < -DEFAULT_TOL)),
+            int(np.sum(np.abs(d) <= DEFAULT_TOL)))
 
 
 def no_finite_point(v) -> bool:

@@ -17,7 +17,6 @@ import numpy as np
 
 from dmlat.arithmetic import (
     BULLET_NEUTRAL, MEMBERSHIP_TOL, REAL_TOL, VERTEX_ARG_TOL, ZERO_COORD_TOL,
-    HermitianForm3,
     hermitian_eval,
     no_finite_point,
     projective_equal,
@@ -468,7 +467,7 @@ def bisD_check(dom: DomainD, n_samples: int = 1000, seed: int = 7,
     return bullet_agreement(draws, bullets, n_samples, neutral)
 
 
-def kneg_form(c: Configuration) -> HermitianForm3:
+def kneg_form(c: Configuration) -> np.ndarray:
     """The area form of the k'-negative C2 chart; asserts signature (1,2)."""
     if c.phi >= 0:
         raise PreconditionFailed("kneg_form needs a negative last angle")

@@ -4,7 +4,7 @@ Each move is a 3x3 complex matrix together with the source and target angle
 4-tuples (alpha, beta, theta, phi), stored as exact multiples of pi. Matrix
 composition is only allowed when the configurations match exactly, which is
 what makes chained identities trustworthy. Each move and area form is built
-once per configuration and process; its matrix is read-only.
+once per configuration and process, and its array is read-only.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import numpy as np
 
 from dmlat.arithmetic import (
     DEFAULT_TOL, VANISHING_TOL,
-    HermitianForm3,
     PiRational,
     exp_i_pi,
     projective_equal,
+    read_only,
     sin_pi,
 )
 from dmlat.catalog import LatticeSignature, derive_params
@@ -71,16 +71,16 @@ class ConfiguredMap:
 
 
 @cache
-def hermitian_form(c: Configuration) -> HermitianForm3:
-    """The diagonal area form of a configuration."""
+def hermitian_form(c: Configuration) -> np.ndarray:
+    """The area form of a configuration, diag(d0, d1, d2), as the read-only
+    float64 array (d0, d1, d2) of its real diagonal."""
     a, b, t, f = c.angles()
     _check_denominators(c, a - f, b - t, t + f)
-    diag = [
+    return read_only(np.array([
         -sin_pi(f) * sin_pi(a) / sin_pi(a - f),
         -sin_pi(t) * sin_pi(b) / sin_pi(b - t),
         sin_pi(f) * sin_pi(t) / sin_pi(t + f),
-    ]
-    return HermitianForm3(np.diag(np.asarray(diag, dtype=complex)))
+    ]))
 
 
 def _check_denominators(c: Configuration, *quantities: Fraction) -> None:
@@ -266,10 +266,8 @@ def compose_chain(*maps: ConfiguredMap) -> ConfiguredMap:
 
 def check_isometry(f: ConfiguredMap) -> bool:
     """True iff f.matrix* H(target) f.matrix == H(source) entrywise to ``DEFAULT_TOL``."""
-    h_src = hermitian_form(f.source).matrix
-    h_tgt = hermitian_form(f.target).matrix
-    lhs = f.matrix.conj().T @ h_tgt @ f.matrix
-    return bool(np.max(np.abs(lhs - h_src)) <= DEFAULT_TOL)
+    lhs = (f.matrix.conj().T * hermitian_form(f.target)) @ f.matrix
+    return bool(np.max(np.abs(lhs - np.diag(hermitian_form(f.source)))) <= DEFAULT_TOL)
 
 
 def check_braid(c: Configuration) -> bool:

@@ -18,7 +18,6 @@ import numpy as np
 
 from dmlat.arithmetic import (
     BULLET_NEUTRAL, DEFAULT_TOL, MEMBERSHIP_TOL, RESIDUAL_TOL, VANISHING_TOL, ZERO_COORD_TOL,
-    HermitianForm3,
     no_finite_point,
     read_only,
     sin_pi,
@@ -188,15 +187,15 @@ def lines_s(c: Configuration) -> MappingProxyType[str, ComplexLine]:
         {k: ComplexLine(k, *map(complex, v)) for k, v in eqs.items()})
 
 
-def line_normal(line: ComplexLine, h: HermitianForm3) -> np.ndarray:
+def line_normal(line: ComplexLine, h: np.ndarray) -> np.ndarray:
     """The polar n of the line: <x, n> = n* H x = 0 for every point x on it.
 
-    The line is l^T x = 0 with l = (a, b, -c), so n = H^-1 conj(l).
+    The line is l^T x = 0 with l = (a, b, -c), so n = H^-1 conj(l), with
+    H = diag(h); a zero entry of h has no inverse.
     """
-    try:
-        return np.linalg.solve(h.matrix, np.conj([line.a, line.b, -line.c]))
-    except np.linalg.LinAlgError:
-        raise SingularSystem(f"singular area form for {line.label}") from None
+    if not np.all(h):
+        raise SingularSystem(f"singular area form for {line.label}")
+    return np.conj([line.a, line.b, -line.c]) / h
 
 
 def _t_vertex_coords(c: Configuration) -> dict[str, tuple[complex, complex]]:
@@ -421,17 +420,17 @@ def bisector_membership_check(c: Configuration) -> bool:
                    for _, phase, x in _bisector_coords(c))
 
 
-def _polar_row(n: np.ndarray, h: HermitianForm3, label: str) -> np.ndarray:
-    """The read-only row n* H / sqrt|n* H n| of a polar vector n.
+def _polar_row(n: np.ndarray, h: np.ndarray, label: str) -> np.ndarray:
+    """The read-only row n* H / sqrt|n* H n| of a polar vector n, H = diag(h).
 
     The polar of a line meeting the ball is a negative vector; a collapsed
     line has a positive polar, which the half-space comparisons still
     accept under the same absolute-value scale. A null polar has no scale
-    and is rejected: |n* H n| at most ``VANISHING_TOL`` |n|^T |H| |n|.
+    and is rejected: |n* H n| at most ``VANISHING_TOL`` |h|^T |n|^2.
     """
-    row = n.conj() @ h.matrix
+    row = n.conj() * h
     norm = (row @ n).real
-    if abs(norm) <= VANISHING_TOL * (np.abs(n) @ np.abs(h.matrix) @ np.abs(n)):
+    if abs(norm) <= VANISHING_TOL * (np.abs(h) @ np.abs(n) ** 2):
         raise SingularSystem(f"normal of {label} is a null vector")
     return read_only(row / math.sqrt(abs(norm)))
 

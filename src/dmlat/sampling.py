@@ -1,7 +1,8 @@
 """The batched kernel behind the sampled checks: one generator of draws.
 
 Every sampler draws points of C^2 and keeps those inside the ball of the
-configuration's area form, which is real diagonal. ``ball_batches`` is the
+configuration's area form diag(d0, d1, d2), given as its three reals
+(``moves.hermitian_form``). ``ball_batches`` is the
 one generator that seeds, fills a batch (``fill_sectors``), keeps the draws
 in the ball (``ball_filter``) and stops at the draw cap, so a report depends
 only on the seed. Its one proposal draws arg z1 and arg z2 uniform in two
@@ -19,17 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dmlat.arithmetic import DRAWS_PER_SAMPLE, HermitianForm3
+from dmlat.arithmetic import DRAWS_PER_SAMPLE
 
 # The draws of one batch. All of them but boundary rounding land in the ball;
 # the arrays a sampler computes from the draws a batch keeps stay small.
 BATCH = 1024
 # The arcs of the bullet samplers: arg z1 and arg z2 anywhere on the circle.
 FULL_ARCS = ((-math.pi, math.pi), (-math.pi, math.pi))
-
-
-class NotRealDiagonal(ValueError):
-    """A Hermitian form handed to ``ball_filter`` is not real diagonal."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,37 +89,25 @@ def fill_uniform(rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
     return buf
 
 
-def _real_diagonal(h: HermitianForm3) -> np.ndarray:
-    """The diagonal (d0, d1, d2) of h; any form but a real diagonal one
-    raises ``NotRealDiagonal``."""
-    d = h.matrix.diagonal().real
-    if np.any(h.matrix != np.diag(d)):
-        raise NotRealDiagonal("the ball test needs a real diagonal form")
-    return d
-
-
-def ball_bounds(h: HermitianForm3) -> np.ndarray:
-    """The bounds of |z1| and |z2| on the ball of h = diag(d0, d1, d2).
+def ball_bounds(d: np.ndarray) -> np.ndarray:
+    """The bounds of |z1| and |z2| on the ball of the form d = (d0, d1, d2).
 
     A point of the ball has d0 |z1|^2 + d1 |z2|^2 > -d2 with d0, d1 < 0, so
     |z_i| < sqrt(-d2 / d_i); the points with the other coordinate 0 come
     arbitrarily close to the bound.
     """
-    d = _real_diagonal(h)
     return np.sqrt(-d[2] / d[:2])
 
 
-def ball_filter(h: HermitianForm3):
-    """The draws in the ball of h, copied out of (4, k) arrays of draws, k <= BATCH.
+def ball_filter(d: np.ndarray):
+    """The draws in the ball of d, copied out of (4, k) arrays of draws, k <= BATCH.
 
-    For h = diag(d0, d1, d2), real, the point (r0 + i r1, r2 + i r3, 1) has
+    For the form d = (d0, d1, d2), the point (r0 + i r1, r2 + i r3, 1) has
     norm d0 (r0^2 + r1^2) + d1 (r2^2 + r3^2) + d2, and lies in the ball when
-    that is positive. The form is read here, once; any other form raises
-    ``NotRealDiagonal``. The returned filter sums row by row in scratch rows
-    of length BATCH allocated here, and returns the kept columns, in order, as
+    that is positive. The returned filter sums row by row in scratch rows of
+    length BATCH allocated here, and returns the kept columns, in order, as
     a new array, never a view of its argument.
     """
-    d = _real_diagonal(h)
     scratch = np.empty((3, BATCH))
 
     def in_ball(r: np.ndarray) -> np.ndarray:
@@ -170,28 +155,27 @@ def fill_sectors(rng: np.random.Generator, arcs: tuple[tuple[float, float], ...]
     return buf
 
 
-def ball_batches(h: HermitianForm3, arcs: tuple[tuple[float, float], ...],
+def ball_batches(d: np.ndarray, arcs: tuple[tuple[float, float], ...],
                  seed: int, n: int):
-    """Yield the draws inside the ball of h, batch by batch, in draw order.
+    """Yield the draws inside the ball of the form d, batch by batch, in draw order.
 
     A batch is the (4, BATCH) array of ``fill_sectors`` from
     ``default_rng(seed)``: arg z1 and arg z2 uniform in the two ``arcs``,
     (|z1|, |z2|) uniform by area inside the ball (``ball_bounds``).
     The draw cap, for a caller that asks for n samples, is DRAWS_PER_SAMPLE
     n draws rounded up to whole batches, so that a seed gives one stream
-    whatever n is. The form is read before any draw (``ball_filter``); a
-    batch yields its draws in the ball as a new (4, k) array, never a view
-    of the buffer.
+    whatever n is. A batch yields its draws in the ball (``ball_filter``) as
+    a new (4, k) array, never a view of the buffer.
     """
-    in_ball = ball_filter(h)
-    bounds = ball_bounds(h)
+    in_ball = ball_filter(d)
+    bounds = ball_bounds(d)
     rng = np.random.default_rng(seed)
     buf = np.empty((4, BATCH))
     for _ in range(-(-DRAWS_PER_SAMPLE * n // BATCH)):
         yield in_ball(fill_sectors(rng, arcs, bounds, buf))
 
 
-def ball_draws(h: HermitianForm3, seed: int, n: int,
+def ball_draws(d: np.ndarray, seed: int, n: int,
                maps: tuple[np.ndarray, ...]):
     """The points of the ball, uniform, for a sampler that asks for n samples.
 
@@ -201,7 +185,7 @@ def ball_draws(h: HermitianForm3, seed: int, n: int,
     passes is an isometry onto a ball, so no image of a point of the ball is
     at infinity.
     """
-    for r in ball_batches(h, FULL_ARCS, seed, n):
+    for r in ball_batches(d, FULL_ARCS, seed, n):
         z = affine_points(r)
         images = [m @ z for m in maps]
         yield (z, *(image / image[2] for image in images))

@@ -117,6 +117,21 @@ class TestCheck:
         assert code == 0
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("--tolerance", "1e-10", "check", "18", "18", "9"),
+        ("--force", "check", "24", "4", "8"),
+        ("--force", "check", "4", "24", "8"),
+        ("--force", "check", "24", "3", "8"),
+    ], ids=["18-18-9-tol-1e-10", "24-4-8", "4-24-8", "24-3-8"])
+    def test_order_search_holds_near_the_tolerance(self, capsys, argv):
+        # An order-18 power at 1e-10, and the order-24 powers R'2^p,
+        # A'0^k' and (A'0R'2R'1)^l' at the default tolerance: taken one
+        # factor at a time, each misses the identity by more than the
+        # tolerance.
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "all checks passed" in out
+
     def test_kneg_row(self, capsys):
         code, out, _ = run(capsys, "check", "6", "6", "3")
         assert code == 0

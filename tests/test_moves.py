@@ -155,9 +155,14 @@ class TestConfigurations:
             move_R2(c3)
 
     def test_hermitian_form_is_hermitian(self, triple):
+        # The form is real diagonal: its three reals, the closed-form products.
         for c in _configs(triple):
-            h = hermitian_form(c).matrix
-            assert np.allclose(h, h.conj().T)
+            h = hermitian_form(c)
+            a, b, t, f = c.angles()
+            assert h.dtype == np.float64 and h.shape == (3,)
+            assert h.tolist() == [-sin_pi(f) * sin_pi(a) / sin_pi(a - f),
+                                  -sin_pi(t) * sin_pi(b) / sin_pi(b - t),
+                                  sin_pi(f) * sin_pi(t) / sin_pi(t + f)]
 
 
 class TestCaches:
@@ -165,8 +170,9 @@ class TestCaches:
         c = _configs((4, 4, 6))[0]
         for build in MEMOISED:
             assert build(c) is build(c), build.__name__
+            array = build(c) if build is hermitian_form else build(c).matrix
             with pytest.raises(ValueError):
-                build(c).matrix[0, 0] = 0.0
+                array.flat[0] = 0.0
 
     def test_cached_angles_equal_direct_evaluation(self, monkeypatch):
         # Record every angle the moves of the 13 signatures' charts evaluate,

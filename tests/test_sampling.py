@@ -27,7 +27,6 @@ import dmlat.polyhedron as polyhedron_mod
 import dmlat.sampling as sampling_mod
 import dmlat.verification as verification_mod
 from dmlat.arithmetic import (
-    HermitianForm3,
     hermitian_eval,
     no_finite_point,
     projective_equal,
@@ -60,7 +59,6 @@ from dmlat.polyhedron import (
 from dmlat.sampling import (
     BATCH,
     FULL_ARCS,
-    NotRealDiagonal,
     affine_points,
     ball_batches,
     ball_bounds,
@@ -275,7 +273,7 @@ class TestReductionCanFail:
         # The polar of l^T x = 0 is H^-1 conj(l). H^-1 l is not orthogonal
         # to the line, and the first bullet then never agrees.
         monkeypatch.setattr(polyhedron_mod, "line_normal", lambda line, h:
-                            np.linalg.solve(h.matrix, [line.a, line.b, -line.c]))
+                            np.array([line.a, line.b, -line.c]) / h)
         _bullet_table.cache_clear()
         try:
             report = bisector_equivalence_sample(
@@ -371,13 +369,12 @@ def sampler_charts(trip):
 def ball_bound(m, image):
     """The lower bound sqrt(c / (1 + c)) sigma_min(m) on |(m z)_3| over the
     points z = (z1, z2, 1) of the closed ball of H, for a map m with
-    m* H' m = lambda H, lambda > 0, and H' = ``image`` = diag(d0', d1', d2')
-    of signs (-, -, +), c = min(-d0', -d1') / d2'. There
+    m* H' m = lambda H, lambda > 0, and H' = diag(d0', d1', d2') of signs
+    (-, -, +), ``image`` = (d0', d1', d2'), c = min(-d0', -d1') / d2'. There
     (m z)* H' (m z) >= 0 gives
     |h3|^2 >= c (|h1|^2 + |h2|^2) for h = m z, so
     |h3|^2 >= c / (1 + c) |h|^2, and |h| >= sigma_min(m) |z| >= sigma_min(m)."""
-    d = image.matrix.diagonal().real
-    c = min(-d[0], -d[1]) / d[2]
+    c = min(-image[0], -image[1]) / image[2]
     return math.sqrt(c / (1 + c)) * np.linalg.svd(m, compute_uv=False)[-1]
 
 
@@ -610,12 +607,11 @@ class TestFiniteCharts:
     @pytest.mark.parametrize("trip", GENERIC, ids=str)
     def test_sampler_charts_are_isometries(self, trip):
         for name, (m, h, image) in sampler_charts(trip).items():
-            d = image.matrix.diagonal()
-            assert np.array_equal(image.matrix, np.diag(d)), name
-            assert np.all(d.imag == 0) and list(np.sign(d.real)) == [-1, -1, 1], name
-            pulled = m.conj().T @ image.matrix @ m
-            scale = projective_scale(pulled, h.matrix)
-            assert projective_equal(pulled, h.matrix), name
+            assert image.dtype == np.float64 and image.shape == (3,), name
+            assert list(np.sign(image)) == [-1, -1, 1], name
+            pulled = (m.conj().T * image) @ m
+            scale = projective_scale(pulled, np.diag(h))
+            assert projective_equal(pulled, np.diag(h)), name
             assert scale.real > 0 and abs(scale.imag) < 1e-9 * scale.real, name
             assert ball_bound(m, image) >= 0.05, name
 
@@ -653,7 +649,7 @@ class TestFiniteCharts:
         x = np.array([0.25, 0.5, 0.75])
         draws = np.zeros((4, 3))
         draws[0] = x
-        ball = HermitianForm3(np.diag([-1.0, -1.0, 1.0]).astype(complex))
+        ball = np.array([-1.0, -1.0, 1.0])
         filled = np.zeros((4, BATCH))
         filled[1], filled[3] = 1.0, -1.0
         filled[1, :3], filled[3, :3] = 2 * x ** 2 - 1, -1.0
@@ -686,8 +682,7 @@ class TestInBall:
     def test_agrees_with_hermitian_eval_off_the_sphere(self, trip, u, delta,
                                                        outside):
         h = hermitian_form(configurations_of(LatticeSignature(*trip))[2])
-        d = h.matrix.diagonal().real
-        scale = _boundary_scale(d, u) * (1.0 + delta if outside else 1.0 - delta)
+        scale = _boundary_scale(h, u) * (1.0 + delta if outside else 1.0 - delta)
         r = np.array(u)[:, None] * scale
         inside = hermitian_eval(h, affine_points(r))[0] > 0
         assert inside != outside  # the property is not vacuous
@@ -698,29 +693,8 @@ class TestInBall:
     @given(st.sampled_from(GENERIC), DIRECTIONS, st.floats(1e-6, 1.0))
     def test_drops_points_well_outside(self, trip, u, delta):
         h = hermitian_form(configurations_of(LatticeSignature(*trip))[2])
-        d = h.matrix.diagonal().real
-        r = np.array(u)[:, None] * _boundary_scale(d, u) * (1.0 + delta)
+        r = np.array(u)[:, None] * _boundary_scale(h, u) * (1.0 + delta)
         assert ball_filter(h)(r).shape[1] == 0
-
-    @given(st.sampled_from(GENERIC), st.integers(0, 2), st.integers(1, 2),
-           st.floats(1e-6, 1.0), st.booleans())
-    def test_refuses_a_form_that_is_not_real_diagonal(self, trip, i, step,
-                                                       value, imaginary):
-        h = hermitian_form(configurations_of(LatticeSignature(*trip))[2])
-        j = (i + step) % 3
-        m = h.matrix.copy()
-        m[i, j] = value * (1j if imaginary else 1.0)
-        m[j, i] = np.conj(m[i, j])
-        with pytest.raises(NotRealDiagonal):
-            ball_filter(HermitianForm3(m))
-        with mock.patch.object(sampling_mod, "fill_uniform",
-                               wraps=fill_uniform) as fill:
-            with pytest.raises(NotRealDiagonal):
-                next(ball_draws(HermitianForm3(m), 7, 100, ()))
-            with pytest.raises(NotRealDiagonal):
-                next(ball_batches(HermitianForm3(m), ((-1.0, 0.0), (-1.0, 1.0)),
-                                  7, 100))
-        fill.assert_not_called()
 
 
 class TestFillUniform:

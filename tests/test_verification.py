@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import dmlat.verification as verification_mod
 from dmlat.arithmetic import (
-    DEFAULT_TOL, ExceededBound, projective_equal, projective_order, renormalize,
+    DEFAULT_TOL, ExceededBound, ExtOrder, projective_equal, projective_order,
+    renormalize,
 )
 from dmlat.catalog import LatticeSignature, derive_params
 from dmlat.domain import (
@@ -226,7 +227,7 @@ def _normalises(a, b) -> bool:
     """Whether b^-1 a b is a power of a, that is b normalises <a>."""
     conjugate = np.linalg.inv(b) @ a @ b
     power = np.eye(3, dtype=complex)
-    for _ in range(projective_order(a, tol=1e-6).value):
+    for _ in range(projective_order(a).value):
         if projective_equal(conjugate, power, tol=1e-6):
             return True
         power = renormalize(power @ a)
@@ -395,6 +396,12 @@ class TestRelations:
         assert by_name["R'1^p"].detail == "order 4"
         assert by_name["A'0^k'"].detail == "order 6"
         assert by_name["Q^2d"].detail == "order 24"
+
+    def test_order_18_stabiliser_generator(self):
+        # Its 18th power, taken one factor at a time, misses the identity by
+        # more than the default tolerance; the search compares m^9 with m^-9.
+        w = _pairing_words(build_domain(LatticeSignature(18, 18, 9)))
+        assert projective_order(w["QK^-1"]) == ExtOrder.finite(18)
 
 
 class TestCycles:
