@@ -2,7 +2,7 @@
 
 The package builds, for each of thirteen integer triples (p, k, p'), the
 matrices and polyhedron data attached to a two-parameter family of flat cone
-metrics on the sphere, and machine checks group relations, vertex incidences,
+metrics on the sphere, and machine checks group relations, vertex geometry,
 collapse predicates, orbifold Euler characteristics and volumes.
 """
 

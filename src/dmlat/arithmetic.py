@@ -29,7 +29,7 @@ VANISHING_TOL = 1e-12  # a value vanishes against the largest entry it is measur
 ZERO_COORD_TOL = 1e-10  # a coordinate vanishes; catalog vertex coordinates are < 2e-14 or > 0.04
 VERTEX_ARG_TOL = 1e-9  # a vertex-table coordinate has its named argument
 MEMBERSHIP_TOL = 1e-6  # slack of each argument condition of in_D and in_D_union
-RESIDUAL_TOL = 1e-10  # a closed-form vertex meets its line, side bound or bisector
+RESIDUAL_TOL = 1e-10  # a vertex respects its side bound and meets its bisector
 REAL_TOL = 1e-9  # the k'-collapsed vertex's norm is null, relative to its largest entry squared
 DRAWS_PER_SAMPLE = 200  # draw cap of every sampler, per requested sample
 # Values that pin the sampled reports: changing one changes their streams.

@@ -70,7 +70,7 @@ _SECTORS = (("-phi", 0), ("-theta", "theta"), (0, "phi"), ("-theta", "theta"),
 class DomainD:
     """The glued domain: signature, the three charts and the k'-flag.
 
-    The maps from the z-chart to the others, the argument sectors and the
+    The maps between the z-chart and the others, the argument sectors and the
     frame-diagram verdict are computed on first use and kept, the maps
     read-only.
     """
@@ -91,10 +91,17 @@ class DomainD:
         return move_R1(self.c3).matrix
 
     @cached_property
+    def z_of_x(self) -> np.ndarray:
+        return read_only(np.linalg.inv(self.x_of_z))
+
+    @cached_property
+    def z_of_y(self) -> np.ndarray:
+        return move_R2(self.c2).matrix
+
+    @cached_property
     def y_of_z(self) -> np.ndarray:
-        m = move_R2(self.c2).matrix
         try:
-            return read_only(np.linalg.inv(m))
+            return read_only(np.linalg.inv(self.z_of_y))
         except np.linalg.LinAlgError:
             raise SingularMatrix(f"the y chart of {self.signature} is singular: "
                                  f"R2 at C2 {self.c2} has no inverse") from None
@@ -337,8 +344,6 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
     vt3 = vertices_t(c3)
     vt1 = vertices_t(c1)
     vt2 = vertices_t(c2)
-    z_of_x = np.linalg.inv(dom.x_of_z)
-    z_of_y = move_R2(c2).matrix
     y_usable = not dom.params.k_prime.is_infinite
     y2_mod_pi = dom.params.k_prime.is_negative
     collapsed = _collapsed_vertices(dom)
@@ -357,9 +362,9 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
         if z_alias is not None:
             z = vt3[z_alias]
         elif x_alias is not None:
-            z = z_of_x @ vt1[x_alias]
+            z = dom.z_of_x @ vt1[x_alias]
         else:
-            z = z_of_y @ vt2[y_alias]
+            z = dom.z_of_y @ vt2[y_alias]
         finite = not no_finite_point(z)
         if finite:
             z = z / z[2]
@@ -491,7 +496,7 @@ def kneg_collapsed_vertex(dom: DomainD) -> np.ndarray:
     if not dom.kneg_flag:
         raise PreconditionFailed("collapsed vertex exists only for k' < 0 or k' = inf")
     y_point = np.array([1.0, 0.0, 0.0], dtype=complex)
-    z = move_R2(dom.c2).matrix @ y_point
+    z = dom.z_of_y @ y_point
     norm = hermitian_eval(hermitian_form(dom.c3), z)
     is_null = abs(norm) <= REAL_TOL * float(np.max(np.abs(z)) ** 2)
     if dom.params.k_prime.is_infinite:
@@ -506,18 +511,17 @@ def kneg_collapsed_vertex(dom: DomainD) -> np.ndarray:
 
 def boundary_null_vertices(dom: DomainD) -> dict[str, list[np.ndarray]]:
     """z-frame vertices forced onto the boundary by each infinite parameter."""
-    c1, c2, c3 = dom.c1, dom.c2, dom.c3
+    c1, c3 = dom.c1, dom.c3
     out: dict[str, list[np.ndarray]] = {}
-    z_of_x = np.linalg.inv(dom.x_of_z)
     p = dom.params
     if p.l.is_infinite:
-        out["l"] = [vertices_t(c3)["t6"], z_of_x @ vertices_t(c1)["t12"]]
+        out["l"] = [vertices_t(c3)["t6"], dom.z_of_x @ vertices_t(c1)["t12"]]
     if p.l_prime.is_infinite:
-        out["l'"] = [z_of_x @ vertices_t(c1)["t9"]]
+        out["l'"] = [dom.z_of_x @ vertices_t(c1)["t9"]]
     if p.d.is_infinite:
         out["d"] = [vertices_t(c3)["t3"]]
     if p.k_prime.is_infinite:
-        out["k'"] = [move_R2(c2).matrix @ np.array([1.0, 0.0, 0.0], dtype=complex)]
+        out["k'"] = [dom.z_of_y @ np.array([1.0, 0.0, 0.0], dtype=complex)]
     return out
 
 
@@ -565,12 +569,12 @@ def samelines_check(dom: DomainD, seed: int = 7) -> bool:
     """The chart maps carry each z-line of ``_SAME_LINES`` onto its y- and x-lines.
 
     M carries the line of vector l onto that of l' when l' M is a multiple
-    of l (``ComplexLine.vector``, ``projective_equal``). ``seed`` is not
+    of l (the line vectors of ``lines_t``, ``projective_equal``). ``seed`` is not
     read, since the check makes no draw; it is kept for callers that pass it.
     """
     if dom.params.k_prime.is_infinite:
         raise PreconditionFailed("second chart is singular for infinite k'")
     lz, ly, lx = lines_t(dom.c3), lines_t(dom.c2), lines_t(dom.c1)
-    return all(projective_equal(ly[y].vector @ dom.y_of_z, lz[z].vector)
-               and projective_equal(lx[x].vector @ dom.x_of_z, lz[z].vector)
+    return all(projective_equal(ly[y] @ dom.y_of_z, lz[z])
+               and projective_equal(lx[x] @ dom.x_of_z, lz[z])
                for z, y, x in _SAME_LINES)

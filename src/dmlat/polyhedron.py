@@ -1,16 +1,18 @@
 """The generic single-copy polyhedron: lines, vertices, membership, bounds.
 
 Everything here is parametrized by one angle configuration. The ten complex
-lines and fourteen vertices are built in two coordinate frames (t and s,
-related by the inverse composite move), and the checks compare reference
-closed forms against each other and against sampled half-space conditions.
-The sides are the ends of the four argument arcs of ``_ARCS``.
+lines are the one source, built in two coordinate frames (t and s, related
+by the inverse composite move): each of the fourteen vertices is where its
+two lines of ``VERTEX_LINES`` meet, and each side's modulus bound is the
+radius of a triple line. The checks compare the two frames with each other,
+and the vertices with the bisector equations, the side bounds and sampled
+half-space conditions. The sides are the ends of the four argument arcs of
+``_ARCS``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
@@ -65,17 +67,19 @@ VERTEX_LINES: dict[str, tuple[str, str]] = {
 # (``arc_side``): the bisectors, bullets and ``in_D`` read their sides here.
 _ARCS = (("-phi", 0), (0, "theta"), (0, "phi''"), (0, "theta''"))
 
-# Bisector label -> (column of ``_ARCS``, end, vertices on it). The defining
-# condition is im(phase * x) = 0, with the phase and coordinate of that side.
-BISECTOR_TABLE: dict[str, tuple[int, str, tuple[str, ...]]] = {
-    "B(P)": (0, "hi", ("t1", "t3", "t4", "t5", "t9", "t10", "t12", "t13")),
-    "B(P^-1)": (2, "lo", ("t2", "t3", "t4", "t5", "t6", "t8", "t13", "t14")),
-    "B(J)": (0, "lo", ("t1", "t6", "t7", "t8", "t9", "t11", "t12", "t14")),
-    "B(J^-1)": (2, "hi", ("t2", "t7", "t8", "t9", "t10", "t11", "t12", "t14")),
-    "B(R1)": (1, "lo", ("t1", "t3", "t4", "t6", "t7", "t9", "t10", "t11")),
-    "B(R1^-1)": (1, "hi", ("t1", "t3", "t5", "t6", "t8", "t12", "t13", "t14")),
-    "B(R2)": (3, "lo", ("t2", "t4", "t5", "t9", "t10", "t12", "t13", "t14")),
-    "B(R2^-1)": (3, "hi", ("t2", "t3", "t4", "t6", "t7", "t8", "t10", "t11")),
+# Bisector label -> (column of ``_ARCS``, end, bounding line, vertices on it).
+# The defining condition is im(phase * x) = 0, with the phase and coordinate
+# of that side; the side's modulus bound is the radius |l[2]| of the triple
+# line that bounds it, in the side's frame.
+BISECTOR_TABLE: dict[str, tuple[int, str, str, tuple[str, ...]]] = {
+    "B(P)": (0, "hi", "L_*0", ("t1", "t3", "t4", "t5", "t9", "t10", "t12", "t13")),
+    "B(P^-1)": (2, "lo", "L_*0", ("t2", "t3", "t4", "t5", "t6", "t8", "t13", "t14")),
+    "B(J)": (0, "lo", "L_*1", ("t1", "t6", "t7", "t8", "t9", "t11", "t12", "t14")),
+    "B(J^-1)": (2, "hi", "L_*3", ("t2", "t7", "t8", "t9", "t10", "t11", "t12", "t14")),
+    "B(R1)": (1, "lo", "L_*3", ("t1", "t3", "t4", "t6", "t7", "t9", "t10", "t11")),
+    "B(R1^-1)": (1, "hi", "L_*2", ("t1", "t3", "t5", "t6", "t8", "t12", "t13", "t14")),
+    "B(R2)": (3, "lo", "L_*2", ("t2", "t4", "t5", "t9", "t10", "t12", "t13", "t14")),
+    "B(R2^-1)": (3, "hi", "L_*1", ("t2", "t3", "t4", "t6", "t7", "t8", "t10", "t11")),
 }
 
 
@@ -116,33 +120,21 @@ class PreconditionFailed(ValueError):
     """An exact sign precondition of a combinatorial lemma does not hold."""
 
 
-@dataclass(frozen=True)
-class ComplexLine:
-    """The affine equation a*x1 + b*x2 = c."""
-
-    label: str
-    a: complex
-    b: complex
-    c: complex
-
-    def __post_init__(self) -> None:
-        if self.a == 0 and self.b == 0:
-            raise ValueError("line equation must involve a coordinate")
-
-    @property
-    def vector(self) -> np.ndarray:
-        """(a, b, -c): the point p lies on the line when vector @ p = 0."""
-        return np.array([self.a, self.b, -self.c])
+def _line_table(eqs: dict) -> MappingProxyType[str, np.ndarray]:
+    """The lines a*x1 + b*x2 = c of ``eqs`` as read-only vectors l = (a, b, -c),
+    so that the point p lies on the line when l @ p = 0."""
+    return MappingProxyType({k: read_only(np.array([a, b, -c], dtype=complex))
+                             for k, (a, b, c) in eqs.items()})
 
 
 @cache
-def lines_t(c: Configuration) -> MappingProxyType[str, ComplexLine]:
-    """The ten reference line equations in the t-frame of c: built once, read-only."""
+def lines_t(c: Configuration) -> MappingProxyType[str, np.ndarray]:
+    """The ten line vectors in the t-frame of c: built once, read-only."""
     a, b, t, f = c.angles()
-    _check_denominators(c, a - f, b - t, t + f)
+    _check_denominators(c, t + f, a, b, a - f, b - t)
     sa, sb = sin_pi(a), sin_pi(b)
     saf, sbt, stf = sin_pi(a - f), sin_pi(b - t), sin_pi(t + f)
-    eqs = {
+    return _line_table({
         "L_*0": (1, 0, saf * sin_pi(t) / (sa * stf)),
         "L_*1": (1, 0, exp_i_pi(-f) * sin_pi(t) / stf),
         "L_*2": (0, 1, exp_i_pi(t) * sin_pi(f) / stf),
@@ -153,14 +145,12 @@ def lines_t(c: Configuration) -> MappingProxyType[str, ComplexLine]:
         "L_12": (1, 1, 1),
         "L_13": (1, exp_i_pi(-t) * sb / sbt, 1),
         "L_23": (0, 1, 0),
-    }
-    return MappingProxyType(
-        {k: ComplexLine(k, *map(complex, v)) for k, v in eqs.items()})
+    })
 
 
 @cache
-def lines_s(c: Configuration) -> MappingProxyType[str, ComplexLine]:
-    """The ten reference line equations in the s-frame attached to c.
+def lines_s(c: Configuration) -> MappingProxyType[str, np.ndarray]:
+    """The ten line vectors in the s-frame attached to c.
 
     These follow the t-frame shapes evaluated at the angles of the s-frame
     configuration, with the sign of the first-coordinate phase reversed.
@@ -168,10 +158,10 @@ def lines_s(c: Configuration) -> MappingProxyType[str, ComplexLine]:
     """
     cs = p_inverse_target(c)
     a, b, t, f = cs.angles()
-    _check_denominators(cs, a - f, b - t, t + f)
+    _check_denominators(cs, t + f, a, b, a - f, b - t)
     sa, sb = sin_pi(a), sin_pi(b)
     saf, sbt, stf = sin_pi(a - f), sin_pi(b - t), sin_pi(t + f)
-    eqs = {
+    return _line_table({
         "L_*0": (1, 0, saf * sin_pi(t) / (sa * stf)),
         "L_*1": (0, 1, exp_i_pi(t) * sin_pi(f) / stf),
         "L_*2": (0, 1, sbt * sin_pi(f) / (sb * stf)),
@@ -182,136 +172,41 @@ def lines_s(c: Configuration) -> MappingProxyType[str, ComplexLine]:
         "L_12": (0, 1, 0),
         "L_13": (1, 1, 1),
         "L_23": (1, exp_i_pi(-t) * sb / sbt, 1),
-    }
-    return MappingProxyType(
-        {k: ComplexLine(k, *map(complex, v)) for k, v in eqs.items()})
+    })
 
 
-def line_normal(line: ComplexLine, h: np.ndarray) -> np.ndarray:
-    """The polar n of the line: <x, n> = n* H x = 0 for every point x on it.
+def line_normal(l: np.ndarray, h: np.ndarray, label: str) -> np.ndarray:
+    """The polar n of the line l (``label``): <x, n> = n* H x = 0 for every
+    point x on it.
 
-    The line is l^T x = 0 with l = (a, b, -c), so n = H^-1 conj(l), with
-    H = diag(h); a zero entry of h has no inverse.
+    The line is l^T x = 0, so n = H^-1 conj(l), with H = diag(h); a zero
+    entry of h has no inverse.
     """
     if not np.all(h):
-        raise SingularSystem(f"singular area form for {line.label}")
-    return np.conj([line.a, line.b, -line.c]) / h
+        raise SingularSystem(f"singular area form for {label}")
+    return np.conj(l) / h
 
 
-def _t_vertex_coords(c: Configuration) -> dict[str, tuple[complex, complex]]:
-    a, b, t, f = c.angles()
-    _check_denominators(c, t + f, a, b, a - f, b - t)
-    sa, sb, st, sf = sin_pi(a), sin_pi(b), sin_pi(t), sin_pi(f)
-    saf, sbt, stf = sin_pi(a - f), sin_pi(b - t), sin_pi(t + f)
-    eif, eit = exp_i_pi(f), exp_i_pi(t)
-    den2 = eif * sa * sbt - exp_i_pi(-t) * sb * saf
-    return {
-        "t1": (0, 0),
-        "t2": (
-            saf * (sbt - exp_i_pi(-t) * sb) / den2,
-            exp_i_pi(a) * sbt * sf / den2,
-        ),
-        "t3": (saf * st / (sa * stf), 0),
-        "t4": (saf * st / (sa * stf), sin_pi(a + t) * sf / (sa * stf)),
-        "t5": (
-            saf * st / (sa * stf),
-            eit * sin_pi(a + t) * sbt * sf / (sa * sb * stf),
-        ),
-        "t6": (exp_i_pi(-f) * st / stf, 0),
-        "t7": (exp_i_pi(-f) * st / stf, sin_pi(a - t - f) * sf / (saf * stf)),
-        "t8": (
-            exp_i_pi(-f) * st / stf,
-            eit * sin_pi(a - t - f) * sbt * sf / (saf * sb * stf),
-        ),
-        "t9": (0, sbt * sf / (sb * stf)),
-        "t10": (sin_pi(b + f) * st / (sb * stf), sbt * sf / (sb * stf)),
-        "t11": (
-            exp_i_pi(-f) * saf * sin_pi(b + f) * st / (sa * sb * stf),
-            sbt * sf / (sb * stf),
-        ),
-        "t12": (0, eit * sf / stf),
-        "t13": (sin_pi(b - t - f) * st / (sbt * stf), eit * sf / stf),
-        "t14": (
-            exp_i_pi(-f) * saf * sin_pi(b - t - f) * st / (sa * sbt * stf),
-            eit * sf / stf,
-        ),
-    }
-
-
-def _s_vertex_coords(c: Configuration) -> dict[str, tuple[complex, complex]]:
-    """Closed-form s-frame coordinates, written in the original angles of c."""
-    a, b, t, f = c.angles()
-    _check_denominators(c, t + f, a, b, a - f, b - t)
-    sa, sb, st, sf = sin_pi(a), sin_pi(b), sin_pi(t), sin_pi(f)
-    saf, sbt, stf = sin_pi(a - f), sin_pi(b - t), sin_pi(t + f)
-    sab = sin_pi(a + b)
-    sd = sin_pi(a + b - t - f)
-    eab = exp_i_pi(a + b)
-    edm = exp_i_pi(-(a + b - t - f))
-    den1 = saf * sb - exp_i_pi(-(t + f)) * sa * sbt
-    return {
-        "t1": (
-            exp_i_pi(-a) * saf * sab / den1,
-            exp_i_pi(b - t) * sb * sd / den1,
-        ),
-        "t2": (0, 0),
-        "t3": (
-            -saf * sab / (sbt * stf),
-            -eab * sin_pi(a + t) * sb * sd / (sbt * sa * stf),
-        ),
-        "t4": (-saf * sab / (sbt * stf), 0),
-        "t5": (-saf * sab / (sbt * stf), sin_pi(a + t) * sd / (sbt * stf)),
-        "t6": (sab * sin_pi(t + f - a) / (sb * stf), -eab * sd / stf),
-        "t7": (
-            -edm * saf * sab * sin_pi(t + f - a) / (sbt * sb * stf),
-            -eab * sd / stf,
-        ),
-        "t8": (0, -eab * sd / stf),
-        "t9": (edm * sab / stf, sin_pi(b + f) * sd / (saf * stf)),
-        "t10": (edm * sab / stf, 0),
-        "t11": (
-            edm * sab / stf,
-            -eab * sin_pi(b + f) * sb * sd / (saf * sa * stf),
-        ),
-        "t12": (
-            -edm * saf * sin_pi(t + f - b) * sab / (sbt * sa * stf),
-            sb * sd / (sa * stf),
-        ),
-        "t13": (sin_pi(t + f - b) * sab / (sa * stf), sb * sd / (sa * stf)),
-        "t14": (0, sb * sd / (sa * stf)),
-    }
-
-
-def _affine_to_projective(coords: dict[str, tuple[complex, complex]]) -> dict[str, np.ndarray]:
-    return {
-        k: np.array([x1, x2, 1.0], dtype=complex) for k, (x1, x2) in coords.items()
-    }
+def _meeting_points(lines: MappingProxyType[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Each vertex of ``VERTEX_LINES`` where its two lines meet, l1 x l2,
+    scaled to third coordinate 1."""
+    pairs = np.array([(lines[l1], lines[l2]) for l1, l2 in VERTEX_LINES.values()])
+    points = np.cross(pairs[:, 0], pairs[:, 1])
+    return dict(zip(VERTEX_LINES, points / points[:, 2:]))
 
 
 def vertices_t(c: Configuration) -> dict[str, np.ndarray]:
-    """The 14 reference t-frame vertices, third coordinate 1."""
-    return _affine_to_projective(_t_vertex_coords(c))
+    """The 14 t-frame vertices, third coordinate 1."""
+    return _meeting_points(lines_t(c))
 
 
 def vertices_s(c: Configuration) -> dict[str, np.ndarray]:
-    """The 14 reference s-frame vertices, third coordinate 1."""
-    return _affine_to_projective(_s_vertex_coords(c))
-
-
-def check_incidence(c: Configuration) -> bool:
-    """Every vertex satisfies its two defining line equations, in both frames."""
-    lt, ls = lines_t(c), lines_s(c)
-    vt, vs = vertices_t(c), vertices_s(c)
-    for name, (l1, l2) in VERTEX_LINES.items():
-        for lines, verts in ((lt, vt), (ls, vs)):
-            for lab in (l1, l2):
-                if abs(lines[lab].vector @ verts[name]) > RESIDUAL_TOL:
-                    return False
-    return True
+    """The 14 s-frame vertices, third coordinate 1."""
+    return _meeting_points(lines_s(c))
 
 
 def check_s_consistency(c: Configuration) -> bool:
-    """Reference s-frame vertices agree with the inverse composite applied to t."""
+    """The s-frame vertices are the t-frame ones moved by the inverse composite."""
     pinv = move_P_inverse(c)
     vt, vs = vertices_t(c), vertices_s(c)
     for name, tv in vt.items():
@@ -376,30 +271,16 @@ def pp_possible(c: Configuration) -> list[str]:
     return [name for name, q in checks.items() if sin_pi_sign(q) < 0]
 
 
-def side_bounds(c: Configuration) -> dict[str, float]:
-    """The reference modulus bound of each of the eight sides."""
-    a, b, t, f = c.angles()
-    stf = sin_pi(t + f)
-    return {
-        "S(P)": sin_pi(a - f) * sin_pi(t) / (sin_pi(a) * stf),
-        "S(J)": sin_pi(t) / stf,
-        "S(R1)": sin_pi(b - t) * sin_pi(f) / (sin_pi(b) * stf),
-        "S(R1^-1)": sin_pi(f) / stf,
-        "S(P^-1)": -sin_pi(a - f) * sin_pi(a + b) / (sin_pi(b - t) * stf),
-        "S(J^-1)": -sin_pi(a + b) / stf,
-        "S(R2)": sin_pi(a + b - t - f) * sin_pi(b) / (sin_pi(a) * stf),
-        # The top ridge of this side lies on L_*1, whose s-frame radius has
-        # no sin(beta)/sin(alpha) factor (compare the S(R1)/S(R1^-1) pair).
-        "S(R2^-1)": sin_pi(a + b - t - f) / stf,
-    }
-
-
 def _bisector_coords(c: Configuration):
-    """(bisector, phase, coordinate of its side) at each vertex of a bisector."""
-    verts, angles = (vertices_t(c), vertices_s(c)), _arc_angles(c)
-    for bis, (column, end, members) in BISECTOR_TABLE.items():
+    """(bisector, phase, bound, coordinate of its side) at each vertex of a
+    bisector."""
+    lines, angles = (lines_t(c), lines_s(c)), _arc_angles(c)
+    verts = (vertices_t(c), vertices_s(c))
+    for bis, (column, end, line, members) in BISECTOR_TABLE.items():
         chart, phase, coord, _ = arc_side(_ARCS, angles, column, end)
-        yield from ((bis, phase, verts[chart][name][coord - 1]) for name in members)
+        bound = abs(lines[chart][line][2])
+        yield from ((bis, phase, bound, verts[chart][name][coord - 1])
+                    for name in members)
 
 
 def side_bound_check(c: Configuration) -> bool:
@@ -409,15 +290,14 @@ def side_bound_check(c: Configuration) -> bool:
         raise PreconditionFailed(
             "side-combinatorics precondition fails: " + ", ".join(violated)
         )
-    bounds = side_bounds(c)
-    return not any(abs(x) > bounds["S" + bis[1:]] + RESIDUAL_TOL
-                   for bis, _, x in _bisector_coords(c))
+    return not any(abs(x) > bound + RESIDUAL_TOL
+                   for _, _, bound, x in _bisector_coords(c))
 
 
 def bisector_membership_check(c: Configuration) -> bool:
     """The listed vertices satisfy each bisector's im-equation."""
     return not any(abs((phase * x).imag) > RESIDUAL_TOL
-                   for _, phase, x in _bisector_coords(c))
+                   for _, phase, _, x in _bisector_coords(c))
 
 
 def _polar_row(n: np.ndarray, h: np.ndarray, label: str) -> np.ndarray:
@@ -439,8 +319,9 @@ def _normal_at(config: Configuration, label: str, chart: int = 0) -> np.ndarray:
     """The polar of line ``label`` of the t-frame of ``config`` (chart 0) or
     of the s-frame attached to it (chart 1)."""
     if chart == 0:
-        return line_normal(lines_t(config)[label], hermitian_form(config))
-    return line_normal(lines_s(config)[label], hermitian_form(p_inverse_target(config)))
+        return line_normal(lines_t(config)[label], hermitian_form(config), label)
+    return line_normal(lines_s(config)[label],
+                       hermitian_form(p_inverse_target(config)), label)
 
 
 @cache

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dmlat
@@ -17,10 +18,15 @@ from dmlat.cli import build_parser, main
 
 from conftest import ALL_TRIPLES
 
-# The reports hold no floats, so they are the same on every machine.
+# The list, euler and check reports hold no floats, so they are the same on
+# every machine.
 DATA = Path(__file__).parent / "data"
 EULER_GOLDEN = dict(zip(ALL_TRIPLES, (DATA / "euler.jsonl").read_text()
                         .splitlines(keepends=True)))
+# `--json vertices` of the 13 catalog triples and two `--force` triples, keyed
+# "p,k,p'": exit code, table verdict, notes, and one [label, collapsed,
+# coordinates] row per vertex (coordinates as [re, im] pairs, or null).
+VERTICES_GOLDEN = json.loads((DATA / "vertices.json").read_text())
 
 
 def run(capsys, *argv):
@@ -200,6 +206,24 @@ class TestVertices:
         _, out, _ = run(capsys, "--json", *argv)
         assert [v["label"] for v in json.loads(out)["vertices"]
                 if v["coordinates"] is None] == labels
+
+    @pytest.mark.parametrize("key", VERTICES_GOLDEN)
+    def test_json_matches_golden_report(self, capsys, key):
+        # Labels, flags, notes and exit code exactly; coordinates to 1e-12.
+        want = VERTICES_GOLDEN[key]
+        triple = key.split(",")
+        force = [] if tuple(map(int, triple)) in ALL_TRIPLES else ["--force"]
+        code, out, _ = run(capsys, "--json", *force, "vertices", *triple)
+        doc = json.loads(out)
+        assert (code, doc["table_ok"], doc["notes"]) == (
+            want["exit"], want["table_ok"], want["notes"])
+        got = [[v["label"], v["collapsed"], v["coordinates"]]
+               for v in doc["vertices"]]
+        assert [row[:2] for row in got] == [row[:2] for row in want["vertices"]]
+        for (label, _, coords), (_, _, golden) in zip(got, want["vertices"]):
+            assert (coords is None) == (golden is None), label
+            if coords is not None:
+                assert np.allclose(coords, golden, rtol=0, atol=1e-12), label
 
 
 class TestTessellate:

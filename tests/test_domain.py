@@ -114,11 +114,14 @@ class TestBuiltOnce:
         dom = build_domain(LatticeSignature(4, 4, 6))
         shared = {"x_of_z": dom.x_of_z, "y_of_z": dom.y_of_z,
                   "w_of_z": dom.w_of_z, "u_of_z": dom.u_of_z,
-                  "v_of_z": dom.v_of_z, **_pairing_words(dom),
+                  "v_of_z": dom.v_of_z, "z_of_x": dom.z_of_x,
+                  "z_of_y": dom.z_of_y, **_pairing_words(dom),
                   **vertices_D(dom).coords}
         shared.update((f"glueing {i}", a) for i, a in enumerate(
             chain(*domain_mod._glueing_forms(dom))))
-        assert len(shared) == 5 + 14 + 24 + 6
+        for frame, table in (("t", lines_t(dom.c3)), ("s", lines_s(dom.c3))):
+            shared.update((f"{frame} {label}", l) for label, l in table.items())
+        assert len(shared) == 7 + 14 + 24 + 6 + 20
         for name, m in shared.items():
             assert not m.flags.writeable, name
             with pytest.raises(ValueError):
@@ -132,6 +135,8 @@ class TestBuiltOnce:
         eye = np.eye(3)
         assert projective_equal(dom.w_of_z @ side_pairings(dom).Q.matrix, eye)
         assert projective_equal(move_R2(dom.c2).matrix @ dom.y_of_z, eye)
+        assert dom.z_of_y is move_R2(dom.c2).matrix
+        assert projective_equal(dom.z_of_x @ dom.x_of_z, eye)
         assert projective_equal(dom.v_of_z, dom.y_of_z)
         assert projective_equal(dom.u_of_z, dom.x_of_z @ dom.w_of_z)
 
@@ -284,8 +289,8 @@ class TestVerticesD:
     @pytest.mark.parametrize("trip", [(2, 2, 3), (2, 2, 4)], ids=str)
     def test_zero_sine_denominator_is_typed(self, trip):
         # theta + phi = pi in every chart: sin((theta + phi) pi) = 0 divides
-        # the closed-form vertices of both frames, which refuse with the
-        # moves' typed error.
+        # the line tables of both frames, and so their vertices, which refuse
+        # with the moves' typed error.
         dom = build_domain(LatticeSignature(*trip))
         refusal = r"sin\(1\*pi\) = 0"
         with pytest.raises(DegenerateDenominator, match=refusal):

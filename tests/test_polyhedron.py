@@ -1,4 +1,4 @@
-"""Lines, vertices, incidences and sampled half-space equivalences."""
+"""Lines, vertices, frames, side bounds and sampled half-space equivalences."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from dmlat.moves import (
     DegenerateDenominator,
     configurations_of,
     hermitian_form,
-    move_P_inverse,
     p_inverse_target,
 )
 from dmlat.polyhedron import (
@@ -22,7 +21,6 @@ from dmlat.polyhedron import (
     SingularSystem,
     bisector_equivalence_sample,
     bisector_membership_check,
-    check_incidence,
     check_s_consistency,
     in_D,
     line_normal,
@@ -53,10 +51,16 @@ class TestLines:
             lines = lines_t(c)
             verts = vertices_t(c)
             for name, v in verts.items():
-                if not np.all(np.isfinite(v)):
-                    continue
                 for lab in VERTEX_LINES[name]:
-                    assert abs(lines[lab].vector @ v) < 1e-10
+                    assert abs(lines[lab] @ v) < 1e-10
+
+    def test_zero_sine_of_alpha_is_typed(self):
+        # p' = 2 puts alpha at pi: the line tables divide by sin(alpha) or
+        # sin(beta), and refuse with the moves' typed error.
+        for c in _configs((2, 3, 2)):
+            for lines in (lines_t, lines_s):
+                with pytest.raises(DegenerateDenominator):
+                    lines(c)
 
     def test_normal_is_orthogonal(self, triple):
         # Every vertex is orthogonal to the polars of its two lines, in both
@@ -72,13 +76,11 @@ class TestLines:
                     continue
                 if not np.all(h):
                     with pytest.raises(SingularSystem):
-                        line_normal(lines["L_*0"], h)
+                        line_normal(lines["L_*0"], h, "L_*0")
                     continue
                 for name, v in verts.items():
-                    if not np.all(np.isfinite(v)):
-                        continue
                     for lab in VERTEX_LINES[name]:
-                        n = line_normal(lines[lab], h)
+                        n = line_normal(lines[lab], h, lab)
                         scale = np.abs(n) @ (np.abs(h) * np.abs(v))
                         assert abs(n.conj() @ (h * v)) <= 1e-12 * scale, (
                             chart, frame, name, lab)
@@ -87,10 +89,6 @@ class TestLines:
 
 
 class TestIncidence:
-    def test_t_frame(self, triple):
-        for c in _configs(triple):
-            assert check_incidence(c)
-
     def test_s_frame_consistency(self, triple):
         for chart, c in _named_configs(triple):
             try:
@@ -102,19 +100,51 @@ class TestIncidence:
                 continue
             assert ok, (triple, chart)
 
+    def test_shifted_line_breaks_frame_consistency(self, monkeypatch):
+        # The vertices are where the lines meet, so the frame check is what
+        # guards the line tables: the constant of any one of the ten lines,
+        # in either frame, moved by 0.01 fails it on some chart of (4,4,5).
+        configs = _configs((4, 4, 5))
+        assert all(check_s_consistency(c) for c in configs)
+        missed = []
+        for frame in ("lines_t", "lines_s"):
+            table = getattr(polyhedron_mod, frame)
+            for label in LINE_LABELS:
+                monkeypatch.setattr(polyhedron_mod, frame, lambda c: {
+                    **table(c), label: table(c)[label] + [0, 0, 0.01]})
+                if all(check_s_consistency(c) for c in configs):
+                    missed.append((frame, label))
+            monkeypatch.setattr(polyhedron_mod, frame, table)
+        assert missed == []
+
     def test_bisector_membership(self, triple):
         for c in _configs(triple):
             assert bisector_membership_check(c)
 
     def test_side_bounds_generic(self):
+        # (2,4,3), (2,3,3) and (3,3,3) meet the precondition but fail the
+        # bounds in every chart: see test_side_bounds_fail.
         for triple in ((4, 4, 5), (4, 4, 6), (3, 3, 4), (2, 6, 6), (3, 4, 4)):
             for chart, c in _named_configs(triple):
                 assert side_bound_check(c), (triple, chart)
 
     def test_side_bounds_need_positive_sines(self):
-        for c in _configs((6, 6, 3)):
-            with pytest.raises(PreconditionFailed):
-                side_bound_check(c)
+        for triple in ((6, 6, 3), (10, 10, 5), (12, 12, 6), (18, 18, 9), (4, 4, 3)):
+            for c in _configs(triple):
+                with pytest.raises(PreconditionFailed):
+                    side_bound_check(c)
+
+    def test_side_bounds_fail(self):
+        # A known finding, not a tolerance: on (2,4,3) C3 the vertices of
+        # B(R1) reach modulus sqrt(3) against the L_*3 radius 1/sqrt(3).
+        for triple in ((2, 4, 3), (2, 3, 3), (3, 3, 3)):
+            for chart, c in _named_configs(triple):
+                assert not side_bound_check(c), (triple, chart)
+        _, _, c3 = _configs((2, 4, 3))
+        rows = [(bound, abs(x)) for bis, _, bound, x
+                in polyhedron_mod._bisector_coords(c3) if bis == "B(R1)"]
+        assert all(bound == pytest.approx(3 ** -0.5) for bound, _ in rows)
+        assert max(modulus for _, modulus in rows) == pytest.approx(3 ** 0.5)
 
 
 class TestMembership:
@@ -136,22 +166,6 @@ class TestMembership:
     def test_pp_possible_kneg(self):
         c1, c2, c3 = _configs((6, 6, 3))
         assert pp_possible(c2) == ["sin(phi)"]
-
-
-class TestFrames:
-    def test_s_vertices_match_transformed_t(self, triple):
-        if triple == (3, 3, 3):
-            pytest.skip("C2 chart singular at infinite k'")
-        for c in _configs(triple):
-            vt = vertices_t(c)
-            vs = vertices_s(c)
-            for name in vt:
-                v = vt[name]
-                if not np.all(np.isfinite(v)) or not np.all(np.isfinite(vs[name])):
-                    continue
-                img = move_P_inverse(c).matrix @ v
-                img = img / img[2]
-                assert np.max(np.abs(img - vs[name])) < 1e-8, (triple, name)
 
 
 class TestSampledEquivalences:

@@ -272,8 +272,8 @@ class TestReductionCanFail:
     def test_unconjugated_polar_breaks_agreement(self, trip, monkeypatch):
         # The polar of l^T x = 0 is H^-1 conj(l). H^-1 l is not orthogonal
         # to the line, and the first bullet then never agrees.
-        monkeypatch.setattr(polyhedron_mod, "line_normal", lambda line, h:
-                            np.array([line.a, line.b, -line.c]) / h)
+        monkeypatch.setattr(polyhedron_mod, "line_normal",
+                            lambda l, h, label: l / h)
         _bullet_table.cache_clear()
         try:
             report = bisector_equivalence_sample(
