@@ -1,9 +1,11 @@
 """The 13-signature catalog, derived parameters and degeneracy classification.
 
-``DerivedParams.degenerate`` is the one degeneracy rule: a named order k', l,
-l' or d that is not positive finite is degenerate. Every collapse is decided
-by it: the ridges of ``collapsed_ridges``, the orbit rows it deletes, the
-cycle orders it skips and the vertices on a collapsed triple line.
+``DerivedParams.degenerate`` is the one degeneracy rule of the group-level
+data: a named order k', l, l' or d that is not positive finite is degenerate.
+It decides the orbit rows that ``dmlat.verification.apply_degenerations``
+deletes, and so the collapsed ridges, which are the ridges those rows name,
+and the cycle orders that are skipped. A chart of the polyhedron reads the
+same orders from its own angles (``dmlat.polyhedron.collapsed_vertices``).
 """
 
 from __future__ import annotations
@@ -128,18 +130,3 @@ def cone_angles(sig: LatticeSignature) -> tuple[PiRational, ...]:
         raise AngleOutOfRange("cone angle deficits do not sum to 4*pi")
     return angles
 
-
-# The ridges that collapse when a named order is degenerate.
-_RIDGES_BY_PARAM: dict[str, tuple[str, ...]] = {
-    "d": ("F(Q,Q^-1)",),
-    "l": ("F(K,R'0^-1)", "F(K^-1,R'0)"),
-    "l'": ("F(A'0,R'2^-1)", "F(R'2,R'1^-1)", "F(A'0^-1,R'1)"),
-    "k'": ("F(A'0,A'0^-1)",),
-}
-
-
-def collapsed_ridges(params: DerivedParams) -> tuple[str, ...]:
-    """The ridges of every degenerate order, in the order d, l, l', k'."""
-    degenerate = params.degenerate
-    return tuple(ridge for name, ridges in _RIDGES_BY_PARAM.items()
-                 if name in degenerate for ridge in ridges)

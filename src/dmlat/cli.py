@@ -10,15 +10,10 @@ from fractions import Fraction
 from functools import cache
 
 from dmlat.arithmetic import DEFAULT_MAX_ORDER, DEFAULT_TOL, no_finite_point
-from dmlat.catalog import (
-    LatticeSignature,
-    catalog,
-    collapsed_ridges,
-    cone_angles,
-    derive_params,
-)
+from dmlat.catalog import LatticeSignature, catalog, cone_angles, derive_params
 from dmlat.domain import build_domain, side_pairings, vertices_D
-from dmlat.verification import euler_characteristic, group_checks, tessellation_sign_table
+from dmlat.verification import (collapsed_ridges, euler_characteristic, group_checks,
+                                tessellation_sign_table)
 
 SCHEMA = "dmlat-report/1"
 
@@ -163,7 +158,9 @@ def _cmd_vertices(args) -> int:
         }
         rows.append(entry)
         if finite:
-            coord_txt = ", ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in coord)
+            # A part that prints as zero prints as +0.000000, whatever its sign.
+            coord_txt = ", ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in coord
+                                  ).replace("-0.000000", "+0.000000")
         else:
             coord_txt = "no finite point"
         flag = "  [collapsed]" if label in vd.collapsed else ""

@@ -42,13 +42,13 @@ from dmlat.moves import (
     move_R2,
 )
 from dmlat.polyhedron import (
-    VERTEX_LINES,
     PointAtInfinity,
     PreconditionFailed,
     _normal_at,
     _polar_row,
     arc_radians,
     arc_side,
+    collapsed_vertices,
     in_arcs,
     lines_t,
     vertices_t,
@@ -313,23 +313,12 @@ class DomainVertexTable:
         return not self.failures
 
 
-# The order each triple line L_*0..L_*3 names, in the z (C3), x (C1) and y
-# (C2) charts: the line collapses exactly when its order is degenerate.
-_LINE_ORDERS = {"z": ("d", "l", "l'", "l"), "x": ("d", "l", "l", "l'"),
-                "y": ("d", "l'", "l", "l")}
-
-
 def _collapsed_vertices(dom: DomainD) -> frozenset[str]:
-    """Vertices lying on a collapsed triple line in any of the three charts.
-
-    A line collapses when ``DerivedParams.degenerate`` names its order.
-    """
-    degenerate = dom.params.degenerate
-    lines = {chart: {f"L_*{i}" for i, order in enumerate(orders) if order in degenerate}
-             for chart, orders in _LINE_ORDERS.items()}
-    return frozenset(label for label, aliases in _VERT_D_TABLE.items()
-                     if any(alias and lines[chart].intersection(VERTEX_LINES[alias])
-                            for chart, alias in zip("zxy", aliases)))
+    """Vertices whose alias in one of the charts C3, C1, C2 has collapsed
+    there (``collapsed_vertices``)."""
+    lost = [collapsed_vertices(c) for c in (dom.c3, dom.c1, dom.c2)]
+    return frozenset(label for label, (*aliases, _) in _VERT_D_TABLE.items()
+                     if any(alias in chart for alias, chart in zip(aliases, lost)))
 
 
 @cache

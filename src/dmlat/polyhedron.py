@@ -271,16 +271,30 @@ def pp_possible(c: Configuration) -> list[str]:
     return [name for name, q in checks.items() if sin_pi_sign(q) < 0]
 
 
+def collapsed_vertices(c: Configuration) -> frozenset[str]:
+    """The vertices of ``VERTEX_LINES`` on a triple line whose order is not
+    positive finite.
+
+    The orders of L_*0..L_*3 are 1/q for q = 1-alpha-theta,
+    alpha-theta-phi, beta-theta-phi and 1-beta-phi: the line collapses
+    when q <= 0.
+    """
+    a, b, t, f = c.angles()
+    lost = {f"L_*{i}" for i, q in enumerate((1 - a - t, a - t - f, b - t - f, 1 - b - f))
+            if q <= 0}
+    return frozenset(name for name, pair in VERTEX_LINES.items() if lost.intersection(pair))
+
+
 def _bisector_coords(c: Configuration):
     """(bisector, phase, bound, coordinate of its side) at each vertex of a
-    bisector."""
+    bisector that has not collapsed (``collapsed_vertices``)."""
     lines, angles = (lines_t(c), lines_s(c)), _arc_angles(c)
-    verts = (vertices_t(c), vertices_s(c))
+    verts, collapsed = (vertices_t(c), vertices_s(c)), collapsed_vertices(c)
     for bis, (column, end, line, members) in BISECTOR_TABLE.items():
         chart, phase, coord, _ = arc_side(_ARCS, angles, column, end)
         bound = abs(lines[chart][line][2])
         yield from ((bis, phase, bound, verts[chart][name][coord - 1])
-                    for name in members)
+                    for name in members if name not in collapsed)
 
 
 def side_bound_check(c: Configuration) -> bool:

@@ -8,8 +8,9 @@ cycle reports, and ``group_checks`` evaluates each equation once.
 The orbifold Euler characteristic is an exact alternating sum of reciprocal
 stabiliser orders over a 44-row orbit table. Each degenerate order
 (``DerivedParams.degenerate``: negative or infinite) deletes every row whose
-order names it, and a negative one adds its merged vertex row. The same rule
-skips the cycle orders it names. Volumes are (8 pi^2 / 3) times the Euler
+order names it, and a negative one adds its merged vertex row; the ridges of
+the deleted dim-2 rows are the collapsed ridges. The same rule skips the
+cycle orders it names. Volumes are (8 pi^2 / 3) times the Euler
 characteristic.
 """
 
@@ -94,10 +95,10 @@ def base_orbit_table() -> list[OrbitRow]:
     ]
     dim2 = [
         ("F(K,Q),F(K^-1,Q^-1)", "<A1>", "k"),
-        ("F(K^-1,R'0),F(K,R'0^-1)", "<KR'0>", "l"),
-        ("F(R'0,R'0^-1)", "<R'0>", "p'"),
         ("F(Q,Q^-1)", "<Q>", "2d"),
-        ("F(R'1,A'0^-1),F(R'1^-1,R'2),F(R'2^-1,A'0)", "<R'1A'0R'2>", "l'"),
+        ("F(K,R'0^-1),F(K^-1,R'0)", "<KR'0>", "l"),
+        ("F(R'0,R'0^-1)", "<R'0>", "p'"),
+        ("F(A'0,R'2^-1),F(R'2,R'1^-1),F(A'0^-1,R'1)", "<R'1A'0R'2>", "l'"),
         ("F(R'1,R'1^-1)", "<R'1>", "p"),
         ("F(R'2,R'2^-1)", "<R'2>", "p"),
         ("F(A'0,A'0^-1)", "<A'0>", "k'"),
@@ -191,6 +192,16 @@ def apply_degenerations(
         if order.is_negative and name in _MERGED_ROWS:
             out.insert(0, _MERGED_ROWS[name])
     return out, tuple(applied), deleted
+
+
+_RIDGE = re.compile(r"F\([^)]*\)")
+
+
+def collapsed_ridges(params: DerivedParams) -> tuple[str, ...]:
+    """The ridges of the dim-2 rows that ``apply_degenerations`` deletes."""
+    deleted = apply_degenerations(base_orbit_table(), params)[2]
+    return tuple(ridge for row in deleted if row.dim == 2
+                 for ridge in _RIDGE.findall(row.label))
 
 
 @dataclass(frozen=True)
@@ -590,11 +601,11 @@ def tessellation_sign_table(
     Supports the Lagrangian ridge F(K,R'1) (four sign rows) and the Giraud
     ridge F(K,K^-1) (three pairwise-separating distance conditions); any
     other ridge raises ``ValueError`` on every signature, before the domain
-    is built. Neither supported ridge is in a collapsed-ridge list
-    (``collapsed_ridges``). A Lagrangian row's name is the word, in
-    ``_pairing_words``, of the copy of D it tests; the Giraud copies are
-    built once per domain (``_giraud_copies``). The points are drawn anew on
-    every call.
+    is built. Both supported ridges are in orbit rows of order 1, which no
+    degeneration deletes (``collapsed_ridges``). A Lagrangian row's name is
+    the word, in ``_pairing_words``, of the copy of D it tests; the Giraud
+    copies are built once per domain (``_giraud_copies``). The points are
+    drawn anew on every call.
     """
     if ridge_id not in ("F(K,R'1)", "F(K,K^-1)"):
         raise ValueError(f"unsupported ridge {ridge_id}")

@@ -13,13 +13,11 @@ from dmlat.catalog import (
     LatticeSignature,
     NonIntegerOrder,
     catalog,
-    collapsed_ridges,
     cone_angles,
     derive_params,
 )
 from dmlat.cli import main
-from dmlat.domain import _collapsed_vertices, build_domain
-from dmlat.verification import apply_degenerations, base_orbit_table
+from dmlat.verification import apply_degenerations, base_orbit_table, collapsed_ridges
 
 # Frozen oracle: (k', l, l', d) for every catalog row ("inf" = infinite).
 PARAM_TABLE = {
@@ -136,19 +134,18 @@ class TestDegeneracies:
 
     def test_one_rule_feeds_every_reader(self, monkeypatch, capsys):
         # Dropping d from the one rule on (2,6,6) changes the collapsed
-        # ridges, the deleted orbit rows, the list suffix and the collapsed
-        # vertices of the vertex table alike.
+        # ridges, the deleted orbit rows and the list suffix alike. The
+        # vertex table reads each chart's angles instead: see
+        # test_domain.py::TestVerticesD::test_collapse_is_read_per_chart.
         params = derive_params(LatticeSignature(2, 6, 6))
-        dom = build_domain(LatticeSignature(2, 6, 6))
 
         def readings():
             deleted = apply_degenerations(base_orbit_table(), params)[2]
             main(["list"])
             line = capsys.readouterr().out.splitlines()[9]
-            return (collapsed_ridges(params), [row.label for row in deleted], line,
-                    _collapsed_vertices(dom))
+            return collapsed_ridges(params), [row.label for row in deleted], line
 
-        ridges, deleted, line, vertices = readings()
+        ridges, deleted, line = readings()
         degenerate = DerivedParams.degenerate.fget
         monkeypatch.setattr(DerivedParams, "degenerate", property(
             lambda self: {n: o for n, o in degenerate(self).items() if n != "d"}))
@@ -158,7 +155,6 @@ class TestDegeneracies:
         assert set(mutated[1]) < set(deleted)
         assert "F(Q,Q^-1)" in set(deleted) - set(mutated[1])
         assert mutated[2].endswith("degenerate: l")
-        assert mutated[3] < vertices
 
 
 @given(st.integers(2, 24), st.integers(2, 24), st.integers(2, 24))

@@ -174,6 +174,13 @@ class TestVertices:
         assert code == 0
         assert "v1:" in out and "v24:" in out
 
+    def test_text_prints_no_signed_zero(self, capsys, triple):
+        # A part that prints as zero prints as +0.000000, whatever its sign:
+        # every catalog report has parts that are -0.0 or residues such as
+        # -1e-17 from the cross products.
+        code, out, _ = run(capsys, "vertices", *map(str, triple))
+        assert "v24:" in out and "-0.000000" not in out
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "--json", "vertices", "3", "3", "4")
         doc = json.loads(out)

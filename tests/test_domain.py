@@ -68,6 +68,7 @@ from dmlat.polyhedron import (
 )
 from dmlat.sampling import ball_draws, bullet_agreement, fill_uniform
 from dmlat.verification import tessellation_sign_table
+from test_polyhedron import drop_line
 
 KNEG_TRIPLES = {(6, 6, 3), (10, 10, 5), (12, 12, 6), (18, 18, 9),
                 (4, 4, 3), (3, 3, 3)}
@@ -270,6 +271,15 @@ class TestVerticesD:
 
     def test_collapse_degenerate(self):
         assert len(vertices_D(build_domain(LatticeSignature(3, 3, 4))).collapsed) > 0
+
+    def test_collapse_is_read_per_chart(self, monkeypatch):
+        # On (2,6,6), d < 0 collapses L_*0 in every chart. With L_*0 left out
+        # of the per-chart rule, the table keeps exactly the four vertices
+        # that d's merged orbit row v(3,4,5,16) names.
+        dom = build_domain(LatticeSignature(2, 6, 6))
+        collapsed = domain_mod._collapsed_vertices(dom)
+        drop_line(monkeypatch, domain_mod, "L_*0")
+        assert collapsed - domain_mod._collapsed_vertices(dom) == {"v3", "v4", "v5", "v16"}
 
     def test_sweep(self):
         assert len(VERTEX_SWEEP) == 128

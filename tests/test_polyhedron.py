@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from dmlat.polyhedron import (
     bisector_equivalence_sample,
     bisector_membership_check,
     check_s_consistency,
+    collapsed_vertices,
     in_D,
     line_normal,
     lines_s,
@@ -31,6 +35,20 @@ from dmlat.polyhedron import (
     vertices_s,
     vertices_t,
 )
+
+
+# The 128 triples of [2,39]^3 whose derived orders are integers.
+SWEEP_TRIPLES = [tuple(map(int, key.split(","))) for key in json.loads(
+    (Path(__file__).parent / "data" / "vertex_sweep.json").read_text())]
+
+
+def drop_line(monkeypatch, module, line):
+    """Leave ``line`` out of the per-chart collapse rule, as ``module`` reads
+    it. A vertex lies on at most one triple line, so exactly the vertices on
+    ``line`` are kept."""
+    rule = polyhedron_mod.collapsed_vertices
+    monkeypatch.setattr(module, "collapsed_vertices", lambda c: frozenset(
+        v for v in rule(c) if line not in VERTEX_LINES[v]))
 
 
 def _configs(triple):
@@ -122,9 +140,8 @@ class TestIncidence:
             assert bisector_membership_check(c)
 
     def test_side_bounds_generic(self):
-        # (2,4,3), (2,3,3) and (3,3,3) meet the precondition but fail the
-        # bounds in every chart: see test_side_bounds_fail.
-        for triple in ((4, 4, 5), (4, 4, 6), (3, 3, 4), (2, 6, 6), (3, 4, 4)):
+        for triple in ((4, 4, 5), (4, 4, 6), (3, 3, 4), (2, 6, 6), (3, 4, 4),
+                       (2, 4, 3), (2, 3, 3), (3, 3, 3)):
             for chart, c in _named_configs(triple):
                 assert side_bound_check(c), (triple, chart)
 
@@ -134,16 +151,38 @@ class TestIncidence:
                 with pytest.raises(PreconditionFailed):
                     side_bound_check(c)
 
-    def test_side_bounds_fail(self):
-        # A known finding, not a tolerance: on (2,4,3) C3 the vertices of
-        # B(R1) reach modulus sqrt(3) against the L_*3 radius 1/sqrt(3).
-        for triple in ((2, 4, 3), (2, 3, 3), (3, 3, 3)):
+    def test_single_copy_checks_hold_on_the_sweep(self):
+        # Every chart of the 128 sweep triples: the bisector equations hold
+        # wherever the lines build (39 charts raise DegenerateDenominator),
+        # and the side bounds wherever the sine precondition holds too.
+        built = bounded = 0
+        for triple in SWEEP_TRIPLES:
             for chart, c in _named_configs(triple):
-                assert not side_bound_check(c), (triple, chart)
+                try:
+                    assert bisector_membership_check(c), (triple, chart)
+                except DegenerateDenominator:
+                    continue
+                built += 1
+                if not pp_possible(c):
+                    assert side_bound_check(c), (triple, chart)
+                    bounded += 1
+        assert (built, bounded) == (345, 279)
+
+    def test_collapsed_vertices_are_skipped(self, monkeypatch):
+        # On (2,4,3) C3, d < 0 collapses L_*0 and l' < 0 collapses L_*2. The
+        # collapsed t4 = L_*0 . L_12 is on B(R1), where its t2 has modulus
+        # sqrt(3) against the L_*3 radius 1/sqrt(3): with L_*0 left out of
+        # the per-chart rule, the side bounds read it and fail.
         _, _, c3 = _configs((2, 4, 3))
+        assert collapsed_vertices(c3) == {"t3", "t4", "t5", "t12", "t13", "t14"}
+        assert "t4" in polyhedron_mod.BISECTOR_TABLE["B(R1)"][3]
+        assert abs(vertices_t(c3)["t4"][1]) == pytest.approx(3 ** 0.5)
+        assert abs(lines_t(c3)["L_*3"][2]) == pytest.approx(3 ** -0.5)
+        assert side_bound_check(c3)
+        drop_line(monkeypatch, polyhedron_mod, "L_*0")
+        assert not side_bound_check(c3)
         rows = [(bound, abs(x)) for bis, _, bound, x
                 in polyhedron_mod._bisector_coords(c3) if bis == "B(R1)"]
-        assert all(bound == pytest.approx(3 ** -0.5) for bound, _ in rows)
         assert max(modulus for _, modulus in rows) == pytest.approx(3 ** 0.5)
 
 
