@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from fractions import Fraction
-from itertools import chain
 from operator import mul, sub
 
 import numpy as np
@@ -34,7 +33,8 @@ from dmlat.arithmetic import (
 )
 from dmlat.catalog import DerivedParams, LatticeSignature, derive_params
 from dmlat.domain import (
-    _SECTORS, DomainD, _pairing_words, _sector_angles, _word, build_domain, vertices_D,
+    _SECTORS, DomainD, MalformedWord, _pairing_words, _sector_angles, _word, build_domain,
+    vertices_D,
 )
 from dmlat.moves import hermitian_form
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row, arc_side, in_arcs
@@ -242,6 +242,16 @@ _KEY_WEIGHTS = (np.arange(1, 10) * np.exp(2j * np.pi * 0.6180339887
                                           * np.arange(1, 10))).reshape(3, 3)
 _KEY_WEIGHTS /= np.linalg.norm(_KEY_WEIGHTS)
 _KEY_SCALE = 1e5  # buckets of width 1e-5 in |<c, m>|
+# The key of a unit row m is rint(|m @ _KEY_ROW|) = round(|<c, m>| * 1e5).
+_KEY_ROW = read_only(_KEY_WEIGHTS.conj().ravel() * _KEY_SCALE)
+# The identity's unit row, the same row as a bucket member, and its key.
+_IDENTITY_ROW = read_only(np.eye(3, dtype=complex).reshape(1, 9) / np.sqrt(3))
+_IDENTITY_MEMBER = tuple(_IDENTITY_ROW[0].tolist())
+_IDENTITY_KEY = float(np.rint(abs(_IDENTITY_ROW[0] @ _KEY_ROW)))
+
+
+class MalformedGenerator(ValueError):
+    """BFS generators that are not finite, invertible 3x3 matrices."""
 
 
 def stabilizer_bfs(generators, max_size: int = 10000) -> int:
@@ -285,7 +295,8 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
     Probe bound: if m and n are unit-norm and lam n lies within d of m
     entrywise, |<c, m>| and |<c, n>| differ by at most ||c||_1 d < 3 d.
     Probing buckets key-1, key and key+1 therefore finds every element
-    within 10 tol of m while 30 tol < 1e-5, where tol is ``DEFAULT_TOL``.
+    within 10 tol of m while 30 tol < 1e-5, where tol is ``DEFAULT_TOL``:
+    on the pre-scaled row, ||_KEY_ROW||_1 * 10 tol is below one bucket.
 
     A product is compared with the members of those three buckets in that
     order, each bucket in registration order. The distance is the largest
@@ -301,88 +312,111 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
 
     Each registration adds its coset to the count. A count above
     ``max_size`` raises ExceededBound at once, in either run.
+
+    Cost. Most groups of an oracle pass are small and cyclic, so the fixed
+    cost of a call and of a level outweighs the group arithmetic. A call
+    converts the generators with one ``np.array`` and inverts them with one
+    stacked ``np.linalg.inv``. The identity's unit row, bucket member and
+    key (``_IDENTITY_ROW``, ``_IDENTITY_MEMBER``, ``_IDENTITY_KEY``) and the
+    key row conj(c) * 1e5 (``_KEY_ROW``) are built once, at import. A level
+    is one matrix product of all the frontier's coset members, 3 rows each,
+    with the steps side by side: one BLAS call, where a batched product of
+    3x3 matrices costs one call per pair. Its rows are then normalised in
+    place by one ``einsum`` of their squared real and imaginary parts,
+    keyed by one product rint(|m @ _KEY_ROW|), and turned into lists by
+    one ``tolist`` each of rows and keys. The keys stay floats: they are
+    integers far below 2^53, so key-1, key and key+1 are exact. The parent
+    skip, the bucket scan and the registration run inline in the level
+    loop.
+
+    Refusals, before the first level: ``max_size`` outside 1..10000 raises
+    ValueError; generators that are not a sequence of 3x3 matrices, have a
+    non-finite entry, or are singular (no finite inverse) raise
+    MalformedGenerator. A non-finite entry would otherwise put NaN keys in
+    the buckets, where no lookup finds them.
     """
-    if max_size > 10000:
-        raise ValueError("max_size is capped at 10000")
-    tol, zero = DEFAULT_TOL, VANISHING_TOL  # read by ``known`` as cells, not globals
-    weights = _KEY_WEIGHTS.conj().ravel()
-    gens = np.array(list(generators), dtype=complex).reshape(-1, 3, 3)
-    steps = np.concatenate([gens, np.linalg.inv(gens)])
-
-    def known(row: list[complex], other: list[complex]) -> bool:
-        """Whether the rows are equal at tol; raises if ambiguous."""
-        inner = sum(map(mul, row, map(complex.conjugate, other)))
-        if abs(inner) < zero:
-            dist = max(map(abs, row)) + max(map(abs, other))
-        else:
-            lam = inner / abs(inner)
-            dist = max(map(abs, map(sub, row, map(lam.__mul__, other))))
-        if tol < dist < 10 * tol:
-            raise HashCollisionAmbiguity(
-                "two elements differ by less than 10x the tolerance"
-            )
-        return dist <= tol
-
-    seen: dict[int, list[list[complex]]] = {}
-    elements: list[np.ndarray] = []
-    count = 0
-
-    def unit_rows(level: np.ndarray, size: int):
-        """The matrices as unit-norm rows in (n, size, 9) cosets, and their
-        (n, size) keys."""
-        flat = level.reshape(-1, 9)
-        flat = flat / np.sqrt(np.einsum("ij,ij->i", flat.conj(), flat).real)[:, None]
-        keys = np.rint(np.abs(flat @ weights) * _KEY_SCALE).astype(int)
-        return flat.reshape(-1, size, 9), keys.reshape(-1, size)
-
-    def register(rows: np.ndarray, keys: np.ndarray):
-        """Register one coset, without lookups."""
-        nonlocal count
-        count += len(rows)
-        if count > max_size:
-            raise ExceededBound(f"group exceeds max_size = {max_size}")
-        elements.append(rows)
-        for row, key in zip(rows.tolist(), keys.tolist()):
-            seen.setdefault(key, []).append(row)
-
-    def close(subgroup: np.ndarray, factors: np.ndarray):
-        """Register the closure of the registered (1, |H|, 3, 3) subgroup H,
-        led by the identity, under ``factors``: generators and then their
-        inverses, in order."""
-        size, n_steps = subgroup.shape[1], len(factors)
-        inverse = [(g + n_steps // 2) % n_steps for g in range(n_steps)]
+    if not 1 <= max_size <= 10000:
+        raise ValueError(f"max_size must lie in 1..10000, not {max_size}")
+    try:
+        gens = np.array(list(generators) or np.empty((0, 3, 3)), dtype=complex)
+    except (TypeError, ValueError) as err:
+        raise MalformedGenerator(f"not a sequence of 3x3 matrices: {err}") from None
+    if gens.shape[1:] != (3, 3):
+        raise MalformedGenerator(f"not a sequence of 3x3 matrices: shape {gens.shape}")
+    if not np.isfinite(gens).all():
+        raise MalformedGenerator("a generator has a non-finite entry")
+    try:
+        inverses = np.linalg.inv(gens)
+    except np.linalg.LinAlgError:
+        raise MalformedGenerator("a generator is singular") from None
+    if not np.isfinite(inverses).all():
+        raise MalformedGenerator("a generator is singular: its inverse overflows")
+    steps = np.concatenate([gens, inverses])
+    tol, wide, zero = DEFAULT_TOL, 10 * DEFAULT_TOL, VANISHING_TOL
+    key_row, conj = _KEY_ROW, complex.conjugate
+    seen = {_IDENTITY_KEY: [_IDENTITY_MEMBER]}
+    get, count, levels = seen.get, 1, [_IDENTITY_ROW]
+    # The first run closes {1} under a and a^-1, steps[0] and steps[len(gens)];
+    # the second closes H under all the steps.
+    for factors in (steps[::len(gens)], steps) if len(gens) > 1 else (steps,):
+        # The frontier holds one coset a row, H y as |H| rows of 9 entries;
+        # the first is H itself. ``right`` is the steps side by side, so one
+        # product multiplies every member of every coset by every step.
+        frontier = np.concatenate(levels).reshape(1, -1)
+        size, n_steps = frontier.shape[1] // 9, len(factors)
+        right = factors.transpose(1, 0, 2).reshape(3, -1)
         # factors[back[j]] takes frontier[j] to its parent; 1 has none
-        frontier, back = subgroup, [-1]
+        back = [-1]
         while len(frontier):
-            is_parent = [g == b for b in back for g in range(n_steps)]
-            flat, keys = unit_rows(np.matmul(frontier[:, None], factors[:, None]), size)
+            flat = (frontier.reshape(-1, 3) @ right).reshape(
+                len(frontier), size, 3, n_steps, 3).transpose(0, 3, 1, 2, 4).reshape(-1, 9)
+            real = flat.view(float)  # the same entries as real and imaginary parts
+            real /= np.sqrt(np.einsum("ij,ij->i", real, real))[:, None]
+            rows, keys = flat.tolist(), np.rint(np.abs(flat @ key_row)).tolist()
             fresh = []
-            products = zip(flat[:, 0].tolist(), keys[:, 0].tolist(), is_parent)
-            for i, (row, key, parent) in enumerate(products):
-                if parent:
+            for j, lead in enumerate(range(0, len(rows), size)):
+                if j % n_steps == back[j // n_steps]:
                     continue
-                members = chain(seen.get(key - 1, ()), seen.get(key, ()),
-                                seen.get(key + 1, ()))
-                if not any(known(row, other) for other in members):
-                    register(flat[i], keys[i])
-                    fresh.append(i)
-            frontier = flat[fresh].reshape(-1, size, 3, 3)
-            back = [inverse[i % n_steps] for i in fresh]
-
-    flat, keys = unit_rows(np.eye(3, dtype=complex), 1)
-    register(flat[0], keys[0])
-    # steps[0] and steps[len(gens)] are a and a^-1, if there is an a
-    close(flat.reshape(1, 1, 3, 3), steps[::max(len(gens), 1)])
-    if len(gens) > 1:  # else the group is H
-        close(np.concatenate(elements).reshape(1, -1, 3, 3), steps)
+                row, key = rows[lead], keys[lead]
+                for other in (*get(key - 1, ()), *get(key, ()), *get(key + 1, ())):
+                    inner = sum(map(mul, row, map(conj, other)))
+                    modulus = abs(inner)
+                    if modulus < zero:
+                        dist = max(map(abs, row)) + max(map(abs, other))
+                    else:
+                        lam = inner / modulus
+                        dist = max(map(abs, map(sub, row, map(lam.__mul__, other))))
+                    if tol < dist < wide:
+                        raise HashCollisionAmbiguity(
+                            "two elements differ by less than 10x the tolerance"
+                        )
+                    if dist <= tol:
+                        break
+                else:
+                    count += size
+                    if count > max_size:
+                        raise ExceededBound(f"group exceeds max_size = {max_size}")
+                    for k in range(lead, lead + size):
+                        seen.setdefault(keys[k], []).append(rows[k])
+                    fresh.append(j)
+            frontier = flat.reshape(-1, 9 * size)[fresh]
+            levels.append(frontier)
+            back = [(j + n_steps // 2) % n_steps for j in fresh]
     return count
 
 
 def stabilizer_generators(stabilizer: str, words: dict[str, np.ndarray]):
-    """Matrices for a stabiliser word string like "<Q^2,R'1>"."""
+    """Matrices for a stabiliser word string like "<Q^2,R'1>".
+
+    The string is "1" or "<w1,...>" with every name in ``words``; any other
+    string raises ``MalformedWord``.
+    """
     if stabilizer == "1":
         return [np.eye(3, dtype=complex)]
-    names = stabilizer.strip("<>").split(",")
+    match = re.fullmatch(r"<(.+)>", stabilizer)
+    names = match[1].split(",") if match else None
+    if names is None or not words.keys() >= set(names):
+        raise MalformedWord(f"not a stabiliser of words in the table: {stabilizer!r}")
     return [words[name] for name in names]
 
 

@@ -32,9 +32,14 @@ from dmlat.verification import (
     _BRAIDS,
     _CYCLE_IDENTITIES,
     _CYCLE_ORDERS,
+    _IDENTITY_KEY,
+    _IDENTITY_MEMBER,
+    _IDENTITY_ROW,
+    _KEY_ROW,
     _KEY_SCALE,
     _KEY_WEIGHTS,
     _MERGED_ROWS,
+    MalformedGenerator,
     apply_degenerations,
     base_orbit_table,
     check_relations,
@@ -281,6 +286,20 @@ class TestBFS:
         # tolerance while ||c||_1 * 10 tol < the bucket width 1/_KEY_SCALE.
         assert np.abs(_KEY_WEIGHTS).sum() < 3
         assert 30 * DEFAULT_TOL < 1 / _KEY_SCALE
+        # The same bound on the pre-scaled key row that the BFS reads, whose
+        # buckets are of width 1.
+        assert np.abs(_KEY_ROW).sum() * 10 * DEFAULT_TOL < 1
+
+    def test_identity_constants_are_a_level_of_the_identity(self):
+        # A level normalises each product row and keys it by rint(|m @ _KEY_ROW|).
+        flat = np.eye(3, dtype=complex).reshape(-1, 9)
+        real = flat.view(float)
+        real /= np.sqrt(np.einsum("ij,ij->i", real, real))[:, None]
+        keys = np.rint(np.abs(flat @ _KEY_ROW))
+        assert np.array_equal(_IDENTITY_ROW, flat)
+        assert _IDENTITY_MEMBER == tuple(flat[0].tolist())
+        assert _IDENTITY_KEY == keys[0] and type(_IDENTITY_KEY) is float
+        assert np.array_equal(_KEY_ROW, _KEY_WEIGHTS.conj().ravel() * _KEY_SCALE)
 
     def test_max_size_boundary(self):
         # |<Q^2>| = 12 and |<R'1>| = 4, so the 48 elements are 4 or 12
@@ -346,10 +365,69 @@ class TestBFS:
         with pytest.raises(ValueError):
             stabilizer_bfs([np.eye(3)], max_size=20000)
 
+    @pytest.mark.parametrize("max_size", [0, -1])
+    def test_max_size_below_one(self, max_size):
+        with pytest.raises(ValueError, match="1..10000"):
+            stabilizer_bfs([np.eye(3)], max_size=max_size)
+        assert stabilizer_bfs([np.eye(3)], max_size=1) == 1
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_generator_refused(self, entry):
+        # Refused before the first level: no RuntimeWarning (an error under
+        # this suite's settings) and no ExceededBound.
+        a = np.diag([1.0, np.exp(2j * np.pi / 3), 1.0])
+        bad = np.full((3, 3), entry)
+        for gens in ([bad], [a, bad]):
+            with pytest.raises(MalformedGenerator, match="non-finite"):
+                stabilizer_bfs(gens, max_size=2000)
+
+    @pytest.mark.parametrize("gens", [
+        [np.arange(1.0, 10.0)],  # a 9-vector is not reshaped into a matrix
+        np.arange(1.0, 10.0),
+        np.eye(3),  # one matrix, not a sequence of them
+        [np.eye(2)],
+        [np.eye(3), np.eye(2)],
+        [np.ones((3, 4))],
+        ["abc"],
+        [object()],
+        3,
+    ], ids=["9-vector", "bare 9-vector", "bare matrix", "2x2", "ragged",
+            "3x4", "string", "object", "scalar"])
+    def test_non_matrix_generator_refused(self, gens):
+        with pytest.raises(MalformedGenerator, match="3x3 matrices"):
+            stabilizer_bfs(gens)
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((3, 3)),
+        np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]),
+        np.diag([1e-310, 1.0, 1.0]),  # its float inverse overflows
+    ], ids=["zero", "rank 2", "subnormal"])
+    def test_singular_generator_refused(self, bad):
+        a = np.diag([1.0, np.exp(2j * np.pi / 3), 1.0])
+        for gens in ([bad], [a, bad]):
+            with pytest.raises(MalformedGenerator, match="singular"):
+                stabilizer_bfs(gens)
+
     def test_generator_words(self):
         w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
         gens = stabilizer_generators("<Q^2,R'1>", w)
         assert len(gens) == 2
+
+    @pytest.mark.parametrize("text", ["<Q^2,X>", "<>", "Q^2", "<Q^2,>",
+                                      "<Q^2", "Q^2>", "<<Q^2>>", "", "<1>"])
+    def test_malformed_stabilizer_raises(self, text):
+        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
+        with pytest.raises(MalformedWord):
+            stabilizer_generators(text, w)
+
+    def test_every_stabilizer_parses(self, triple):
+        w = _pairing_words(build_domain(LatticeSignature(*triple)))
+        rows = base_orbit_table() + list(_MERGED_ROWS.values())
+        for row in rows:
+            gens = stabilizer_generators(row.stabilizer, w)
+            names = [] if row.stabilizer == "1" else row.stabilizer[1:-1].split(",")
+            assert len(gens) == max(len(names), 1), row
+            assert all(g is w[name] for g, name in zip(gens, names)), row
 
 
 class TestRelations:
