@@ -289,8 +289,6 @@ _VERT_D_TABLE: dict[str, tuple[str | None, str | None, str | None, tuple]] = {
     "v24": (None, None, "t11", (None, None, "phi", "theta", "-phi'", 0)),
 }
 
-VERTEX_D_LABELS = tuple(_VERT_D_TABLE)
-
 
 @dataclass(frozen=True)
 class DomainVertexTable:

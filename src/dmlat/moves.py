@@ -256,14 +256,6 @@ def inverse(f: ConfiguredMap) -> ConfiguredMap:
     return ConfiguredMap(inv, f.target, f.source, label)
 
 
-def compose_chain(*maps: ConfiguredMap) -> ConfiguredMap:
-    """Compose left to right in application order: chain[0] is applied last."""
-    result = maps[-1]
-    for f in reversed(maps[:-1]):
-        result = compose(f, result)
-    return result
-
-
 def check_isometry(f: ConfiguredMap) -> bool:
     """True iff f.matrix* H(target) f.matrix == H(source) entrywise to ``DEFAULT_TOL``."""
     lhs = (f.matrix.conj().T * hermitian_form(f.target)) @ f.matrix
@@ -276,12 +268,8 @@ def check_braid(c: Configuration) -> bool:
     Both ways around the commuting square of exchanges are built from c and
     compared; the source and target configurations are asserted equal first.
     """
-    left = compose_chain(
-        move_R1(r2_target(r1_target(c))), move_R2(r1_target(c)), move_R1(c)
-    )
-    right = compose_chain(
-        move_R2(r1_target(r2_target(c))), move_R1(r2_target(c)), move_R2(c)
-    )
+    left = compose(move_R1(r2_target(r1_target(c))), compose(move_R2(r1_target(c)), move_R1(c)))
+    right = compose(move_R2(r1_target(r2_target(c))), compose(move_R1(r2_target(c)), move_R2(c)))
     if (left.source, left.target) != (right.source, right.target):
         raise ConfigMismatch("the two triple products do not share configurations")
     return projective_equal(left.matrix, right.matrix)

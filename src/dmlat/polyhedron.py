@@ -3,11 +3,11 @@
 Everything here is parametrized by one angle configuration. The ten complex
 lines are the one source, built in two coordinate frames (t and s, related
 by the inverse composite move): each of the fourteen vertices is where its
-two lines of ``VERTEX_LINES`` meet, and each side's modulus bound is the
-radius of a triple line. The checks compare the two frames with each other,
-and the vertices with the bisector equations, the side bounds and sampled
-half-space conditions. The sides are the ends of the four argument arcs of
-``_ARCS``.
+two lines of ``VERTEX_LINES`` meet. The sides are the ends of the four
+argument arcs of ``_ARCS``; the triple lines at an arc's ends (``_ARC_LINES``)
+give each side its modulus bound, its bullet's plain line and its vertices.
+The checks compare the two frames with each other, and the vertices with
+the bisector equations, the side bounds and sampled half-space conditions.
 """
 
 from __future__ import annotations
@@ -67,20 +67,33 @@ VERTEX_LINES: dict[str, tuple[str, str]] = {
 # (``arc_side``): the bisectors, bullets and ``in_D`` read their sides here.
 _ARCS = (("-phi", 0), (0, "theta"), (0, "phi''"), (0, "theta''"))
 
-# Bisector label -> (column of ``_ARCS``, end, bounding line, vertices on it).
-# The defining condition is im(phase * x) = 0, with the phase and coordinate
-# of that side; the side's modulus bound is the radius |l[2]| of the triple
-# line that bounds it, in the side's frame.
-BISECTOR_TABLE: dict[str, tuple[int, str, str, tuple[str, ...]]] = {
-    "B(P)": (0, "hi", "L_*0", ("t1", "t3", "t4", "t5", "t9", "t10", "t12", "t13")),
-    "B(P^-1)": (2, "lo", "L_*0", ("t2", "t3", "t4", "t5", "t6", "t8", "t13", "t14")),
-    "B(J)": (0, "lo", "L_*1", ("t1", "t6", "t7", "t8", "t9", "t11", "t12", "t14")),
-    "B(J^-1)": (2, "hi", "L_*3", ("t2", "t7", "t8", "t9", "t10", "t11", "t12", "t14")),
-    "B(R1)": (1, "lo", "L_*3", ("t1", "t3", "t4", "t6", "t7", "t9", "t10", "t11")),
-    "B(R1^-1)": (1, "hi", "L_*2", ("t1", "t3", "t5", "t6", "t8", "t12", "t13", "t14")),
-    "B(R2)": (3, "lo", "L_*2", ("t2", "t4", "t5", "t9", "t10", "t12", "t13", "t14")),
-    "B(R2^-1)": (3, "hi", "L_*1", ("t2", "t3", "t4", "t6", "t7", "t8", "t10", "t11")),
+# The triple line L_*i at each end of each arc of ``_ARCS``, (lo, hi) as i.
+_ARC_LINES = ((1, 0), (3, 2), (0, 3), (2, 1))
+
+# Bisector label -> (column of ``_ARCS``, end). The defining condition is
+# im(phase * x) = 0, with the phase and coordinate of that side.
+BISECTOR_TABLE: dict[str, tuple[int, str]] = {
+    "B(P)": (0, "hi"), "B(P^-1)": (2, "lo"), "B(J)": (0, "lo"), "B(J^-1)": (2, "hi"),
+    "B(R1)": (1, "lo"), "B(R1^-1)": (1, "hi"), "B(R2)": (3, "lo"), "B(R2^-1)": (3, "hi"),
 }
+
+
+def _side_table(arc_lines: tuple) -> dict[str, tuple]:
+    """Bisector label -> (column, end, bound line, plain line, vertices): at
+    an end whose triple line is L_*b (``arc_lines``), with L_*a at the arc's
+    other end, the bound is the radius |l[2]| of L_*b in the side's frame,
+    the bullet's plain line is L_*a, and the vertices are those of
+    ``VERTEX_LINES`` on none of L_*a, L_bc and L_bd, {c, d} the other two."""
+    table = {}
+    for bis, (column, end) in BISECTOR_TABLE.items():
+        a, b = arc_lines[column][::1 if end == "hi" else -1]
+        off = {f"L_*{a}"} | {"L_%d%d" % tuple(sorted((b, i))) for i in {0, 1, 2, 3} - {a, b}}
+        members = tuple(v for v, pair in VERTEX_LINES.items() if off.isdisjoint(pair))
+        table[bis] = (column, end, f"L_*{b}", f"L_*{a}", members)
+    return table
+
+
+_SIDES = _side_table(_ARC_LINES)
 
 
 def arc_side(arcs: tuple, angles: dict, column: int, end: str) -> tuple:
@@ -290,7 +303,7 @@ def _bisector_coords(c: Configuration):
     bisector that has not collapsed (``collapsed_vertices``)."""
     lines, angles = (lines_t(c), lines_s(c)), _arc_angles(c)
     verts, collapsed = (vertices_t(c), vertices_s(c)), collapsed_vertices(c)
-    for bis, (column, end, line, members) in BISECTOR_TABLE.items():
+    for bis, (column, end, line, _, members) in _SIDES.items():
         chart, phase, coord, _ = arc_side(_ARCS, angles, column, end)
         bound = abs(lines[chart][line][2])
         yield from ((bis, phase, bound, verts[chart][name][coord - 1])
@@ -350,19 +363,19 @@ def _bullet_table(c: Configuration) -> tuple[Bullet, ...]:
     """
     cs, pt, rt = p_inverse_target(c), p_target(c), r1_target(c)
     forms, angles = (hermitian_form(c), hermitian_form(cs)), _arc_angles(c)
-    specs = (  # bisector, plain line, move, mapped line at
-        ("B(P)", "L_*1", move_P_inverse(pt), "L_*3", pt),
-        ("B(P^-1)", "L_*3", move_P(cs), "L_*1", c),
-        ("B(J)", "L_*0", inverse(move_J(c)), "L_*0", pt),
-        ("B(J^-1)", "L_*0", move_A1(cs), "L_*0", c),
-        ("B(R1)", "L_*2", inverse(move_R1(c)), "L_*3", rt),
-        ("B(R1^-1)", "L_*3", move_R1(rt), "L_*2", rt),
-        ("B(R2)", "L_*1", move_R2(cs), "L_*3", c),
-        ("B(R2^-1)", "L_*2", move_R1(cs), "L_*1", c),
+    specs = (  # move, mapped line at, in the order of ``_SIDES``
+        (move_P_inverse(pt), "L_*3", pt),
+        (move_P(cs), "L_*1", c),
+        (inverse(move_J(c)), "L_*0", pt),
+        (move_A1(cs), "L_*0", c),
+        (inverse(move_R1(c)), "L_*3", rt),
+        (move_R1(rt), "L_*2", rt),
+        (move_R2(cs), "L_*3", c),
+        (move_R1(cs), "L_*1", c),
     )
     bullets = []
-    for bis, plain, move, mapped, at in specs:
-        chart, *side = arc_side(_ARCS, angles, *BISECTOR_TABLE[bis][:2])
+    for (column, end, _, plain, _), (move, mapped, at) in zip(_SIDES.values(), specs):
+        chart, *side = arc_side(_ARCS, angles, column, end)
         h, n = forms[chart], _normal_at(c, plain, chart)
         bullets.append(Bullet(chart, *side, chart, _polar_row(n, h, plain), _polar_row(
             move.matrix @ _normal_at(at, mapped, chart), h, mapped)))

@@ -27,7 +27,6 @@ from dmlat.arithmetic import (
 from dmlat.catalog import LatticeSignature
 from dmlat.cli import main
 from dmlat.domain import (
-    VERTEX_D_LABELS,
     _pairing_words,
     _word,
     bisD_check,
@@ -253,7 +252,7 @@ class TestSidePairings:
 
 class TestVerticesD:
     def test_24_labels(self):
-        assert len(VERTEX_D_LABELS) == 24
+        assert len(vertices_D(build_domain(LatticeSignature(4, 4, 6))).coords) == 24
 
     def test_argument_table(self, triple):
         vd = vertices_D(build_domain(LatticeSignature(*triple)))

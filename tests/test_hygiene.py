@@ -23,6 +23,10 @@ of ``arithmetic.py``; every other module reads it from there by name.
 Every name that ``perfbench/`` or ``demos/`` imports from ``dmlat``, at the
 top of a module or inside a function, exists, so that a rename in the
 package fails here rather than when the benchmark runs.
+A single-copy vertex name, ``t1`` to ``t14``, is written as a string only in
+``polyhedron.VERTEX_LINES``, ``domain._VERT_D_TABLE`` and
+``domain.boundary_null_vertices``; every other list of vertices, such as a
+side's, is derived from their lines.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +54,11 @@ CLIENTS = sorted(path for folder in ("perfbench", "demos")
                  for path in (Path(__file__).parents[1] / folder).glob("*.py"))
 IMPORTS = (ast.Import, ast.ImportFrom)
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# A single-copy vertex name.
+VERTEX_NAME = re.compile(r"t([1-9]|1[0-4])")
+# The module-level definitions that may write one, per module.
+VERTEX_TABLES = {"polyhedron.py": {"VERTEX_LINES"},
+                 "domain.py": {"_VERT_D_TABLE", "boundary_null_vertices"}}
 # The methods of a numpy Generator that draw numbers.
 DRAWING = ({name for name in dir(np.random.Generator) if not name.startswith("_")}
            - {"bit_generator", "spawn"})
@@ -377,6 +387,39 @@ def test_unread_field_detector():
     reader = ast.parse("a.x\nb.y = 1\nz = 2\nprint(z)\n")
     assert unread_fields(module, attributes_loaded(reader)) == ["A.y", "A.z", "C.v"]
 
+
+def vertex_names(tree: ast.Module, allowed: frozenset[str] = frozenset()) -> list[str]:
+    """``definition:line`` of every string literal that is a vertex name
+    (``VERTEX_NAME``), outside the module-level functions, classes and
+    assigned names in ``allowed``; other module-level code is ``<module>``."""
+    found = []
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [
+            getattr(stmt, "target", None)]
+        names = [stmt.name] if isinstance(stmt, (*FUNCTIONS, ast.ClassDef)) else [
+            t.id for t in targets if isinstance(t, ast.Name)]
+        if allowed.intersection(names):
+            continue
+        found += [f"{(names or ['<module>'])[0]}:{node.lineno}" for node in ast.walk(stmt)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and VERTEX_NAME.fullmatch(node.value)]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_vertex_names_only_in_the_tables(path):
+    allowed = frozenset(VERTEX_TABLES.get(path.name, ()))
+    assert vertex_names(_parse(path), allowed) == []
+
+
+def test_vertex_name_detector():
+    # t15, t0 and t are no vertex names; a dict key, an annotated table,
+    # a function, a class body and a bare module-level string are all seen.
+    tree = ast.parse('T = {"t1": ("L_01", "t15")}\nU: dict = {"v1": "t14"}\n'
+                     'def f():\n    return "t3", "t0", "t"\nclass C:\n    x = "t10"\n'
+                     '"t2"\n')
+    assert vertex_names(tree, frozenset({"T"})) == ["U:2", "f:4", "C:6", "<module>:7"]
+    assert vertex_names(tree) == ["T:1", "U:2", "f:4", "C:6", "<module>:7"]
 
 
 def package_imports(tree: ast.Module) -> list[tuple[str, str, int]]:

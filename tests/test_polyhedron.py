@@ -10,7 +10,7 @@ import pytest
 
 import dmlat.polyhedron as polyhedron_mod
 from dmlat.arithmetic import hermitian_eval
-from dmlat.catalog import LatticeSignature
+from dmlat.catalog import LatticeSignature, catalog
 from dmlat.moves import (
     DegenerateDenominator,
     configurations_of,
@@ -40,6 +40,22 @@ from dmlat.polyhedron import (
 # The 128 triples of [2,39]^3 whose derived orders are integers.
 SWEEP_TRIPLES = [tuple(map(int, key.split(","))) for key in json.loads(
     (Path(__file__).parent / "data" / "vertex_sweep.json").read_text())]
+
+# The seven triples whose charts all meet the side-combinatorics precondition.
+GENERIC = [(4, 4, 5), (4, 4, 6), (3, 3, 4), (2, 6, 6), (2, 4, 3), (2, 3, 3), (3, 4, 4)]
+
+# Each bisector's (bound line, plain line, vertices), as they were listed by
+# hand before ``polyhedron._side_table`` derived them from ``_ARC_LINES``.
+SIDE_ROWS = {
+    "B(P)": ("L_*0", "L_*1", ("t1", "t3", "t4", "t5", "t9", "t10", "t12", "t13")),
+    "B(P^-1)": ("L_*0", "L_*3", ("t2", "t3", "t4", "t5", "t6", "t8", "t13", "t14")),
+    "B(J)": ("L_*1", "L_*0", ("t1", "t6", "t7", "t8", "t9", "t11", "t12", "t14")),
+    "B(J^-1)": ("L_*3", "L_*0", ("t2", "t7", "t8", "t9", "t10", "t11", "t12", "t14")),
+    "B(R1)": ("L_*3", "L_*2", ("t1", "t3", "t4", "t6", "t7", "t9", "t10", "t11")),
+    "B(R1^-1)": ("L_*2", "L_*3", ("t1", "t3", "t5", "t6", "t8", "t12", "t13", "t14")),
+    "B(R2)": ("L_*2", "L_*1", ("t2", "t4", "t5", "t9", "t10", "t12", "t13", "t14")),
+    "B(R2^-1)": ("L_*1", "L_*2", ("t2", "t3", "t4", "t6", "t7", "t8", "t10", "t11")),
+}
 
 
 def drop_line(monkeypatch, module, line):
@@ -140,8 +156,7 @@ class TestIncidence:
             assert bisector_membership_check(c)
 
     def test_side_bounds_generic(self):
-        for triple in ((4, 4, 5), (4, 4, 6), (3, 3, 4), (2, 6, 6), (3, 4, 4),
-                       (2, 4, 3), (2, 3, 3), (3, 3, 3)):
+        for triple in GENERIC + [(3, 3, 3)]:
             for chart, c in _named_configs(triple):
                 assert side_bound_check(c), (triple, chart)
 
@@ -175,7 +190,7 @@ class TestIncidence:
         # the per-chart rule, the side bounds read it and fail.
         _, _, c3 = _configs((2, 4, 3))
         assert collapsed_vertices(c3) == {"t3", "t4", "t5", "t12", "t13", "t14"}
-        assert "t4" in polyhedron_mod.BISECTOR_TABLE["B(R1)"][3]
+        assert "t4" in polyhedron_mod._SIDES["B(R1)"][4]
         assert abs(vertices_t(c3)["t4"][1]) == pytest.approx(3 ** 0.5)
         assert abs(lines_t(c3)["L_*3"][2]) == pytest.approx(3 ** -0.5)
         assert side_bound_check(c3)
@@ -184,6 +199,75 @@ class TestIncidence:
         rows = [(bound, abs(x)) for bis, _, bound, x
                 in polyhedron_mod._bisector_coords(c3) if bis == "B(R1)"]
         assert max(modulus for _, modulus in rows) == pytest.approx(3 ** 0.5)
+
+
+def _end_line_changes():
+    """Each single-index change of ``_ARC_LINES`` to an index not already in
+    its column (16), and each column's lo/hi swap (4)."""
+    base = polyhedron_mod._ARC_LINES
+    for column, ends in enumerate(base):
+        for k in (0, 1):
+            for i in sorted({0, 1, 2, 3} - set(ends)):
+                changed = list(ends)
+                changed[k] = i
+                yield base[:column] + (tuple(changed),) + base[column + 1:]
+        yield base[:column] + (ends[::-1],) + base[column + 1:]
+
+
+def _single_copy_fails(c) -> bool:
+    """The bisector equations, or the side bounds where they apply, fail on c."""
+    if not bisector_membership_check(c):
+        return True
+    return not pp_possible(c) and not side_bound_check(c)
+
+
+class TestSides:
+    def test_derived_rows_are_the_listed_ones(self):
+        assert [(bis, row[2:]) for bis, row in polyhedron_mod._SIDES.items()] == list(
+            SIDE_ROWS.items())
+
+    def test_every_built_line_is_a_line(self, monkeypatch):
+        # With one vertex on each line alone, a side keeps the lines the rule
+        # does not leave out: exactly three are left out, the plain line one
+        # of them, so every name the rule builds is one of LINE_LABELS.
+        monkeypatch.setattr(polyhedron_mod, "VERTEX_LINES",
+                            {label: (label, label) for label in LINE_LABELS})
+        for bis, (_, _, bound, plain, kept) in polyhedron_mod._side_table(
+                polyhedron_mod._ARC_LINES).items():
+            off = set(LINE_LABELS) - set(kept)
+            assert bound in kept and plain in off and len(off) == 3, bis
+
+    def test_each_end_line_change_fails_a_check(self, monkeypatch):
+        charts = [c for sig in catalog() for c in configurations_of(sig)]
+        assert not any(map(_single_copy_fails, charts))
+        caught = []
+        for arc_lines in _end_line_changes():
+            monkeypatch.setattr(polyhedron_mod, "_SIDES",
+                                polyhedron_mod._side_table(arc_lines))
+            caught.append(sum(map(_single_copy_fails, charts)))
+        assert len(caught) == 20 and min(caught) > 0
+        # The four swaps each fail on 35 of the 39 catalog charts.
+        assert caught[4::5] == [35] * 4
+
+    def test_members_are_the_vertices_on_the_side(self):
+        # Evidence that does not read the rule: on the 21 charts of the
+        # generic triples and (3,3,3) C3, a side's surviving vertices are
+        # exactly the surviving vertices on its im-equation that in_D takes.
+        charts = [c for triple in GENERIC for c in _configs(triple)]
+        charts.append(_configs((3, 3, 3))[2])
+        pairs = 0
+        for c in charts:
+            collapsed, angles = collapsed_vertices(c), polyhedron_mod._arc_angles(c)
+            verts = (vertices_t(c), vertices_s(c))
+            for bis, (column, end) in polyhedron_mod.BISECTOR_TABLE.items():
+                chart, phase, coord, _ = polyhedron_mod.arc_side(
+                    polyhedron_mod._ARCS, angles, column, end)
+                on_side = {v for v in VERTEX_LINES if v not in collapsed
+                           and abs((phase * verts[chart][v][coord - 1]).imag) <= 1e-9
+                           and in_D(verts[0][v], c)}
+                assert set(polyhedron_mod._SIDES[bis][4]) - collapsed == on_side, (c, bis)
+                pairs += 1
+        assert pairs == 176
 
 
 class TestMembership:
