@@ -92,17 +92,27 @@ class ExtOrder:
         return "inf" if self.value is None else self.value
 
 
-@cache
 def sin_pi(q: RationalLike) -> float:
     """sin(q*pi) with exact 0.0 at integer q and exact symmetry.
 
     The argument is folded into the first quadrant before evaluation, so
     sin_pi(1 - q) == sin_pi(q) and sin_pi(-q) == -sin_pi(q) hold exactly at
     the floating point representation level. Each value is computed once per
-    process: equal keys are equal rationals, since numeric equality is exact.
+    process, cached by the int pair ``_angle_key(q)``.
     """
-    q = Fraction(q)
-    r = q % 2
+    return _sin_pi(*_angle_key(q))
+
+
+def _angle_key(q: RationalLike) -> tuple[int, int]:
+    """q's reduced (numerator, denominator): cheaper to hash than a Fraction."""
+    if not isinstance(q, (Fraction, int)):
+        q = Fraction(q)
+    return q.numerator, q.denominator
+
+
+@cache
+def _sin_pi(numerator: int, denominator: int) -> float:
+    r = Fraction(numerator, denominator) % 2
     if r.denominator == 1:
         return 0.0
     sign = 1.0
@@ -129,10 +139,14 @@ def sin_pi_sign(q: RationalLike) -> int:
     return 1 if r < 1 else -1
 
 
-@cache
 def exp_i_pi(q: RationalLike) -> complex:
     """exp(i*q*pi) evaluated via the exact-zero sin/cos, once per process."""
-    q = Fraction(q)
+    return _exp_i_pi(*_angle_key(q))
+
+
+@cache
+def _exp_i_pi(numerator: int, denominator: int) -> complex:
+    q = Fraction(numerator, denominator)
     return complex(cos_pi(q), sin_pi(q))
 
 
@@ -149,37 +163,45 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def _as_pair(m, n) -> tuple[np.ndarray, np.ndarray]:
+def _as_pair(m, n) -> tuple[list, list]:
+    """Two 3x3 matrices or two 3-vectors as two flat lists of Python complex."""
     m, n = np.asarray(m, dtype=complex), np.asarray(n, dtype=complex)
     if m.shape != n.shape or m.shape not in ((3, 3), (3,)):
         raise ValueError(f"expected two 3x3 matrices or two 3-vectors, got {m.shape}, {n.shape}")
-    return m, n
+    return m.ravel().tolist(), n.ravel().tolist()
+
+
+def _scale(m: list, n: list, tol: float) -> tuple[complex, float]:
+    """lambda = m[i] / n[i] at n's largest entry, and that entry's modulus."""
+    sizes = [abs(x) for x in n]
+    top = max(sizes)
+    if top < tol:
+        raise ZeroMatrix("reference matrix is numerically zero")
+    i = sizes.index(top)
+    return m[i] / n[i], top
 
 
 def projective_scale(m, n, tol: float = DEFAULT_TOL) -> complex:
     """Scalar lambda such that m approximates lambda*n, from n's largest entry."""
-    m, n = _as_pair(m, n)
-    idx = np.unravel_index(np.argmax(np.abs(n)), n.shape)
-    if abs(n[idx]) < tol:
-        raise ZeroMatrix("reference matrix is numerically zero")
-    return m[idx] / n[idx]
+    return _scale(*_as_pair(m, n), tol)[0]
 
 
 def projective_equal(m, n, tol: float = DEFAULT_TOL) -> bool:
     """True iff m == lambda*n within tol, relative to n's largest entry.
 
     m and n are two 3x3 matrices or two 3-vectors: two maps, two forms or
-    two line vectors, each determined up to a nonzero scalar.
+    two line vectors, each determined up to a nonzero scalar. Their entries
+    are read once, as Python scalars: cheaper than numpy calls on nine.
     """
     m, n = _as_pair(m, n)
-    lam = projective_scale(m, n, tol)
-    return bool(np.max(np.abs(m - lam * n)) <= tol * np.max(np.abs(n)))
+    lam, top = _scale(m, n, tol)
+    return all(abs(a - lam * b) <= tol * top for a, b in zip(m, n))
 
 
 def renormalize(m) -> np.ndarray:
     """Divide a matrix by its largest-modulus entry (guards over/underflow)."""
     m = _as_matrix(m)
-    top = np.max(np.abs(m))
+    top = np.abs(m).max()
     if top == 0.0:
         raise ZeroMatrix("cannot renormalize the zero matrix")
     return m / top
@@ -229,6 +251,6 @@ def no_finite_point(v) -> bool:
     True when the third coordinate vanishes against the largest entry: a
     point at infinity, or the zero vector of a singular chart.
     """
-    v = np.asarray(v)
-    return bool(abs(v[2]) <= VANISHING_TOL * np.max(np.abs(v)))
+    v = np.asarray(v).tolist()
+    return abs(v[2]) <= VANISHING_TOL * max(map(abs, v))
 

@@ -66,13 +66,14 @@ _SECTORS = (("-phi", 0), ("-theta", "theta"), (0, "phi"), ("-theta", "theta"),
             ("-phi'", _FP), (0, _TP))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainD:
     """The glued domain: signature, the three charts and the k'-flag.
 
     The maps between the z-chart and the others, the argument sectors and the
     frame-diagram verdict are computed on first use and kept, the maps
-    read-only.
+    read-only. ``build_domain`` makes one domain per signature, so domains
+    compare and hash by identity, the cheap key of the per-domain caches.
     """
 
     signature: LatticeSignature
@@ -156,7 +157,7 @@ def build_domain(sig: LatticeSignature) -> DomainD:
     return dom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SidePairingSet:
     """The six side pairings in the z-frame, with factorization checks."""
 
@@ -290,7 +291,7 @@ _VERT_D_TABLE: dict[str, tuple[str | None, str | None, str | None, tuple]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainVertexTable:
     """z-frame coordinates of the 24 vertices plus cross-check results.
 
@@ -345,7 +346,8 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
         notes.append("k'-negative regime: y2 arguments compared modulo pi")
     if not y_usable:
         notes.append("k' infinite: the second chart is singular, y columns skipped")
-    for label, (z_alias, x_alias, y_alias, cells) in _VERT_D_TABLE.items():
+    checked: list[str] = []  # not collapsed, with a finite point
+    for label, (z_alias, x_alias, y_alias, _) in _VERT_D_TABLE.items():
         if z_alias is not None:
             z = vt3[z_alias]
         elif x_alias is not None:
@@ -356,22 +358,20 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
         if finite:
             z = z / z[2]
         coords[label] = read_only(z)
-        if label in collapsed:
-            continue
-        if not finite:
-            unplaced.append(label)
-            continue
-        w = dom.w_of_z @ z
-        w = w / w[2]
-        if y_usable:
-            y = dom.y_of_z @ z
-            y = y / y[2]
-        else:
-            y = np.zeros(3, dtype=complex)
-        values = (z[0], z[1], w[0], w[1], y[0], y[1])
-        for col, (cell, val) in enumerate(zip(cells, values)):
-            if cell is None or (col >= 4 and not y_usable):
+        if label not in collapsed:
+            (checked if finite else unplaced).append(label)
+    # One product per chart map for all the checked vertices, read as scalars.
+    zs = np.array([coords[label] for label in checked]).reshape(-1, 3).T
+    w = dom.w_of_z @ zs
+    columns = [*zs[:2].tolist(), *(w[:2] / w[2]).tolist()]
+    if y_usable:
+        y = dom.y_of_z @ zs
+        columns += (y[:2] / y[2]).tolist()
+    for j, label in enumerate(checked):
+        for col, (cell, column) in enumerate(zip(_VERT_D_TABLE[label][3], columns)):
+            if cell is None:
                 continue
+            val = column[j]
             if cell == "zero":
                 if abs(val) > ZERO_COORD_TOL:
                     failures.append(f"{label}: expected zero, |value|={abs(val):.2e}")

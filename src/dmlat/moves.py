@@ -47,6 +47,12 @@ class Configuration:
     theta: PiRational
     phi: PiRational
 
+    def __post_init__(self) -> None:  # hashed once: the key of every move cache
+        object.__setattr__(self, "_hash", hash(self.angles()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def angles(self) -> tuple[PiRational, PiRational, PiRational, PiRational]:
         return (self.alpha, self.beta, self.theta, self.phi)
 
@@ -54,11 +60,12 @@ class Configuration:
         return f"({self.alpha}, {self.beta}, {self.theta}, {self.phi})*pi"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfiguredMap:
     """A matrix mapping source-frame coordinates to target-frame coordinates.
 
-    The matrix is made read-only, so that the cached moves can be shared.
+    The matrix is made read-only, so that the cached moves can be shared;
+    maps compare by identity.
     """
 
     matrix: np.ndarray

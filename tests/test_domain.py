@@ -110,6 +110,16 @@ class TestBuiltOnce:
         if triple != (3, 3, 3):  # v_of_z has a zero denominator there
             assert domain_mod._glueing_forms(dom) is domain_mod._glueing_forms(dom)
 
+    def test_compared_by_identity(self):
+        # A domain and what is built on it hold arrays or a dict: == is
+        # identity, and the hash is the object's own, never a field's.
+        dom = build_domain(LatticeSignature(4, 4, 6))
+        for built in (dom, side_pairings(dom), side_pairings(dom).K, vertices_D(dom)):
+            copy = dataclasses.replace(built)
+            assert built == built and not built != built
+            assert copy != built and not copy == built
+            assert hash(built) == object.__hash__(built)
+
     def test_shared_arrays_read_only(self):
         dom = build_domain(LatticeSignature(4, 4, 6))
         shared = {"x_of_z": dom.x_of_z, "y_of_z": dom.y_of_z,

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import dmlat.moves as moves_mod
-from dmlat.arithmetic import exp_i_pi, projective_equal, sin_pi
+from dmlat.arithmetic import _angle_key, _exp_i_pi, _sin_pi, exp_i_pi, projective_equal, sin_pi
 from dmlat.catalog import LatticeSignature, catalog, derive_params
 from dmlat.moves import (
     ConfigMismatch,
+    Configuration,
     DegenerateDenominator,
     SingularMatrix,
     check_braid,
@@ -174,13 +175,27 @@ class TestCaches:
             with pytest.raises(ValueError):
                 array.flat[0] = 0.0
 
+    def test_equal_configuration_hits_the_cache(self):
+        # A chart built afresh from the same angles is another object with
+        # the same hash and the same cached moves.
+        for c in _configs((4, 4, 6)):
+            again = Configuration(*c.angles())
+            assert again is not c and again == c and hash(again) == hash(c)
+            assert hash(c) == hash(c.angles())
+            for build in MEMOISED:
+                with contextlib.suppress(DegenerateDenominator):
+                    assert build(again) is build(c), build.__name__
+
     def test_cached_angles_equal_direct_evaluation(self, monkeypatch):
         # Record every angle the moves of the 13 signatures' charts evaluate,
         # building each move afresh, then compare cached and direct values.
+        # The direct value is the uncached evaluation of the int-pair key.
         cached = {"sin_pi": sin_pi, "exp_i_pi": exp_i_pi}
+        direct = {"sin_pi": lambda q: _sin_pi.__wrapped__(*_angle_key(q)),
+                  "exp_i_pi": lambda q: _exp_i_pi.__wrapped__(*_angle_key(q))}
         angles = {name: set() for name in cached}
         for name, seen in angles.items():
-            monkeypatch.setattr(moves_mod, name, lambda q, f=cached[name].__wrapped__,
+            monkeypatch.setattr(moves_mod, name, lambda q, f=direct[name],
                                 s=seen: s.add(q) or f(q))
         for sig in catalog():
             for c in configurations_of(sig):
@@ -191,4 +206,4 @@ class TestCaches:
         assert len(angles["sin_pi"]) >= 30 and len(angles["exp_i_pi"]) >= 56
         for name, seen in angles.items():
             for q in seen:
-                assert cached[name](q) == cached[name].__wrapped__(q), (name, q)
+                assert cached[name](q) == direct[name](q), (name, q)
