@@ -98,7 +98,8 @@ def sin_pi(q: RationalLike) -> float:
     The argument is folded into the first quadrant before evaluation, so
     sin_pi(1 - q) == sin_pi(q) and sin_pi(-q) == -sin_pi(q) hold exactly at
     the floating point representation level. Each value is computed once per
-    process, cached by the int pair ``_angle_key(q)``.
+    process, cached by the int pair ``_angle_key(q)``. A float is refused
+    with ``TypeError``: it is not the rational it approximates.
     """
     return _sin_pi(*_angle_key(q))
 
@@ -106,37 +107,47 @@ def sin_pi(q: RationalLike) -> float:
 def _angle_key(q: RationalLike) -> tuple[int, int]:
     """q's reduced (numerator, denominator): cheaper to hash than a Fraction."""
     if not isinstance(q, (Fraction, int)):
+        if isinstance(q, float):
+            raise TypeError(f"an angle is a Fraction, an int or a string, not the float {q!r}")
         q = Fraction(q)
     return q.numerator, q.denominator
 
 
 @cache
 def _sin_pi(numerator: int, denominator: int) -> float:
-    r = Fraction(numerator, denominator) % 2
-    if r.denominator == 1:
+    # r = n/d = q mod 2, reduced, folded into [0, 1/2] in integers.
+    n, d = numerator % (2 * denominator), denominator
+    if d == 1:
         return 0.0
     sign = 1.0
-    if r > 1:
+    if n > d:
         sign = -1.0
-        r -= 1
-    if 2 * r > 1:
-        r = 1 - r
-    if 2 * r == 1:
+        n -= d
+    if 2 * n > d:
+        n = d - n
+    if 2 * n == d:
         return sign
-    return sign * math.sin(math.pi * float(r))
+    return sign * math.sin(math.pi * (n / d))
 
 
 def cos_pi(q: RationalLike) -> float:
     """cos(q*pi) with exact 0.0 at half-integer q."""
-    return sin_pi(Fraction(q) + Fraction(1, 2))
+    return _cos_pi(*_angle_key(q))
+
+
+def _cos_pi(numerator: int, denominator: int) -> float:
+    """sin((q + 1/2) pi), keyed by the reduced pair of q + 1/2."""
+    n, d = 2 * numerator + denominator, 2 * denominator
+    g = math.gcd(n, d)
+    return _sin_pi(n // g, d // g)
 
 
 def sin_pi_sign(q: RationalLike) -> int:
     """Exact sign of sin(q*pi): 1, 0 or -1, decided on the rational alone."""
-    r = Fraction(q) % 2
-    if r.denominator == 1:
+    n, d = _angle_key(q)
+    if d == 1:
         return 0
-    return 1 if r < 1 else -1
+    return 1 if n % (2 * d) < d else -1
 
 
 def exp_i_pi(q: RationalLike) -> complex:
@@ -146,8 +157,7 @@ def exp_i_pi(q: RationalLike) -> complex:
 
 @cache
 def _exp_i_pi(numerator: int, denominator: int) -> complex:
-    q = Fraction(numerator, denominator)
-    return complex(cos_pi(q), sin_pi(q))
+    return complex(_cos_pi(numerator, denominator), _sin_pi(numerator, denominator))
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

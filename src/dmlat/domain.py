@@ -30,6 +30,7 @@ from dmlat.moves import (
     ConfiguredMap,
     Configuration,
     SingularMatrix,
+    chart,
     compose,
     configurations_of,
     hermitian_form,
@@ -140,9 +141,9 @@ class DomainD:
 
 def _sector_angles(dom: DomainD) -> dict:
     """The named angles of ``_SECTORS``, from the C3 and C2 charts."""
-    t, f, fp = dom.c3.theta, dom.c3.phi, dom.c2.phi
-    return {0: 0, "theta": t, "-theta": -t, "phi": f, "-phi": -f,
-            _TP: dom.c2.theta, _FP: fp, "-phi'": -fp}
+    q3, q2 = chart(dom.c3).angle, chart(dom.c2).angle
+    return {0: 0, "theta": q3["t"], "-theta": q3["-t"], "phi": q3["f"], "-phi": q3["-f"],
+            _TP: q2["t"], _FP: q2["f"], "-phi'": q2["-f"]}
 
 
 @cache
@@ -228,16 +229,41 @@ _LETTER = re.compile(r"(R'[012]|A'0|A1|K|Q)(?:\^(-?\d+))?")
 _WORD = re.compile(f"(?:{_LETTER.pattern})+")
 
 
+@cache
+def _letters(text: str) -> tuple[tuple[str, int], ...]:
+    """The (letter, power) pairs of a word, parsed once per text; any text
+    outside the grammar raises ``MalformedWord`` on every call."""
+    if not _WORD.fullmatch(text):
+        raise MalformedWord(f"not a word in the pairings and A1: {text!r}")
+    return tuple((letter, int(power or 1)) for letter, power in _LETTER.findall(text))
+
+
+# Each read-only letter matrix and its inverse, by the matrix's identity. A
+# word table is read-only, so each of its letters is inverted once.
+_INVERSES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(m), which is what np.linalg.matrix_power(m, -1) computes."""
+    if m.flags.writeable:
+        return np.linalg.inv(m)
+    if id(m) not in _INVERSES:
+        _INVERSES[id(m)] = (m, read_only(np.linalg.inv(m)))
+    return _INVERSES[id(m)][1]
+
+
 def _word(text: str, w: dict[str, np.ndarray]) -> np.ndarray:
     """The matrix of a word in the pairings and A1, such as "R'2^-1QR'1".
 
     A word is letters, each with an optional integer power; any other text,
-    such as parentheses, raises ``MalformedWord``.
+    such as parentheses, raises ``MalformedWord``. A letter at power 1 is
+    its matrix, at power -1 its inverse (``_inverse``); other powers are
+    ``np.linalg.matrix_power``.
     """
-    if not _WORD.fullmatch(text):
-        raise MalformedWord(f"not a word in the pairings and A1: {text!r}")
-    return reduce(np.matmul, [np.linalg.matrix_power(w[letter], int(power or 1))
-                              for letter, power in _LETTER.findall(text)])
+    return reduce(np.matmul, [
+        w[letter] if n == 1 else _inverse(w[letter]) if n == -1
+        else np.linalg.matrix_power(w[letter], n)
+        for letter, n in _letters(text)])
 
 
 # The words of the orbit table's stabilisers and of the cycle checks.

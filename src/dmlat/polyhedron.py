@@ -22,13 +22,13 @@ from dmlat.arithmetic import (
     BULLET_NEUTRAL, DEFAULT_TOL, MEMBERSHIP_TOL, RESIDUAL_TOL, VANISHING_TOL, ZERO_COORD_TOL,
     no_finite_point,
     read_only,
-    sin_pi,
     sin_pi_sign,
     exp_i_pi,
 )
 from dmlat.moves import (
     Configuration,
     _check_denominators,
+    chart,
     hermitian_form,
     inverse,
     move_A1,
@@ -117,7 +117,8 @@ def arc_radians(arcs: tuple, angles: dict) -> tuple[tuple[float, float], ...]:
 def _arc_angles(c: Configuration) -> dict:
     """The named angles of ``_ARCS``; theta'' and phi'' are the s-chart's."""
     cs = p_inverse_target(c)
-    return {0: 0, "-phi": -c.phi, "theta": c.theta, "phi''": cs.phi, "theta''": cs.theta}
+    return {0: 0, "-phi": chart(c).angle["-f"], "theta": c.theta, "phi''": cs.phi,
+            "theta''": cs.theta}
 
 
 class SingularSystem(ValueError):
@@ -140,25 +141,36 @@ def _line_table(eqs: dict) -> MappingProxyType[str, np.ndarray]:
                              for k, (a, b, c) in eqs.items()})
 
 
+# The s-frame name of each t-frame line of ``LINE_LABELS``: the s-frame
+# numbers the triple lines 0, 1, 2, 3 of the t-frame as 0, 3, 1, 2.
+_S_NAMES = ("L_*0", "L_*3", "L_*1", "L_*2", "L_03", "L_01", "L_02", "L_13", "L_23", "L_12")
+
+
+def _lines(c: Configuration, f_phase: str, f_conj: str, names: tuple) -> MappingProxyType:
+    """The ten t-frame line shapes at chart c, under ``names``, with the phases
+    of phi written ``f_phase`` (on L_*1) and ``f_conj`` (on L_02 and L_03)."""
+    _check_denominators(c, "t+f", "a", "b", "a-f", "b-t")
+    k = chart(c)
+    s, e = k.sin, k.exp
+    sa, sb, saf, sbt, stf = s["a"], s["b"], s["a-f"], s["b-t"], s["t+f"]
+    return _line_table(dict(sorted(zip(names, (
+        (1, 0, saf * s["t"] / (sa * stf)),
+        (1, 0, e[f_phase] * s["t"] / stf),
+        (0, 1, e["t"] * s["f"] / stf),
+        (0, 1, sbt * s["f"] / (sb * stf)),
+        (1, 0, 0),
+        (sa / saf * e[f_conj], 1, 1),
+        (sa / saf * e[f_conj], e["-t"] * sb / sbt, 1),
+        (1, 1, 1),
+        (1, e["-t"] * sb / sbt, 1),
+        (0, 1, 0),
+    )))))
+
+
 @cache
 def lines_t(c: Configuration) -> MappingProxyType[str, np.ndarray]:
     """The ten line vectors in the t-frame of c: built once, read-only."""
-    a, b, t, f = c.angles()
-    _check_denominators(c, t + f, a, b, a - f, b - t)
-    sa, sb = sin_pi(a), sin_pi(b)
-    saf, sbt, stf = sin_pi(a - f), sin_pi(b - t), sin_pi(t + f)
-    return _line_table({
-        "L_*0": (1, 0, saf * sin_pi(t) / (sa * stf)),
-        "L_*1": (1, 0, exp_i_pi(-f) * sin_pi(t) / stf),
-        "L_*2": (0, 1, exp_i_pi(t) * sin_pi(f) / stf),
-        "L_*3": (0, 1, sbt * sin_pi(f) / (sb * stf)),
-        "L_01": (1, 0, 0),
-        "L_02": (sa / saf * exp_i_pi(f), 1, 1),
-        "L_03": (sa / saf * exp_i_pi(f), exp_i_pi(-t) * sb / sbt, 1),
-        "L_12": (1, 1, 1),
-        "L_13": (1, exp_i_pi(-t) * sb / sbt, 1),
-        "L_23": (0, 1, 0),
-    })
+    return _lines(c, "-f", "f", LINE_LABELS)
 
 
 @cache
@@ -166,26 +178,11 @@ def lines_s(c: Configuration) -> MappingProxyType[str, np.ndarray]:
     """The ten line vectors in the s-frame attached to c.
 
     These follow the t-frame shapes evaluated at the angles of the s-frame
-    configuration, with the sign of the first-coordinate phase reversed.
-    Built once per configuration and read-only, as the moves are.
+    configuration, with the sign of the phase of phi reversed, under their
+    s-frame names (``_S_NAMES``). Built once per configuration and
+    read-only, as the moves are.
     """
-    cs = p_inverse_target(c)
-    a, b, t, f = cs.angles()
-    _check_denominators(cs, t + f, a, b, a - f, b - t)
-    sa, sb = sin_pi(a), sin_pi(b)
-    saf, sbt, stf = sin_pi(a - f), sin_pi(b - t), sin_pi(t + f)
-    return _line_table({
-        "L_*0": (1, 0, saf * sin_pi(t) / (sa * stf)),
-        "L_*1": (0, 1, exp_i_pi(t) * sin_pi(f) / stf),
-        "L_*2": (0, 1, sbt * sin_pi(f) / (sb * stf)),
-        "L_*3": (1, 0, exp_i_pi(f) * sin_pi(t) / stf),
-        "L_01": (sa / saf * exp_i_pi(-f), 1, 1),
-        "L_02": (sa / saf * exp_i_pi(-f), exp_i_pi(-t) * sb / sbt, 1),
-        "L_03": (1, 0, 0),
-        "L_12": (0, 1, 0),
-        "L_13": (1, 1, 1),
-        "L_23": (1, exp_i_pi(-t) * sb / sbt, 1),
-    })
+    return _lines(p_inverse_target(c), "f", "-f", _S_NAMES)
 
 
 def line_normal(l: np.ndarray, h: np.ndarray, label: str) -> np.ndarray:
@@ -270,18 +267,18 @@ def in_D(point, c: Configuration) -> bool:
 
 def pp_possible(c: Configuration) -> list[str]:
     """Violated sine-sign conditions of the side-combinatorics precondition."""
-    a, b, t, f = c.angles()
+    q = chart(c).angle
     checks = {
-        "sin(alpha)": a,
-        "sin(beta)": b,
-        "sin(theta)": t,
-        "sin(phi)": f,
-        "sin(alpha+beta-pi)": a + b - 1,
-        "sin(pi+theta+phi-alpha-beta)": 1 + t + f - a - b,
-        "sin(alpha+theta-beta)": a + t - b,
-        "sin(beta+phi-alpha)": b + f - a,
+        "sin(alpha)": q["a"],
+        "sin(beta)": q["b"],
+        "sin(theta)": q["t"],
+        "sin(phi)": q["f"],
+        "sin(alpha+beta-pi)": q["a+b-1"],
+        "sin(pi+theta+phi-alpha-beta)": q["1+t+f-a-b"],
+        "sin(alpha+theta-beta)": q["t+a-b"],
+        "sin(beta+phi-alpha)": q["f+b-a"],
     }
-    return [name for name, q in checks.items() if sin_pi_sign(q) < 0]
+    return [name for name, x in checks.items() if sin_pi_sign(x) < 0]
 
 
 def collapsed_vertices(c: Configuration) -> frozenset[str]:
@@ -289,12 +286,12 @@ def collapsed_vertices(c: Configuration) -> frozenset[str]:
     positive finite.
 
     The orders of L_*0..L_*3 are 1/q for q = 1-alpha-theta,
-    alpha-theta-phi, beta-theta-phi and 1-beta-phi: the line collapses
-    when q <= 0.
+    alpha-theta-phi, beta-theta-phi and 1-beta-phi (``chart``): the line
+    collapses when q <= 0.
     """
-    a, b, t, f = c.angles()
-    lost = {f"L_*{i}" for i, q in enumerate((1 - a - t, a - t - f, b - t - f, 1 - b - f))
-            if q <= 0}
+    q = chart(c).angle
+    lost = {f"L_*{i}" for i, name in enumerate(("1-a-t", "a-t-f", "b-t-f", "1-b-f"))
+            if q[name] <= 0}
     return frozenset(name for name, pair in VERTEX_LINES.items() if lost.intersection(pair))
 
 

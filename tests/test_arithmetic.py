@@ -69,6 +69,70 @@ class TestSinPi:
         assert cos_pi(q) == pytest.approx(sin_pi(Fraction(1, 2) - q), abs=1e-12)
 
 
+def _fraction_fold(q: Fraction) -> float:
+    """sin(q*pi) folded into the first quadrant on Fractions: the reference
+    for the integer fold of the cached evaluation."""
+    r = q % 2
+    if r.denominator == 1:
+        return 0.0
+    sign = 1.0
+    if r > 1:
+        sign = -1.0
+        r -= 1
+    if 2 * r > 1:
+        r = 1 - r
+    if 2 * r == 1:
+        return sign
+    return sign * math.sin(math.pi * float(r))
+
+
+def _fraction_sign(q: Fraction) -> int:
+    r = q % 2
+    return 0 if r.denominator == 1 else 1 if r < 1 else -1
+
+
+class TestIntegerFold:
+    SMALL = [Fraction(n, d) for d in range(1, 49) for n in range(-4 * d, 4 * d + 1)]
+
+    def test_sin_is_the_fraction_fold_bit_for_bit(self):
+        # float.hex tells -0.0 from 0.0, which == does not.
+        for q in self.SMALL:
+            assert sin_pi(q).hex() == _fraction_fold(q).hex(), q
+
+    def test_cos_and_phase_are_the_shifted_fold(self):
+        for q in self.SMALL:
+            cos = _fraction_fold(q + Fraction(1, 2))
+            assert cos_pi(q).hex() == cos.hex(), q
+            phase = exp_i_pi(q)
+            assert (phase.real.hex(), phase.imag.hex()) == (cos.hex(), _fraction_fold(q).hex())
+
+    def test_exact_symmetry(self):
+        # The documented identities hold to the bit; for the floats k/100
+        # they did not (sin_pi(1 - x) != sin_pi(x) on 19 of the 99).
+        for q in self.SMALL:
+            assert sin_pi(1 - q) == sin_pi(q) and sin_pi(-q) == -sin_pi(q), q
+
+    def test_sign_is_the_fraction_rule(self):
+        for q in self.SMALL:
+            assert sin_pi_sign(q) == _fraction_sign(q), q
+
+    @given(st.fractions(max_denominator=10**6))
+    def test_large_denominators(self, q):
+        assert sin_pi(q).hex() == _fraction_fold(q).hex()
+        assert sin_pi_sign(q) == _fraction_sign(q)
+
+
+class TestFloatRefused:
+    @pytest.mark.parametrize("f", [sin_pi, cos_pi, exp_i_pi, sin_pi_sign])
+    @pytest.mark.parametrize("x", [1 / 3, 0.5, 0.0, 2.0, float("inf"), float("nan"),
+                                   np.float64(0.25)], ids=repr)
+    def test_float_raises_type_error(self, f, x):
+        # A float is a binary fraction, not the rational it was meant to be:
+        # sin_pi(0.07) and sin_pi(0.93) differ, and inf overflowed untyped.
+        with pytest.raises(TypeError, match="float"):
+            f(x)
+
+
 class TestAngleKeys:
     @given(rationals)
     def test_every_spelling_of_a_rational_is_one_key(self, q):

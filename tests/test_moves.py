@@ -15,6 +15,7 @@ from dmlat.moves import (
     Configuration,
     DegenerateDenominator,
     SingularMatrix,
+    chart,
     check_braid,
     check_isometry,
     compose,
@@ -187,9 +188,11 @@ class TestCaches:
                     assert build(again) is build(c), build.__name__
 
     def test_cached_angles_equal_direct_evaluation(self, monkeypatch):
-        # Record every angle the moves of the 13 signatures' charts evaluate,
-        # building each move afresh, then compare cached and direct values.
-        # The direct value is the uncached evaluation of the int-pair key.
+        # The moves read their angles from the chart table. Record every angle
+        # the tables of the 13 signatures' charts evaluate, building each table
+        # afresh, then compare cached and direct values, and each entry of a
+        # table with the direct value of its named angle. The direct value is
+        # the uncached evaluation of the int-pair key.
         cached = {"sin_pi": sin_pi, "exp_i_pi": exp_i_pi}
         direct = {"sin_pi": lambda q: _sin_pi.__wrapped__(*_angle_key(q)),
                   "exp_i_pi": lambda q: _exp_i_pi.__wrapped__(*_angle_key(q))}
@@ -197,13 +200,35 @@ class TestCaches:
         for name, seen in angles.items():
             monkeypatch.setattr(moves_mod, name, lambda q, f=direct[name],
                                 s=seen: s.add(q) or f(q))
-        for sig in catalog():
-            for c in configurations_of(sig):
-                for build in MEMOISED:
-                    with contextlib.suppress(DegenerateDenominator):
-                        build.__wrapped__(c)
+        tables = [chart.__wrapped__(c) for sig in catalog() for c in configurations_of(sig)]
         monkeypatch.undo()
         assert len(angles["sin_pi"]) >= 30 and len(angles["exp_i_pi"]) >= 56
         for name, seen in angles.items():
             for q in seen:
                 assert cached[name](q) == direct[name](q), (name, q)
+        for k in tables:
+            for values, evaluate in ((k.sin, direct["sin_pi"]), (k.exp, direct["exp_i_pi"])):
+                for name, value in values.items():
+                    assert value == evaluate(k.angle[name]), name
+
+    def test_chart_angles_are_their_names(self, triple):
+        # Each derived angle is the expression its name spells in a, b, t, f,
+        # and each move target is built from the right ones.
+        for c in _configs(triple):
+            env = dict(zip("abtf", c.angles()))
+            k = chart(c)
+            for name, q in k.angle.items():
+                assert q == eval(name, {}, env), name
+            a, b, t, f = c.angles()
+            assert k.r1.angles() == (a, 1 + t - b, t, f)
+            assert k.r2.angles() == (b, a, t + a - b, f + b - a)
+            assert k.p == r1_target(r2_target(c))
+            assert k.p_inverse.angles() == (1 + t - b, a, a + b - 1, 1 + t + f - a - b)
+
+    def test_table_and_inverses_built_once(self):
+        # Equal charts share one table; the inverse of a cached move is one map.
+        for c in _configs((4, 4, 6)):
+            again = Configuration(*c.angles())
+            assert chart(again) is chart(c)
+            assert inverse(move_R1(c)) is inverse(move_R1(again))
+            assert inverse(move_R1(c)).matrix.flags.writeable is False

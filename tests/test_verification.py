@@ -6,6 +6,7 @@ import json
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from dmlat.catalog import LatticeSignature, derive_params
 from dmlat.domain import (
     MalformedWord,
     _COMPOUND_WORDS,
+    _LETTER,
     _pairing_words,
     _word,
     build_domain,
@@ -430,6 +432,20 @@ class TestBFS:
             assert all(g is w[name] for g, name in zip(gens, names)), row
 
 
+def _all_table_words() -> list[str]:
+    """Every word of the word table, the relations, cycles, braids and stabilisers."""
+    words = set(_COMPOUND_WORDS)
+    words.update(word for *_, word, _, _ in _CYCLE_ORDERS)
+    for _, relation, word in _CYCLE_IDENTITIES:
+        words.update([word, *relation.split(" = ")])
+    for _, equation in _BRAIDS:
+        words.update(equation.split(" = "))
+    for row in base_orbit_table():
+        if row.stabilizer != "1":
+            words.update(row.stabilizer.strip("<>").split(","))
+    return sorted(words)
+
+
 class TestRelations:
     def test_all_pass(self, triple):
         report = check_relations(LatticeSignature(*triple))
@@ -454,18 +470,45 @@ class TestRelations:
         with pytest.raises(MalformedWord):
             _word(text, w)
 
+    @pytest.mark.parametrize("text", ["(K)", "", "Q^", "K^-", "R'1^2^2", "Q^-1)"])
+    def test_malformed_word_raises_every_time(self, text):
+        # The parse is cached; a refusal never is.
+        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
+        for _ in range(3):
+            with pytest.raises(MalformedWord):
+                _word(text, w)
+
+    def test_words_are_the_matrix_power_product(self, triple):
+        # Every word, at any power, is bit for bit the product of one
+        # np.linalg.matrix_power per letter, as words were first evaluated.
+        w = _pairing_words(build_domain(LatticeSignature(*triple)))
+        words = ["Q^2", "K^-2", "R'1^3K^-1", "A'0^-3R'2^2", "A1^2Q^-2R'0^4", "K^0Q",
+                 "R'0^-1A'0^-1R'1^-1", "Q^1K^-1", *_all_table_words()]
+        for text in words:
+            expected = reduce(np.matmul, [np.linalg.matrix_power(w[letter], int(power or 1))
+                                          for letter, power in _LETTER.findall(text)])
+            assert _word(text, w).tobytes() == expected.tobytes(), text
+
+    def test_inverse_follows_the_letter(self):
+        # A letter's inverse is built once per read-only matrix, and a table
+        # whose letter is replaced inverts the replacement.
+        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
+        assert _word("K^-1", w) is _word("K^-1", w)
+        assert not _word("K^-1", w).flags.writeable
+        replaced = {**w, "K": w["Q"] @ w["R'1"]}
+        assert np.array_equal(_word("K^-1", replaced), np.linalg.inv(replaced["K"]))
+        relabeled = {**w, "K": w["Q"]}
+        assert _word("K^-1", relabeled) is _word("Q^-1", w)
+        # A writable letter may change between calls: its inverse is not kept.
+        letter = w["Q"].copy()
+        writable = {**w, "K": letter}
+        _word("K^-1", writable)
+        letter[...] = w["R'1"]
+        assert np.array_equal(_word("K^-1", writable), np.linalg.inv(w["R'1"]))
+
     def test_every_table_word_parses(self):
         w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
-        words = set(_COMPOUND_WORDS)
-        words.update(word for *_, word, _, _ in _CYCLE_ORDERS)
-        for _, relation, word in _CYCLE_IDENTITIES:
-            words.update([word, *relation.split(" = ")])
-        for _, equation in _BRAIDS:
-            words.update(equation.split(" = "))
-        for row in base_orbit_table():
-            if row.stabilizer != "1":
-                words.update(row.stabilizer.strip("<>").split(","))
-        for word in words:
+        for word in _all_table_words():
             assert _word(word, w).shape == (3, 3), word
 
     def test_measured_orders(self):
