@@ -8,12 +8,13 @@ matrix arithmetic is ordinary double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Union
 
 import numpy as np
+
+from dmlat.record import Record
 
 # A PiRational is a reduced rational q representing the angle q*pi.
 # Fraction already enforces the reduced-form invariant.
@@ -45,8 +46,7 @@ class ExceededBound(RuntimeError):
     """An order search ran past its bound without finding the identity."""
 
 
-@dataclass(frozen=True)
-class ExtOrder:
+class ExtOrder(Record):
     """Order of a map: a nonzero integer (sign meaningful) or infinity.
 
     ``value`` is None for the infinite order.

@@ -10,10 +10,11 @@ same orders from its own angles (``dmlat.polyhedron.collapsed_vertices``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from dmlat.arithmetic import ExtOrder, PiRational
+from dmlat.record import Record
 
 # The thirteen (p, k, p') rows, in canonical order.
 _CATALOG_ROWS: tuple[tuple[int, int, int], ...] = (
@@ -37,8 +38,7 @@ class NonIntegerOrder(ValueError):
     """A derived reciprocal is a non-integer rational, so not a valid order."""
 
 
-@dataclass(frozen=True)
-class LatticeSignature:
+class LatticeSignature(Record):
     """An integer triple (p, k, p'); non-catalog triples are flagged."""
 
     p: int
@@ -53,8 +53,7 @@ class LatticeSignature:
         return f"({self.p},{self.k},{self.p_prime})"
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(Record):
     """Angles (as multiples of pi) and extended-integer orders for a triple."""
 
     alpha: PiRational
@@ -92,8 +91,10 @@ def _reciprocal(q: Fraction) -> ExtOrder:
     return ExtOrder.finite(r.numerator)
 
 
+@cache
 def derive_params(sig: LatticeSignature) -> DerivedParams:
-    """Exact rational computation of alpha, theta, phi, k', l, l', d."""
+    """Exact rational computation of alpha, theta, phi, k', l, l', d, made
+    once per signature."""
     if min(sig.p, sig.k, sig.p_prime) < 2:
         raise ValueError("p, k, p' must all be >= 2")
     theta = Fraction(1, sig.p)

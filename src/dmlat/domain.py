@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
 import numpy as np
@@ -54,6 +53,7 @@ from dmlat.polyhedron import (
     lines_t,
     vertices_t,
 )
+from dmlat.record import Record
 from dmlat.sampling import Bullet, BulletReport, ball_draws, bullet_agreement
 
 # theta' and phi', the angles of the C2 chart: 2*alpha-pi and pi+theta+phi-2*alpha.
@@ -67,8 +67,7 @@ _SECTORS = (("-phi", 0), ("-theta", "theta"), (0, "phi"), ("-theta", "theta"),
             ("-phi'", _FP), (0, _TP))
 
 
-@dataclass(frozen=True, eq=False)
-class DomainD:
+class DomainD(Record, eq=False):
     """The glued domain: signature, the three charts and the k'-flag.
 
     The maps between the z-chart and the others, the argument sectors and the
@@ -158,8 +157,7 @@ def build_domain(sig: LatticeSignature) -> DomainD:
     return dom
 
 
-@dataclass(frozen=True, eq=False)
-class SidePairingSet:
+class SidePairingSet(Record, eq=False):
     """The six side pairings in the z-frame, with factorization checks."""
 
     K: ConfiguredMap
@@ -317,8 +315,7 @@ _VERT_D_TABLE: dict[str, tuple[str | None, str | None, str | None, tuple]] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class DomainVertexTable:
+class DomainVertexTable(Record, eq=False):
     """z-frame coordinates of the 24 vertices plus cross-check results.
 
     ``collapsed`` lists vertices lying on a collapsed triple line in at

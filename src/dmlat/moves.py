@@ -15,7 +15,6 @@ do no ``Fraction`` arithmetic and each matrix is the same to the bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -29,6 +28,7 @@ from dmlat.arithmetic import (
     sin_pi,
 )
 from dmlat.catalog import LatticeSignature, derive_params
+from dmlat.record import Record
 
 
 class DegenerateDenominator(ZeroDivisionError):
@@ -43,8 +43,7 @@ class SingularMatrix(ValueError):
     """Attempted to invert a numerically singular matrix."""
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """An angle chart (alpha, beta, theta, phi), as exact multiples of pi."""
 
     alpha: PiRational
@@ -65,8 +64,7 @@ class Configuration:
         return f"({self.alpha}, {self.beta}, {self.theta}, {self.phi})*pi"
 
 
-@dataclass(frozen=True, eq=False)
-class ConfiguredMap:
+class ConfiguredMap(Record, eq=False):
     """A matrix mapping source-frame coordinates to target-frame coordinates.
 
     The matrix is made read-only, so that the cached moves can be shared;

@@ -16,11 +16,11 @@ closed ball to finite points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from dmlat.arithmetic import DRAWS_PER_SAMPLE
+from dmlat.record import Record
 
 # The draws of one batch. All of them but boundary rounding land in the ball;
 # the arrays a sampler computes from the draws a batch keeps stay small.
@@ -29,8 +29,7 @@ BATCH = 1024
 FULL_ARCS = ((-math.pi, math.pi), (-math.pi, math.pi))
 
 
-@dataclass(frozen=True, eq=False)
-class Bullet:
+class Bullet(Record, eq=False):
     """One half-space equivalence of a sampled check.
 
     It reads im(phase * x[coord - 1]) at the point x of chart ``chart``,
@@ -49,8 +48,7 @@ class Bullet:
     mapped: np.ndarray
 
 
-@dataclass(frozen=True)
-class BulletReport:
+class BulletReport(Record):
     """Sampled agreement of the bullets of one check, in table order.
 
     ``max_near_zero_discrepancy`` is the largest max(|im|, |dist|) over the

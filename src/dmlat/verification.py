@@ -17,7 +17,6 @@ characteristic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache, reduce
 from fractions import Fraction
 from operator import mul, sub
@@ -38,6 +37,7 @@ from dmlat.domain import (
 )
 from dmlat.moves import hermitian_form
 from dmlat.polyhedron import PreconditionFailed, _normal_at, _polar_row, arc_side, in_arcs
+from dmlat.record import Record
 from dmlat.sampling import affine_points, ball_batches
 
 
@@ -53,8 +53,7 @@ class MalformedOrder(ValueError):
     """A symbolic order expression outside the order grammar."""
 
 
-@dataclass(frozen=True)
-class OrbitRow:
+class OrbitRow(Record):
     """One orbit of facets: its dimension, label and symbolic order."""
 
     dim: int
@@ -204,8 +203,7 @@ def collapsed_ridges(params: DerivedParams) -> tuple[str, ...]:
                  for ridge in _RIDGE.findall(row.label))
 
 
-@dataclass(frozen=True)
-class EulerReport:
+class EulerReport(Record):
     """Exact Euler characteristic, volume coefficient and rule audit trail."""
 
     signature: LatticeSignature
@@ -420,15 +418,13 @@ def stabilizer_generators(stabilizer: str, words: dict[str, np.ndarray]):
     return [words[name] for name in names]
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(Record):
     name: str
     status: str  # "pass", "fail", "skipped"
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     signature: LatticeSignature
     entries: tuple[CheckEntry, ...]
 
@@ -562,8 +558,7 @@ _LAGRANGIAN_SIGNS = (
 )
 
 
-@dataclass(frozen=True)
-class TessellationReport:
+class TessellationReport(Record):
     """The per-copy agreement rows of ``tessellation_sign_table``.
 
     ``samples_used`` below ``samples_requested`` means the draw cap was
@@ -690,8 +685,7 @@ _COMMENSURABILITY_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class CommensurabilityEntry:
+class CommensurabilityEntry(Record):
     signature: tuple[int, int, int]
     computed_chi: Fraction
     ratio: Fraction

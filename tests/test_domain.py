@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from itertools import chain, product
@@ -24,9 +23,12 @@ from dmlat.arithmetic import (
     projective_equal,
     projective_scale,
 )
-from dmlat.catalog import LatticeSignature
+from dmlat.catalog import LatticeSignature, derive_params
 from dmlat.cli import main
 from dmlat.domain import (
+    DomainD,
+    DomainVertexTable,
+    SidePairingSet,
     _pairing_words,
     _word,
     bisD_check,
@@ -65,7 +67,7 @@ from dmlat.polyhedron import (
     vertices_s,
     vertices_t,
 )
-from dmlat.sampling import ball_draws, bullet_agreement, fill_uniform
+from dmlat.sampling import Bullet, ball_draws, bullet_agreement, fill_uniform
 from dmlat.verification import tessellation_sign_table
 from test_polyhedron import drop_line
 
@@ -114,8 +116,13 @@ class TestBuiltOnce:
         # A domain and what is built on it hold arrays or a dict: == is
         # identity, and the hash is the object's own, never a field's.
         dom = build_domain(LatticeSignature(4, 4, 6))
-        for built in (dom, side_pairings(dom), side_pairings(dom).K, vertices_D(dom)):
-            copy = dataclasses.replace(built)
+        pairs, k, table = side_pairings(dom), side_pairings(dom).K, vertices_D(dom)
+        for built, copy in (
+                (dom, DomainD(dom.signature, dom.params, dom.c1, dom.c2, dom.c3)),
+                (pairs, SidePairingSet(*pairs.as_dict().values(), pairs.factorizations_ok)),
+                (k, ConfiguredMap(k.matrix, k.source, k.target, k.label)),
+                (table, DomainVertexTable(table.coords, table.collapsed, table.failures,
+                                          table.notes))):
             assert built == built and not built != built
             assert copy != built and not copy == built
             assert hash(built) == object.__hash__(built)
@@ -175,6 +182,8 @@ class TestBuiltOnce:
             assert fill.call_count == 2 * drawn
 
     def test_check_all_builds_each_domain_once(self, monkeypatch, capsys):
+        # ... and derives each signature's params once: the domain and its
+        # configurations read the same cached params.
         calls = []
 
         def counted(sig):
@@ -183,11 +192,13 @@ class TestBuiltOnce:
 
         monkeypatch.setattr(domain_mod, "configurations_of", counted)
         build_domain.cache_clear()
+        derive_params.cache_clear()
         try:
             assert main(["--json", "check", "--all"]) == 0
         finally:
             build_domain.cache_clear()
         assert len(calls) == len(set(calls)) == 13
+        assert derive_params.cache_info().misses == 13
         assert capsys.readouterr().out.count("\n") == 13
 
 
@@ -485,8 +496,9 @@ class TestSampledChecks:
         bad_mat = side_pairings(dom).R1.matrix @ np.array(
             [[1.0, 0.15, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
             dtype=complex)
-        bad = dataclasses.replace(bullet, mapped=_polar_row(
-            bad_mat @ _normal_at(dom.c3, "L_*3"), h, "L_*3"))
+        mapped = _polar_row(bad_mat @ _normal_at(dom.c3, "L_*3"), h, "L_*3")
+        bad = Bullet(bullet.chart, bullet.phase, bullet.coord, bullet.im_leq,
+                     bullet.dist_chart, bullet.plain, mapped)
         draws = ball_draws(h, 7, 200, (dom.w_of_z, dom.y_of_z))
         report = bullet_agreement(draws, (bullet, bad), 200, 1e-8)
         good, scrambled = report.per_bullet_agreement

@@ -14,8 +14,10 @@ that every sampled check draws through the one proposal of
 ``dmlat.sampling``. Only ``polyhedron.in_arcs``, the one arc rule, and
 ``domain.vertices_D`` read an argument with ``np.angle``, ``np.arctan2`` or
 ``math.atan2``.
-Every field of a dataclass of the package is read as an attribute somewhere
-under those four folders; a field that nothing reads is dead data.
+Every field of a record class of the package, a ``dmlat.record.Record``
+subclass, is read as an attribute somewhere under those four folders; a
+field that nothing reads is dead data. The detector finds all 16 record
+classes, and no module of the package imports ``dataclasses``.
 Every parameter of a function in the package is read in its body, except
 those of ``UNREAD``, each listed with the reason it is kept. A tolerance, a
 float in (0, 1e-3), is written only in the table of module-level assignments
@@ -139,15 +141,23 @@ def attributes_loaded(tree: ast.Module) -> set[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
-def unread_fields(tree: ast.Module, read: set[str]) -> list[str]:
-    """``Class.field`` of every field of a ``@dataclass`` class of the module,
-    plain or called, whose name is not in ``read``."""
-    def is_dataclass(decorator: ast.expr) -> bool:
-        func = decorator.func if isinstance(decorator, ast.Call) else decorator
-        return "dataclass" in (getattr(func, "id", None), getattr(func, "attr", None))
+def record_classes(tree: ast.Module) -> list[ast.ClassDef]:
+    """The record classes of the module: each class with a ``Record`` base or
+    a ``@dataclass`` decorator, plain or called, by name or through a
+    module."""
+    def named(expr: ast.expr, name: str) -> bool:
+        func = expr.func if isinstance(expr, ast.Call) else expr
+        return name in (getattr(func, "id", None), getattr(func, "attr", None))
 
-    return [f"{node.name}.{stmt.target.id}" for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and (any(named(base, "Record") for base in node.bases)
+                 or any(named(decorator, "dataclass") for decorator in node.decorator_list))]
+
+
+def unread_fields(tree: ast.Module, read: set[str]) -> list[str]:
+    """``Class.field`` of every field of a record class of the module whose
+    name is not in ``read``."""
+    return [f"{node.name}.{stmt.target.id}" for node in record_classes(tree)
             for stmt in node.body
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
             and stmt.target.id not in read]
@@ -307,6 +317,10 @@ def test_argument_call_detector():
 
 # The parameters that no body may read, each with the reason it is kept.
 UNREAD = {
+    "record.py": {
+        "__setattr__:value": "the signature of object.__setattr__; a record refuses "
+                             "every assignment",
+    },
     "domain.py": {
         "glueing_check:seed": "the check is exact and draws nothing; "
                               "perfbench's glue_samelines operation passes it",
@@ -371,21 +385,37 @@ def test_unnamed_definition_detector():
     assert unnamed_definitions(module, read) == ["f", "D", "E", "h"]
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     read = set().union(*(attributes_loaded(_parse(path)) for path in READERS))
     assert [f"{path.name}:{field}" for path in MODULES
             for field in unread_fields(_parse(path), read)] == []
 
 
+def test_the_sixteen_records_are_found():
+    # The field rule covers every record class of the package, so that it
+    # cannot pass on none.
+    found = [node.name for path in MODULES for node in record_classes(_parse(path))]
+    assert len(found) == 16, found
+
+
+def test_no_module_imports_dataclasses():
+    # The records derive from dmlat.record.Record, which compiles nothing
+    # when its module is imported.
+    assert [path.name for path in MODULES for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"] == []
+
+
 def test_unread_field_detector():
-    # y is only stored, z only named as a variable; B is no dataclass, and
-    # C's decorator is called through the module.
+    # y is only stored, z only named as a variable; B is no record, C's
+    # decorator is called through the module, and D derives from Record.
     module = ast.parse("from dataclasses import dataclass\nimport dataclasses\n"
                        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n"
                        "    z: int = 0\nclass B:\n    w: int\n"
-                       "@dataclasses.dataclass\nclass C:\n    v: int\n")
+                       "@dataclasses.dataclass\nclass C:\n    v: int\n"
+                       "class D(Record, eq=False):\n    u: int\n    x: int\n")
     reader = ast.parse("a.x\nb.y = 1\nz = 2\nprint(z)\n")
-    assert unread_fields(module, attributes_loaded(reader)) == ["A.y", "A.z", "C.v"]
+    assert unread_fields(module, attributes_loaded(reader)) == ["A.y", "A.z", "C.v", "D.u"]
 
 
 def vertex_names(tree: ast.Module, allowed: frozenset[str] = frozenset()) -> list[str]:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -42,6 +41,7 @@ from dmlat.verification import (
     _KEY_WEIGHTS,
     _MERGED_ROWS,
     MalformedGenerator,
+    OrbitRow,
     apply_degenerations,
     base_orbit_table,
     check_relations,
@@ -199,7 +199,7 @@ class TestEulerSweep:
     def test_fails_on_a_renamed_order(self, monkeypatch):
         table = base_orbit_table()
         i = next(i for i, row in enumerate(table) if row.order_expr == "d")
-        table[i] = replace(table[i], order_expr="p")
+        table[i] = OrbitRow(table[i].dim, table[i].label, table[i].stabilizer, "p")
         monkeypatch.setattr(verification_mod, "base_orbit_table", lambda: list(table))
         assert sweep_mismatches() != []
 
