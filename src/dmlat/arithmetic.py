@@ -2,7 +2,9 @@
 
 Angles are stored as exact rationals q meaning the angle q*pi, so degeneracy
 predicates (does an angle vanish, is a sine positive) are exact, while all
-matrix arithmetic is ordinary double precision.
+matrix arithmetic is ordinary double precision. The orders derived from the
+angles are ``dmlat.catalog.ExtOrder``s; an order found by searching a
+matrix's powers (``projective_order``) is a plain int.
 """
 
 from __future__ import annotations
@@ -13,12 +15,6 @@ from functools import cache
 from typing import Union
 
 import numpy as np
-
-from dmlat.record import Record
-
-# A PiRational is a reduced rational q representing the angle q*pi.
-# Fraction already enforces the reduced-form invariant.
-PiRational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -44,52 +40,6 @@ class ZeroMatrix(ValueError):
 
 class ExceededBound(RuntimeError):
     """An order search ran past its bound without finding the identity."""
-
-
-class ExtOrder(Record):
-    """Order of a map: a nonzero integer (sign meaningful) or infinity.
-
-    ``value`` is None for the infinite order.
-    """
-
-    value: int | None
-
-    def __post_init__(self) -> None:
-        if self.value is not None and self.value == 0:
-            raise ValueError("order magnitude must be >= 1")
-
-    @classmethod
-    def finite(cls, n: int) -> "ExtOrder":
-        return cls(int(n))
-
-    @classmethod
-    def infinite(cls) -> "ExtOrder":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    @property
-    def is_positive(self) -> bool:
-        return self.value is not None and self.value > 0
-
-    @property
-    def is_negative(self) -> bool:
-        return self.value is not None and self.value < 0
-
-    @property
-    def status(self) -> str:
-        """The sign class: "positive-finite", "negative" or "infinite"."""
-        if self.is_infinite:
-            return "infinite"
-        return "positive-finite" if self.is_positive else "negative"
-
-    def __str__(self) -> str:
-        return "inf" if self.value is None else str(self.value)
-
-    def to_json(self) -> int | str:
-        return "inf" if self.value is None else self.value
 
 
 def sin_pi(q: RationalLike) -> float:
@@ -217,14 +167,15 @@ def renormalize(m) -> np.ndarray:
     return m / top
 
 
-def projective_order(m, max_n: int = DEFAULT_MAX_ORDER, tol: float = DEFAULT_TOL) -> ExtOrder:
+def projective_order(m, max_n: int = DEFAULT_MAX_ORDER, tol: float = DEFAULT_TOL) -> int:
     """Smallest n in [1, max_n] with m**n projectively the identity.
 
     m**n is scalar exactly when m**ceil(n/2) and m**-floor(n/2) agree
     projectively; the search compares those two powers, each renormalized
     at each step. Their chains are half as long as that of m**n, so they
-    drift half as far from the exact powers. m must be invertible. Raises
-    ExceededBound if no power within the bound is a scalar matrix.
+    drift half as far from the exact powers. m must be invertible. Returns
+    the int n; raises ExceededBound if no power within the bound is a scalar
+    matrix.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -233,7 +184,7 @@ def projective_order(m, max_n: int = DEFAULT_MAX_ORDER, tol: float = DEFAULT_TOL
     ahead, behind = m, np.eye(3, dtype=complex)
     for n in range(1, max_n + 1):
         if projective_equal(ahead, behind, tol):
-            return ExtOrder.finite(n)
+            return n
         if n % 2:
             behind = renormalize(behind @ m_inv)
         else:

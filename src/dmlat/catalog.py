@@ -1,5 +1,9 @@
 """The 13-signature catalog, derived parameters and degeneracy classification.
 
+Every order k', l, l' and d is derived here, exactly, as an ``ExtOrder``,
+and an angle q*pi is a ``PiRational`` q. The module imports no numpy and
+no other module of the package but ``dmlat.record``.
+
 ``DerivedParams.degenerate`` is the one degeneracy rule of the group-level
 data: a named order k', l, l' or d that is not positive finite is degenerate.
 It decides the orbit rows that ``dmlat.verification.apply_degenerations``
@@ -13,8 +17,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from dmlat.arithmetic import ExtOrder, PiRational
 from dmlat.record import Record
+
+# A PiRational is a reduced rational q representing the angle q*pi.
+# Fraction already enforces the reduced-form invariant.
+PiRational = Fraction
 
 # The thirteen (p, k, p') rows, in canonical order.
 _CATALOG_ROWS: tuple[tuple[int, int, int], ...] = (
@@ -38,12 +45,68 @@ class NonIntegerOrder(ValueError):
     """A derived reciprocal is a non-integer rational, so not a valid order."""
 
 
+class ExtOrder(Record):
+    """Order of a map: a nonzero integer (sign meaningful) or infinity.
+
+    ``value`` is None for the infinite order, else of type int (not bool).
+    """
+
+    value: int | None
+
+    def __post_init__(self) -> None:
+        if self.value is not None and type(self.value) is not int:
+            raise TypeError(f"an order is an int or None, not {self.value!r}")
+        if self.value == 0:
+            raise ValueError("order magnitude must be >= 1")
+
+    @classmethod
+    def finite(cls, n: int) -> "ExtOrder":
+        return cls(n)
+
+    @classmethod
+    def infinite(cls) -> "ExtOrder":
+        return cls(None)
+
+    @property
+    def is_infinite(self) -> bool:
+        return self.value is None
+
+    @property
+    def is_positive(self) -> bool:
+        return self.value is not None and self.value > 0
+
+    @property
+    def is_negative(self) -> bool:
+        return self.value is not None and self.value < 0
+
+    @property
+    def status(self) -> str:
+        """The sign class: "positive-finite", "negative" or "infinite"."""
+        if self.is_infinite:
+            return "infinite"
+        return "positive-finite" if self.is_positive else "negative"
+
+    def __str__(self) -> str:
+        return "inf" if self.value is None else str(self.value)
+
+    def to_json(self) -> int | str:
+        return "inf" if self.value is None else self.value
+
+
 class LatticeSignature(Record):
-    """An integer triple (p, k, p'); non-catalog triples are flagged."""
+    """An integer triple (p, k, p'); non-catalog triples are flagged.
+
+    An entry that is not an int, a bool among them, raises ``TypeError``.
+    """
 
     p: int
     k: int
     p_prime: int
+
+    def __post_init__(self) -> None:
+        for name, value in zip(self._fields, (self.p, self.k, self.p_prime)):
+            if type(value) is not int:
+                raise TypeError(f"LatticeSignature.{name} is an int, not {value!r}")
 
     @property
     def in_catalog(self) -> bool:

@@ -21,13 +21,12 @@ import numpy as np
 
 from dmlat.arithmetic import (
     DEFAULT_TOL, VANISHING_TOL,
-    PiRational,
     exp_i_pi,
     projective_equal,
     read_only,
     sin_pi,
 )
-from dmlat.catalog import LatticeSignature, derive_params
+from dmlat.catalog import LatticeSignature, PiRational, derive_params
 from dmlat.record import Record
 
 
@@ -139,23 +138,6 @@ def _check_denominators(c: Configuration, *names: str) -> None:
         if k.sin[name] == 0.0:
             raise DegenerateDenominator(
                 f"sin({k.angle[name]}*pi) = 0 at configuration {c}")
-
-
-def r1_target(c: Configuration) -> Configuration:
-    return chart(c).r1
-
-
-def r2_target(c: Configuration) -> Configuration:
-    return chart(c).r2
-
-
-def p_target(c: Configuration) -> Configuration:
-    """r1(r2(c)), read from c's own angles."""
-    return chart(c).p
-
-
-def p_inverse_target(c: Configuration) -> Configuration:
-    return chart(c).p_inverse
 
 
 @cache
@@ -284,8 +266,9 @@ def check_braid(c: Configuration) -> bool:
     Both ways around the commuting square of exchanges are built from c and
     compared; the source and target configurations are asserted equal first.
     """
-    left = compose(move_R1(r2_target(r1_target(c))), compose(move_R2(r1_target(c)), move_R1(c)))
-    right = compose(move_R2(r1_target(r2_target(c))), compose(move_R1(r2_target(c)), move_R2(c)))
+    k = chart(c)
+    left = compose(move_R1(chart(k.r1).r2), compose(move_R2(k.r1), move_R1(c)))
+    right = compose(move_R2(chart(k.r2).r1), compose(move_R1(k.r2), move_R2(c)))
     if (left.source, left.target) != (right.source, right.target):
         raise ConfigMismatch("the two triple products do not share configurations")
     return projective_equal(left.matrix, right.matrix)

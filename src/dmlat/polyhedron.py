@@ -37,9 +37,6 @@ from dmlat.moves import (
     move_P_inverse,
     move_R1,
     move_R2,
-    p_inverse_target,
-    p_target,
-    r1_target,
 )
 from dmlat.sampling import Bullet, BulletReport, ball_draws, bullet_agreement
 
@@ -116,8 +113,9 @@ def arc_radians(arcs: tuple, angles: dict) -> tuple[tuple[float, float], ...]:
 
 def _arc_angles(c: Configuration) -> dict:
     """The named angles of ``_ARCS``; theta'' and phi'' are the s-chart's."""
-    cs = p_inverse_target(c)
-    return {0: 0, "-phi": chart(c).angle["-f"], "theta": c.theta, "phi''": cs.phi,
+    k = chart(c)
+    cs = k.p_inverse
+    return {0: 0, "-phi": k.angle["-f"], "theta": c.theta, "phi''": cs.phi,
             "theta''": cs.theta}
 
 
@@ -182,7 +180,7 @@ def lines_s(c: Configuration) -> MappingProxyType[str, np.ndarray]:
     s-frame names (``_S_NAMES``). Built once per configuration and
     read-only, as the moves are.
     """
-    return _lines(p_inverse_target(c), "f", "-f", _S_NAMES)
+    return _lines(chart(c).p_inverse, "f", "-f", _S_NAMES)
 
 
 def line_normal(l: np.ndarray, h: np.ndarray, label: str) -> np.ndarray:
@@ -339,13 +337,13 @@ def _polar_row(n: np.ndarray, h: np.ndarray, label: str) -> np.ndarray:
     return read_only(row / math.sqrt(abs(norm)))
 
 
-def _normal_at(config: Configuration, label: str, chart: int = 0) -> np.ndarray:
-    """The polar of line ``label`` of the t-frame of ``config`` (chart 0) or
-    of the s-frame attached to it (chart 1)."""
-    if chart == 0:
+def _normal_at(config: Configuration, label: str, frame: int = 0) -> np.ndarray:
+    """The polar of line ``label`` of the t-frame of ``config`` (frame 0) or
+    of the s-frame attached to it (frame 1)."""
+    if frame == 0:
         return line_normal(lines_t(config)[label], hermitian_form(config), label)
     return line_normal(lines_s(config)[label],
-                       hermitian_form(p_inverse_target(config)), label)
+                       hermitian_form(chart(config).p_inverse), label)
 
 
 @cache
@@ -358,7 +356,8 @@ def _bullet_table(c: Configuration) -> tuple[Bullet, ...]:
     t-frame normals of the adjacent chart, while s-frame bullets transport
     s-frame normals with moves at the s-chart.
     """
-    cs, pt, rt = p_inverse_target(c), p_target(c), r1_target(c)
+    k = chart(c)
+    cs, pt, rt = k.p_inverse, k.p, k.r1
     forms, angles = (hermitian_form(c), hermitian_form(cs)), _arc_angles(c)
     specs = (  # move, mapped line at, in the order of ``_SIDES``
         (move_P_inverse(pt), "L_*3", pt),
@@ -372,10 +371,10 @@ def _bullet_table(c: Configuration) -> tuple[Bullet, ...]:
     )
     bullets = []
     for (column, end, _, plain, _), (move, mapped, at) in zip(_SIDES.values(), specs):
-        chart, *side = arc_side(_ARCS, angles, column, end)
-        h, n = forms[chart], _normal_at(c, plain, chart)
-        bullets.append(Bullet(chart, *side, chart, _polar_row(n, h, plain), _polar_row(
-            move.matrix @ _normal_at(at, mapped, chart), h, mapped)))
+        frame, *side = arc_side(_ARCS, angles, column, end)
+        h, n = forms[frame], _normal_at(c, plain, frame)
+        bullets.append(Bullet(frame, *side, frame, _polar_row(n, h, plain), _polar_row(
+            move.matrix @ _normal_at(at, mapped, frame), h, mapped)))
     return tuple(bullets)
 
 

@@ -163,8 +163,11 @@ def ball_batches(d: np.ndarray, arcs: tuple[tuple[float, float], ...],
     The draw cap, for a caller that asks for n samples, is DRAWS_PER_SAMPLE
     n draws rounded up to whole batches, so that a seed gives one stream
     whatever n is. A batch yields its draws in the ball (``ball_filter``) as
-    a new (4, k) array, never a view of the buffer.
+    a new (4, k) array, never a view of the buffer. An n below 1 raises
+    ``ValueError`` before the first draw.
     """
+    if n < 1:
+        raise ValueError(f"a sampler asks for at least 1 sample, not {n}")
     in_ball = ball_filter(d)
     bounds = ball_bounds(d)
     rng = np.random.default_rng(seed)

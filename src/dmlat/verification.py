@@ -502,7 +502,7 @@ def group_checks(
             continue
         try:
             order = projective_order(_word(word, w), max_order, tol)
-            status = "pass" if order.value == ell * m else "fail"
+            status = "pass" if order == ell * m else "fail"
             detail = f"order {order}"
         except ExceededBound:
             status, detail = "fail", f"order >= {max_order}"

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from dmlat.catalog import (
     AngleOutOfRange,
     DerivedParams,
+    ExtOrder,
     LatticeSignature,
     NonIntegerOrder,
     catalog,
@@ -70,6 +71,26 @@ DEGENERATE_SETS = {
 }
 
 
+class TestExtOrder:
+    def test_finite(self):
+        n = ExtOrder.finite(5)
+        assert n.is_positive and not n.is_infinite and n.to_json() == 5
+
+    def test_negative(self):
+        n = ExtOrder.finite(-3)
+        assert n.is_negative and not n.is_positive
+
+    def test_infinite(self):
+        n = ExtOrder.infinite()
+        assert n.is_infinite and not n.is_positive and n.to_json() == "inf"
+
+    @pytest.mark.parametrize("make", [ExtOrder, ExtOrder.finite])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+    def test_only_an_int_or_none(self, make, value):
+        with pytest.raises(TypeError, match="an order is an int or None"):
+            make(value)
+
+
 class TestCatalog:
     def test_thirteen_rows_in_order(self):
         sigs = catalog()
@@ -82,6 +103,16 @@ class TestCatalog:
 
     def test_str(self):
         assert str(LatticeSignature(4, 4, 6)) == "(4,4,6)"
+
+    @pytest.mark.parametrize("entries, name", [
+        ((4, 4, 6.0), "p_prime"), (("4", 4, 6), "p"), ((4, 4, True), "p_prime"),
+        ((4, Fraction(4), 6), "k"),
+    ])
+    def test_entries_are_ints(self, entries, name):
+        # Refused when built, whether or not (4,4,6)'s params are cached.
+        derive_params(LatticeSignature(4, 4, 6))
+        with pytest.raises(TypeError, match=f"LatticeSignature.{name} is an int"):
+            LatticeSignature(*entries)
 
 
 class TestDeriveParams:

@@ -4,16 +4,18 @@ no runtime ``assert``, no function or class that nothing names.
 Each module of ``src/dmlat`` is parsed with ``ast``. An ``import`` inside a
 function body hides a dependency from the top of the module; a module-level
 imported name that nothing reads is dead code, in ``tests/`` and ``demos/``
-as well. ``__future__`` imports and the re-exports of ``__init__.py`` are
-exempt. An ``assert`` vanishes under ``python -O``, so a check in the package
-must raise instead. A module-level function or class whose name no file
-under ``src/``, ``tests/``, ``demos/`` or ``perfbench/`` reads is dead code
-too. Only ``sampling.fill_uniform`` calls a drawing method of a numpy
-``Generator``, and only ``sampling.fill_sectors`` calls ``fill_uniform``, so
-that every sampled check draws through the one proposal of
-``dmlat.sampling``. Only ``polyhedron.in_arcs``, the one arc rule, and
-``domain.vertices_D`` read an argument with ``np.angle``, ``np.arctan2`` or
-``math.atan2``.
+as well, ``__init__.py`` included. ``__future__`` imports are exempt. In a
+fresh interpreter, ``import dmlat``, ``dmlat.record`` and ``dmlat.catalog``
+and the catalog's derived parameters and cone angles load neither numpy nor
+``dmlat.arithmetic`` nor ``dmlat.moves``. An ``assert`` vanishes under
+``python -O``, so a check in the package must raise instead. A module-level
+function or class whose name no file under ``src/``, ``tests/``, ``demos/``
+or ``perfbench/`` reads is dead code too. Only ``sampling.fill_uniform``
+calls a drawing method of a numpy ``Generator``, and only
+``sampling.fill_sectors`` calls ``fill_uniform``, so that every sampled check
+draws through the one proposal of ``dmlat.sampling``. Only
+``polyhedron.in_arcs``, the one arc rule, and ``domain.vertices_D`` read an
+argument with ``np.angle``, ``np.arctan2`` or ``math.atan2``.
 Every field of a record class of the package, a ``dmlat.record.Record``
 subclass, is read as an attribute somewhere under those four folders; a
 field that nothing reads is dead data. The detector finds all 16 record
@@ -36,7 +38,10 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +50,9 @@ import pytest
 import dmlat
 
 MODULES = sorted(Path(dmlat.__file__).parent.glob("*.py"))
-# The modules whose imports must all be read: the re-exports are exempt.
-IMPORTERS = [p for p in MODULES + sorted(Path(__file__).parent.glob("*.py"))
-             + sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
-             if p.name != "__init__.py"]
+# The modules whose imports must all be read.
+IMPORTERS = (MODULES + sorted(Path(__file__).parent.glob("*.py"))
+             + sorted((Path(__file__).parents[1] / "demos").glob("*.py")))
 READERS = sorted(path for folder in ("src", "tests", "demos", "perfbench")
                  for path in (Path(__file__).parents[1] / folder).rglob("*.py"))
 # The scripts outside the package that import it.
@@ -240,6 +244,17 @@ def test_no_function_local_imports(path):
 @pytest.mark.parametrize("path", IMPORTERS, ids=[p.name for p in IMPORTERS])
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
+
+
+def test_exact_core_imports_no_numpy():
+    script = ("import sys\nimport dmlat\nimport dmlat.record\nimport dmlat.catalog\n"
+              "from dmlat.catalog import catalog, cone_angles, derive_params\n"
+              "for sig in catalog():\n    derive_params(sig), cone_angles(sig)\n"
+              "print(sorted({'numpy', 'dmlat.arithmetic', 'dmlat.moves'} & set(sys.modules)))\n")
+    path = os.pathsep.join([str(Path(dmlat.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_detectors_see_both_faults():

@@ -28,10 +28,6 @@ from dmlat.moves import (
     move_P_inverse,
     move_R1,
     move_R2,
-    p_inverse_target,
-    p_target,
-    r1_target,
-    r2_target,
 )
 
 
@@ -95,7 +91,7 @@ class TestComposition:
     def test_compose_tracks_targets(self):
         c1, c2, c3 = _configs((4, 4, 6))
         r1 = move_R1(c3)
-        again = move_R1(r1_target(c3))
+        again = move_R1(chart(c3).r1)
         prod = compose(again, r1)
         assert prod.source == c3
 
@@ -140,14 +136,14 @@ class TestConfigurations:
 
     def test_charts_are_move_targets(self, triple):
         c1, c2, c3 = _configs(triple)
-        assert r1_target(c3) == p_inverse_target(c3) == c1
-        assert r2_target(c3) == p_target(c3) == c2
+        assert chart(c3).r1 == chart(c3).p_inverse == c1
+        assert chart(c3).r2 == chart(c3).p == c2
 
     def test_each_chart_is_built_once(self, triple):
         # Equal configurations are one cache key, whichever move made them.
         c1, _, c3 = _configs(triple)
-        assert hermitian_form(p_inverse_target(c3)) is hermitian_form(c1)
-        assert move_R1(r1_target(c3)) is move_R1(c1)
+        assert hermitian_form(chart(c3).p_inverse) is hermitian_form(c1)
+        assert move_R1(chart(c3).r1) is move_R1(c1)
 
     def test_degenerate_chart_raises(self):
         c1, _, c3 = _configs((3, 3, 3))
@@ -222,7 +218,7 @@ class TestCaches:
             a, b, t, f = c.angles()
             assert k.r1.angles() == (a, 1 + t - b, t, f)
             assert k.r2.angles() == (b, a, t + a - b, f + b - a)
-            assert k.p == r1_target(r2_target(c))
+            assert k.p == chart(k.r2).r1
             assert k.p_inverse.angles() == (1 + t - b, a, a + b - 1, 1 + t + f - a - b)
 
     def test_table_and_inverses_built_once(self):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dmlat.moves as moves_mod
 import dmlat.polyhedron as polyhedron_mod
 from dmlat.arithmetic import hermitian_eval
 from dmlat.catalog import LatticeSignature, catalog
@@ -15,7 +16,6 @@ from dmlat.moves import (
     DegenerateDenominator,
     configurations_of,
     hermitian_form,
-    p_inverse_target,
 )
 from dmlat.polyhedron import (
     LINE_LABELS,
@@ -103,7 +103,7 @@ class TestLines:
         for chart, c in _named_configs(triple):
             for frame, at, lines_of, verts_of in (
                     ("t", c, lines_t, vertices_t),
-                    ("s", p_inverse_target(c), lines_s, vertices_s)):
+                    ("s", moves_mod.chart(c).p_inverse, lines_s, vertices_s)):
                 try:
                     h, lines, verts = hermitian_form(at), lines_of(c), verts_of(c)
                 except DegenerateDenominator:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from dmlat.arithmetic import ExtOrder
-from dmlat.catalog import DerivedParams, LatticeSignature, derive_params
+from dmlat.catalog import DerivedParams, ExtOrder, LatticeSignature, derive_params
 from dmlat.record import Record
 from dmlat.verification import CheckEntry
 

@@ -44,10 +44,10 @@ from dmlat.domain import (
 )
 from dmlat.moves import (
     DegenerateDenominator,
+    chart,
     configurations_of,
     hermitian_form,
     move_P_inverse,
-    p_inverse_target,
 )
 from dmlat.polyhedron import (
     SingularSystem,
@@ -349,6 +349,22 @@ class TestSamplesRequested:
         assert not report.all_match
 
 
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("sampler", [
+    lambda sig, n: bisector_equivalence_sample(configurations_of(sig)[2], n),
+    lambda sig, n: bisD_check(build_domain(sig), n_samples=n),
+    lambda sig, n: tessellation_sign_table(sig, n_samples=n),
+], ids=["eight_bullets", "twelve_bullets", "sign_table"])
+def test_sampler_refuses_fewer_than_one_sample(monkeypatch, sampler, n):
+    # The one generator refuses n before it fills a batch, so no sampler
+    # reports an agreement read from no samples.
+    fill = mock.Mock(wraps=sampling_mod.fill_sectors)
+    monkeypatch.setattr(sampling_mod, "fill_sectors", fill)
+    with pytest.raises(ValueError, match=f"not {n}$"):
+        sampler(LatticeSignature(4, 4, 6), n)
+    assert fill.call_count == 0
+
+
 @cache
 def sampler_charts(trip):
     """Every chart map a sampler applies on one triple, by name, with the
@@ -359,7 +375,7 @@ def sampler_charts(trip):
     dom = build_domain(sig)
     h = hermitian_form(dom.c3)
     charts = {f"P^-1 at {name}": (move_P_inverse(c).matrix, hermitian_form(c),
-                                  hermitian_form(p_inverse_target(c)))
+                                  hermitian_form(chart(c).p_inverse))
               for name, c in zip(("C1", "C2", "C3"), configurations_of(sig))}
     charts["w_of_z"] = (dom.w_of_z, h, h)
     charts["y_of_z"] = (dom.y_of_z, h, hermitian_form(dom.c2))
