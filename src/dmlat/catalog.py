@@ -59,14 +59,6 @@ class ExtOrder(Record):
         if self.value == 0:
             raise ValueError("order magnitude must be >= 1")
 
-    @classmethod
-    def finite(cls, n: int) -> "ExtOrder":
-        return cls(n)
-
-    @classmethod
-    def infinite(cls) -> "ExtOrder":
-        return cls(None)
-
     @property
     def is_infinite(self) -> bool:
         return self.value is None
@@ -147,11 +139,11 @@ def catalog() -> list[LatticeSignature]:
 def _reciprocal(q: Fraction) -> ExtOrder:
     """Exact reciprocal of a pi-rational, as an extended-integer order."""
     if q == 0:
-        return ExtOrder.infinite()
+        return ExtOrder(None)
     r = 1 / q
     if r.denominator != 1:
         raise NonIntegerOrder(f"reciprocal of {q} is not an integer")
-    return ExtOrder.finite(r.numerator)
+    return ExtOrder(r.numerator)
 
 
 @cache

@@ -28,7 +28,6 @@ from dmlat.catalog import DerivedParams, LatticeSignature, derive_params
 from dmlat.moves import (
     ConfiguredMap,
     Configuration,
-    SingularMatrix,
     chart,
     compose,
     configurations_of,
@@ -93,7 +92,7 @@ class DomainD(Record, eq=False):
 
     @cached_property
     def z_of_x(self) -> np.ndarray:
-        return read_only(np.linalg.inv(self.x_of_z))
+        return inverse(move_R1(self.c3)).matrix
 
     @cached_property
     def z_of_y(self) -> np.ndarray:
@@ -101,11 +100,8 @@ class DomainD(Record, eq=False):
 
     @cached_property
     def y_of_z(self) -> np.ndarray:
-        try:
-            return read_only(np.linalg.inv(self.z_of_y))
-        except np.linalg.LinAlgError:
-            raise SingularMatrix(f"the y chart of {self.signature} is singular: "
-                                 f"R2 at C2 {self.c2} has no inverse") from None
+        """R2 at C2 inverted; ``SingularMatrix`` exactly when k' is infinite."""
+        return inverse(move_R2(self.c2)).matrix
 
     @cached_property
     def w_of_z(self) -> np.ndarray:
@@ -147,14 +143,10 @@ def _sector_angles(dom: DomainD) -> dict:
 
 @cache
 def build_domain(sig: LatticeSignature) -> DomainD:
-    """The domain of a signature, built once per process.
-
-    The C2 chart is inverted here, so that a singular one, as on (4,4,4),
-    raises ``SingularMatrix`` before anything else is built on the domain.
-    """
-    dom = DomainD(sig, derive_params(sig), *configurations_of(sig))
-    dom.y_of_z
-    return dom
+    """The domain of a signature, built once per process. It inverts no
+    chart map: the C2 chart, singular when k' is infinite, is inverted only
+    where it is read (``DomainD.y_of_z``)."""
+    return DomainD(sig, derive_params(sig), *configurations_of(sig))
 
 
 class SidePairingSet(Record, eq=False):
@@ -198,9 +190,9 @@ def side_pairings(dom: DomainD) -> SidePairingSet:
     else:
         # The C2 chart is singular when k' is infinite; use the exchange
         # relation R'2 = K R'1 K^-1 and A'0 = K^-2 instead.
-        ki = np.linalg.inv(k.matrix)
-        r2p = ConfiguredMap(k.matrix @ r1p.matrix @ ki, c3, c3, "R2'")
-        a0p = ConfiguredMap(ki @ ki, c3, c3, "A'0")
+        ki = inverse(k)
+        r2p = compose(compose(k, r1p), ki)
+        a0p = compose(ki, ki)
     # K = J R1 and Q = P R1 through the C1 chart.
     ok = projective_equal(k.matrix, compose(move_J(c1), move_R1(c3)).matrix)
     ok = ok and projective_equal(q.matrix, compose(move_P(c1), move_R1(c3)).matrix)
@@ -315,6 +307,10 @@ _VERT_D_TABLE: dict[str, tuple[str | None, str | None, str | None, tuple]] = {
 }
 
 
+# The vertices that only the C2 chart places, with no alias in C3 or C1.
+_C2_ONLY = tuple(label for label, (z, x, _, _) in _VERT_D_TABLE.items() if z is x is None)
+
+
 class DomainVertexTable(Record, eq=False):
     """z-frame coordinates of the 24 vertices plus cross-check results.
 
@@ -348,8 +344,9 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
     """Assemble the 24 z-frame vertices and cross-check the reference table.
 
     Each cell's angle is its ``_sector_angles`` entry times pi. The cells of
-    collapsed vertices (``_collapsed_vertices``) are skipped, and so are the
-    y columns when k' is infinite.
+    collapsed vertices (``_collapsed_vertices``) are skipped, and so, when
+    k' is infinite, are the y columns and the vertices that only the
+    singular C2 chart places (``_C2_ONLY``).
     """
     c1, c2, c3 = dom.c1, dom.c2, dom.c3
     vt3 = vertices_t(c3)
@@ -363,6 +360,7 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
     failures: list[str] = []
     notes: list[str] = []
     unplaced: list[str] = []  # not collapsed, but with no finite point
+    c2_only: list[str] = []  # not collapsed, placed by the singular C2 chart
     if collapsed:
         notes.append(f"cells skipped for collapsed vertices: {sorted(collapsed)}")
     if y2_mod_pi:
@@ -382,7 +380,8 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
             z = z / z[2]
         coords[label] = read_only(z)
         if label not in collapsed:
-            (checked if finite else unplaced).append(label)
+            (unplaced if not finite else c2_only if not y_usable and label in _C2_ONLY
+             else checked).append(label)
     # One product per chart map for all the checked vertices, read as scalars.
     zs = np.array([coords[label] for label in checked]).reshape(-1, 3).T
     w = dom.w_of_z @ zs
@@ -411,6 +410,9 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
                 failures.append(f"{label}: arg mismatch {got:.6f} vs {want:.6f}")
     if unplaced:
         notes.append(f"cells skipped for vertices with no finite point: {unplaced}")
+    if c2_only:
+        notes.append("k' infinite: cells skipped for vertices only the singular "
+                     f"second chart places: {c2_only}")
     return DomainVertexTable(coords, collapsed, tuple(failures), tuple(notes))
 
 

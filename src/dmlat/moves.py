@@ -248,7 +248,7 @@ def inverse(f: ConfiguredMap) -> ConfiguredMap:
     (maps hash by identity, so once per chart for a cached move)."""
     m = f.matrix / np.max(np.abs(f.matrix))
     if abs(np.linalg.det(m)) <= VANISHING_TOL:
-        raise SingularMatrix(f"map {f.label} is numerically singular")
+        raise SingularMatrix(f"map {f.label} at {f.source} is numerically singular")
     inv = np.linalg.inv(f.matrix)
     label = f.label[:-3] if f.label.endswith("^-1") else f.label + "^-1"
     return ConfiguredMap(inv, f.target, f.source, label)

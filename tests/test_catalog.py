@@ -73,18 +73,18 @@ DEGENERATE_SETS = {
 
 class TestExtOrder:
     def test_finite(self):
-        n = ExtOrder.finite(5)
+        n = ExtOrder(5)
         assert n.is_positive and not n.is_infinite and n.to_json() == 5
 
     def test_negative(self):
-        n = ExtOrder.finite(-3)
+        n = ExtOrder(-3)
         assert n.is_negative and not n.is_positive
 
     def test_infinite(self):
-        n = ExtOrder.infinite()
+        n = ExtOrder(None)
         assert n.is_infinite and not n.is_positive and n.to_json() == "inf"
 
-    @pytest.mark.parametrize("make", [ExtOrder, ExtOrder.finite])
+    @pytest.mark.parametrize("make", [ExtOrder])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
     def test_only_an_int_or_none(self, make, value):
         with pytest.raises(TypeError, match="an order is an int or None"):

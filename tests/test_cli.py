@@ -17,6 +17,7 @@ import dmlat.verification as verification_mod
 from dmlat.cli import build_parser, main
 
 from conftest import ALL_TRIPLES
+from test_moves import K_PRIME_INFINITE
 
 # The list, euler and check reports hold no floats, so they are the same on
 # every machine.
@@ -83,15 +84,17 @@ class TestEuler:
 
 class TestCheck:
     @pytest.mark.parametrize("command", ["check", "vertices", "tessellate"])
-    def test_singular_second_chart_is_an_error(self, capsys, command):
-        # At (4,4,4) and (6,3,4) the C2 chart matrix is singular: a clean
-        # error that names the chart.
-        for triple, c2 in (("4 4 4", "1/2"), ("6 3 4", "5/12")):
-            code, out, err = run(capsys, "--force", command, *triple.split())
-            assert (code, out) == (2, "")
-            assert err == (f"error: the y chart of ({triple.replace(' ', ',')}) is "
-                           f"singular: R2 at C2 ({c2}, 3/4, 1/2, 0)*pi has no "
-                           f"inverse\n")
+    def test_k_prime_infinite(self, capsys, command):
+        # The C2 chart is singular on each k' = inf triple, and each takes
+        # the path of (3,3,3): check and vertices skip what only C2 carries
+        # and pass; tessellate, which samples D through C2, is a clean error.
+        for triple in K_PRIME_INFINITE:
+            code, out, err = run(capsys, "--force", command, *map(str, triple))
+            if command == "tessellate":
+                assert (code, out, err) == (
+                    2, "", "error: sampling requires the generic regime\n")
+            else:
+                assert (code, err) == (0, ""), triple
 
     @pytest.mark.parametrize("command", ["check", "vertices", "tessellate"])
     @pytest.mark.parametrize("triple,angle", [

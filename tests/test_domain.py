@@ -49,8 +49,10 @@ from dmlat.moves import (
     check_isometry,
     configurations_of,
     hermitian_form,
+    inverse,
     move_A1,
     move_P_inverse,
+    move_R1,
     move_R2,
 )
 from dmlat.polyhedron import (
@@ -69,6 +71,7 @@ from dmlat.polyhedron import (
 )
 from dmlat.sampling import Bullet, ball_draws, bullet_agreement, fill_uniform
 from dmlat.verification import tessellation_sign_table
+from test_moves import K_PRIME_INFINITE
 from test_polyhedron import drop_line
 
 KNEG_TRIPLES = {(6, 6, 3), (10, 10, 5), (12, 12, 6), (18, 18, 9),
@@ -93,9 +96,12 @@ class TestBuildDomain:
 
     @pytest.mark.parametrize("trip", [(4, 4, 4), (6, 3, 4)], ids=str)
     def test_singular_y_chart_is_typed(self, trip):
-        # move_R2(C2) has no inverse on these non-catalog triples.
-        with pytest.raises(SingularMatrix, match=rf"y chart of \({trip[0]},"):
-            build_domain(LatticeSignature(*trip))
+        # move_R2(C2) has no inverse on these non-catalog triples, as on every
+        # k' = inf one: the domain is built, and only y_of_z is refused,
+        # with the chart named.
+        dom = build_domain(LatticeSignature(*trip))
+        with pytest.raises(SingularMatrix, match=rf"^map R2 at \({dom.c2.alpha}, 3/4, 1/2, 0\)"):
+            dom.y_of_z
 
 
 class TestBuiltOnce:
@@ -146,6 +152,13 @@ class TestBuiltOnce:
         for table in (lines_t(dom.c3), lines_s(dom.c3)):
             with pytest.raises(TypeError):
                 table["L_*0"] = table["L_*1"]
+
+    def test_chart_maps_are_the_pairings_inverses(self, triple):
+        # Each inverted chart map is the very array that side_pairings reads.
+        dom = build_domain(LatticeSignature(*triple))
+        assert dom.z_of_x is inverse(move_R1(dom.c3)).matrix
+        if not dom.params.k_prime.is_infinite:
+            assert dom.y_of_z is inverse(move_R2(dom.c2)).matrix
 
     def test_chart_maps(self):
         dom = build_domain(LatticeSignature(4, 4, 6))
@@ -315,6 +328,14 @@ class TestVerticesD:
                         "failures": list(vd.failures),
                         "table_ok": vd.table_ok, "notes": list(vd.notes)}
         assert got == VERTEX_SWEEP
+
+    def test_c2_only_vertices_skipped_at_infinite_k_prime(self):
+        # v21-v24 have no alias in C3 or C1. At k' = inf only the singular
+        # C2 chart places them, so their cells are skipped, and every table
+        # holds.
+        assert domain_mod._C2_ONLY == ("v21", "v22", "v23", "v24")
+        for trip in K_PRIME_INFINITE:
+            assert vertices_D(build_domain(LatticeSignature(*trip))).table_ok, trip
 
     @pytest.mark.parametrize("trip", [(2, 2, 3), (2, 2, 4)], ids=str)
     def test_zero_sine_denominator_is_typed(self, trip):
@@ -557,10 +578,9 @@ class TestExactIdentities:
     """The glueing and same-lines identities, compared as matrices."""
 
     def test_verdicts(self, triple):
-        # k' is infinite only on (3,3,3). There v_of_z has a zero
-        # denominator, and y_of_z inverts a singular move_R2(C2), with
-        # entries near 1e16: samelines_check refuses it, as in_D_union does,
-        # rather than compare noise.
+        # In the catalog k' is infinite only on (3,3,3). There v_of_z has a
+        # zero denominator, and move_R2(C2) is singular, so y_of_z raises:
+        # samelines_check refuses it, as in_D_union does.
         dom = build_domain(LatticeSignature(*triple))
         if triple == (3, 3, 3):
             with pytest.raises(DegenerateDenominator):
@@ -570,6 +590,15 @@ class TestExactIdentities:
         else:
             assert glueing_check(dom)
             assert samelines_check(dom)
+
+    @pytest.mark.parametrize("trip", K_PRIME_INFINITE, ids=str)
+    def test_no_verdict_at_infinite_k_prime(self, trip):
+        # Every k' = inf triple gets a typed refusal, never a verdict.
+        dom = build_domain(LatticeSignature(*trip))
+        with pytest.raises((DegenerateDenominator, SingularMatrix)):
+            glueing_check(dom)
+        with pytest.raises(PreconditionFailed, match="infinite k'"):
+            samelines_check(dom)
 
     @given(st.sampled_from(GENERIC_TRIPLES + MUTATED[1:]), COMPLEX, COMPLEX)
     def test_forms_are_the_sampled_quantities(self, trip, z1, z2):

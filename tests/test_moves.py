@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import dmlat.moves as moves_mod
-from dmlat.arithmetic import _angle_key, _exp_i_pi, _sin_pi, exp_i_pi, projective_equal, sin_pi
-from dmlat.catalog import LatticeSignature, catalog, derive_params
+from dmlat.arithmetic import (
+    VANISHING_TOL,
+    _angle_key, _exp_i_pi, _sin_pi, exp_i_pi, projective_equal, sin_pi,
+)
+from dmlat.catalog import AngleOutOfRange, LatticeSignature, catalog, cone_angles, derive_params
 from dmlat.moves import (
     ConfigMismatch,
     Configuration,
@@ -29,7 +32,22 @@ from dmlat.moves import (
     move_R1,
     move_R2,
 )
+from test_polyhedron import SWEEP_TRIPLES
 
+
+def _has_cone_angles(triple) -> bool:
+    try:
+        cone_angles(LatticeSignature(*triple))
+    except AngleOutOfRange:
+        return False
+    return True
+
+
+# The 115 triples of the sweep with valid cone angles, and the nine of them
+# with k' = inf.
+VALID_TRIPLES = [t for t in SWEEP_TRIPLES if _has_cone_angles(t)]
+K_PRIME_INFINITE = [t for t in VALID_TRIPLES
+                    if derive_params(LatticeSignature(*t)).k_prime.is_infinite]
 
 MEMOISED = (move_R1, move_R2, move_A1, move_P, move_J, move_P_inverse,
             hermitian_form)
@@ -111,6 +129,23 @@ class TestComposition:
         _, c2, _ = _configs((3, 3, 3))
         with pytest.raises((SingularMatrix, DegenerateDenominator)):
             inverse(move_R2(c2))
+
+    def test_r2_at_c2_is_singular_exactly_at_infinite_k_prime(self):
+        # The one rule for the C2 chart: its R2 is refused exactly when
+        # k' = inf (phi' = 0), where (1, 0, 1) spans its kernel, and the
+        # refusal names the map and the chart.
+        assert (len(VALID_TRIPLES), len(K_PRIME_INFINITE)) == (115, 9)
+        for triple in VALID_TRIPLES:
+            _, c2, _ = _configs(triple)
+            r2 = move_R2(c2)
+            if triple in K_PRIME_INFINITE:
+                with pytest.raises(SingularMatrix,
+                                   match=rf"^map R2 at \({c2.alpha}, .*, 0\)\*pi is"):
+                    inverse(r2)
+                kernel = r2.matrix @ np.array([1.0, 0.0, 1.0])
+                assert np.max(np.abs(kernel)) <= VANISHING_TOL * np.max(np.abs(r2.matrix))
+            else:
+                assert projective_equal(r2.matrix @ inverse(r2).matrix, np.eye(3))
 
 
 class TestConfigurations:

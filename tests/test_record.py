@@ -28,8 +28,8 @@ def test_value_equality_and_hash():
     assert a != LatticeSignature(4, 4, 5)
     assert a != (4, 4, 6) and not a == (4, 4, 6)
     # One field hashes as a 1-tuple, like the other records.
-    assert ExtOrder(3) == ExtOrder.finite(3) and hash(ExtOrder(3)) == hash((3,))
-    assert ExtOrder.infinite() != ExtOrder(3)
+    assert ExtOrder(3) == ExtOrder(3) and hash(ExtOrder(3)) == hash((3,))
+    assert ExtOrder(None) != ExtOrder(3)
 
 
 def test_a_class_keeps_its_own_hash():

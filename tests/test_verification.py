@@ -135,8 +135,8 @@ class TestOrbitTable:
         from dmlat.catalog import DerivedParams
         params = DerivedParams(
             alpha=Fraction(1, 2), theta=Fraction(1, 3), phi=Fraction(1, 3),
-            k_prime=ExtOrder.finite(6), l=ExtOrder.finite(-6),
-            l_prime=ExtOrder.finite(6), d=ExtOrder.finite(6))
+            k_prime=ExtOrder(6), l=ExtOrder(-6),
+            l_prime=ExtOrder(6), d=ExtOrder(6))
         with pytest.raises(UnsupportedDegeneracy):
             apply_degenerations(base_orbit_table(), params)
 
