@@ -21,7 +21,7 @@ RationalLike = Union[Fraction, int, str]
 # The tolerance table: every tolerance and bound of the package, one name per
 # decision. The other modules read these names and write none of the values.
 DEFAULT_TOL = 1e-9  # computed matrices or values agree, up to scale or not; --tolerance default
-DEFAULT_MAX_ORDER = 200  # the highest power an order search tries; --max-order default
+DEFAULT_MAX_ORDER = 200  # the highest power an order search tries
 VANISHING_TOL = 1e-12  # a value vanishes against the largest entry it is measured with
 ZERO_COORD_TOL = 1e-10  # a coordinate vanishes; catalog vertex coordinates are < 2e-14 or > 0.04
 VERTEX_ARG_TOL = 1e-9  # a vertex-table coordinate has its named argument

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from dmlat.arithmetic import DEFAULT_MAX_ORDER, DEFAULT_TOL, no_finite_point
+from dmlat.arithmetic import DEFAULT_TOL, no_finite_point
 from dmlat.catalog import LatticeSignature, catalog, cone_angles, derive_params
 from dmlat.domain import build_domain, side_pairings, vertices_D
 from dmlat.verification import (collapsed_ridges, euler_characteristic, group_checks,
@@ -118,7 +118,7 @@ def _check_one(sig: LatticeSignature, args) -> int:
     dom = build_domain(sig)
     sp = side_pairings(dom)
     vd = vertices_D(dom)
-    rel, cyc = group_checks(sig, tol=args.tolerance, max_order=args.max_order)
+    rel, cyc = group_checks(sig, tol=args.tolerance)
     checks = [
         ("frame-diagram", dom.diagram_ok, ""),
         ("side-pairing-factorizations", sp.factorizations_ok, ""),
@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "lattice constructions.")
     parser.add_argument("--tolerance", type=_TOLERANCE, default=DEFAULT_TOL)
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--max-order", type=_COUNT, default=DEFAULT_MAX_ORDER)
     parser.add_argument("--seed", type=_SEED, default=7)
     parser.add_argument("--force", action="store_true",
                         help="allow non-catalog signatures")

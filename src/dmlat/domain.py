@@ -105,7 +105,7 @@ class DomainD(Record, eq=False):
 
     @cached_property
     def w_of_z(self) -> np.ndarray:
-        return read_only(_word("Q^-1", _pairing_words(self)))
+        return _pairing_words(self)["Q^-1"]
 
     @cached_property
     def u_of_z(self) -> np.ndarray:
@@ -228,31 +228,15 @@ def _letters(text: str) -> tuple[tuple[str, int], ...]:
     return tuple((letter, int(power or 1)) for letter, power in _LETTER.findall(text))
 
 
-# Each read-only letter matrix and its inverse, by the matrix's identity. A
-# word table is read-only, so each of its letters is inverted once.
-_INVERSES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _inverse(m: np.ndarray) -> np.ndarray:
-    """np.linalg.inv(m), which is what np.linalg.matrix_power(m, -1) computes."""
-    if m.flags.writeable:
-        return np.linalg.inv(m)
-    if id(m) not in _INVERSES:
-        _INVERSES[id(m)] = (m, read_only(np.linalg.inv(m)))
-    return _INVERSES[id(m)][1]
-
-
 def _word(text: str, w: dict[str, np.ndarray]) -> np.ndarray:
     """The matrix of a word in the pairings and A1, such as "R'2^-1QR'1".
 
     A word is letters, each with an optional integer power; any other text,
-    such as parentheses, raises ``MalformedWord``. A letter at power 1 is
-    its matrix, at power -1 its inverse (``_inverse``); other powers are
-    ``np.linalg.matrix_power``.
+    such as parentheses, raises ``MalformedWord``. A letter X at power n is
+    ``np.linalg.matrix_power`` of the entry X of w, or X^-1 for n < 0, at |n|.
     """
     return reduce(np.matmul, [
-        w[letter] if n == 1 else _inverse(w[letter]) if n == -1
-        else np.linalg.matrix_power(w[letter], n)
+        np.linalg.matrix_power(w[letter if n >= 0 else f"{letter}^-1"], abs(n))
         for letter, n in _letters(text)])
 
 
@@ -263,13 +247,16 @@ _COMPOUND_WORDS = ("Q^2", "R'0K", "QK^-1", "A'0R'2R'1", "R'1A'0R'2", "KR'0",
 
 @cache
 def _pairing_words(dom: DomainD) -> dict[str, np.ndarray]:
-    """The pairings, A1 and ``_COMPOUND_WORDS``: built once per domain, read-only.
+    """The pairings, A1, their inverses and ``_COMPOUND_WORDS``: built once per
+    domain, read-only.
 
     This is the one table of letters: outside ``side_pairings`` itself,
-    every product of pairings in the package is a ``_word`` on it.
+    every product of pairings in the package is a ``_word`` on it. The entry
+    X^-1 of a letter X is ``moves.inverse`` of X's map.
     """
-    d = {name: m.matrix for name, m in side_pairings(dom).as_dict().items()}
-    d["A1"] = move_A1(dom.c3).matrix
+    maps = {**side_pairings(dom).as_dict(), "A1": move_A1(dom.c3)}
+    d = {name: m.matrix for name, m in maps.items()}
+    d.update((f"{name}^-1", inverse(m).matrix) for name, m in maps.items())
     d.update((word, _word(word, d)) for word in _COMPOUND_WORDS)
     return {name: read_only(m) for name, m in d.items()}
 

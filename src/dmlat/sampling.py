@@ -3,7 +3,7 @@
 Every sampler draws points of C^2 and keeps those inside the ball of the
 configuration's area form diag(d0, d1, d2), given as its three reals
 (``moves.hermitian_form``). ``ball_batches`` is the
-one generator that seeds, fills a batch (``fill_sectors``), keeps the draws
+one generator that seeds, draws a batch (``fill_sectors``), keeps the draws
 in the ball (``ball_filter``) and stops at the draw cap, so a report depends
 only on the seed. Its one proposal draws arg z1 and arg z2 uniform in two
 arcs and (|z1|, |z2|) uniform by area inside the ball: the whole circle for
@@ -74,19 +74,6 @@ def affine_points(r: np.ndarray) -> np.ndarray:
                       np.ones(r.shape[1], dtype=complex)])
 
 
-def fill_uniform(rng: np.random.Generator, buf: np.ndarray) -> np.ndarray:
-    """Fill the float64 array buf with ``rng.uniform(-1, 1, buf.shape)``.
-
-    numpy computes uniform(low, high) as low + (high - low) u, with u from
-    ``rng.random()``; here (2 u) - 1 is the same sum, so the numbers are
-    equal bit for bit and no array is allocated. Returns buf.
-    """
-    rng.random(out=buf)
-    buf *= 2.0
-    buf -= 1.0
-    return buf
-
-
 def ball_bounds(d: np.ndarray) -> np.ndarray:
     """The bounds of |z1| and |z2| on the ball of the form d = (d0, d1, d2).
 
@@ -97,60 +84,41 @@ def ball_bounds(d: np.ndarray) -> np.ndarray:
     return np.sqrt(-d[2] / d[:2])
 
 
-def ball_filter(d: np.ndarray):
-    """The draws in the ball of d, copied out of (4, k) arrays of draws, k <= BATCH.
+def ball_filter(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The draws of the (4, k) array r in the ball of d, in order, as a new array.
 
     For the form d = (d0, d1, d2), the point (r0 + i r1, r2 + i r3, 1) has
     norm d0 (r0^2 + r1^2) + d1 (r2^2 + r3^2) + d2, and lies in the ball when
-    that is positive. The returned filter sums row by row in scratch rows of
-    length BATCH allocated here, and returns the kept columns, in order, as
-    a new array, never a view of its argument.
+    that is positive.
     """
-    scratch = np.empty((3, BATCH))
-
-    def in_ball(r: np.ndarray) -> np.ndarray:
-        s0, s1, square = scratch[:, :r.shape[1]]
-        np.square(r[0], out=s0)
-        s0 += np.square(r[1], out=square)
-        s0 *= d[0]
-        np.square(r[2], out=s1)
-        s1 += np.square(r[3], out=square)
-        s1 *= d[1]
-        s0 += s1
-        # take() gathers the kept columns several times faster than r[:, keep].
-        return r.take(np.flatnonzero(s0 > -d[2]), axis=1)
-    return in_ball
+    keep = (r[0] ** 2 + r[1] ** 2) * d[0] + (r[2] ** 2 + r[3] ** 2) * d[1] > -d[2]
+    # take() gathers the kept columns several times faster than r[:, keep].
+    return r.take(np.flatnonzero(keep), axis=1)
 
 
 def fill_sectors(rng: np.random.Generator, arcs: tuple[tuple[float, float], ...],
-                 bounds: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Fill the (4, k) float64 array buf with draws uniform in the ball's sectors.
+                 bounds: np.ndarray) -> np.ndarray:
+    """One (4, BATCH) batch of draws uniform in the ball's sectors.
 
     Column j is the point (r0 + i r1, r2 + i r3, 1) with arg z_i uniform in
     the arc ``arcs[i]`` = (lo, hi) and |z_i|^2 = t_i bounds[i]^2, where
     (t1, t2) is uniform in the triangle t1 + t2 < 1. For the bounds of
     ``ball_bounds`` that triangle is the ball, so the draws are uniform by
-    area in ball and sectors. Row 2i of a ``fill_uniform`` fill on [-1, 1)
-    gives the argument and row 2i + 1 the modulus, in place. The square of
-    (t1, t2) they fill is folded onto the triangle by the point reflection
-    t -> 1 - t where t1 + t2 > 1, which keeps the law uniform. Returns buf.
+    area in ball and sectors. Row 2i of ``rng.uniform`` on [-1, 1) gives the
+    argument and row 2i + 1 the modulus. The square of (t1, t2) they give is
+    folded onto the triangle by the point reflection t -> 1 - t where
+    t1 + t2 > 1, which keeps the law uniform.
     """
-    fill_uniform(rng, buf)
+    u = rng.uniform(-1.0, 1.0, (4, BATCH))
     # t_i = (u_i + 1) / 2 with u_i in row 2i + 1, so t1 + t2 > 1 where
     # u1 + u2 > 0, and 1 - t_i = (1 - u_i) / 2: the fold negates u, exactly.
-    moduli = buf[1::2]
-    np.negative(moduli, out=moduli, where=moduli.sum(axis=0) > 0)
-    for (lo, hi), bound, (x, y) in zip(arcs, bounds, (buf[:2], buf[2:])):
-        x *= (hi - lo) / 2
-        x += (hi + lo) / 2
-        y += 1.0
-        y *= bound ** 2 / 2
-        np.sqrt(y, out=y)
-        sin = np.sin(x)
-        np.cos(x, out=x)
-        x *= y
-        y *= sin
-    return buf
+    moduli = np.where(u[1::2].sum(axis=0) > 0, -u[1::2], u[1::2])
+    rows = []
+    for (lo, hi), bound, arg, modulus in zip(arcs, bounds, u[::2], moduli):
+        arg = arg * ((hi - lo) / 2) + (hi + lo) / 2
+        radius = np.sqrt((modulus + 1.0) * (bound ** 2 / 2))
+        rows += [radius * np.cos(arg), radius * np.sin(arg)]
+    return np.array(rows)
 
 
 def ball_batches(d: np.ndarray, arcs: tuple[tuple[float, float], ...],
@@ -163,17 +131,14 @@ def ball_batches(d: np.ndarray, arcs: tuple[tuple[float, float], ...],
     The draw cap, for a caller that asks for n samples, is DRAWS_PER_SAMPLE
     n draws rounded up to whole batches, so that a seed gives one stream
     whatever n is. A batch yields its draws in the ball (``ball_filter``) as
-    a new (4, k) array, never a view of the buffer. An n below 1 raises
-    ``ValueError`` before the first draw.
+    a (4, k) array. An n below 1 raises ``ValueError`` before the first draw.
     """
     if n < 1:
         raise ValueError(f"a sampler asks for at least 1 sample, not {n}")
-    in_ball = ball_filter(d)
     bounds = ball_bounds(d)
     rng = np.random.default_rng(seed)
-    buf = np.empty((4, BATCH))
     for _ in range(-(-DRAWS_PER_SAMPLE * n // BATCH)):
-        yield in_ball(fill_sectors(rng, arcs, bounds, buf))
+        yield ball_filter(d, fill_sectors(rng, arcs, bounds))
 
 
 def ball_draws(d: np.ndarray, seed: int, n: int,

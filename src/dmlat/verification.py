@@ -475,9 +475,8 @@ def _holds(equation: str, w: dict[str, np.ndarray], tol: float) -> bool:
     return projective_equal(_word(lhs, w), _word(rhs, w), tol)
 
 
-def group_checks(
-    sig: LatticeSignature, tol: float = DEFAULT_TOL, max_order: int = DEFAULT_MAX_ORDER
-) -> tuple[CheckReport, CheckReport]:
+def group_checks(sig: LatticeSignature,
+                 tol: float = DEFAULT_TOL) -> tuple[CheckReport, CheckReport]:
     """The relation report and the cycle report, each equation evaluated once.
 
     Each cycle order and cycle identity is also a relation, and its one
@@ -501,11 +500,11 @@ def group_checks(
                 word, "skipped", f"{sym} = {value} not positive finite"))
             continue
         try:
-            order = projective_order(_word(word, w), max_order, tol)
+            order = projective_order(_word(word, w), DEFAULT_MAX_ORDER, tol)
             status = "pass" if order == ell * m else "fail"
             detail = f"order {order}"
         except ExceededBound:
-            status, detail = "fail", f"order >= {max_order}"
+            status, detail = "fail", f"order >= {DEFAULT_MAX_ORDER}"
         relations[place] = CheckEntry(relation, status, detail)
         cycles.append(CheckEntry(word, status, detail))
 

@@ -288,8 +288,8 @@ class TestTessellate:
     (("--tolerance", "nan", "check", "--all"), "--tolerance"),
     (("--tolerance", "inf", "check", "--all"), "--tolerance"),
     (("--tolerance", "tiny", "check", "--all"), "--tolerance"),
-    (("--max-order", "0", "check", "--all"), "--max-order"),
-    (("--max-order", "2.5", "check", "--all"), "--max-order"),
+    (("tessellate", "4", "4", "6", "--samples", "2.5"), "--samples"),
+    (("--seed", "2.5", "tessellate", "4", "4", "5", "--samples", "5"), "--seed"),
     (("tessellate", "4", "4", "6", "--samples", "0"), "--samples"),
     (("tessellate", "4", "4", "6", "--samples", "-5"), "--samples"),
     (("--seed", "-1", "tessellate", "4", "4", "5", "--samples", "5"), "--seed"),
@@ -314,8 +314,6 @@ def test_tolerance_of_one_or_more_is_a_usage_error(capsys, value):
 
 
 def test_smallest_good_values_are_accepted(capsys):
-    code, out, _ = run(capsys, "--max-order", "1", "check", "4", "4", "6")
-    assert code == 1 and "order >= 1" in out
     code, out, _ = run(capsys, "tessellate", "4", "4", "6", "--samples", "1")
     assert (code, out.splitlines()[-1]) == (0, "1 samples; all rows match")
     code, out, _ = run(capsys, "--seed", "0", "tessellate", "4", "4", "6",

@@ -6,8 +6,13 @@ exception its construction raises:
 
 - on each chart C1, C2, C3: the six moves, the area form, and each vector of
   ``lines_t`` and ``lines_s``;
-- each entry of the word table ``_pairing_words``;
+- each entry of the word table ``_pairing_words``, the letters' inverses included;
 - each word that ``group_checks`` evaluates, in the order of evaluation.
+
+``tests/data/stream_digests.json`` holds the same for the sampler stream,
+on the 7 generic triples at two seeds: each of the first 3 batches of
+``ball_batches`` on the ball of C3, through ``FULL_ARCS`` and through D's
+z-sectors, and the points of ``_sample_domain_points`` for 500 samples.
 
 A change that reorders a float product or rounds an angle differently moves
 a digest, even where every check still passes.
@@ -17,9 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import dmlat.verification as verification_mod
 from dmlat.catalog import LatticeSignature
@@ -35,9 +42,15 @@ from dmlat.moves import (
     move_R2,
 )
 from dmlat.polyhedron import lines_s, lines_t
-from dmlat.verification import group_checks
+from dmlat.sampling import FULL_ARCS, ball_batches
+from dmlat.verification import _sample_domain_points, group_checks
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "chart_digests.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "chart_digests.json").read_text())
+STREAMS = json.loads((DATA / "stream_digests.json").read_text())
+GENERIC = [(4, 4, 5), (4, 4, 6), (3, 3, 4), (2, 6, 6), (2, 4, 3), (2, 3, 3),
+           (3, 4, 4)]
+STREAM_SEEDS = [7, 3000017]
 
 MOVES = {"R1": move_R1, "R2": move_R2, "A1": move_A1, "P": move_P, "J": move_J,
          "P^-1": move_P_inverse}
@@ -91,10 +104,33 @@ def test_golden_covers_the_catalog(triple):
     key = ",".join(map(str, triple))
     entry = GOLDEN["triples"][key]
     assert len(GOLDEN["triples"]) == 13
-    assert len(entry["charts"]) == 3 and len(entry["words"]) == 14
+    assert len(entry["charts"]) == 3 and len(entry["words"]) == 21
     assert len(entry["group_checks"]) >= 20
 
 
 def test_digests_unchanged(triple, monkeypatch):
     key = ",".join(map(str, triple))
     assert triple_digests(triple, monkeypatch) == GOLDEN["triples"][key]
+
+
+def stream_digests(triple, seed) -> dict:
+    """Everything the stream golden holds for one triple at one seed."""
+    dom = build_domain(LatticeSignature(*triple))
+    h = hermitian_form(dom.c3)
+    out = {name: [_digest(r) for r in islice(ball_batches(h, arcs, seed, 500), 3)]
+           for name, arcs in (("full", FULL_ARCS), ("sectors", dom.sectors[:2]))}
+    out["domain_points"] = _digest(_sample_domain_points(dom, 500, seed))
+    return out
+
+
+def test_stream_golden_covers_the_generic_triples():
+    assert sorted(STREAMS["streams"]) == sorted(",".join(map(str, t)) for t in GENERIC)
+    for entry in STREAMS["streams"].values():
+        assert sorted(entry) == sorted(map(str, STREAM_SEEDS))
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("trip", GENERIC, ids=str)
+def test_stream_digests_unchanged(trip, seed):
+    key = ",".join(map(str, trip))
+    assert stream_digests(trip, seed) == STREAMS["streams"][key][str(seed)]

@@ -30,7 +30,6 @@ from dmlat.domain import (
     DomainVertexTable,
     SidePairingSet,
     _pairing_words,
-    _word,
     bisD_check,
     boundary_null_vertices,
     build_domain,
@@ -69,7 +68,7 @@ from dmlat.polyhedron import (
     vertices_s,
     vertices_t,
 )
-from dmlat.sampling import Bullet, ball_draws, bullet_agreement, fill_uniform
+from dmlat.sampling import Bullet, ball_draws, bullet_agreement, fill_sectors
 from dmlat.verification import tessellation_sign_table
 from test_moves import K_PRIME_INFINITE
 from test_polyhedron import drop_line
@@ -111,7 +110,7 @@ class TestBuiltOnce:
         assert side_pairings(dom) is side_pairings(dom)
         assert vertices_D(dom) is vertices_D(dom)
         assert _pairing_words(dom) is _pairing_words(dom)
-        assert dom.w_of_z is dom.w_of_z
+        assert dom.w_of_z is _pairing_words(dom)["Q^-1"]
         for c in (dom.c1, dom.c2, dom.c3):
             assert lines_t(c) is lines_t(c)
             assert lines_s(c) is lines_s(c)
@@ -144,7 +143,7 @@ class TestBuiltOnce:
             chain(*domain_mod._glueing_forms(dom))))
         for frame, table in (("t", lines_t(dom.c3)), ("s", lines_s(dom.c3))):
             shared.update((f"{frame} {label}", l) for label, l in table.items())
-        assert len(shared) == 7 + 14 + 24 + 6 + 20
+        assert len(shared) == 7 + 21 + 24 + 6 + 20
         for name, m in shared.items():
             assert not m.flags.writeable, name
             with pytest.raises(ValueError):
@@ -186,8 +185,8 @@ class TestBuiltOnce:
 
     def test_no_sample_is_cached(self):
         sig = LatticeSignature(4, 4, 6)
-        with mock.patch.object(sampling_mod, "fill_uniform",
-                               wraps=fill_uniform) as fill:
+        with mock.patch.object(sampling_mod, "fill_sectors",
+                               wraps=fill_sectors) as fill:
             first = tessellation_sign_table(sig, n_samples=20)
             drawn = fill.call_count
             assert drawn > 0
@@ -547,10 +546,12 @@ class TestSampledChecks:
 
     def test_bullets_read_the_word_table(self, monkeypatch):
         # The transports are words on _pairing_words, the one table of
-        # letters: R'1 swapped for its inverse there must reach the bullets.
+        # letters: R'1 swapped with its inverse there must reach the bullets.
         dom = build_domain(LatticeSignature(4, 4, 6))
         words = _pairing_words(dom)
-        monkeypatch.setitem(words, "R'1", _word("R'1^-1", words))
+        r1, r1_inverse = words["R'1"], words["R'1^-1"]
+        monkeypatch.setitem(words, "R'1", r1_inverse)
+        monkeypatch.setitem(words, "R'1^-1", r1)
         domain_mod._bisd_bullets.cache_clear()
         try:
             report = bisD_check(dom, n_samples=300, seed=7)
@@ -674,8 +675,8 @@ class TestExactIdentities:
         dom = build_domain(LatticeSignature(*trip))
         with mock.patch.object(np.random, "default_rng",
                                wraps=np.random.default_rng) as rng, \
-                mock.patch.object(sampling_mod, "fill_uniform",
-                                  wraps=fill_uniform) as fill:
+                mock.patch.object(sampling_mod, "fill_sectors",
+                                  wraps=fill_sectors) as fill:
             assert glueing_check(dom, seed=7)
             assert samelines_check(dom, seed=7)
         rng.assert_not_called()

@@ -10,10 +10,11 @@ and the catalog's derived parameters and cone angles load neither numpy nor
 ``dmlat.arithmetic`` nor ``dmlat.moves``. An ``assert`` vanishes under
 ``python -O``, so a check in the package must raise instead. A module-level
 function or class whose name no file under ``src/``, ``tests/``, ``demos/``
-or ``perfbench/`` reads is dead code too. Only ``sampling.fill_uniform``
-calls a drawing method of a numpy ``Generator``, and only
-``sampling.fill_sectors`` calls ``fill_uniform``, so that every sampled check
-draws through the one proposal of ``dmlat.sampling``. Only
+or ``perfbench/`` reads is dead code too. Only ``sampling.fill_sectors``
+calls a drawing method of a numpy ``Generator``, so that every sampled check
+draws through the one proposal of ``dmlat.sampling``. Only ``moves.inverse``,
+``arithmetic.projective_order`` and ``verification.stabilizer_bfs`` call
+``np.linalg.inv``, so that a configured map has one inverse. Only
 ``polyhedron.in_arcs``, the one arc rule, and ``domain.vertices_D`` read an
 argument with ``np.angle``, ``np.arctan2`` or ``math.atan2``.
 Every field of a record class of the package, a ``dmlat.record.Record``
@@ -195,11 +196,12 @@ def random_draws(tree: ast.Module, allowed: frozenset[str] = frozenset()) -> lis
                  and func.value.id in ("np", "numpy"))), allowed)
 
 
-def fill_uniform_calls(tree: ast.Module, allowed: frozenset[str] = frozenset()) -> list[str]:
-    """``function:line`` of every call of ``fill_uniform``, by name or as
-    an attribute, outside the functions named in ``allowed``."""
-    return calls(tree, lambda func: "fill_uniform" in (
-        getattr(func, "id", None), getattr(func, "attr", None)), allowed)
+def linalg_inverses(tree: ast.Module, allowed: frozenset[str] = frozenset()) -> list[str]:
+    """``function:line`` of every call of ``linalg.inv``, on any name, outside
+    the functions named in ``allowed``."""
+    return calls(tree, lambda func: (
+        isinstance(func, ast.Attribute) and func.attr == "inv"
+        and getattr(func.value, "attr", None) == "linalg"), allowed)
 
 
 def unread_parameters(tree: ast.Module) -> list[str]:
@@ -265,8 +267,8 @@ def test_detectors_see_both_faults():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
-def test_draws_only_in_fill_uniform(path):
-    allowed = frozenset({"fill_uniform"} if path.name == "sampling.py" else ())
+def test_draws_only_in_fill_sectors(path):
+    allowed = frozenset({"fill_sectors"} if path.name == "sampling.py" else ())
     assert random_draws(_parse(path), allowed) == []
 
 
@@ -279,20 +281,24 @@ def test_random_draw_detector():
     assert random_draws(tree) == ["<module>:3", "<module>:3", "fill:5", "f:7"]
 
 
+# The one function of each module that may call np.linalg.inv.
+INVERTERS = {"moves.py": frozenset({"inverse"}),
+             "arithmetic.py": frozenset({"projective_order"}),
+             "verification.py": frozenset({"stabilizer_bfs"})}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
-def test_fill_uniform_only_in_fill_sectors(path):
-    allowed = frozenset({"fill_sectors"} if path.name == "sampling.py" else ())
-    assert fill_uniform_calls(_parse(path), allowed) == []
+def test_linalg_inverse_only_in_the_inverters(path):
+    assert linalg_inverses(_parse(path), INVERTERS.get(path.name, frozenset())) == []
 
 
-def test_fill_uniform_call_detector():
-    # A reference that is not a call, as in mock's wraps=, is no call.
-    tree = ast.parse("import dmlat.sampling as s\nfrom dmlat.sampling import fill_uniform\n"
-                     "def fill_sectors(rng, buf):\n    return fill_uniform(rng, buf)\n"
-                     "def box(rng, buf):\n    return s.fill_uniform(rng, buf)\n"
-                     "f = fill_uniform\nfill_uniform(None, None)\n")
-    assert fill_uniform_calls(tree, frozenset({"fill_sectors"})) == ["box:6", "<module>:8"]
-    assert fill_uniform_calls(tree) == ["fill_sectors:4", "box:6", "<module>:8"]
+def test_linalg_inverse_detector():
+    # A reference that is not a call is no call; nor is another linalg function.
+    tree = ast.parse("import numpy as np\ndef inverse(m):\n    return np.linalg.inv(m)\n"
+                     "def f(m):\n    return np.linalg.pinv(m) @ numpy.linalg.inv(m)\n"
+                     "g = np.linalg.inv\n")
+    assert linalg_inverses(tree, frozenset({"inverse"})) == ["f:5"]
+    assert linalg_inverses(tree) == ["inverse:3", "f:5"]
 
 
 # The functions that read an argument: the one arc rule, and the vertex table,

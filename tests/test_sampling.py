@@ -65,7 +65,6 @@ from dmlat.sampling import (
     ball_draws,
     ball_filter,
     fill_sectors,
-    fill_uniform,
     first_decisive,
 )
 from dmlat.verification import (
@@ -478,8 +477,8 @@ class TestDomainSamplerIsLazy:
     @pytest.mark.parametrize("trip", [(4, 4, 5), (2, 4, 3)], ids=str)
     def test_fills_only_the_groups_it_reads(self, trip):
         dom = build_domain(LatticeSignature(*trip))
-        with mock.patch.object(sampling_mod, "fill_uniform",
-                               wraps=fill_uniform) as fill:
+        with mock.patch.object(sampling_mod, "fill_sectors",
+                               wraps=fill_sectors) as fill:
             points = _sample_domain_points(dom, 500, 7)
         assert (points.shape[1], fill.call_count) == (
             500, {(4, 4, 5): 2, (2, 4, 3): 5}[trip])
@@ -500,6 +499,13 @@ def triangle_distances(t: np.ndarray) -> list[float]:
             + [ks_distance(np.minimum(t.sum(axis=0), 1.0) ** 2)])
 
 
+def stacked(draw, m):
+    """The first m columns of the (4, BATCH) batches ``draw(rng)``, side by
+    side, from one generator at seed 7."""
+    rng = np.random.default_rng(7)
+    return np.hstack([draw(rng) for _ in range(-(-m // BATCH))])[:, :m]
+
+
 def assert_uniform(arcs, bounds):
     """At a fixed seed, the draws of ``fill_sectors`` are uniform on ball and
     sectors: every draw lies in the closed triangle of (t1, t2), each
@@ -507,7 +513,7 @@ def assert_uniform(arcs, bounds):
     triangle's laws. Each KS distance is below its 1% critical value
     1.63 / sqrt(m)."""
     m = 20000
-    r = fill_sectors(np.random.default_rng(7), arcs, bounds, np.empty((4, m)))
+    r = stacked(lambda rng: fill_sectors(rng, arcs, bounds), m)
     z = affine_points(r)[:2]
     t = np.abs(z) ** 2 / bounds[:, None] ** 2
     assert np.all(t.sum(axis=0) <= 1.0 + 1e-12)
@@ -572,11 +578,10 @@ class TestSectorProposal:
         m = 20000
         bounds = ball_bounds(hermitian_form(
             configurations_of(LatticeSignature(4, 4, 5))[2]))
-        r = fill_sectors(np.random.default_rng(7), FULL_ARCS, bounds,
-                         np.empty((4, m)))
+        r = stacked(lambda rng: fill_sectors(rng, FULL_ARCS, bounds), m)
         t = np.abs(affine_points(r)[:2]) ** 2 / bounds[:, None] ** 2
-        square = (fill_uniform(np.random.default_rng(7),
-                               np.empty((4, m)))[1::2] + 1.0) / 2.0
+        square = (stacked(lambda rng: rng.uniform(-1.0, 1.0, (4, BATCH)), m)[1::2]
+                  + 1.0) / 2.0
         assert triangle_distances(square)[2] > 1.63 / math.sqrt(m)
         folded = np.where(square.sum(axis=0) > 1.0, 1.0 - square, square)
         assert np.allclose(t, folded, rtol=0.0, atol=1e-12)
@@ -639,8 +644,8 @@ class TestFiniteCharts:
             not pp_possible(c) for c in configurations_of(LatticeSignature(*trip)))}
         assert admitted == set(GENERIC) | {(3, 3, 3)}
         for c in configurations_of(LatticeSignature(3, 3, 3)):
-            with mock.patch.object(sampling_mod, "fill_uniform",
-                                   wraps=fill_uniform) as fill:
+            with mock.patch.object(sampling_mod, "fill_sectors",
+                                   wraps=fill_sectors) as fill:
                 with pytest.raises(DegenerateDenominator):
                     bisector_equivalence_sample(c)
             fill.assert_not_called()
@@ -660,8 +665,8 @@ class TestFiniteCharts:
         # modulus x_j^2 for z1, modulus 0 for z2. The rest of the batch has
         # |z1| at its bound and z2 = 0, t1 + t2 = 1, which the fold keeps:
         # the points (1, 0, 1) of the sphere, which the ball test drops. The
-        # batch is read through the arcs (-1, 1), or through ball_draws,
-        # whose arcs are the whole circle.
+        # generator hands out that batch; it is read through the arcs
+        # (-1, 1), or through ball_draws, whose arcs are the whole circle.
         x = np.array([0.25, 0.5, 0.75])
         draws = np.zeros((4, 3))
         draws[0] = x
@@ -669,12 +674,8 @@ class TestFiniteCharts:
         filled = np.zeros((4, BATCH))
         filled[1], filled[3] = 1.0, -1.0
         filled[1, :3], filled[3, :3] = 2 * x ** 2 - 1, -1.0
-
-        def fill(rng, buf):
-            buf[...] = filled
-            return buf
-
-        with mock.patch.object(sampling_mod, "fill_uniform", fill):
+        rng = mock.Mock(**{"uniform.return_value": filled})
+        with mock.patch.object(np.random, "default_rng", return_value=rng):
             r = next(ball_batches(ball, FULL_ARCS if full else ((-1.0, 1.0),) * 2,
                                   7, 3))
             charts = next(ball_draws(ball, 7, 3, ())) if full else (affine_points(r),)
@@ -702,7 +703,7 @@ class TestInBall:
         r = np.array(u)[:, None] * scale
         inside = hermitian_eval(h, affine_points(r))[0] > 0
         assert inside != outside  # the property is not vacuous
-        kept = ball_filter(h)(r)
+        kept = ball_filter(h, r)
         assert (kept.shape[1] == 1) == inside
         assert not np.shares_memory(kept, r)
 
@@ -710,16 +711,4 @@ class TestInBall:
     def test_drops_points_well_outside(self, trip, u, delta):
         h = hermitian_form(configurations_of(LatticeSignature(*trip))[2])
         r = np.array(u)[:, None] * _boundary_scale(h, u) * (1.0 + delta)
-        assert ball_filter(h)(r).shape[1] == 0
-
-
-class TestFillUniform:
-    @given(st.one_of(st.just(BATCH), st.integers(1, BATCH - 1)),
-           st.integers(0, 2**32))
-    def test_is_the_uniform_stream(self, m, seed):
-        # fill_sectors hands it a (4, BATCH) batch; any (4, m) array will do.
-        buf = np.empty((4, m))
-        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(2):
-            assert fill_uniform(rng, buf) is buf
-            assert np.array_equal(buf, reference.uniform(-1.0, 1.0, (4, m)))
+        assert ball_filter(h, r).shape[1] == 0

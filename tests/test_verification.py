@@ -25,7 +25,9 @@ from dmlat.domain import (
     _pairing_words,
     _word,
     build_domain,
+    side_pairings,
 )
+from dmlat.moves import inverse
 from dmlat.verification import (
     HashCollisionAmbiguity,
     MalformedOrder,
@@ -490,21 +492,14 @@ class TestRelations:
             assert _word(text, w).tobytes() == expected.tobytes(), text
 
     def test_inverse_follows_the_letter(self):
-        # A letter's inverse is built once per read-only matrix, and a table
-        # whose letter is replaced inverts the replacement.
-        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
-        assert _word("K^-1", w) is _word("K^-1", w)
-        assert not _word("K^-1", w).flags.writeable
-        replaced = {**w, "K": w["Q"] @ w["R'1"]}
-        assert np.array_equal(_word("K^-1", replaced), np.linalg.inv(replaced["K"]))
-        relabeled = {**w, "K": w["Q"]}
-        assert _word("K^-1", relabeled) is _word("Q^-1", w)
-        # A writable letter may change between calls: its inverse is not kept.
-        letter = w["Q"].copy()
-        writable = {**w, "K": letter}
-        _word("K^-1", writable)
-        letter[...] = w["R'1"]
-        assert np.array_equal(_word("K^-1", writable), np.linalg.inv(w["R'1"]))
+        # A letter's inverse is the table's entry X^-1, the very array that
+        # moves.inverse built from the letter's map; a negative power reads it.
+        dom = build_domain(LatticeSignature(4, 4, 6))
+        w = _pairing_words(dom)
+        assert w["K^-1"] is inverse(side_pairings(dom).K).matrix
+        assert _word("K^-1", w) is w["K^-1"]
+        relabeled = {**w, "K^-1": w["Q"]}
+        assert _word("K^-2", relabeled).tobytes() == (w["Q"] @ w["Q"]).tobytes()
 
     def test_every_table_word_parses(self):
         w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
