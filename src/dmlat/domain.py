@@ -175,6 +175,9 @@ def side_pairings(dom: DomainD) -> SidePairingSet:
     skipped; the C1-chart ones K = J R1 and Q = P R1 run for every signature.
     ``factorizations_ok`` holds these factorizations only: the exchange
     relations are relation rows of ``group_checks``, evaluated there once.
+    At infinite k' the rows A'0 = K^-2 and R'2K = KR'1 therefore hold by
+    construction and test nothing; item 24 of ROADMAP.md plans the checks
+    of the pairings that would.
     """
     c1, c2, c3 = dom.c1, dom.c2, dom.c3
     c2_usable = not dom.params.k_prime.is_infinite
@@ -233,11 +236,13 @@ def _word(text: str, w: dict[str, np.ndarray]) -> np.ndarray:
 
     A word is letters, each with an optional integer power; any other text,
     such as parentheses, raises ``MalformedWord``. A letter X at power n is
-    ``np.linalg.matrix_power`` of the entry X of w, or X^-1 for n < 0, at |n|.
+    the entry X of w, or X^-1 for n < 0, itself at |n| = 1 and its
+    ``np.linalg.matrix_power`` at |n| otherwise.
     """
-    return reduce(np.matmul, [
-        np.linalg.matrix_power(w[letter if n >= 0 else f"{letter}^-1"], abs(n))
-        for letter, n in _letters(text)])
+    factors = [(w[letter if n >= 0 else f"{letter}^-1"], abs(n))
+               for letter, n in _letters(text)]
+    return reduce(np.matmul, [m if n == 1 else np.linalg.matrix_power(m, n)
+                              for m, n in factors])
 
 
 # The words of the orbit table's stabilisers and of the cycle checks.

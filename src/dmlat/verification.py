@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from functools import cache, reduce
 from fractions import Fraction
+from math import sqrt
 from operator import mul, sub
 
 import numpy as np
@@ -63,7 +64,14 @@ class OrbitRow(Record):
 
 
 def base_orbit_table() -> list[OrbitRow]:
-    """The 44 orbits of facets with their stabiliser orders, generic case."""
+    """The 44 orbits of facets with their stabiliser orders, generic case:
+    a fresh list, which the caller may change, of the rows of ``_base_rows``."""
+    return list(_base_rows())
+
+
+@cache
+def _base_rows() -> tuple[OrbitRow, ...]:
+    """The rows of ``base_orbit_table``, built once per process."""
     dim0 = [
         ("v1,v2", "<A1,R'1>", "kp"),
         ("v3,v4", "<Q^2,R'1>", "pd"),
@@ -116,8 +124,8 @@ def base_orbit_table() -> list[OrbitRow]:
         ("S(R'0),S(R'0^-1)", "1", "1"),
         ("S(A'0),S(A'0^-1)", "1", "1"),
     ]
-    return [OrbitRow(dim, *row) for dim, rows in enumerate((dim0, dim1, dim2, dim3))
-            for row in rows] + [OrbitRow(4, "D", "1", "1")]
+    return (*(OrbitRow(dim, *row) for dim, rows in enumerate((dim0, dim1, dim2, dim3))
+              for row in rows), OrbitRow(4, "D", "1", "1"))
 
 
 def _orders(sig: LatticeSignature, params: DerivedParams) -> dict[str, int | None]:
@@ -140,6 +148,19 @@ def order_value(expr: str, sig: LatticeSignature, params: DerivedParams):
     """
     if expr == "1":
         return Fraction(1)
+    factor, symbols = _order_terms(expr)
+    orders = _orders(sig, params)
+    if unknown := [s for s in symbols if s not in orders]:
+        raise MalformedOrder(f"unknown order symbol {unknown[0]!r}")
+    values = [orders[s] for s in symbols]
+    return None if None in values else reduce(mul, values, Fraction(factor))
+
+
+@cache
+def _order_terms(expr: str) -> tuple[int, tuple[str, ...]]:
+    """The factor and the symbols, a squared one twice, of an order other
+    than "1", parsed once per text; any text outside the grammar raises
+    ``MalformedOrder`` on every call."""
     match = _ORDER.fullmatch(expr)
     if not match:
         raise MalformedOrder(f"not an order expression: {expr!r}")
@@ -149,11 +170,7 @@ def order_value(expr: str, sig: LatticeSignature, params: DerivedParams):
         if len(symbols) != 1:
             raise MalformedOrder(f"{expr!r}: only a single symbol can be squared")
         symbols *= 2
-    orders = _orders(sig, params)
-    if unknown := [s for s in symbols if s not in orders]:
-        raise MalformedOrder(f"unknown order symbol {unknown[0]!r}")
-    values = [orders[s] for s in symbols]
-    return None if None in values else reduce(mul, values, Fraction(2 if two else 1))
+    return 2 if two else 1, tuple(symbols)
 
 
 # The row a negative parameter adds once its rows are deleted: the coalesced
@@ -246,6 +263,8 @@ _KEY_ROW = read_only(_KEY_WEIGHTS.conj().ravel() * _KEY_SCALE)
 _IDENTITY_ROW = read_only(np.eye(3, dtype=complex).reshape(1, 9) / np.sqrt(3))
 _IDENTITY_MEMBER = tuple(_IDENTITY_ROW[0].tolist())
 _IDENTITY_KEY = float(np.rint(abs(_IDENTITY_ROW[0] @ _KEY_ROW)))
+# The key row as Python complex values, for the first run.
+_KEY_VALUES = tuple(_KEY_ROW.tolist())
 
 
 class MalformedGenerator(ValueError):
@@ -260,17 +279,18 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
     With more generators, the second closes H under all of them and their
     inverses, one right coset H y at a time. The order is the number of
     elements registered. Only coset representatives are looked up: a group
-    of n elements costs 2n/|H| lookups per generator instead of 2n.
+    of n elements costs 2n/|H| lookups per generator instead of 2n. No
+    generators give the trivial group, of order 1.
 
-    A level multiplies the frontier's cosets H y by every step s in one
-    batched product, which gives each coset H y s whole, led by y s. Only
-    y s is looked up. If it is found, its coset is registered already; if
-    not, the whole coset is registered and y s joins the next frontier. Its
-    other members skip the lookup because a right coset that misses a
-    union of right cosets is disjoint from it. Two products of one level
-    can lie in one coset, so the later one is looked up after the earlier
-    one has registered, and is found. With H = {1}, as in the first run,
-    this is the plain BFS over elements.
+    A level multiplies the frontier's cosets H y by every step s, which
+    gives each coset H y s whole, led by y s. Only y s is looked up. If it
+    is found, its coset is registered already; if not, the whole coset is
+    registered and y s joins the next frontier. Its other members skip the
+    lookup because a right coset that misses a union of right cosets is
+    disjoint from it. Two products of one level can lie in one coset, so
+    the later one is looked up after the earlier one has registered, and is
+    found. With H = {1}, as in the first run, this is the plain BFS over
+    elements.
 
     H is closed symmetrically, by a and a^-1 on one frontier, so that each
     element of H is a product of at most |H|/2 factors and carries the
@@ -296,13 +316,9 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
     within 10 tol of m while 30 tol < 1e-5, where tol is ``DEFAULT_TOL``:
     on the pre-scaled row, ||_KEY_ROW||_1 * 10 tol is below one bucket.
 
-    A product is compared with the members of those three buckets in that
-    order, each bucket in registration order. The distance is the largest
-    entry of |m - lam n| after optimal phase alignment, computed on Python
-    complex lists, which is cheaper than a numpy call per pair on 3x3
-    matrices. The scan stops at the first member within tol. A member
-    neither within tol nor beyond 10x tol raises HashCollisionAmbiguity
-    rather than guessing. That can fire on the lookup of any product, in
+    A product is looked up by ``_registered``, the one bucket scan of both
+    runs, and raises HashCollisionAmbiguity where that finds two elements
+    too close to tell apart. That can fire on the lookup of any product, in
     either run, and nowhere else. A coset member h y s within 10 tol of a
     registered h' z would put y s near the registered h^-1 h' z, within
     10 tol times the conditioning of h, so such a near-collision shows at
@@ -312,20 +328,24 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
     ``max_size`` raises ExceededBound at once, in either run.
 
     Cost. Most groups of an oracle pass are small and cyclic, so the fixed
-    cost of a call and of a level outweighs the group arithmetic. A call
+    cost of a call and of a level outweighs the group arithmetic. An empty
+    list of generators returns at once, building no array. Otherwise a call
     converts the generators with one ``np.array`` and inverts them with one
     stacked ``np.linalg.inv``. The identity's unit row, bucket member and
     key (``_IDENTITY_ROW``, ``_IDENTITY_MEMBER``, ``_IDENTITY_KEY``) and the
-    key row conj(c) * 1e5 (``_KEY_ROW``) are built once, at import. A level
-    is one matrix product of all the frontier's coset members, 3 rows each,
-    with the steps side by side: one BLAS call, where a batched product of
-    3x3 matrices costs one call per pair. Its rows are then normalised in
-    place by one ``einsum`` of their squared real and imaginary parts,
-    keyed by one product rint(|m @ _KEY_ROW|), and turned into lists by
-    one ``tolist`` each of rows and keys. The keys stay floats: they are
-    integers far below 2^53, so key-1, key and key+1 are exact. The parent
-    skip, the bucket scan and the registration run inline in the level
-    loop.
+    key row conj(c) * 1e5 (``_KEY_ROW``, and ``_KEY_VALUES`` as Python
+    complex values) are built once, at import. The first run,
+    ``_cyclic_closure``, makes at most two 3x3 products a level, so it runs
+    on Python complex 9-lists: a numpy call per level would cost more than
+    its products. A level of the second run is one matrix product of all
+    the frontier's coset members, 3 rows each, with the steps side by side:
+    one BLAS call, where a batched product of 3x3 matrices costs one call
+    per pair. Its rows are then normalised in place by one ``einsum`` of
+    their squared real and imaginary parts, keyed by one product
+    rint(|m @ _KEY_ROW|), and turned into lists by one ``tolist`` each of
+    rows and keys. The keys are integers far below 2^53, so key-1, key and
+    key+1 are exact, and an int key of the first run finds the bucket of
+    the equal float key of the second.
 
     Refusals, before the first level: ``max_size`` outside 1..10000 raises
     ValueError; generators that are not a sequence of 3x3 matrices, have a
@@ -336,7 +356,10 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
     if not 1 <= max_size <= 10000:
         raise ValueError(f"max_size must lie in 1..10000, not {max_size}")
     try:
-        gens = np.array(list(generators) or np.empty((0, 3, 3)), dtype=complex)
+        gens = list(generators)
+        if not gens:
+            return 1
+        gens = np.array(gens, dtype=complex)
     except (TypeError, ValueError) as err:
         raise MalformedGenerator(f"not a sequence of 3x3 matrices: {err}") from None
     if gens.shape[1:] != (3, 3):
@@ -349,68 +372,117 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
         raise MalformedGenerator("a generator is singular") from None
     if not np.isfinite(inverses).all():
         raise MalformedGenerator("a generator is singular: its inverse overflows")
-    steps = np.concatenate([gens, inverses])
-    tol, wide, zero = DEFAULT_TOL, 10 * DEFAULT_TOL, VANISHING_TOL
-    key_row, conj = _KEY_ROW, complex.conjugate
     seen = {_IDENTITY_KEY: [_IDENTITY_MEMBER]}
-    get, count, levels = seen.get, 1, [_IDENTITY_ROW]
-    # The first run closes {1} under a and a^-1, steps[0] and steps[len(gens)];
-    # the second closes H under all the steps.
-    for factors in (steps[::len(gens)], steps) if len(gens) > 1 else (steps,):
-        # The frontier holds one coset a row, H y as |H| rows of 9 entries;
-        # the first is H itself. ``right`` is the steps side by side, so one
-        # product multiplies every member of every coset by every step.
-        frontier = np.concatenate(levels).reshape(1, -1)
-        size, n_steps = frontier.shape[1] // 9, len(factors)
-        right = factors.transpose(1, 0, 2).reshape(3, -1)
-        # factors[back[j]] takes frontier[j] to its parent; 1 has none
-        back = [-1]
-        while len(frontier):
-            flat = (frontier.reshape(-1, 3) @ right).reshape(
-                len(frontier), size, 3, n_steps, 3).transpose(0, 3, 1, 2, 4).reshape(-1, 9)
-            real = flat.view(float)  # the same entries as real and imaginary parts
-            real /= np.sqrt(np.einsum("ij,ij->i", real, real))[:, None]
-            rows, keys = flat.tolist(), np.rint(np.abs(flat @ key_row)).tolist()
-            fresh = []
-            for j, lead in enumerate(range(0, len(rows), size)):
-                if j % n_steps == back[j // n_steps]:
-                    continue
-                row, key = rows[lead], keys[lead]
-                for other in (*get(key - 1, ()), *get(key, ()), *get(key + 1, ())):
-                    inner = sum(map(mul, row, map(conj, other)))
-                    modulus = abs(inner)
-                    if modulus < zero:
-                        dist = max(map(abs, row)) + max(map(abs, other))
-                    else:
-                        lam = inner / modulus
-                        dist = max(map(abs, map(sub, row, map(lam.__mul__, other))))
-                    if tol < dist < wide:
-                        raise HashCollisionAmbiguity(
-                            "two elements differ by less than 10x the tolerance"
-                        )
-                    if dist <= tol:
-                        break
-                else:
-                    count += size
-                    if count > max_size:
-                        raise ExceededBound(f"group exceeds max_size = {max_size}")
-                    for k in range(lead, lead + size):
-                        seen.setdefault(keys[k], []).append(rows[k])
-                    fresh.append(j)
-            frontier = flat.reshape(-1, 9 * size)[fresh]
-            levels.append(frontier)
-            back = [(j + n_steps // 2) % n_steps for j in fresh]
+    subgroup = _cyclic_closure(gens[0].ravel().tolist(), inverses[0].ravel().tolist(),
+                               seen, max_size)
+    size = count = len(subgroup)
+    if len(gens) == 1:
+        return count
+    # The second run closes H under all the steps. The frontier holds one
+    # coset a row, H y as |H| rows of 9 entries; the first is H itself.
+    # ``right`` is the steps side by side, so one product multiplies every
+    # member of every coset by every step.
+    steps = np.concatenate([gens, inverses])
+    n_steps, get = len(steps), seen.get
+    frontier = np.array(subgroup).reshape(1, -1)
+    right = steps.transpose(1, 0, 2).reshape(3, -1)
+    # steps[back[j]] takes frontier[j] to its parent; H has none
+    back = [-1]
+    while len(frontier):
+        flat = (frontier.reshape(-1, 3) @ right).reshape(
+            len(frontier), size, 3, n_steps, 3).transpose(0, 3, 1, 2, 4).reshape(-1, 9)
+        real = flat.view(float)  # the same entries as real and imaginary parts
+        real /= np.sqrt(np.einsum("ij,ij->i", real, real))[:, None]
+        rows, keys = flat.tolist(), np.rint(np.abs(flat @ _KEY_ROW)).tolist()
+        fresh = []
+        for j, lead in enumerate(range(0, len(rows), size)):
+            if j % n_steps == back[j // n_steps] or _registered(get, rows[lead], keys[lead]):
+                continue
+            count += size
+            if count > max_size:
+                raise ExceededBound(f"group exceeds max_size = {max_size}")
+            for k in range(lead, lead + size):
+                seen.setdefault(keys[k], []).append(rows[k])
+            fresh.append(j)
+        frontier = flat.reshape(-1, 9 * size)[fresh]
+        back = [(j + n_steps // 2) % n_steps for j in fresh]
     return count
+
+
+def _cyclic_closure(a: list, a_inv: list, seen: dict, max_size: int) -> list:
+    """The first run of ``stabilizer_bfs``: H = <a>, closed from the identity
+    under a and a^-1, on Python complex 9-lists (3x3 matrices, row-major).
+
+    Registers each new element in ``seen`` and returns H's members in
+    registration order, the identity first; raises ExceededBound when H
+    has more than ``max_size`` elements. A level multiplies each frontier
+    element by a and by a^-1, skipping the step back to its parent.
+    """
+    members, get = [_IDENTITY_MEMBER], seen.get
+    frontier = [(_IDENTITY_MEMBER, -1)]  # (member, the step back to its parent)
+    while frontier:
+        fresh = []
+        for (m0, m1, m2, m3, m4, m5, m6, m7, m8), back in frontier:
+            for step, (s0, s1, s2, s3, s4, s5, s6, s7, s8) in enumerate((a, a_inv)):
+                if step == back:
+                    continue
+                row = [m0 * s0 + m1 * s3 + m2 * s6, m0 * s1 + m1 * s4 + m2 * s7,
+                       m0 * s2 + m1 * s5 + m2 * s8, m3 * s0 + m4 * s3 + m5 * s6,
+                       m3 * s1 + m4 * s4 + m5 * s7, m3 * s2 + m4 * s5 + m5 * s8,
+                       m6 * s0 + m7 * s3 + m8 * s6, m6 * s1 + m7 * s4 + m8 * s7,
+                       m6 * s2 + m7 * s5 + m8 * s8]
+                norm = sqrt(sum(map(mul, row, map(complex.conjugate, row))).real)
+                row = [x / norm for x in row]
+                key = round(abs(sum(map(mul, row, _KEY_VALUES))))
+                if _registered(get, row, key):
+                    continue
+                if len(members) == max_size:
+                    raise ExceededBound(f"group exceeds max_size = {max_size}")
+                seen.setdefault(key, []).append(row)
+                members.append(row)
+                fresh.append((row, 1 - step))
+        frontier = fresh
+    return members
+
+
+def _registered(get, row: list, key) -> bool:
+    """Whether the unit row m is, projectively, an element registered in the
+    buckets that ``get`` reads, the scan of ``stabilizer_bfs``.
+
+    m is compared with the members of the buckets key-1, key and key+1 in
+    that order, each bucket in registration order. The distance is the
+    largest entry of |m - lam n| after optimal phase alignment, computed on
+    Python complex lists, which is cheaper than a numpy call per pair on
+    3x3 matrices. The scan stops at the first member within ``DEFAULT_TOL``.
+    A member neither within it nor beyond 10 times it raises
+    HashCollisionAmbiguity rather than guessing.
+    """
+    for other in (*get(key - 1, ()), *get(key, ()), *get(key + 1, ())):
+        inner = sum(map(mul, row, map(complex.conjugate, other)))
+        modulus = abs(inner)
+        if modulus < VANISHING_TOL:
+            dist = max(map(abs, row)) + max(map(abs, other))
+        else:
+            lam = inner / modulus
+            dist = max(map(abs, map(sub, row, map(lam.__mul__, other))))
+        if DEFAULT_TOL < dist < 10 * DEFAULT_TOL:
+            raise HashCollisionAmbiguity(
+                "two elements differ by less than 10x the tolerance"
+            )
+        if dist <= DEFAULT_TOL:
+            return True
+    return False
 
 
 def stabilizer_generators(stabilizer: str, words: dict[str, np.ndarray]):
     """Matrices for a stabiliser word string like "<Q^2,R'1>".
 
-    The string is "1" or "<w1,...>" with every name in ``words``; any other
-    string raises ``MalformedWord``.
+    The string is "1", the trivial group, which has no generators, or
+    "<w1,...>" with every name in ``words``; any other string raises
+    ``MalformedWord``.
     """
     if stabilizer == "1":
-        return [np.eye(3, dtype=complex)]
+        return []
     match = re.fullmatch(r"<(.+)>", stabilizer)
     names = match[1].split(",") if match else None
     if names is None or not words.keys() >= set(names):
@@ -484,6 +556,11 @@ def group_checks(sig: LatticeSignature,
     (``DerivedParams.degenerate``) is skipped. The relations add the braids
     (``_BRAIDS``); the cycles add (R'2^-1K)^2 = (R'1A'0R'2)^-1 and the
     pointwise fix of F(Q,Q^-1) by Q^2, skipped when d is degenerate.
+
+    At infinite k', ``side_pairings`` builds R'2 and A'0 from the exchange
+    relations, so the rows A'0 = K^-2 and R'2K = KR'1 hold by construction
+    and test nothing there; they are reported as evaluated. Item 24 of
+    ROADMAP.md plans the checks of the pairings that would.
     """
     dom = build_domain(sig)
     w = _pairing_words(dom)

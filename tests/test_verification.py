@@ -210,11 +210,11 @@ class TestEulerSweep:
         assert sweep_mismatches() != []
 
 
-def _oracle_rows():
+def _oracle_rows(seed: int = 61):
     """The (generators, symbolic order) of every orbit row of order <= 400
-    on the 13 triples, each triple's generators conjugated by a seeded
-    random diagonal unitary: the groups of one oracle pass."""
-    rng = np.random.default_rng(61)
+    on the 13 triples, each triple's generators conjugated by a random
+    diagonal unitary drawn from the seed: the groups of one oracle pass."""
+    rng = np.random.default_rng(seed)
     rows = []
     for triple in ALL_TRIPLES:
         phases = np.exp(2j * np.pi * rng.random(3))
@@ -247,6 +247,9 @@ class TestBFS:
     def test_identity(self):
         assert stabilizer_bfs([np.eye(3)]) == 1
         assert stabilizer_bfs([]) == 1
+        assert stabilizer_bfs(iter(())) == 1
+        with pytest.raises(ValueError, match="1..10000"):
+            stabilizer_bfs([], max_size=0)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 12])
     def test_cyclic(self, n):
@@ -321,6 +324,36 @@ class TestBFS:
                   for gens, value in _oracle_rows()]
         assert (len(orders), sum(n for n, _ in orders)) == (480, 7067)
         assert all(n == value for n, value in orders)
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_oracle_pass_replay_other_conjugations(self, seed):
+        # The same pass as seed 61's with other diagonal conjugations: new
+        # matrices, the same orders. 169 rows have the trivial stabiliser.
+        rows = _oracle_rows(seed)
+        assert sum(not gens for gens, _ in rows) == 169
+        assert [stabilizer_bfs(gens, max_size=2000) for gens, _ in rows] == [
+            value for _, value in rows]
+
+    def test_one_generator_max_size(self):
+        # The first run registers one element at a time: each max_size below
+        # the cyclic order 7 is exceeded within it.
+        a = np.diag([1.0, np.exp(2j * np.pi / 7), 1.0])
+        assert stabilizer_bfs([a], max_size=7) == 7
+        for max_size in range(1, 7):
+            with pytest.raises(ExceededBound):
+                stabilizer_bfs([a], max_size=max_size)
+
+    @pytest.mark.parametrize("drift,order", [(1.5e-9, None), (0.0, 7)])
+    def test_one_generator_near_power_raises(self, drift, order):
+        # a^7 misses the identity by a phase of 7 drift: a^4, met after
+        # a^-3 is registered, lies within (tol, 10 tol) of it, 4e-9 after
+        # phase alignment and normalisation. Without the drift a^4 = a^-3.
+        a = np.diag([1.0, np.exp(1j * (2 * np.pi / 7 + drift)), 1.0])
+        if order is None:
+            with pytest.raises(HashCollisionAmbiguity):
+                stabilizer_bfs([a], max_size=100)
+        else:
+            assert stabilizer_bfs([a], max_size=100) == order
 
     def test_reversed_generators(self):
         # H = <first generator> changes with the order. On 17 of the 86
@@ -430,7 +463,7 @@ class TestBFS:
         for row in rows:
             gens = stabilizer_generators(row.stabilizer, w)
             names = [] if row.stabilizer == "1" else row.stabilizer[1:-1].split(",")
-            assert len(gens) == max(len(names), 1), row
+            assert len(gens) == len(names), row  # "1" has no generators
             assert all(g is w[name] for g, name in zip(gens, names)), row
 
 
