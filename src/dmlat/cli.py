@@ -149,18 +149,20 @@ def _cmd_vertices(args) -> int:
     rows = []
     lines = []
     for label, coord in vd.coords.items():
-        finite = not no_finite_point(coord)
+        placed = label not in vd.c2_only and not no_finite_point(coord)
         entry = {
             "label": label,
             "collapsed": label in vd.collapsed,
             "coordinates": [[float(c.real), float(c.imag)] for c in coord]
-            if finite else None,
+            if placed else None,
         }
         rows.append(entry)
-        if finite:
+        if placed:
             # A part that prints as zero prints as +0.000000, whatever its sign.
             coord_txt = ", ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in coord
                                   ).replace("-0.000000", "+0.000000")
+        elif label in vd.c2_only:
+            coord_txt = "not placed: only the singular second chart has it"
         else:
             coord_txt = "no finite point"
         flag = "  [collapsed]" if label in vd.collapsed else ""

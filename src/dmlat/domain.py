@@ -309,13 +309,17 @@ class DomainVertexTable(Record, eq=False):
     ``collapsed`` lists vertices lying on a collapsed triple line in at
     least one chart; their table cells are not checked. For k' < 0 the y2
     argument column is checked modulo pi only (the second chart's coordinate
-    sector flips there), recorded in notes.
+    sector flips there), recorded in notes. ``c2_only`` lists, at infinite
+    k', the vertices that are not collapsed, have a finite point, and only
+    the singular second chart places: their coordinates are its degenerate
+    image, not a placement, and their cells are not checked.
     """
 
     coords: dict[str, np.ndarray]
     collapsed: frozenset[str]
     failures: tuple[str, ...]
     notes: tuple[str, ...] = ()
+    c2_only: frozenset[str] = frozenset()
 
     @property
     def table_ok(self) -> bool:
@@ -405,7 +409,8 @@ def vertices_D(dom: DomainD) -> DomainVertexTable:
     if c2_only:
         notes.append("k' infinite: cells skipped for vertices only the singular "
                      f"second chart places: {c2_only}")
-    return DomainVertexTable(coords, collapsed, tuple(failures), tuple(notes))
+    return DomainVertexTable(coords, collapsed, tuple(failures), tuple(notes),
+                             frozenset(c2_only))
 
 
 def in_D_union(point, dom: DomainD) -> bool:

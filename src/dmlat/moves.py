@@ -50,11 +50,21 @@ class Configuration(Record):
     theta: PiRational
     phi: PiRational
 
-    def __post_init__(self) -> None:  # hashed once: the key of every move cache
-        object.__setattr__(self, "_hash", hash(self.angles()))
+    def __post_init__(self) -> None:
+        # The key of every move cache: the angles as (numerator, denominator)
+        # int pairs, taken once, so that hashing and comparing stay exact
+        # without running Fraction's Python-level methods.
+        key = tuple((q.numerator, q.denominator) for q in self.angles())
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
 
     def angles(self) -> tuple[PiRational, PiRational, PiRational, PiRational]:
         return (self.alpha, self.beta, self.theta, self.phi)

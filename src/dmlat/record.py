@@ -5,9 +5,9 @@ with defaults as class attributes, and gets what ``@dataclass(frozen=True)``
 gave it: construction by position or keyword (a missing or unknown argument
 raises ``TypeError``), ``__post_init__``, ``Name(field=value, ...)`` as its
 repr, and ``AttributeError`` on assigning or deleting an attribute. Value
-records compare and hash by their field tuple, and a class's own
-``__hash__`` is kept; ``class R(Record, eq=False)`` compares and hashes by
-identity. ``dataclasses`` writes the source of six methods per class and
+records compare and hash by their field tuple, and a class's own ``__eq__``
+and ``__hash__`` are kept; ``class R(Record, eq=False)`` compares and hashes
+by identity. ``dataclasses`` writes the source of six methods per class and
 compiles it when the module is imported; a record class is set up from
 closures and an ``operator.attrgetter``, with nothing compiled. This module
 imports no numpy.
@@ -56,7 +56,8 @@ class Record:
             if other.__class__ is self.__class__:
                 return key(self) == key(other)
             return NotImplemented
-        cls.__eq__ = __eq__
+        if "__eq__" not in cls.__dict__:
+            cls.__eq__ = __eq__
         if "__hash__" not in cls.__dict__:
             cls.__hash__ = lambda self: hash(key(self))
 

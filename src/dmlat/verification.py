@@ -17,9 +17,11 @@ characteristic.
 from __future__ import annotations
 
 import re
-from functools import cache, reduce
+from cmath import isfinite
+from functools import cache
+from itertools import chain
 from fractions import Fraction
-from math import sqrt
+from math import prod, sqrt
 from operator import mul, sub
 
 import numpy as np
@@ -144,7 +146,9 @@ def order_value(expr: str, sig: LatticeSignature, params: DerivedParams):
     """Evaluate a symbolic order to an exact rational, or None for infinity.
 
     The expression is "1" or matches ``_ORDER``, and only a single symbol
-    can be squared; any other text raises ``MalformedOrder``.
+    can be squared; any other text raises ``MalformedOrder``. Each text is
+    parsed once (``_order_terms``); the symbols' values, Python ints, are
+    multiplied with the factor and the product becomes one ``Fraction``.
     """
     if expr == "1":
         return Fraction(1)
@@ -153,7 +157,7 @@ def order_value(expr: str, sig: LatticeSignature, params: DerivedParams):
     if unknown := [s for s in symbols if s not in orders]:
         raise MalformedOrder(f"unknown order symbol {unknown[0]!r}")
     values = [orders[s] for s in symbols]
-    return None if None in values else reduce(mul, values, Fraction(factor))
+    return None if None in values else Fraction(factor * prod(values))
 
 
 @cache
@@ -276,11 +280,12 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
 
     One breadth-first closure over right cosets, run twice. The first run
     closes {1} under the first generator a and its inverse, giving H = <a>.
-    With more generators, the second closes H under all of them and their
-    inverses, one right coset H y at a time. The order is the number of
-    elements registered. Only coset representatives are looked up: a group
-    of n elements costs 2n/|H| lookups per generator instead of 2n. No
-    generators give the trivial group, of order 1.
+    With more generators, the second closes H under the steps, one right
+    coset H y at a time: the other generators, their inverses, then a,
+    forward only. The order is the number of elements registered. Only
+    coset representatives are looked up: a group of n elements costs n/|H|
+    lookups per step instead of n. No generators give the trivial group, of
+    order 1.
 
     A level multiplies the frontier's cosets H y by every step s, which
     gives each coset H y s whole, led by y s. Only y s is looked up. If it
@@ -292,6 +297,12 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
     found. With H = {1}, as in the first run, this is the plain BFS over
     elements.
 
+    a^-1 is not a step of the second run. The first run closed H both ways,
+    so a has order |H| and a^-1 = a^(|H|-1): a set of cosets closed under a
+    is closed under a^-1, and every right coset is still reached. a itself
+    stays a step: on the (4,4,3) row of order 2k'^2 = 72, the other
+    generator and its inverse alone reach 36 elements.
+
     H is closed symmetrically, by a and a^-1 on one frontier, so that each
     element of H is a product of at most |H|/2 factors and carries the
     rounding error of the plain BFS. Powers of a taken one factor at a time,
@@ -301,7 +312,9 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
 
     Each representative remembers the step that produced it, and the next
     level skips the product with that step's inverse: it is the parent,
-    whose coset is registered, so no level's new cosets change.
+    whose coset is registered, so no level's new cosets change. Only the
+    symmetric steps skip: a's inverse is not a step, so a representative
+    that a produced skips nothing.
 
     Elements are deduplicated projectively. A unit-norm m goes into the
     bucket round(|<c, m>| * 1e5), where c is the fixed weight matrix
@@ -329,15 +342,19 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
 
     Cost. Most groups of an oracle pass are small and cyclic, so the fixed
     cost of a call and of a level outweighs the group arithmetic. An empty
-    list of generators returns at once, building no array. Otherwise a call
-    converts the generators with one ``np.array`` and inverts them with one
-    stacked ``np.linalg.inv``. The identity's unit row, bucket member and
-    key (``_IDENTITY_ROW``, ``_IDENTITY_MEMBER``, ``_IDENTITY_KEY``) and the
-    key row conj(c) * 1e5 (``_KEY_ROW``, and ``_KEY_VALUES`` as Python
-    complex values) are built once, at import. The first run,
-    ``_cyclic_closure``, makes at most two 3x3 products a level, so it runs
-    on Python complex 9-lists: a numpy call per level would cost more than
-    its products. A level of the second run is one matrix product of all
+    list of generators returns at once. Otherwise each generator is read
+    with one ``np.asarray`` into a complex 9-list, row-major, and the rest
+    of the intake runs on Python scalars: ``cmath.isfinite`` on the
+    entries, and the inverse as adjugate over determinant (``_inverse``).
+    For one or two 3x3 matrices, numpy's ``isfinite`` and a stacked
+    ``np.linalg.inv`` cost more than this arithmetic. The identity's unit
+    row, bucket member and key (``_IDENTITY_ROW``, ``_IDENTITY_MEMBER``,
+    ``_IDENTITY_KEY``) and the key row conj(c) * 1e5 (``_KEY_ROW``, and
+    ``_KEY_VALUES`` as Python complex values) are built once, at import.
+    The first run, ``_cyclic_closure``, makes at most two 3x3 products a
+    level, so it runs on the 9-lists too: a numpy call per level would cost
+    more than its products. The second run builds its step stack from the
+    9-lists with one ``np.array``. Its level is one matrix product of all
     the frontier's coset members, 3 rows each, with the steps side by side:
     one BLAS call, where a batched product of 3x3 matrices costs one call
     per pair. Its rows are then normalised in place by one ``einsum`` of
@@ -349,43 +366,43 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
 
     Refusals, before the first level: ``max_size`` outside 1..10000 raises
     ValueError; generators that are not a sequence of 3x3 matrices, have a
-    non-finite entry, or are singular (no finite inverse) raise
-    MalformedGenerator. A non-finite entry would otherwise put NaN keys in
-    the buckets, where no lookup finds them.
+    non-finite entry, have a determinant that is exactly 0 or not finite,
+    or have an inverse that is not finite raise MalformedGenerator. A
+    non-finite entry would otherwise put NaN keys in the buckets, where no
+    lookup finds them.
     """
     if not 1 <= max_size <= 10000:
         raise ValueError(f"max_size must lie in 1..10000, not {max_size}")
     try:
-        gens = list(generators)
-        if not gens:
-            return 1
-        gens = np.array(gens, dtype=complex)
+        arrays = [np.asarray(g, dtype=complex) for g in generators]
     except (TypeError, ValueError) as err:
         raise MalformedGenerator(f"not a sequence of 3x3 matrices: {err}") from None
-    if gens.shape[1:] != (3, 3):
-        raise MalformedGenerator(f"not a sequence of 3x3 matrices: shape {gens.shape}")
-    if not np.isfinite(gens).all():
+    if not arrays:
+        return 1
+    if shapes := [g.shape for g in arrays if g.shape != (3, 3)]:
+        raise MalformedGenerator(f"not a sequence of 3x3 matrices: shape {shapes[0]}")
+    gens = [g.ravel().tolist() for g in arrays]
+    if not all(map(isfinite, chain.from_iterable(gens))):
         raise MalformedGenerator("a generator has a non-finite entry")
-    try:
-        inverses = np.linalg.inv(gens)
-    except np.linalg.LinAlgError:
-        raise MalformedGenerator("a generator is singular") from None
-    if not np.isfinite(inverses).all():
-        raise MalformedGenerator("a generator is singular: its inverse overflows")
+    inverses = list(map(_inverse, gens))
     seen = {_IDENTITY_KEY: [_IDENTITY_MEMBER]}
-    subgroup = _cyclic_closure(gens[0].ravel().tolist(), inverses[0].ravel().tolist(),
-                               seen, max_size)
+    subgroup = _cyclic_closure(gens[0], inverses[0], seen, max_size)
     size = count = len(subgroup)
     if len(gens) == 1:
         return count
-    # The second run closes H under all the steps. The frontier holds one
-    # coset a row, H y as |H| rows of 9 entries; the first is H itself.
-    # ``right`` is the steps side by side, so one product multiplies every
-    # member of every coset by every step.
-    steps = np.concatenate([gens, inverses])
-    n_steps, get = len(steps), seen.get
-    frontier = np.array(subgroup).reshape(1, -1)
+    # The second run closes H under the other generators and their inverses,
+    # then a forward only. The frontier holds one coset a row, H y as |H|
+    # rows of 9 entries; the first is H itself. ``right`` is the steps side
+    # by side, so one product multiplies every member of every coset by
+    # every step.
+    others = len(gens) - 1
+    n_steps = 2 * others + 1
+    steps = np.array([*gens[1:], *inverses[1:], gens[0]]).reshape(n_steps, 3, 3)
     right = steps.transpose(1, 0, 2).reshape(3, -1)
+    # step j's inverse among the steps, -1 for a, whose inverse is not one
+    undo = [(j + others) % (n_steps - 1) for j in range(n_steps - 1)] + [-1]
+    get = seen.get
+    frontier = np.array(subgroup).reshape(1, -1)
     # steps[back[j]] takes frontier[j] to its parent; H has none
     back = [-1]
     while len(frontier):
@@ -405,8 +422,33 @@ def stabilizer_bfs(generators, max_size: int = 10000) -> int:
                 seen.setdefault(keys[k], []).append(rows[k])
             fresh.append(j)
         frontier = flat.reshape(-1, 9 * size)[fresh]
-        back = [(j + n_steps // 2) % n_steps for j in fresh]
+        back = [undo[j % n_steps] for j in fresh]
     return count
+
+
+def _inverse(m: list) -> list:
+    """The inverse of a 3x3 matrix given as a complex 9-list, row-major: its
+    adjugate over its determinant. Raises MalformedGenerator when the
+    determinant is exactly 0 or not finite, or the inverse is not finite.
+
+    On an ill-conditioned matrix the determinant loses digits to
+    cancellation, so the result can differ from an LU inverse by a scalar
+    factor: by up to 6e-13 on the catalog's words, which agree with
+    ``np.linalg.inv`` to 3e-15 once that factor is removed. The BFS
+    normalises every product, so the factor does not reach it."""
+    a, b, c, d, e, f, g, h, i = m
+    co0, co1, co2 = e * i - f * h, f * g - d * i, d * h - e * g
+    det = a * co0 + b * co1 + c * co2
+    if det == 0:
+        raise MalformedGenerator("a generator is singular")
+    if not isfinite(det):
+        raise MalformedGenerator("a generator's determinant overflows")
+    inverse = [x / det for x in (co0, c * h - b * i, b * f - c * e,
+                                 co1, a * i - c * g, c * d - a * f,
+                                 co2, b * g - a * h, a * e - b * d)]
+    if not all(map(isfinite, inverse)):
+        raise MalformedGenerator("a generator is singular: its inverse overflows")
+    return inverse
 
 
 def _cyclic_closure(a: list, a_inv: list, seen: dict, max_size: int) -> list:
@@ -479,15 +521,30 @@ def stabilizer_generators(stabilizer: str, words: dict[str, np.ndarray]):
 
     The string is "1", the trivial group, which has no generators, or
     "<w1,...>" with every name in ``words``; any other string raises
-    ``MalformedWord``.
+    ``MalformedWord``. The names of each text are read once per process
+    (``_stabilizer_names``); the table is read on every call.
     """
+    try:
+        return [words[name] for name in _stabilizer_names(stabilizer)]
+    except KeyError:
+        raise MalformedWord(
+            f"not a stabiliser of words in the table: {stabilizer!r}") from None
+
+
+_STABILIZER = re.compile(r"<(.+)>")
+
+
+@cache
+def _stabilizer_names(stabilizer: str) -> tuple[str, ...]:
+    """The word names of a stabiliser text, parsed once per text; any text
+    outside the grammar of ``stabilizer_generators`` raises ``MalformedWord``
+    on every call."""
     if stabilizer == "1":
-        return []
-    match = re.fullmatch(r"<(.+)>", stabilizer)
-    names = match[1].split(",") if match else None
-    if names is None or not words.keys() >= set(names):
+        return ()
+    match = _STABILIZER.fullmatch(stabilizer)
+    if not match:
         raise MalformedWord(f"not a stabiliser of words in the table: {stabilizer!r}")
-    return [words[name] for name in names]
+    return tuple(match[1].split(","))
 
 
 class CheckEntry(Record):

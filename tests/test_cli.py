@@ -217,6 +217,25 @@ class TestVertices:
         assert [v["label"] for v in json.loads(out)["vertices"]
                 if v["coordinates"] is None] == labels
 
+    @pytest.mark.parametrize("triple,labels", [
+        ("3 6 4", ["v21", "v22", "v23", "v24"]),
+        ("2 6 3", ["v24"]),
+        ("4 12 6", ["v21", "v22", "v23", "v24"]),
+        ("12 4 6", ["v21", "v22", "v23", "v24"]),
+    ])
+    def test_singular_chart_vertex_not_placed(self, capsys, triple, labels):
+        # At k' = inf these vertices are not collapsed and only the singular
+        # C2 chart places them, at its degenerate image (0, 0, 1), the point
+        # v1: the rows say so and give no coordinates.
+        _, out, _ = run(capsys, "--force", "vertices", *triple.split())
+        assert [line.split(":")[0] for line in out.splitlines()
+                if ": not placed: only the singular second chart has it" in line] == labels
+        _, out, _ = run(capsys, "--json", "--force", "vertices", *triple.split())
+        doc = json.loads(out)
+        assert [v["label"] for v in doc["vertices"]
+                if v["coordinates"] is None and not v["collapsed"]] == labels
+        assert doc["notes"][-1].endswith(f"only the singular second chart places: {labels}")
+
     @pytest.mark.parametrize("key", VERTICES_GOLDEN)
     def test_json_matches_golden_report(self, capsys, key):
         # Labels, flags, notes and exit code exactly; coordinates to 1e-12.

@@ -12,9 +12,9 @@ and the catalog's derived parameters and cone angles load neither numpy nor
 function or class whose name no file under ``src/``, ``tests/``, ``demos/``
 or ``perfbench/`` reads is dead code too. Only ``sampling.fill_sectors``
 calls a drawing method of a numpy ``Generator``, so that every sampled check
-draws through the one proposal of ``dmlat.sampling``. Only ``moves.inverse``,
-``arithmetic.projective_order`` and ``verification.stabilizer_bfs`` call
-``np.linalg.inv``, so that a configured map has one inverse. Only
+draws through the one proposal of ``dmlat.sampling``. Only ``moves.inverse``
+and ``arithmetic.projective_order`` call ``np.linalg.inv``, so that a
+configured map has one inverse. Only
 ``polyhedron.in_arcs``, the one arc rule, and ``domain.vertices_D`` read an
 argument with ``np.angle``, ``np.arctan2`` or ``math.atan2``.
 Every field of a record class of the package, a ``dmlat.record.Record``
@@ -283,8 +283,7 @@ def test_random_draw_detector():
 
 # The one function of each module that may call np.linalg.inv.
 INVERTERS = {"moves.py": frozenset({"inverse"}),
-             "arithmetic.py": frozenset({"projective_order"}),
-             "verification.py": frozenset({"stabilizer_bfs"})}
+             "arithmetic.py": frozenset({"projective_order"})}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,10 +214,24 @@ class TestCaches:
         for c in _configs((4, 4, 6)):
             again = Configuration(*c.angles())
             assert again is not c and again == c and hash(again) == hash(c)
-            assert hash(c) == hash(c.angles())
+            assert hash(c) == hash(tuple((q.numerator, q.denominator) for q in c.angles()))
             for build in MEMOISED:
                 with contextlib.suppress(DegenerateDenominator):
                     assert build(again) is build(c), build.__name__
+
+    def test_compares_and_hashes_by_exact_angles(self):
+        # Equal angles built separately compare and hash equal, an int angle
+        # among them; angles that differ by 1e-18 do not.
+        third = Fraction(1, 3)
+        c = Configuration(Fraction(2, 3), Fraction(5, 6), Fraction(1, 4), Fraction(1, 4))
+        same = Configuration(Fraction(4, 6), Fraction(10, 12), Fraction(1, 4), 1 - Fraction(3, 4))
+        assert same == c and not same != c and hash(same) == hash(c)
+        assert (Configuration(Fraction(1), third, third, third)
+                == Configuration(1, third, third, third))
+        near = Configuration(Fraction(2, 3), Fraction(5, 6), Fraction(1, 4),
+                             Fraction(1, 4) + Fraction(1, 10**18))
+        assert near != c and not near == c and hash(near) != hash(c)
+        assert c != c.angles()
 
     def test_cached_angles_equal_direct_evaluation(self, monkeypatch):
         # The moves read their angles from the chart table. Record every angle

@@ -42,6 +42,19 @@ def test_a_class_keeps_its_own_hash():
     assert hash(Own(1)) == 7 and Own(1) == Own(1) and Own(1) != Own(2)
 
 
+def test_a_class_keeps_its_own_eq():
+    class Parity(Record):
+        x: int
+
+        def __eq__(self, other):
+            return self.x % 2 == other.x % 2
+
+        def __hash__(self):
+            return self.x % 2
+
+    assert Parity(1) == Parity(3) and Parity(1) != Parity(2)
+
+
 def test_defaults_and_keywords():
     assert CheckEntry("R1", "pass") == CheckEntry(name="R1", status="pass", detail="")
     # Every field is stored in the instance, a default too.

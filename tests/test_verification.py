@@ -232,6 +232,26 @@ def _oracle_rows(seed: int = 61):
     return rows
 
 
+@pytest.fixture
+def found_distances(monkeypatch):
+    """The distance of every lookup of ``stabilizer_bfs`` that finds an
+    element, recorded by wrapping ``_registered``: the entrywise distance,
+    after phase alignment, to the nearest member of the probed buckets."""
+    distances = []
+    registered = verification_mod._registered
+
+    def recording(get, row, key):
+        found = registered(get, row, key)
+        if found:
+            members = (*get(key - 1, ()), *get(key, ()), *get(key + 1, ()))
+            aligned = (np.vdot(other, row) for other in members)
+            distances.append(min(np.abs(np.array(row) - inner / abs(inner) * np.array(other)).max()
+                                 for other, inner in zip(members, aligned) if abs(inner) > 0.5))
+        return found
+    monkeypatch.setattr(verification_mod, "_registered", recording)
+    return distances
+
+
 def _normalises(a, b) -> bool:
     """Whether b^-1 a b is a power of a, that is b normalises <a>."""
     conjugate = np.linalg.inv(b) @ a @ b
@@ -319,20 +339,24 @@ class TestBFS:
                 with pytest.raises(ExceededBound):
                     stabilizer_bfs(gens, max_size=max_size)
 
-    def test_oracle_pass_replay(self):
+    def test_oracle_pass_replay(self, found_distances):
+        # Every lookup that finds an element finds it within 1e-11, 100
+        # times inside DEFAULT_TOL.
         orders = [(stabilizer_bfs(gens, max_size=2000), value)
                   for gens, value in _oracle_rows()]
         assert (len(orders), sum(n for n, _ in orders)) == (480, 7067)
         assert all(n == value for n, value in orders)
+        assert found_distances and max(found_distances) < 1e-11
 
     @pytest.mark.parametrize("seed", range(1, 9))
-    def test_oracle_pass_replay_other_conjugations(self, seed):
+    def test_oracle_pass_replay_other_conjugations(self, seed, found_distances):
         # The same pass as seed 61's with other diagonal conjugations: new
         # matrices, the same orders. 169 rows have the trivial stabiliser.
         rows = _oracle_rows(seed)
         assert sum(not gens for gens, _ in rows) == 169
         assert [stabilizer_bfs(gens, max_size=2000) for gens, _ in rows] == [
             value for _, value in rows]
+        assert found_distances and max(found_distances) < 1e-11
 
     def test_one_generator_max_size(self):
         # The first run registers one element at a time: each max_size below
@@ -393,6 +417,27 @@ class TestBFS:
         gens = [s * conj * g for s, g in zip(phases[3:], gens)]
         assert stabilizer_bfs(gens) == order
 
+    def test_nested_sequences_are_generators(self):
+        # Lists and tuples of rows give the same orders as arrays.
+        w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
+        cyclic = np.diag([1.0, np.exp(2j * np.pi / 7), 1.0])
+        for gens, order in (([w["Q^2"], w["R'1"]], 48), ([cyclic], 7)):
+            assert stabilizer_bfs(gens) == order
+            assert stabilizer_bfs([g.tolist() for g in gens]) == order
+            assert stabilizer_bfs(tuple(tuple(map(tuple, g)) for g in gens)) == order
+
+    def test_inverse_matches_linalg(self, triple):
+        # The adjugate inverse of every word of the table against an LU
+        # inverse: they agree to 1e-14 of the largest entry once a scalar
+        # factor is removed, and that factor, the determinant's rounding, is
+        # within 1e-12 of 1.
+        for name, m in _pairing_words(build_domain(LatticeSignature(*triple))).items():
+            got = np.reshape(verification_mod._inverse(m.ravel().tolist()), (3, 3))
+            want = np.linalg.inv(m)
+            factor = np.vdot(got, want) / np.vdot(got, got)
+            assert abs(factor - 1) < 1e-12, name
+            assert np.abs(factor * got - want).max() < 1e-14 * np.abs(want).max(), name
+
     def test_exceeds_bound(self):
         w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
         with pytest.raises(ExceededBound):
@@ -444,6 +489,14 @@ class TestBFS:
         for gens in ([bad], [a, bad]):
             with pytest.raises(MalformedGenerator, match="singular"):
                 stabilizer_bfs(gens)
+
+    @pytest.mark.parametrize("scale,message", [
+        (1e-110, "singular"),  # the determinant underflows to 0
+        (1e110, "determinant overflows"),  # the inverse would underflow to 0
+    ])
+    def test_determinant_out_of_range_refused(self, scale, message):
+        with pytest.raises(MalformedGenerator, match=message):
+            stabilizer_bfs([scale * np.eye(3)])
 
     def test_generator_words(self):
         w = _pairing_words(build_domain(LatticeSignature(4, 4, 6)))
